@@ -208,7 +208,11 @@ def _cmd_simulate(args) -> int:
         bundle = json.load(fh)
     if bundle.get("type") != "scheme":
         raise InvalidInputError(f"{args.scheme} is not a scheme bundle")
-    scheme = _rebuild_scheme(bundle)
+    try:
+        scheme = _rebuild_scheme(bundle)
+    except KeyError as exc:
+        print(f"parse error: {args.scheme}: scheme bundle has no {exc} field", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     library = simulate.make_library(
         args.files if args.files else max(scheme.num_users, scheme.params.num_files),
         scheme.subpacketization, args.packet_bytes, args.seed,
@@ -221,12 +225,8 @@ def _cmd_simulate(args) -> int:
         demands = simulate.random_demands(scheme, library, Random(args.seed))
     else:
         demands = _ints(args.demands)
-    report = simulate.run_simulation(scheme, library, demands, args.mode)
+    report, plan = simulate._simulate(scheme, library, demands, args.mode)
     if args.transcript:
-        if args.mode == "plain":
-            plan = simulate.deliver_plain(scheme, library, demands)
-        else:
-            plan = simulate.deliver_mds(scheme, library, demands)
         simulate.write_transcript(plan, args.transcript)
     _emit(serialize.dump_json(serialize.report_to_obj(report)), args.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED

@@ -252,10 +252,10 @@ def reconstructible_messages(scheme, caches: NodeCaches, user) -> frozenset:
     )
 
 
-def _all_messages(scheme, plan: TransmissionPlan, caches: NodeCaches, user: int) -> np.ndarray:
+def _all_messages(scheme, plan: TransmissionPlan, caches: NodeCaches, user: int,
+                  rows: frozenset, known: Optional[frozenset]) -> np.ndarray:
     """Recover all S multicast payloads at one user."""
     library = caches.library
-    rows = retrievable_rows(scheme, caches, user)
     demands = plan.demands
 
     def read_packet(file_id, j):
@@ -268,8 +268,10 @@ def _all_messages(scheme, plan: TransmissionPlan, caches: NodeCaches, user: int)
         # symbols are the multicast payloads verbatim.
         return plan.symbols
 
-    known = sorted(reconstructible_messages(scheme, caches, user))
-    unknown = [s for s in range(plan.num_messages) if s not in set(known)]
+    if known is None:
+        known = reconstructible_messages(scheme, caches, user)
+    known = sorted(known)
+    unknown = sorted(set(range(plan.num_messages)).difference(known))
     messages = np.zeros((plan.num_messages, library.words_per_packet), dtype=np.uint16)
     for s in known:
         acc = messages[s]
@@ -281,26 +283,22 @@ def _all_messages(scheme, plan: TransmissionPlan, caches: NodeCaches, user: int)
                 user, None,
                 f"{len(unknown)} unknown messages but only {len(plan.symbols)} symbols",
             )
-        use = list(range(len(unknown)))
-        rhs = plan.symbols[use].copy()
-        for i in use:
-            for s in known:
-                rhs[i] ^= gf16.scale(int(plan.coeff[i, s]), messages[s])
-        sub = plan.coeff[np.ix_(use, unknown)]
-        solved = gf16.solve(sub, rhs)
-        for idx, s in enumerate(unknown):
-            messages[s] = solved[idx]
+        use = range(len(unknown))
+        rhs = plan.symbols[use] ^ gf16.matvec(plan.coeff[np.ix_(use, known)], messages[known])
+        messages[unknown] = gf16.solve(plan.coeff[np.ix_(use, unknown)], rhs)
     return messages
 
 
-def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
+def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches,
+           known: Optional[frozenset] = None) -> bytes:
     """Reconstruct the user's demanded file, byte-exact, from its reachable
-    caches plus the transmission."""
+    caches plus the transmission.  ``known`` is the user's
+    :func:`reconstructible_messages`, when the caller has it already."""
     k = _user_index(scheme, user)
     library = caches.library
     demands = plan.demands
-    rows = retrievable_rows(scheme, caches, user)
-    messages = _all_messages(scheme, plan, caches, k)
+    rows = retrievable_rows(scheme, caches, k)
+    messages = _all_messages(scheme, plan, caches, k, rows, known)
 
     pda = scheme.user_delivery
     canon = pda.canonical_index
@@ -341,6 +339,11 @@ class SimulationReport:
 
 def run_simulation(scheme, library: Library, demands, mode: str = "plain") -> SimulationReport:
     """Place, deliver, and decode at every user; measure the realized load."""
+    return _simulate(scheme, library, demands, mode)[0]
+
+
+def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
+    """:func:`run_simulation`, also returning the plan that was decoded."""
     caches = place(library, scheme)
     if mode == "plain":
         plan = deliver_plain(scheme, library, demands)
@@ -353,7 +356,7 @@ def run_simulation(scheme, library: Library, demands, mode: str = "plain") -> Si
     for k in range(scheme.num_users):
         known = reconstructible_messages(scheme, caches, k)
         max_unknown = max(max_unknown, plan.num_messages - len(known))
-        got = decode(scheme, k, plan, caches)
+        got = decode(scheme, k, plan, caches, known=known)
         verdicts.append(got == library.file_bytes(plan.demands[k]))
     f = scheme.subpacketization
     s = scheme.counted_messages
@@ -370,7 +373,7 @@ def run_simulation(scheme, library: Library, demands, mode: str = "plain") -> Si
         all_ok=all(verdicts),
         guaranteed_known=scheme.guaranteed_known,
         max_unknown=max_unknown,
-    )
+    ), plan
 
 
 def measure_worst_case(scheme, library: Library, mode: str = "plain") -> SimulationReport:
@@ -488,24 +491,34 @@ def write_transcript(plan: TransmissionPlan, path) -> None:
             fh.write(raw)
 
 
+def _read(fh, size: int) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise InvalidInputError(
+            f"truncated transcript: {size} bytes expected at offset "
+            f"{fh.tell() - len(raw)}, {len(raw)} left"
+        )
+    return raw
+
+
 def read_transcript(path) -> TransmissionPlan:
     """Inverse of :func:`write_transcript`; sources are not stored and must
     be re-derived from the scheme when decoding."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInputError("not a transcript file")
-        mode_flag, _field, num_messages, _k = struct.unpack("<BBII", fh.read(10))
-        (dlen,) = struct.unpack("<I", fh.read(4))
-        demands = struct.unpack(f"<{dlen}I", fh.read(4 * dlen))
-        rows, cols = struct.unpack("<II", fh.read(8))
+        mode_flag, _field, num_messages, _k = struct.unpack("<BBII", _read(fh, 10))
+        (dlen,) = struct.unpack("<I", _read(fh, 4))
+        demands = struct.unpack(f"<{dlen}I", _read(fh, 4 * dlen))
+        rows, cols = struct.unpack("<II", _read(fh, 8))
         coeff = None
         if rows:
-            coeff = np.frombuffer(fh.read(2 * rows * cols), dtype="<u2").reshape(rows, cols).copy()
-        (count,) = struct.unpack("<I", fh.read(4))
+            coeff = np.frombuffer(_read(fh, 2 * rows * cols), dtype="<u2").reshape(rows, cols).copy()
+        (count,) = struct.unpack("<I", _read(fh, 4))
         symbols = []
         for _ in range(count):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            symbols.append(np.frombuffer(fh.read(ln), dtype="<u2").copy())
+            (ln,) = struct.unpack("<I", _read(fh, 4))
+            symbols.append(np.frombuffer(_read(fh, ln), dtype="<u2").copy())
         symbols = np.array(symbols, dtype=np.uint16) if symbols else np.zeros((0, 0), np.uint16)
     mode = "plain" if mode_flag == 0 else "mds"
     reduced = num_messages - len(symbols) if mode == "mds" else 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,32 @@ class TestSimulateCommand:
         assert report["symbols_sent"] == 28
         assert report["measured_load"] == "4/3"
         assert transcript.exists()
+
+    def test_affine_mds_outputs_pinned(self, capsys, tmp_path):
+        # Digests recorded with the scalar GF(2^16) kernels, before the
+        # vectorised ones: coded outputs must stay byte-identical, and the
+        # transcript written is the plan that was decoded.
+        bundle, report, transcript = (tmp_path / n for n in ("s.json", "r.json", "t.bin"))
+        run(capsys, "scheme", "--design", "affine-9-3-1", "--mu-gamma", "2",
+            "--out", str(bundle))
+        code, _, _ = run(capsys, "simulate", "--scheme", str(bundle), "--mode", "mds",
+                         "--seed", "5", "--out", str(report), "--transcript", str(transcript))
+        assert code == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (transcript, report)] == [
+            "785c090041b24da54a0a7c9dcb5038257c439883cc382cb8797081e1d2fbc09d",
+            "f26d831a612d1c309e719c3e89eb1f76cc432089903261a76c71d8e0127b5e1d",
+        ]
+
+    def test_bundle_without_design_is_parse_error(self, capsys, tmp_path):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        del obj["design"]
+        bundle.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 3
+        assert err.startswith("parse error:") and "design" in err
 
     def test_gdd_simulation(self, capsys, tmp_path):
         bundle = tmp_path / "g.json"

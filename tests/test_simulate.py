@@ -295,3 +295,14 @@ class TestTranscript:
         path.write_bytes(b"nope")
         with pytest.raises(InvalidInputError):
             read_transcript(path)
+
+    def test_truncated_file_is_invalid_input(self, tmp_path):
+        scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
+        lib = make_library(7, scheme.subpacketization, 16)
+        path = tmp_path / "t.bin"
+        write_transcript(deliver_mds(scheme, lib, distinct_demands(scheme, lib)), path)
+        whole = path.read_bytes()
+        for cut in (8, 40, len(whole) - 1):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(InvalidInputError, match="truncated"):
+                read_transcript(path)
