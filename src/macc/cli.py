@@ -192,27 +192,26 @@ def _cmd_scheme(args) -> int:
 
 
 def _rebuild_scheme(bundle: dict):
-    params = bundle["params"]
-    if params["kind"] == "design":
-        design = serialize.design_from_obj(bundle["design"])
-        return build_scheme(design, params["cached_nodes"], params["files"])
-    if params["kind"] == "gdd":
-        gdd = serialize.gdd_from_obj(bundle["gdd"])
-        oa = serialize.oa_from_obj(bundle["oa"])
-        return build_gdd_scheme(gdd, oa, params["files"])
-    raise InvalidInputError(f"unknown scheme kind {params.get('kind')!r}")
+    try:
+        params = bundle["params"]
+        if params["kind"] == "design":
+            design = serialize.design_from_obj(bundle["design"])
+            return build_scheme(design, params["cached_nodes"], params["files"])
+        if params["kind"] == "gdd":
+            gdd = serialize.gdd_from_obj(bundle["gdd"])
+            oa = serialize.oa_from_obj(bundle["oa"])
+            return build_gdd_scheme(gdd, oa, params["files"])
+    except KeyError as exc:
+        raise InvalidInputError(f"scheme bundle has no {exc} field") from None
+    raise InvalidInputError(f"unknown scheme kind {params['kind']!r}")
 
 
 def _cmd_simulate(args) -> int:
     with open(args.scheme, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
-    if bundle.get("type") != "scheme":
+    if not isinstance(bundle, dict) or bundle.get("type") != "scheme":
         raise InvalidInputError(f"{args.scheme} is not a scheme bundle")
-    try:
-        scheme = _rebuild_scheme(bundle)
-    except KeyError as exc:
-        print(f"parse error: {args.scheme}: scheme bundle has no {exc} field", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    scheme = _rebuild_scheme(bundle)
     library = simulate.make_library(
         args.files if args.files else max(scheme.num_users, scheme.params.num_files),
         scheme.subpacketization, args.packet_bytes, args.seed,
@@ -354,7 +353,7 @@ def main(argv=None) -> int:
             ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, FileNotFoundError, InvalidInputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except MaccError as exc:

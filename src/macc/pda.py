@@ -10,8 +10,9 @@ message.  The defining conditions:
   C3b  for two cells sharing an id, both crossing cells are stars.
 
 Ids are opaque hashable objects.  Constructions use structured ids (subsets,
-symbol vectors with copy counters); serialization canonicalizes them to dense
-integers 1..S in row-major first-occurrence order.
+symbol vectors with copy counters); the array stores them as dense integers
+in row-major first-occurrence order, and serialization writes those as
+1..S.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .errors import InvalidParametersError, NotAPdaError
 
@@ -82,40 +85,50 @@ class CountedVectorId:
 
 
 class Pda:
-    """Immutable star/message-id grid with cached statistics."""
+    """Immutable star/message-id array.
+
+    ``grid`` is one int32 F x K array: -1 is a star and 0..S-1 is the
+    canonical id, numbered in row-major first-occurrence order.  ``ids``
+    holds the id objects in that order and labels the grid; ``cells``,
+    ``id_positions`` and the other views are derived from the two.
+    """
 
     def __init__(self, cells):
-        rows = tuple(tuple(r) for r in cells)
+        rows = list(cells)
         if not rows or not rows[0]:
             raise InvalidParametersError("PDA needs at least one row and one column")
         if len({len(r) for r in rows}) != 1:
             raise InvalidParametersError("ragged PDA rows")
-        self._cells = rows
+        grid = np.empty((len(rows), len(rows[0])), dtype=np.int32)
+        # A new id gets the number of ids seen before it (STAR holds -1).
+        index = {STAR: -1}
+        for j, row in enumerate(rows):
+            grid[j] = [index.setdefault(c, len(index) - 1) for c in row]
+        del index[STAR]
+        grid.flags.writeable = False
+        self.grid = grid
+        self.ids = tuple(index)
+
+    def relabel(self, labels: list) -> list:
+        """The grid as lists of rows, id g shown as ``labels[g]`` and a star
+        as ``labels[-1]``; cells share the label objects."""
+        return [[labels[g] for g in row.tolist()] for row in self.grid]
 
     @property
-    def cells(self):
-        return self._cells
+    def cells(self) -> tuple:
+        return tuple(map(tuple, self.relabel([*self.ids, STAR])))
 
     @property
     def num_rows(self) -> int:
-        return len(self._cells)
+        return self.grid.shape[0]
 
     @property
     def num_cols(self) -> int:
-        return len(self._cells[0])
+        return self.grid.shape[1]
 
     def cell(self, row: int, col: int):
-        return self._cells[row][col]
-
-    @cached_property
-    def ids(self) -> tuple:
-        """Distinct ids in row-major first-occurrence order."""
-        seen = {}
-        for row in self._cells:
-            for c in row:
-                if c is not STAR and c not in seen:
-                    seen[c] = len(seen)
-        return tuple(seen)
+        g = int(self.grid[row, col])
+        return STAR if g < 0 else self.ids[g]
 
     @property
     def num_ids(self) -> int:
@@ -123,12 +136,9 @@ class Pda:
 
     @cached_property
     def id_positions(self) -> dict:
-        pos = {i: [] for i in self.ids}
-        for j, row in enumerate(self._cells):
-            for k, c in enumerate(row):
-                if c is not STAR:
-                    pos[c].append((j, k))
-        return {i: tuple(p) for i, p in pos.items()}
+        rows, cols, ptr = id_cells(self.grid)
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        return {i: tuple(cells[a:b]) for i, a, b in zip(self.ids, ptr[:-1], ptr[1:])}
 
     @cached_property
     def canonical_index(self) -> dict:
@@ -137,31 +147,27 @@ class Pda:
 
     @cached_property
     def column_star_counts(self) -> tuple:
-        return tuple(
-            sum(1 for row in self._cells if row[k] is STAR)
-            for k in range(self.num_cols)
-        )
+        return tuple((self.grid < 0).sum(axis=0).tolist())
 
     def to_canonical(self) -> "Pda":
-        index = self.canonical_index
-        return Pda(
-            tuple(
-                tuple(STAR if c is STAR else index[c] for c in row)
-                for row in self._cells
-            )
-        )
+        return Pda(self.relabel([*range(1, self.num_ids + 1), STAR]))
 
     def stars_uniform(self) -> bool:
         return len(set(self.column_star_counts)) == 1
 
-    def stats(self) -> "PdaStats":
-        return pda_stats(self)
 
-    def __eq__(self, other):
-        return isinstance(other, Pda) and self._cells == other._cells
-
-    def __hash__(self):
-        return hash(self._cells)
+def id_cells(grid) -> tuple:
+    """The non-star cells of a delivery grid grouped by id, as a CSR:
+    ``(rows, cols, ptr)`` with the cells of id s at ``ptr[s]:ptr[s + 1]``,
+    row-major within each id."""
+    flat = grid.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    ids = flat[cells]
+    rows, cols = np.divmod(cells[np.argsort(ids, kind="stable")], grid.shape[1])
+    counts = np.bincount(ids, minlength=int(grid.max()) + 1)
+    ptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return rows, cols, ptr
 
 
 @dataclass
@@ -202,6 +208,36 @@ class PdaVerification:
     first_violation: Optional[str] = None
 
 
+# Cell pairs examined per step of the C3 scan; bounds its scratch memory.
+_PAIR_CHUNK = 1 << 18
+
+
+def _first_c3_violations(grid) -> list:
+    """The first cell pair breaking C3a and the first breaking C3b, each as
+    [j1, k1, j2, k2] or None.  Pairs run in id order, then in combination
+    order over the id's row-major cells, scanned a step of first cells at a
+    time (at most _PAIR_CHUNK pairs, unless one cell alone has more)."""
+    rows, cols, ptr = id_cells(grid)
+    # Partners of each cell: the later cells of the same id.
+    later = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(len(rows)) - 1
+    step = max(_PAIR_CHUNK // int(later.max(initial=1)), 1)
+    first = [None, None]
+    for start in range(0, len(rows), step):
+        if None not in first:
+            break
+        n = later[start:start + step]
+        i = np.repeat(np.arange(start, start + len(n)), n)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+        r1, c1, r2, c2 = rows[i], cols[i], rows[j], cols[j]
+        same = (r1 == r2) | (c1 == c2)
+        uncrossed = ~same & ((grid[r1, c2] >= 0) | (grid[r2, c1] >= 0))
+        for which, bad in enumerate((same, uncrossed)):
+            if first[which] is None and bad.any():
+                p = bad.argmax()
+                first[which] = [int(r1[p]), int(c1[p]), int(r2[p]), int(c2[p])]
+    return first
+
+
 def verify_pda(pda: Pda) -> PdaVerification:
     """Exhaustive check of C1-C3 over every pair of cells sharing an id."""
     violations = []
@@ -221,28 +257,21 @@ def verify_pda(pda: Pda) -> PdaVerification:
             c2 = False
             violations.append(f"C2: integer ids missing {sorted(missing)}")
 
-    c3a = True
-    c3b = True
-    first_a = first_b = None
-    for ident, cells in pda.id_positions.items():
-        for (j1, k1), (j2, k2) in itertools.combinations(cells, 2):
-            if j1 == j2 or k1 == k2:
-                c3a = False
-                if first_a is None:
-                    first_a = f"C3a: id {ident} repeats at {(j1 + 1, k1 + 1)} and {(j2 + 1, k2 + 1)}"
-            elif pda.cell(j1, k2) is not STAR or pda.cell(j2, k1) is not STAR:
-                c3b = False
-                if first_b is None:
-                    first_b = (
-                        f"C3b: id {ident} at {(j1 + 1, k1 + 1)},{(j2 + 1, k2 + 1)} "
-                        "lacks crossing stars"
-                    )
+    first_a, first_b = _first_c3_violations(pda.grid)
     if first_a:
-        violations.append(first_a)
+        j1, k1, j2, k2 = first_a
+        violations.append(
+            f"C3a: id {pda.cell(j1, k1)} repeats at {(j1 + 1, k1 + 1)} and {(j2 + 1, k2 + 1)}"
+        )
     if first_b:
-        violations.append(first_b)
+        j1, k1, j2, k2 = first_b
+        violations.append(
+            f"C3b: id {pda.cell(j1, k1)} at {(j1 + 1, k1 + 1)},{(j2 + 1, k2 + 1)} "
+            "lacks crossing stars"
+        )
 
     s = pda.num_ids
+    c3a, c3b = first_a is None, first_b is None
     return PdaVerification(
         ok=c1 and c2 and c3a and c3b,
         c1_uniform_stars=c1,

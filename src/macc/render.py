@@ -8,7 +8,7 @@ U_124 (point blocks) or U_11,21 (group blocks), rows read {3},{1,2} for
 
 from __future__ import annotations
 
-from .pda import CountedVectorId, Pda, STAR
+from .pda import CountedVectorId, Pda
 
 
 def subset_str(elements) -> str:
@@ -59,15 +59,10 @@ def pda_cell_strings(pda: Pda) -> list:
     show_copy = any(
         isinstance(i, CountedVectorId) and i.copy > 1 for i in pda.ids
     )
-    out = []
-    for row in pda.cells:
-        out.append([
-            "*" if c is STAR
-            else c.display(show_copy) if isinstance(c, CountedVectorId)
-            else str(c)
-            for c in row
-        ])
-    return out
+    return pda.relabel([
+        *(i.display(show_copy) if isinstance(i, CountedVectorId) else str(i) for i in pda.ids),
+        "*",
+    ])
 
 
 def render_pda(pda: Pda, row_labels=None, col_labels=None, corner: str = "") -> str:

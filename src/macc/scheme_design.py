@@ -25,6 +25,7 @@ import numpy as np
 from .designs import Design
 from .errors import InconsistentDesignError, InvalidInputError, InvalidParametersError
 from .pda import Pda, STAR, CountedSubsetId, SubsetId
+from .simulate import ArrayScheme, _user_index
 
 
 @dataclass(frozen=True)
@@ -156,43 +157,29 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     bottom.
     """
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    lam = params.index
     labels = row_labels(params)
-    if lam == 1:
+    if params.index == 1:
         _check_unique_t_subsets(design, params.strength)
 
-    # (union, D) per non-star cell; D fixes the split since D and B(T) are disjoint.
-    raw = [[None] * design.num_blocks for _ in range(len(labels))]
-    for r, (d, tt) in enumerate(labels):
-        dset = frozenset(d)
-        for k, block in enumerate(design.blocks):
-            if dset & frozenset(block):
-                continue
-            selected = tuple(block[i - 1] for i in tt)
-            union = tuple(sorted(d + selected))
-            raw[r][k] = (union, d)
-
     cells = [[STAR] * design.num_blocks for _ in range(len(labels))]
-    if lam == 1:
-        for r in range(len(labels)):
-            for k in range(design.num_blocks):
-                if raw[r][k] is not None:
-                    cells[r][k] = SubsetId(raw[r][k][0])
-    else:
-        copies = {}
-        for k in range(design.num_blocks):
-            for r in range(len(labels)):
-                if raw[r][k] is None:
-                    continue
-                union, d = raw[r][k]
-                n = copies.get((union, d), 0) + 1
-                copies[(union, d)] = n
+    copies = {}
+    for k, block in enumerate(design.blocks):
+        points = frozenset(block)
+        for r, (d, tt) in enumerate(labels):
+            if not points.isdisjoint(d):
+                continue
+            union = tuple(sorted(d + tuple(block[i - 1] for i in tt)))
+            if params.index == 1:
+                cells[r][k] = SubsetId(union)
+            else:
+                # D fixes the split, since D and B(T) are disjoint.
+                copies[union, d] = n = copies.get((union, d), 0) + 1
                 cells[r][k] = CountedSubsetId(union, n)
     return Pda(cells)
 
 
 @dataclass
-class DesignCachingScheme:
+class DesignCachingScheme(ArrayScheme):
     params: DesignSchemeParams
     design: Design
     row_labels: tuple
@@ -201,28 +188,12 @@ class DesignCachingScheme:
     user_delivery: Pda
 
     @property
-    def num_users(self) -> int:
-        return self.params.num_users
-
-    @property
-    def subpacketization(self) -> int:
-        return self.params.subpacketization
-
-    @property
-    def num_nodes(self) -> int:
-        return self.params.num_nodes
-
-    @property
     def user_blocks(self) -> tuple:
         return self.design.blocks
 
     def user_node_indices(self, user: int) -> tuple:
         """0-based node columns reachable by user ``user`` (0-based)."""
         return tuple(g - 1 for g in self.design.blocks[user])
-
-    @property
-    def counted_messages(self) -> int:
-        return self.user_delivery.num_ids
 
     @cached_property
     def message_bound(self) -> int:
@@ -301,17 +272,5 @@ def known_messages(scheme: DesignCachingScheme, user) -> frozenset:
 
     ``user`` is a 0-based column index or a block tuple.
     """
-    if not isinstance(user, int):
-        block = tuple(sorted(user))
-        try:
-            user = scheme.design.blocks.index(block)
-        except ValueError:
-            raise InvalidInputError(f"no user with block {block}") from None
-    pda = scheme.user_delivery
-    starred = scheme.user_retrieve[:, user]
-    canon = pda.canonical_index
-    known = set()
-    for ident, cells in pda.id_positions.items():
-        if all(starred[j] for j, _ in cells):
-            known.add(canon[ident])
-    return frozenset(known)
+    known = scheme.decode_plan.known[_user_index(scheme, user)]
+    return frozenset((np.flatnonzero(known) + 1).tolist())

@@ -24,6 +24,7 @@ import numpy as np
 from .designs import GroupDivisibleDesign, OrthogonalArray, flatten_point
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from .pda import Pda, STAR, CountedVectorId
+from .simulate import ArrayScheme
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
 
 
 @dataclass
-class GddCachingScheme:
+class GddCachingScheme(ArrayScheme):
     params: GddSchemeParams
     gdd: GroupDivisibleDesign
     oa: OrthogonalArray
@@ -202,28 +203,12 @@ class GddCachingScheme:
     user_delivery: Pda
 
     @property
-    def num_users(self) -> int:
-        return self.params.num_users
-
-    @property
-    def subpacketization(self) -> int:
-        return self.params.subpacketization
-
-    @property
-    def num_nodes(self) -> int:
-        return self.params.num_nodes
-
-    @property
     def user_blocks(self) -> tuple:
         return self.gdd.blocks
 
     def user_node_indices(self, user: int) -> tuple:
         q = self.params.group_size
         return tuple(flatten_point(p, q) - 1 for p in self.gdd.blocks[user])
-
-    @property
-    def counted_messages(self) -> int:
-        return self.user_delivery.num_ids
 
     @property
     def message_bound(self) -> int:

@@ -31,10 +31,20 @@ def design_to_obj(design: Design) -> dict:
     return obj
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def design_from_obj(obj: dict) -> Design:
+    blocks = tuple(tuple(b) for b in obj["blocks"])
+    if not _is_int(obj["points"]):
+        raise InvalidInputError(f"design point count {obj['points']!r} is not an integer")
+    for n, block in enumerate(blocks, start=1):
+        bad = [x for x in block if not _is_int(x)]
+        if bad:
+            raise InvalidInputError(f"design block {n}: point {bad[0]!r} is not an integer")
     return Design(
-        obj["points"], tuple(tuple(b) for b in obj["blocks"]),
-        strength=obj.get("t"), index=obj.get("lambda"),
+        obj["points"], blocks, strength=obj.get("t"), index=obj.get("lambda"),
     )
 
 
@@ -69,17 +79,21 @@ def oa_from_obj(obj: dict) -> OrthogonalArray:
 
 
 def pda_to_obj(pda: Pda) -> dict:
-    canonical = pda.to_canonical()
     return {
         "type": "pda", "F": pda.num_rows, "K": pda.num_cols,
-        "cells": [["*" if c is STAR else c for c in row] for row in canonical.cells],
+        "cells": pda.relabel([*range(1, pda.num_ids + 1), "*"]),
     }
 
 
 def pda_from_obj(obj: dict) -> Pda:
-    cells = tuple(
-        tuple(STAR if c == "*" else int(c) for c in row) for row in obj["cells"]
-    )
+    cells = []
+    for j, row in enumerate(obj["cells"], start=1):
+        for k, c in enumerate(row, start=1):
+            if c != "*" and not _is_int(c):
+                raise InvalidInputError(
+                    f"PDA cell ({j}, {k}) is {c!r}, not '*' or an integer"
+                )
+        cells.append([STAR if c == "*" else c for c in row])
     pda = Pda(cells)
     if pda.num_rows != obj["F"] or pda.num_cols != obj["K"]:
         raise InvalidInputError("PDA dimensions disagree with the F/K header")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedParametersError,
 )
-from .pda import STAR
+from .pda import id_cells
 
 
 @dataclass
@@ -38,10 +39,6 @@ class Library:
     packet_bytes: int
     seed: int
     data: np.ndarray  # (files, packets, words) uint16
-
-    @property
-    def words_per_packet(self) -> int:
-        return self.packet_bytes // 2
 
     def file_bytes(self, file_id: int) -> bytes:
         """Full content of file ``file_id`` (1-based)."""
@@ -61,27 +58,128 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
     return Library(num_files, num_packets, packet_bytes, seed, data)
 
 
-class SharedLinkScheme:
+class ArrayScheme:
+    """What every scheme reads off its three arrays (``node_placement``,
+    ``user_retrieve``, ``user_delivery``), and its decode plan."""
+
+    @property
+    def num_users(self) -> int:
+        return self.user_delivery.num_cols
+
+    @property
+    def subpacketization(self) -> int:
+        return self.user_delivery.num_rows
+
+    @property
+    def num_nodes(self) -> int:
+        return self.node_placement.shape[1]
+
+    @property
+    def counted_messages(self) -> int:
+        return self.user_delivery.num_ids
+
+    @cached_property
+    def decode_plan(self) -> "DecodePlan":
+        return DecodePlan(self.user_delivery.grid, self.user_retrieve)
+
+
+class SharedLinkScheme(ArrayScheme):
     """A bare PDA run as a single-link system: one cache-node per user,
     holding exactly the starred rows of that user's column."""
 
     def __init__(self, pda):
         self.user_delivery = pda
-        grid = np.zeros((pda.num_rows, pda.num_cols), dtype=bool)
-        for j in range(pda.num_rows):
-            for k in range(pda.num_cols):
-                grid[j, k] = pda.cell(j, k) is STAR
-        self.node_placement = grid
-        self.user_retrieve = grid
-        self.num_users = pda.num_cols
-        self.num_nodes = pda.num_cols
-        self.subpacketization = pda.num_rows
-        self.counted_messages = pda.num_ids
+        self.node_placement = self.user_retrieve = pda.grid < 0
         self.guaranteed_known = 0
         self.user_blocks = tuple((k + 1,) for k in range(pda.num_cols))
 
     def user_node_indices(self, user: int) -> tuple:
         return (user,)
+
+
+def _segments(ptr, sel) -> tuple:
+    """Positions of the CSR segments ``sel`` (offsets ``ptr``), and the
+    offsets of those segments laid end to end."""
+    lens = ptr[sel + 1] - ptr[sel]
+    out = np.zeros(len(sel) + 1, dtype=np.intp)
+    np.cumsum(lens, out=out[1:])
+    return np.arange(out[-1]) + np.repeat(ptr[sel] - out[:-1], lens), out
+
+
+def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
+    """XOR of each segment ``ptr[s]:ptr[s + 1]`` of the packet rows; an
+    empty segment gives zeros."""
+    out = np.zeros((len(ptr) - 1, packets.shape[1]), dtype=np.uint16)
+    full = ptr[:-1] < ptr[1:]  # an empty segment takes no rows
+    out[full] = np.bitwise_xor.reduceat(packets, ptr[:-1][full], axis=0)
+    return out
+
+
+class DecodePlan:
+    """Demand-independent delivery and decode structure of one scheme,
+    compiled from its delivery grid and user-retrieve grid.
+
+    ``rows``/``cols``/``ptr`` list the cells of each message (canonical id
+    order; see :func:`macc.pda.id_cells`).
+    """
+
+    def __init__(self, grid: np.ndarray, retrieve: np.ndarray):
+        self.grid = grid
+        self.retrieve = retrieve
+        self.rows, self.cols, self.ptr = id_cells(grid)
+
+    @cached_property
+    def known(self) -> np.ndarray:
+        """users x S bitmap: user k rebuilds message s from cache alone when
+        the retrieve grid stars k in every row of the message's cells."""
+        known = np.zeros((self.grid.shape[1], len(self.ptr) - 1), dtype=bool)
+        for k, starred in enumerate(self.retrieve.T):
+            known[k] = np.logical_and.reduceat(starred[self.rows], self.ptr[:-1])
+        return known
+
+    def xor_cells(self, data: np.ndarray, demands, pos, ptr) -> np.ndarray:
+        """XOR of the demanded packets at message cells ``pos``, per segment
+        ``ptr`` of ``pos``."""
+        demands = np.asarray(demands, dtype=np.intp)
+        return _xor_segments(data[demands[self.cols[pos]] - 1, self.rows[pos]], ptr)
+
+    def payloads(self, data: np.ndarray, demands) -> np.ndarray:
+        """The S multicast payloads, one XOR over each message's cells."""
+        return self.xor_cells(data, demands, slice(None), self.ptr)
+
+    def require_cached(self, user: int, cached: np.ndarray, pos, ptr, msgs) -> None:
+        """Raise unless every cell ``pos`` lies in a row that ``cached``, a
+        per-row mask of the placed caches, marks; the error names the
+        message (``msgs``, one per segment ``ptr``) of the first that does
+        not."""
+        missing = np.flatnonzero(~cached[self.rows[pos]])
+        if len(missing):
+            p = missing[0]
+            s = int(msgs[np.searchsorted(ptr, p, side="right") - 1])
+            raise DecodeFailureError(user, s + 1, f"packet row {self.rows[pos[p]]} not cached")
+
+    def side_cells(self, user: int, cached: np.ndarray) -> tuple:
+        """What the user peels: the rows the retrieve grid leaves it to
+        fetch, the message carrying each, and the other cells of those
+        messages (the side packets, all cached) as positions with segment
+        offsets."""
+        needed = np.flatnonzero(~self.retrieve[:, user])
+        msgs = self.grid[needed, user]
+        if len(msgs) and msgs.min() < 0:
+            j = int(needed[np.argmin(msgs)])
+            raise DecodeFailureError(user, None, f"row {j} neither cached nor delivered")
+        pos, seg = _segments(self.ptr, msgs)
+        own = np.repeat(needed, np.diff(seg))
+        side = pos[(self.cols[pos] != user) | (self.rows[pos] != own)]
+        ptr = seg - np.arange(len(seg))  # each message drops the user's own cell
+        self.require_cached(user, cached, side, ptr, msgs)
+        return needed, msgs, side, ptr
+
+    def peel(self, cells: tuple, data: np.ndarray, demands, payloads: np.ndarray) -> np.ndarray:
+        """The user's packets at the rows :meth:`side_cells` lists: each
+        row's message payload XOR its side packets."""
+        _, msgs, side, ptr = cells
+        return payloads[msgs] ^ self.xor_cells(data, demands, side, ptr)
 
 
 @dataclass
@@ -151,38 +249,12 @@ class TransmissionPlan:
         return len(self.symbols)
 
 
-def _message_sources(scheme) -> tuple:
-    pda = scheme.user_delivery
-    return tuple(pda.id_positions[i] for i in pda.ids)
-
-
-def _message_payloads(scheme, library: Library, demands, sources) -> np.ndarray:
-    out = np.zeros((len(sources), library.words_per_packet), dtype=np.uint16)
-    for s, cells in enumerate(sources):
-        acc = out[s]
-        for j, k in cells:
-            acc ^= library.data[demands[k] - 1, j]
-    return out
-
-
 def deliver_plain(scheme, library: Library, demands) -> TransmissionPlan:
     """One XOR multicast per delivery-array id, in canonical id order."""
     demands = validate_demands(scheme, library, demands)
-    sources = _message_sources(scheme)
-    payloads = _message_payloads(scheme, library, demands, sources)
+    sources = tuple(scheme.user_delivery.id_positions.values())
+    payloads = scheme.decode_plan.payloads(library.data, demands)
     return TransmissionPlan("plain", demands, len(sources), sources, payloads, None, 0)
-
-
-def _array_known_counts(scheme) -> list:
-    """Per-user count of messages rebuildable from cache, straight from the
-    star pattern (demand-independent)."""
-    pda = scheme.user_delivery
-    sources = _message_sources(scheme)
-    retrieve = scheme.user_retrieve
-    return [
-        sum(1 for cells in sources if all(retrieve[j, k] for j, _ in cells))
-        for k in range(scheme.num_users)
-    ]
 
 
 def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
@@ -196,10 +268,10 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
     undecodable batch is refused rather than papered over.
     """
     demands = validate_demands(scheme, library, demands)
-    sources = _message_sources(scheme)
+    sources = tuple(scheme.user_delivery.id_positions.values())
     reduced = scheme.guaranteed_known
     if reduced:
-        short = min(_array_known_counts(scheme))
+        short = int(scheme.decode_plan.known.sum(axis=1).min())
         if short < reduced:
             raise UnsupportedParametersError(
                 f"advertised reduction {reduced} exceeds what some user can "
@@ -212,11 +284,11 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
             f"coded delivery needs a field with at least "
             f"{len(sources) + num_out + 1} elements; GF(2^16) is too small"
         )
-    payloads = _message_payloads(scheme, library, demands, sources)
+    payloads = scheme.decode_plan.payloads(library.data, demands)
     if num_out == len(sources):
         # No reduction available; identity coding keeps symbols inspectable.
         coeff = np.eye(len(sources), dtype=np.uint16)
-        symbols = payloads.copy()
+        symbols = payloads
     else:
         coeff = gf16.cauchy_matrix(num_out, len(sources))
         symbols = gf16.matvec(coeff, payloads)
@@ -241,43 +313,39 @@ def retrievable_rows(scheme, caches: NodeCaches, user) -> frozenset:
     return frozenset(rows)
 
 
+def _cached_mask(scheme, caches: NodeCaches, user: int) -> np.ndarray:
+    """Per-row mask of what the user's nodes actually hold."""
+    mask = np.zeros(scheme.subpacketization, dtype=bool)
+    mask[list(retrievable_rows(scheme, caches, user))] = True
+    return mask
+
+
 def reconstructible_messages(scheme, caches: NodeCaches, user) -> frozenset:
     """Message indices (0-based) the user can rebuild purely from its cache:
     every constituent packet row is retrievable.  Recomputed from the actual
     node contents, independent of the delivery-array bookkeeping."""
     rows = retrievable_rows(scheme, caches, user)
-    sources = _message_sources(scheme)
+    sources = scheme.user_delivery.id_positions.values()
     return frozenset(
         s for s, cells in enumerate(sources) if all(j in rows for j, _ in cells)
     )
 
 
-def _all_messages(scheme, plan: TransmissionPlan, caches: NodeCaches, user: int,
-                  rows: frozenset, known: Optional[frozenset]) -> np.ndarray:
+def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
+                  user: int, cached: np.ndarray) -> np.ndarray:
     """Recover all S multicast payloads at one user."""
-    library = caches.library
-    demands = plan.demands
-
-    def read_packet(file_id, j):
-        if j not in rows:
-            raise DecodeFailureError(user, None, f"packet row {j} not cached")
-        return library.data[file_id - 1, j]
-
     if plan.mode == "plain" or plan.reduced_by == 0:
         # With no reduction the coded batch is the identity code: the
         # symbols are the multicast payloads verbatim.
         return plan.symbols
 
-    if known is None:
-        known = reconstructible_messages(scheme, caches, user)
-    known = sorted(known)
-    unknown = sorted(set(range(plan.num_messages)).difference(known))
-    messages = np.zeros((plan.num_messages, library.words_per_packet), dtype=np.uint16)
-    for s in known:
-        acc = messages[s]
-        for j, k in plan.sources[s]:
-            acc ^= read_packet(demands[k], j)
-    if unknown:
+    known = np.flatnonzero(dplan.known[user])
+    unknown = np.flatnonzero(~dplan.known[user])
+    messages = np.zeros((plan.num_messages, data.shape[2]), dtype=np.uint16)
+    pos, seg = _segments(dplan.ptr, known)
+    dplan.require_cached(user, cached, pos, seg, known)
+    messages[known] = dplan.xor_cells(data, plan.demands, pos, seg)
+    if len(unknown):
         if len(unknown) > len(plan.symbols):
             raise DecodeFailureError(
                 user, None,
@@ -289,36 +357,26 @@ def _all_messages(scheme, plan: TransmissionPlan, caches: NodeCaches, user: int,
     return messages
 
 
-def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches,
-           known: Optional[frozenset] = None) -> bytes:
+def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
     """Reconstruct the user's demanded file, byte-exact, from its reachable
-    caches plus the transmission.  ``known`` is the user's
-    :func:`reconstructible_messages`, when the caller has it already."""
+    caches plus the transmission.  The scheme's decode plan says which rows
+    to read from cache; every row read is checked against the placed
+    caches."""
     k = _user_index(scheme, user)
-    library = caches.library
-    demands = plan.demands
-    rows = retrievable_rows(scheme, caches, k)
-    messages = _all_messages(scheme, plan, caches, k, rows, known)
-
-    pda = scheme.user_delivery
-    canon = pda.canonical_index
-    out = np.zeros((scheme.subpacketization, library.words_per_packet), dtype=np.uint16)
-    for j in range(scheme.subpacketization):
-        if j in rows:
-            out[j] = library.data[demands[k] - 1, j]
-            continue
-        ident = pda.cell(j, k)
-        if ident is STAR:
-            raise DecodeFailureError(k, None, f"row {j} neither cached nor delivered")
-        s = canon[ident] - 1
-        payload = messages[s].copy()
-        for j2, k2 in plan.sources[s]:
-            if (j2, k2) == (j, k):
-                continue
-            if j2 not in rows:
-                raise DecodeFailureError(k, canon[ident], f"side packet row {j2} not cached")
-            payload ^= library.data[demands[k2] - 1, j2]
-        out[j] = payload
+    data = caches.library.data
+    dplan = scheme.decode_plan
+    cached = _cached_mask(scheme, caches, k)
+    messages = _all_messages(dplan, plan, data, k, cached)
+    cells = dplan.side_cells(k, cached)
+    needed = cells[0]
+    own = np.flatnonzero(dplan.retrieve[:, k])
+    if not cached[own].all():
+        j = int(own[np.argmin(cached[own])])
+        raise DecodeFailureError(k, None, f"row {j} not cached")
+    out = np.empty((scheme.subpacketization, data.shape[2]), dtype=np.uint16)
+    out[own] = data[plan.demands[k] - 1, own]
+    if len(needed):
+        out[needed] = dplan.peel(cells, data, plan.demands, messages)
     return out.tobytes()
 
 
@@ -351,13 +409,11 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
         plan = deliver_mds(scheme, library, demands)
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    verdicts = []
-    max_unknown = 0
-    for k in range(scheme.num_users):
-        known = reconstructible_messages(scheme, caches, k)
-        max_unknown = max(max_unknown, plan.num_messages - len(known))
-        got = decode(scheme, k, plan, caches, known=known)
-        verdicts.append(got == library.file_bytes(plan.demands[k]))
+    verdicts = [
+        decode(scheme, k, plan, caches) == library.file_bytes(plan.demands[k])
+        for k in range(scheme.num_users)
+    ]
+    max_unknown = plan.num_messages - int(scheme.decode_plan.known.sum(axis=1).min())
     f = scheme.subpacketization
     s = scheme.counted_messages
     theoretical = Fraction(s - (scheme.guaranteed_known if mode == "mds" else 0), f)
@@ -381,82 +437,38 @@ def measure_worst_case(scheme, library: Library, mode: str = "plain") -> Simulat
     return run_simulation(scheme, library, distinct_demands(scheme, library), mode)
 
 
+# Trials whose payloads are held at once: each user's side cells are derived
+# once per block, and the block's payloads stay small.
+_TRIAL_BLOCK = 32
+
+
 def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) -> int:
     """Plain-delivery decode check over seeded random demand vectors.
 
-    Per-user decode structure is demand-independent, so it is prepared once:
-    gathered (file, row) index arrays with segment offsets, XOR-reduced per
-    trial via a cumulative-XOR prefix difference.  Returns the number of
-    trials run; raises DecodeFailureError on the first mismatch.
+    Each trial gathers the multicast payloads once; every user then peels
+    its missing packets with the scheme's decode plan, as :func:`decode`
+    does.  Returns the number of trials run; raises DecodeFailureError on
+    the first mismatch.
     """
     caches = place(library, scheme)
-    sources = _message_sources(scheme)
+    dplan = scheme.decode_plan
     data = library.data
-    words = library.words_per_packet
-    pda = scheme.user_delivery
-    canon = pda.canonical_index
-
-    # Message payload gather arrays.
-    src_rows, src_cols, src_off = [], [], [0]
-    for cells in sources:
-        for j, k in cells:
-            src_rows.append(j)
-            src_cols.append(k)
-        src_off.append(len(src_rows))
-    src_rows = np.array(src_rows, dtype=np.intp)
-    src_cols = np.array(src_cols, dtype=np.intp)
-    src_starts = np.array(src_off[:-1], dtype=np.intp)
-    src_ends = np.array(src_off[1:], dtype=np.intp)
-
-    # Per-user peel structure over the rows it cannot retrieve.
-    per_user = []
-    for k in range(scheme.num_users):
-        rows = retrievable_rows(scheme, caches, k)
-        needed, msg_idx = [], []
-        o_rows, o_cols, off = [], [], [0]
-        for j in range(scheme.subpacketization):
-            ident = pda.cell(j, k)
-            if j in rows:
-                continue
-            if ident is STAR:
-                raise DecodeFailureError(k, None, f"row {j} neither cached nor delivered")
-            needed.append(j)
-            msg_idx.append(canon[ident] - 1)
-            for j2, k2 in sources[canon[ident] - 1]:
-                if (j2, k2) == (j, k):
-                    continue
-                if j2 not in rows:
-                    raise DecodeFailureError(k, canon[ident], f"side packet row {j2} not cached")
-                o_rows.append(j2)
-                o_cols.append(k2)
-            off.append(len(o_rows))
-        per_user.append((
-            np.array(needed, dtype=np.intp),
-            np.array(msg_idx, dtype=np.intp),
-            np.array(o_rows, dtype=np.intp),
-            np.array(o_cols, dtype=np.intp),
-            np.array(off[:-1], dtype=np.intp),
-            np.array(off[1:], dtype=np.intp),
-        ))
-
-    def segment_xor(gathered, starts, ends):
-        cum = np.zeros((len(gathered) + 1, words), dtype=np.uint16)
-        np.bitwise_xor.accumulate(gathered, axis=0, out=cum[1:])
-        return cum[ends] ^ cum[starts]
-
     rng = Random(seed)
-    for _ in range(num_trials):
-        demands = np.array(random_demands(scheme, library, rng), dtype=np.intp)
-        payloads = segment_xor(data[demands[src_cols] - 1, src_rows], src_starts, src_ends)
-        for k, (needed, msg_idx, o_rows, o_cols, starts, ends) in enumerate(per_user):
-            if not len(needed):
-                continue
-            others = segment_xor(data[demands[o_cols] - 1, o_rows], starts, ends)
-            decoded = payloads[msg_idx] ^ others
-            truth = data[demands[k] - 1, needed]
-            if not np.array_equal(decoded, truth):
-                bad = int(np.nonzero(np.any(decoded != truth, axis=1))[0][0])
-                raise DecodeFailureError(k, int(msg_idx[bad]) + 1, "payload mismatch")
+    for first in range(0, num_trials, _TRIAL_BLOCK):
+        block = [
+            np.array(random_demands(scheme, library, rng), dtype=np.intp)
+            for _ in range(min(_TRIAL_BLOCK, num_trials - first))
+        ]
+        payloads = [dplan.payloads(data, demands) for demands in block]
+        for k in range(scheme.num_users):
+            cells = dplan.side_cells(k, _cached_mask(scheme, caches, k))
+            needed, msgs = cells[:2]
+            for demands, sent in zip(block, payloads):
+                decoded = dplan.peel(cells, data, demands, sent)
+                truth = data[demands[k] - 1, needed]
+                if not np.array_equal(decoded, truth):
+                    bad = int(np.nonzero(np.any(decoded != truth, axis=1))[0][0])
+                    raise DecodeFailureError(k, int(msgs[bad]) + 1, "payload mismatch")
     return num_trials
 
 
@@ -502,8 +514,8 @@ def _read(fh, size: int) -> bytes:
 
 
 def read_transcript(path) -> TransmissionPlan:
-    """Inverse of :func:`write_transcript`; sources are not stored and must
-    be re-derived from the scheme when decoding."""
+    """Inverse of :func:`write_transcript`.  Sources are not stored:
+    :func:`decode` reads the message cells from the scheme's decode plan."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInputError("not a transcript file")
@@ -516,8 +528,13 @@ def read_transcript(path) -> TransmissionPlan:
             coeff = np.frombuffer(_read(fh, 2 * rows * cols), dtype="<u2").reshape(rows, cols).copy()
         (count,) = struct.unpack("<I", _read(fh, 4))
         symbols = []
-        for _ in range(count):
+        for n in range(count):
             (ln,) = struct.unpack("<I", _read(fh, 4))
+            if ln % 2 or (symbols and ln != 2 * len(symbols[0])):
+                raise InvalidInputError(
+                    f"transcript symbol {n} has {ln} bytes; symbols must share "
+                    "one even length"
+                )
             symbols.append(np.frombuffer(_read(fh, ln), dtype="<u2").copy())
         symbols = np.array(symbols, dtype=np.uint16) if symbols else np.zeros((0, 0), np.uint16)
     mode = "plain" if mode_flag == 0 else "mds"

@@ -40,6 +40,16 @@ class TestSchemeCommand:
         assert code == 2
         assert "cached_nodes" in err and "4" in err
 
+    def test_non_integer_design_point_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        run(capsys, "design", "--catalog", "fano-7-3-1", "--out", str(path))
+        obj = json.loads(path.read_text())
+        obj["blocks"][1][0] = "x"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "scheme", "--design", f"@{path}", "--mu-gamma", "1")
+        assert code == 3
+        assert err.startswith("parse error:") and "block 2" in err
+
     def test_biplane_bundle(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"
         code, out, _ = run(
@@ -109,6 +119,16 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 0
 
+    def test_malformed_pda_cell_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "pda.json"
+        run(capsys, "pda", "--mn", "4,2", "--out", str(path))
+        obj = json.loads(path.read_text())
+        obj["cells"][2][1] = "x"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and "(3, 2)" in err
+
     def test_verify_oa_file(self, capsys, tmp_path):
         path = tmp_path / "oa.json"
         run(capsys, "oa", "--trivial", "3,2", "--out", str(path))
@@ -160,6 +180,13 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 3
         assert err.startswith("parse error:") and "design" in err
+
+    def test_design_file_is_not_a_bundle(self, capsys, tmp_path):
+        path = tmp_path / "fano.json"
+        run(capsys, "design", "--catalog", "fano-7-3-1", "--out", str(path))
+        code, _, err = run(capsys, "simulate", "--scheme", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and "not a scheme bundle" in err
 
     def test_gdd_simulation(self, capsys, tmp_path):
         bundle = tmp_path / "g.json"

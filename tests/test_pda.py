@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from macc.pda import (
     CountedSubsetId,
     CountedVectorId,
     Pda,
+    PdaVerification,
     STAR,
     SubsetId,
     mn_pda,
@@ -96,6 +98,92 @@ class TestVerify:
         assert not rep.c1_uniform_stars
         with pytest.raises(NotAPdaError):
             pda_stats(Pda(((S, 1), (1, 2))))
+
+
+def reference_verify(cells) -> PdaVerification:
+    """C1-C3 by the exhaustive pairwise loop, straight from the raw cells."""
+    stars = tuple(sum(row[k] is STAR for row in cells) for k in range(len(cells[0])))
+    positions = {}
+    for j, row in enumerate(cells):
+        for k, c in enumerate(row):
+            if c is not STAR:
+                positions.setdefault(c, []).append((j, k))
+    violations = []
+    c1 = len(set(stars)) == 1
+    if not c1:
+        violations.append(f"C1: column star counts {stars}")
+    c2 = True
+    if positions and all(isinstance(i, int) for i in positions):
+        missing = set(range(1, max(positions) + 1)) - set(positions)
+        if missing:
+            c2 = False
+            violations.append(f"C2: integer ids missing {sorted(missing)}")
+    first_a = first_b = None
+    for ident, where in positions.items():
+        for (j1, k1), (j2, k2) in itertools.combinations(where, 2):
+            if j1 == j2 or k1 == k2:
+                first_a = first_a or (
+                    f"C3a: id {ident} repeats at {(j1 + 1, k1 + 1)} and {(j2 + 1, k2 + 1)}"
+                )
+            elif cells[j1][k2] is not STAR or cells[j2][k1] is not STAR:
+                first_b = first_b or (
+                    f"C3b: id {ident} at {(j1 + 1, k1 + 1)},{(j2 + 1, k2 + 1)} "
+                    "lacks crossing stars"
+                )
+    violations += [v for v in (first_a, first_b) if v]
+    z = stars[0] if c1 else None
+    return PdaVerification(
+        ok=not violations, c1_uniform_stars=c1, c2_ids_complete=c2,
+        c3a_distinct_rows_cols=first_a is None, c3b_crossing_stars=first_b is None,
+        num_users=len(cells[0]), subpacketization=len(cells), stars_per_column=z,
+        num_messages=len(positions), degenerate=not positions or z == len(cells),
+        first_violation=violations[0] if violations else None,
+    )
+
+
+@st.composite
+def small_arrays(draw):
+    """Raw cells: a shuffled, relabelled MN array (valid) or random cells
+    (mostly violating), with ids as ints or as SubsetIds."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 5))
+        base = mn_pda(k, draw(st.integers(0, k)))
+        rows = draw(st.permutations(range(base.num_rows)))
+        cols = draw(st.permutations(range(k)))
+        relabel = draw(st.permutations(range(1, base.num_ids + 1)))
+        base = base.cells
+        cells = [[base[j][c] if base[j][c] is S else relabel[base[j][c] - 1]
+                  for c in cols] for j in rows]
+    else:
+        k = draw(st.integers(1, 5))
+        cell = st.one_of(st.just(S), st.integers(1, draw(st.integers(1, 6))))
+        cells = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        cells = [[c if c is S else SubsetId((c,)) for c in row] for row in cells]
+    return cells
+
+
+class TestGrid:
+    @given(small_arrays())
+    def test_verify_matches_pairwise_reference(self, cells):
+        assert verify_pda(Pda(cells)) == reference_verify(cells)
+
+    @given(small_arrays())
+    def test_views_match_cells(self, cells):
+        p = Pda(cells)
+        ids = tuple(dict.fromkeys(c for row in cells for c in row if c is not S))
+        canon = {i: n for n, i in enumerate(ids, start=1)}
+        assert p.cells == tuple(tuple(row) for row in cells)
+        assert p.ids == ids
+        assert p.canonical_index == canon
+        assert p.id_positions == {
+            i: tuple((j, k) for j, row in enumerate(cells) for k, c in enumerate(row) if c == i)
+            for i in ids
+        }
+        assert p.to_canonical().cells == tuple(
+            tuple(S if c is S else canon[c] for c in row) for row in cells
+        )
+        assert p.grid.tolist() == [[-1 if c is S else canon[c] - 1 for c in row] for row in cells]
 
 
 class TestStats:

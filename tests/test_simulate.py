@@ -169,11 +169,47 @@ class TestDecode:
         plan = deliver_plain(fano, lib, tuple(range(1, 8)))
         assert decode(fano, (1, 2, 4), plan, caches) == lib.file_bytes(1)
 
-    def test_all_star_decodes_from_cache(self):
+    def test_retrieve_grid_claiming_an_unheld_row_fails(self, fano):
+        # user 0's first missing row travels in a message whose side packet
+        # sits in row j; the retrieve grid still claims row j for user 0,
+        # but user 0's nodes no longer hold it
+        import dataclasses
+
+        pda = fano.user_delivery
+        needed = int(np.flatnonzero(~fano.user_retrieve[:, 0])[0])
+        ident = pda.cell(needed, 0)
+        j = next(r for r, c in pda.id_positions[ident] if c != 0)
+        placement = fano.node_placement.copy()
+        placement[j, list(fano.user_node_indices(0))] = False
+        broken = dataclasses.replace(fano, node_placement=placement)
+        lib = make_library(7, 21, 8)
+        plan = deliver_plain(broken, lib, tuple(range(1, 8)))
+        with pytest.raises(DecodeFailureError) as exc:
+            decode(broken, 0, plan, place(lib, broken))
+        err = exc.value
+        assert err.user == 0
+        assert j in {r for r, _ in pda.id_positions[pda.ids[err.message_id - 1]]}
+        assert f"row {j} not cached" in str(err)
+
+    def test_id_repeated_in_a_column_is_undecodable(self):
+        # C3a fails: user 0 needs both packets of message 1
+        from macc.pda import STAR, Pda
+
+        scheme = SharedLinkScheme(Pda(((1, STAR), (1, STAR))))
+        lib = make_library(2, 2, 8)
+        plan = deliver_plain(scheme, lib, (1, 2))
+        with pytest.raises(DecodeFailureError, match="row 1 not cached"):
+            decode(scheme, 0, plan, place(lib, scheme))
+
+    def test_all_star_decodes_from_cache(self, tmp_path):
         scheme = SharedLinkScheme(mn_pda(3, 3))
         lib = make_library(3, 1, 8)
         rep = measure_worst_case(scheme, lib)
         assert rep.all_ok and rep.symbols_sent == 0 and rep.measured_load == 0
+        # an empty transcript read back carries no symbol width
+        write_transcript(deliver_plain(scheme, lib, (1, 2, 3)), tmp_path / "t.bin")
+        back = read_transcript(tmp_path / "t.bin")
+        assert decode(scheme, 2, back, place(lib, scheme)) == lib.file_bytes(3)
 
     def test_repeated_demands_decode(self, fano):
         lib = make_library(7, 21, 8)
@@ -295,6 +331,35 @@ class TestTranscript:
         path.write_bytes(b"nope")
         with pytest.raises(InvalidInputError):
             read_transcript(path)
+
+    @pytest.mark.parametrize("length", [63, 62])
+    def test_bad_symbol_length_is_invalid_input(self, tmp_path, length):
+        # odd, then even but unequal to the other symbols
+        scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
+        lib = make_library(7, scheme.subpacketization, 64)
+        path = tmp_path / "t.bin"
+        plan = deliver_mds(scheme, lib, distinct_demands(scheme, lib))
+        write_transcript(plan, path)
+        whole = bytearray(path.read_bytes())
+        whole[-68:-64] = length.to_bytes(4, "little")
+        path.write_bytes(bytes(whole))
+        with pytest.raises(InvalidInputError, match=f"symbol {plan.symbols_sent - 1} "):
+            read_transcript(path)
+
+    @pytest.mark.parametrize("design, cached, mode", [
+        ("affine-9-3-1", 2, "mds"),
+        ("fano-7-3-1", 1, "plain"),
+    ])
+    def test_decode_from_transcript_read_back(self, tmp_path, design, cached, mode):
+        scheme = build_scheme(catalog_design(design), cached)
+        lib = make_library(scheme.num_users, scheme.subpacketization, 16, seed=2)
+        deliver = deliver_mds if mode == "mds" else deliver_plain
+        path = tmp_path / "t.bin"
+        write_transcript(deliver(scheme, lib, distinct_demands(scheme, lib)), path)
+        back = read_transcript(path)
+        caches = place(lib, scheme)
+        for k in range(scheme.num_users):
+            assert decode(scheme, k, back, caches) == lib.file_bytes(k + 1)
 
     def test_truncated_file_is_invalid_input(self, tmp_path):
         scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
