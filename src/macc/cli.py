@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand parses flags, calls the library, and
-prints or writes the result.  Exit codes: 0 ok, 1 verification failed,
-2 invalid parameters, 3 parse error.
+prints or writes the result.  Exit codes: 0 ok, 1 verification failed (or
+the reader closed standard output early), 2 invalid parameters, 3 parse
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -348,7 +350,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID_PARAMS if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # `macc tables fig3 | head`: the rest goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VERIFY_FAILED
     except (InvalidParametersError, UnsupportedParametersError, NotFoundError,
             ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

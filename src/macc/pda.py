@@ -12,7 +12,11 @@ message.  The defining conditions:
 Ids are opaque hashable objects.  Constructions use structured ids (subsets,
 symbol vectors with copy counters); the array stores them as dense integers
 in row-major first-occurrence order, and serialization writes those as
-1..S.
+1..S.  The scheme builders compute an integer key per cell with array
+arithmetic (``row_keys`` folds a tuple of coordinates into one key,
+``occurrences`` numbers repeat copies) and ``Pda.from_keys`` numbers the key
+grid, making an id object only for each of the S distinct keys; ``Pda(cells)``
+maps hashable cells to keys and numbers them the same way.
 """
 
 from __future__ import annotations
@@ -95,19 +99,36 @@ class Pda:
 
     def __init__(self, cells):
         rows = list(cells)
-        if not rows or not rows[0]:
-            raise InvalidParametersError("PDA needs at least one row and one column")
-        if len({len(r) for r in rows}) != 1:
+        if len({len(r) for r in rows}) > 1:
             raise InvalidParametersError("ragged PDA rows")
-        grid = np.empty((len(rows), len(rows[0])), dtype=np.int32)
-        # A new id gets the number of ids seen before it (STAR holds -1).
+        # Key each cell by the number of distinct ids seen before it, so key g
+        # is already canonical id g.
         index = {STAR: -1}
-        for j, row in enumerate(rows):
-            grid[j] = [index.setdefault(c, len(index) - 1) for c in row]
-        del index[STAR]
+        keys = np.array([[index.setdefault(c, len(index) - 1) for c in row] for row in rows])
+        self._number(keys, lambda first: tuple(index)[1:])
+
+    @classmethod
+    def from_keys(cls, keys, label) -> "Pda":
+        """The PDA of an F x K integer key grid: -1 is a star and cells with
+        equal non-negative keys share an id.  ``label(first)`` gets, for each
+        distinct key in canonical order, the position of its first cell among
+        the non-star cells in row-major order, and returns the id objects."""
+        pda = cls.__new__(cls)
+        pda._number(np.asarray(keys), label)
+        return pda
+
+    def _number(self, keys, label) -> None:
+        if keys.ndim != 2 or 0 in keys.shape:
+            raise InvalidParametersError("PDA needs at least one row and one column")
+        flat = keys.ravel()
+        cells = np.flatnonzero(flat >= 0)
+        _, first, inverse = np.unique(flat[cells], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        grid = np.full(keys.shape, -1, dtype=np.int32)
+        grid.ravel()[cells] = np.argsort(order)[inverse]  # key -> canonical id
         grid.flags.writeable = False
         self.grid = grid
-        self.ids = tuple(index)
+        self.ids = tuple(label(first[order]))
 
     def relabel(self, labels: list) -> list:
         """The grid as lists of rows, id g shown as ``labels[g]`` and a star
@@ -168,6 +189,29 @@ def id_cells(grid) -> tuple:
     ptr = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=ptr[1:])
     return rows, cols, ptr
+
+
+def row_keys(rows) -> np.ndarray:
+    """One int64 key per row of an N x W array of non-negative integers, equal
+    exactly when the rows are equal.  Columns fold in one at a time through
+    ``np.unique`` inverses, so no step exceeds N * N; one column is its key."""
+    rows = np.asarray(rows, dtype=np.int64)
+    key = rows[:, 0]
+    for col in rows.T[1:]:
+        key = np.unique(key, return_inverse=True)[1]
+        values, col = np.unique(col, return_inverse=True)
+        key = key * len(values) + col
+    return key
+
+
+def occurrences(keys) -> np.ndarray:
+    """1-based copy counter: entry i counts the entries up to i (in array
+    order) whose key equals ``keys[i]``."""
+    order = np.argsort(keys, kind="stable")
+    _, start, size = np.unique(keys[order], return_index=True, return_counts=True)
+    counts = np.empty(len(keys), dtype=np.int64)
+    counts[order] = np.arange(len(keys)) - np.repeat(start, size) + 1
+    return counts
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import InconsistentDesignError, InvalidInputError, InvalidParametersError
-from .pda import Pda, STAR, CountedSubsetId, SubsetId
+from .pda import CountedSubsetId, Pda, SubsetId, occurrences, row_keys
 from .simulate import ArrayScheme, _user_index
 
 
@@ -123,17 +123,38 @@ def build_node_placement(params: DesignSchemeParams) -> np.ndarray:
     return grid
 
 
+def _point_masks(sets, num_points: int) -> np.ndarray:
+    """Bit masks of point sets, one row of int64 words per set: point p is
+    bit (p-1) % 63 of word (p-1) // 63, so no word is negative."""
+    sets = np.asarray(sets, dtype=np.int64).reshape(len(sets), -1) - 1
+    words = np.zeros((len(sets), -(-num_points // 63)), dtype=np.int64)
+    for col in sets.T:  # the points of a set are distinct
+        words[np.arange(len(sets)), col // 63] |= np.left_shift(1, col % 63)
+    return words
+
+
+def _mask_points(words, size: int) -> list:
+    """Sorted 1-based points of each mask row; every row holds ``size``."""
+    bits = (words[:, :, None] >> np.arange(63)) & 1
+    return (np.nonzero(bits.reshape(len(words), -1))[1].reshape(-1, size) + 1).tolist()
+
+
+def _d_meets_block(design: Design, cached_nodes: int) -> tuple:
+    """The masks of the D subsets in lexicographic order, and the D x users
+    boolean grid that says whether block B meets D."""
+    d_masks = _point_masks(
+        list(itertools.combinations(range(1, design.num_points + 1), cached_nodes)),
+        design.num_points,
+    )
+    b_masks = _point_masks(design.blocks, design.num_points)
+    return d_masks, ((d_masks[:, None, :] & b_masks[None, :, :]) != 0).any(axis=2)
+
+
 def build_user_retrieve(design: Design, cached_nodes: int) -> np.ndarray:
     """F x users boolean grid; row (D, T) stars user B iff B meets D."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    grid = np.zeros((params.subpacketization, design.num_blocks), dtype=bool)
-    block_sets = [frozenset(b) for b in design.blocks]
-    for r, (d, _) in enumerate(row_labels(params)):
-        dset = frozenset(d)
-        for k, b in enumerate(block_sets):
-            if dset & b:
-                grid[r, k] = True
-    return grid
+    _, meets = _d_meets_block(design, cached_nodes)
+    return np.tile(meets, (math.comb(params.access_degree, params.strength), 1))
 
 
 def _check_unique_t_subsets(design: Design, strength: int) -> None:
@@ -157,25 +178,39 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     bottom.
     """
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    labels = row_labels(params)
     if params.index == 1:
         _check_unique_t_subsets(design, params.strength)
+    d_masks, meets = _d_meets_block(design, cached_nodes)
+    blocks = np.array(design.blocks)
+    t_masks = np.stack([
+        _point_masks(blocks[:, list(tt)], design.num_points)
+        for tt in itertools.combinations(range(design.block_size), params.strength)
+    ])
+    stars = np.tile(meets, (len(t_masks), 1))
+    rows, cols = np.nonzero(~stars)
+    t_of, d_of = np.divmod(rows, len(d_masks))
+    unions = d_masks[d_of] | t_masks[t_of, cols]
+    key = row_keys(unions)
+    if params.index > 1:
+        # D fixes the split, since D and B(T) are disjoint.  Copies count in
+        # column-major order.
+        by_column = np.argsort(cols, kind="stable")
+        copy = np.empty_like(key)
+        copy[by_column] = occurrences(row_keys(np.column_stack([key, d_of]))[by_column])
+        key = row_keys(np.column_stack([key, copy]))
 
-    cells = [[STAR] * design.num_blocks for _ in range(len(labels))]
-    copies = {}
-    for k, block in enumerate(design.blocks):
-        points = frozenset(block)
-        for r, (d, tt) in enumerate(labels):
-            if not points.isdisjoint(d):
-                continue
-            union = tuple(sorted(d + tuple(block[i - 1] for i in tt)))
-            if params.index == 1:
-                cells[r][k] = SubsetId(union)
-            else:
-                # D fixes the split, since D and B(T) are disjoint.
-                copies[union, d] = n = copies.get((union, d), 0) + 1
-                cells[r][k] = CountedSubsetId(union, n)
-    return Pda(cells)
+    def label(first):
+        points = map(tuple, _mask_points(unions[first], params.cached_nodes + params.strength))
+        if params.index == 1:
+            return map(SubsetId, points)
+        return map(CountedSubsetId, points, copy[first].tolist())
+
+    keys = np.full(stars.shape, -1, dtype=np.int64)
+    keys[rows, cols] = key
+    # Free the per-cell arrays first: the numbering's temporaries then reuse
+    # their memory instead of raising the peak.
+    del rows, cols, t_of, d_of, key
+    return Pda.from_keys(keys, label)
 
 
 @dataclass

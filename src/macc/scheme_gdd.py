@@ -23,7 +23,7 @@ import numpy as np
 
 from .designs import GroupDivisibleDesign, OrthogonalArray, flatten_point
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
-from .pda import Pda, STAR, CountedVectorId
+from .pda import CountedVectorId, Pda, occurrences, row_keys
 from .simulate import ArrayScheme
 
 
@@ -136,9 +136,14 @@ def build_gdd_node_placement(oa: OrthogonalArray, access_degree: int, strength: 
     return grid
 
 
-def _misses(oa_row, groups, values) -> int:
-    """Coordinates of the block where the OA row disagrees with its values."""
-    return sum(1 for u, v in zip(groups, values) if oa_row[u - 1] != v)
+def _oa_misses(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> tuple:
+    """The OA rows, the 0-based groups and the values of the blocks (K x L
+    each), and the rows x users boolean grid that says whether OA row j
+    disagrees with block B on all of the block's L coordinates."""
+    rows = np.array(oa.rows)
+    groups = np.array([gdd.block_groups(k) for k in range(gdd.num_blocks)]) - 1
+    values = np.array([gdd.block_values(k) for k in range(gdd.num_blocks)])
+    return rows, groups, values, (rows[:, groups] != values).all(axis=2)
 
 
 def build_gdd_user_retrieve(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> np.ndarray:
@@ -147,16 +152,8 @@ def build_gdd_user_retrieve(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> n
     _check_frame(gdd, oa)
     if gdd.strength is None:
         raise InvalidInputError("GDD carries no strength tag")
-    labels = gdd_row_labels(oa, gdd.block_size, gdd.strength)
-    grid = np.zeros((len(labels), gdd.num_blocks), dtype=bool)
-    l = gdd.block_size
-    meta = [(gdd.block_groups(k), gdd.block_values(k)) for k in range(gdd.num_blocks)]
-    for r, (j, _) in enumerate(labels):
-        row = oa.rows[j - 1]
-        for k, (groups, values) in enumerate(meta):
-            if _misses(row, groups, values) < l:
-                grid[r, k] = True
-    return grid
+    *_, misses = _oa_misses(gdd, oa)
+    return np.tile(~misses, (math.comb(gdd.block_size, gdd.strength), 1))
 
 
 def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
@@ -171,25 +168,28 @@ def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
         raise UnsupportedParametersError(
             "delivery construction requires a GDD of index 1"
         )
-    labels = gdd_row_labels(oa, gdd.block_size, t)
-    l = gdd.block_size
-    meta = [(gdd.block_groups(k), gdd.block_values(k)) for k in range(gdd.num_blocks)]
+    oa_rows, groups, values, misses = _oa_misses(gdd, oa)
+    positions = np.array(
+        list(itertools.combinations(range(gdd.block_size), t)), dtype=np.int64,
+    ).reshape(-1, t)
+    missed = np.tile(misses, (len(positions), 1))
+    rows, cols = np.nonzero(missed)
+    t_of, j = np.divmod(rows, oa.num_rows)
+    # e: OA row j, overwritten with the block's values on its T-selected groups.
+    vectors = oa_rows[j]
+    picked = (cols[:, None], positions[t_of])
+    vectors[np.arange(len(vectors))[:, None], groups[picked]] = values[picked]
+    vector = row_keys(vectors)
+    # Copies count each vector down its column: the missed cells are listed
+    # row by row, so within a column they run top to bottom.
+    copy = occurrences(row_keys(np.column_stack([vector, cols])))
+    keys = np.full(missed.shape, -1, dtype=np.int64)
+    keys[rows, cols] = row_keys(np.column_stack([vector, copy]))
 
-    cells = [[STAR] * gdd.num_blocks for _ in range(len(labels))]
-    for k, (groups, values) in enumerate(meta):
-        copies = {}
-        for r, (j, tt) in enumerate(labels):
-            row = oa.rows[j - 1]
-            if _misses(row, groups, values) < l:
-                continue
-            e = list(row)
-            for h in tt:
-                e[groups[h - 1] - 1] = values[h - 1]
-            e = tuple(e)
-            n = copies.get(e, 0) + 1
-            copies[e] = n
-            cells[r][k] = CountedVectorId(e, n)
-    return Pda(cells)
+    def label(first):
+        return map(CountedVectorId, map(tuple, vectors[first].tolist()), copy[first].tolist())
+
+    return Pda.from_keys(keys, label)
 
 
 @dataclass

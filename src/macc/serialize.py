@@ -35,7 +35,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require(obj, kind: str, **fields) -> None:
+    """Reject ``obj`` unless it is a JSON object holding every named field,
+    each an instance of the type given for it."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{kind} must be a JSON object, not {type(obj).__name__}")
+    for key, want in fields.items():
+        if key not in obj:
+            raise InvalidInputError(f"{kind} has no {key!r} field")
+        if not isinstance(obj[key], want):
+            raise InvalidInputError(
+                f"{kind} field {key!r} is {type(obj[key]).__name__}, not {want.__name__}"
+            )
+
+
 def design_from_obj(obj: dict) -> Design:
+    _require(obj, "design", points=object, blocks=list)
     blocks = tuple(tuple(b) for b in obj["blocks"])
     if not _is_int(obj["points"]):
         raise InvalidInputError(f"design point count {obj['points']!r} is not an integer")
@@ -59,6 +74,7 @@ def gdd_to_obj(gdd: GroupDivisibleDesign) -> dict:
 
 
 def gdd_from_obj(obj: dict) -> GroupDivisibleDesign:
+    _require(obj, "gdd", m=object, q=object, blocks=list)
     return GroupDivisibleDesign(
         obj["m"], obj["q"],
         tuple(tuple(tuple(p) for p in b) for b in obj["blocks"]),
@@ -72,6 +88,7 @@ def oa_to_obj(oa: OrthogonalArray) -> dict:
 
 
 def oa_from_obj(obj: dict) -> OrthogonalArray:
+    _require(obj, "oa", q=object, s=object, rows=list)
     return OrthogonalArray(
         obj["q"], obj["s"], obj.get("lambda", obj.get("index", 1)),
         tuple(tuple(r) for r in obj["rows"]),
@@ -86,6 +103,7 @@ def pda_to_obj(pda: Pda) -> dict:
 
 
 def pda_from_obj(obj: dict) -> Pda:
+    _require(obj, "pda", F=object, K=object, cells=list)
     cells = []
     for j, row in enumerate(obj["cells"], start=1):
         for k, c in enumerate(row, start=1):
@@ -101,8 +119,7 @@ def pda_from_obj(obj: dict) -> Pda:
 
 
 def _grid_to_obj(grid) -> list:
-    return [["*" if grid[j, k] else None for k in range(grid.shape[1])]
-            for j in range(grid.shape[0])]
+    return [["*" if x else None for x in row] for row in grid.tolist()]
 
 
 def scheme_to_obj(scheme) -> dict:
@@ -173,6 +190,7 @@ def load_object(path):
     """Parse one of the interchange files into its toolkit object."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    _require(obj, str(path))
     kind = obj.get("type")
     loaders = {
         "design": design_from_obj,

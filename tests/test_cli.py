@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +53,33 @@ class TestSchemeCommand:
         code, _, err = run(capsys, "scheme", "--design", f"@{path}", "--mu-gamma", "1")
         assert code == 3
         assert err.startswith("parse error:") and "block 2" in err
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--design", "fano-7-3-1", "--mu-gamma", "1"),
+         "4c1f3b6f663c65d6f3d7750261bf006b352f2f291eb8b61bcdf855b953d9eba7"),
+        (("--design", "affine-9-3-1", "--mu-gamma", "2"),
+         "9c3b4d81c642c913eed715c8990774d7eecbfefdfd4cefe135bab4b638126967"),
+        (("--design", "biplane-7-4-2", "--mu-gamma", "2"),
+         "98bb6fef0a9da6c00df7c0d001bde7f119b2069d0f3a70f5d9c6ea13f28a5c2e"),
+        (("--gdd-transversal", "3,2,2", "--oa", "catalog:oa-3-2-2"),
+         "2d409d4f4efc7d098de4500b5fddf56345adacc45e23523f8e130e7ffcbc8d0b"),
+        (("--design", "complete:13,3", "--mu-gamma", "4"),
+         "da3b923259c691c933beb72f2041e21ee61e08cd5c912566bad876a7e9fad556"),
+    ], ids=["fano-mu1", "affine-mu2", "biplane-mu2", "gdd-3-2-2", "complete-13-3-mu4"])
+    def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # Digests recorded with the object-cell builders: the key-grid
+        # builders must write the same bundle byte for byte.
+        path = tmp_path / "s.json"
+        code, _, _ = run(capsys, "scheme", *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_design_file_without_blocks_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"type": "design", "points": 7}))
+        code, _, err = run(capsys, "scheme", "--design", f"@{path}", "--mu-gamma", "1")
+        assert code == 3
+        assert err.startswith("parse error:") and "'blocks'" in err
 
     def test_biplane_bundle(self, capsys, tmp_path):
         out_path = tmp_path / "b.json"
@@ -112,6 +143,22 @@ class TestVerifyCommand:
         path.write_text("{not json")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("obj, names", [
+        ([1, 2], "list"),
+        ("design", "str"),
+        ({"type": "gdd", "m": 3, "q": 2}, "'blocks'"),
+        ({"type": "oa", "q": 2, "rows": [[1, 1]]}, "'s'"),
+        ({"type": "pda", "F": 1, "K": 1}, "'cells'"),
+        ({"type": "design", "points": 7, "blocks": 5}, "'blocks'"),
+    ], ids=["list", "string", "gdd-no-blocks", "oa-no-strength", "pda-no-cells",
+            "design-blocks-not-list"])
+    def test_malformed_object_is_parse_error(self, capsys, tmp_path, obj, names):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and names in err
 
     def test_verify_pda_file(self, capsys, tmp_path):
         path = tmp_path / "pda.json"
@@ -221,6 +268,24 @@ class TestTablesCommand:
 
     def test_missing_subcommand_is_param_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("which", ["table4", "fig3", "fig4"])
+    def test_closed_reader_exits_quietly(self, which):
+        # The reader end is closed before the command writes, as in
+        # `macc tables fig3 | true`: no traceback, exit code 1.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "macc", "tables", which],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestThinAdapter:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from macc.designs import Design, catalog_design, complete_design, verify_t_design
+from macc.designs import (
+    Design, catalog_design, catalog_design_names, complete_design, verify_t_design,
+)
 from macc.errors import InconsistentDesignError, InvalidParametersError
-from macc.pda import STAR, verify_pda
+from macc.pda import STAR, CountedSubsetId, Pda, SubsetId, verify_pda
 from macc.render import render_design_scheme_delivery
 from macc.scheme_design import (
     DesignSchemeParams,
@@ -288,3 +290,97 @@ def test_complete_design_scheme_matches_subset_pda_shape():
     rep = verify_pda(scheme.user_delivery)
     assert rep.ok
     assert rep.num_messages == math.comb(5, 3) - math.comb(5, 2) * math.comb(2, 3)
+
+
+def reference_user_retrieve(design, cached_nodes):
+    """U by the per-cell loop: row (D, T) stars block B iff B meets D."""
+    params = DesignSchemeParams.from_design(design, cached_nodes)
+    grid = np.zeros((params.subpacketization, design.num_blocks), dtype=bool)
+    block_sets = [frozenset(b) for b in design.blocks]
+    for r, (d, _) in enumerate(row_labels(params)):
+        dset = frozenset(d)
+        for k, b in enumerate(block_sets):
+            if dset & b:
+                grid[r, k] = True
+    return grid
+
+
+def reference_user_delivery(design, cached_nodes):
+    """Q with one id object per cell, numbered by ``Pda(cells)``."""
+    params = DesignSchemeParams.from_design(design, cached_nodes)
+    labels = row_labels(params)
+    if params.index == 1:
+        seen = set()
+        for block in design.blocks:
+            for sub in itertools.combinations(block, params.strength):
+                if sub in seen:
+                    raise InconsistentDesignError(f"t-subset {set(sub)} repeats")
+                seen.add(sub)
+    cells = [[STAR] * design.num_blocks for _ in range(len(labels))]
+    copies = {}
+    for k, block in enumerate(design.blocks):
+        points = frozenset(block)
+        for r, (d, tt) in enumerate(labels):
+            if not points.isdisjoint(d):
+                continue
+            union = tuple(sorted(d + tuple(block[i - 1] for i in tt)))
+            if params.index == 1:
+                cells[r][k] = SubsetId(union)
+            else:
+                copies[union, d] = n = copies.get((union, d), 0) + 1
+                cells[r][k] = CountedSubsetId(union, n)
+    return Pda(cells)
+
+
+def assert_matches_reference(design, mu):
+    scheme = build_scheme(design, mu)
+    ref = reference_user_delivery(design, mu)
+    assert np.array_equal(scheme.user_delivery.grid, ref.grid)
+    assert scheme.user_delivery.ids == ref.ids
+    assert np.array_equal(scheme.user_retrieve, reference_user_retrieve(design, mu))
+
+
+def retagged_complete_8_4():
+    # all 4-subsets of 8 points form a 2-(8,4,15) design: index > 1
+    return Design(8, complete_design(8, 4).blocks, strength=2, index=15)
+
+
+def _instances():
+    designs = {name: catalog_design(name) for name in catalog_design_names()}
+    designs["complete-8-4-as-2-design"] = retagged_complete_8_4()
+    for name, d in designs.items():
+        for mu in range(d.num_points - d.block_size + 1):
+            yield pytest.param(d, mu, id=f"{name}-mu{mu}")
+    # 64 points need two mask words; the 63-subsets' unions fill a whole word
+    yield pytest.param(complete_design(64, 1), 1, id="complete-64-1-mu1")
+    yield pytest.param(complete_design(64, 63), 1, id="complete-64-63-mu1")
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("design, mu", list(_instances()))
+    def test_builders_match_object_cell_reference(self, design, mu):
+        assert_matches_reference(design, mu)
+
+    @given(st.data())
+    def test_random_designs_match_reference(self, data):
+        v = data.draw(st.integers(3, 7))
+        l = data.draw(st.integers(2, v - 1))
+        t = data.draw(st.integers(1, l))
+        lam = data.draw(st.integers(1, 3))
+        assume(lam * math.comb(v, t) % math.comb(l, t) == 0)
+        k = lam * math.comb(v, t) // math.comb(l, t)
+        assume(k <= 40)
+        subsets = list(itertools.combinations(range(1, v + 1), l))
+        blocks = data.draw(st.lists(st.sampled_from(subsets), min_size=k, max_size=k))
+        design = Design(v, tuple(blocks), strength=t, index=lam)
+        mu = data.draw(st.integers(0, v - l))
+        try:
+            ref = reference_user_delivery(design, mu)
+        except InconsistentDesignError:
+            with pytest.raises(InconsistentDesignError):
+                build_user_delivery(design, mu)
+            return
+        got = build_user_delivery(design, mu)
+        assert np.array_equal(got.grid, ref.grid) and got.ids == ref.ids
+        assert np.array_equal(build_user_retrieve(design, mu),
+                              reference_user_retrieve(design, mu))

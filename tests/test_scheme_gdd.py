@@ -1,8 +1,11 @@
+import itertools
 import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from macc.designs import (
     GroupDivisibleDesign,
@@ -14,7 +17,7 @@ from macc.designs import (
     trivial_oa,
 )
 from macc.errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
-from macc.pda import CountedVectorId, STAR, verify_pda
+from macc.pda import CountedVectorId, Pda, STAR, verify_pda
 from macc.render import render_gdd_scheme_delivery
 from macc.scheme_gdd import (
     GddSchemeParams,
@@ -261,3 +264,89 @@ class TestRowLabels:
         assert labels[3] == (4, (1, 2))
         assert labels[4] == (1, (1, 3))
         assert len(labels) == 12
+
+
+def _reference_misses(oa_row, groups, values):
+    return sum(1 for u, v in zip(groups, values) if oa_row[u - 1] != v)
+
+
+def reference_gdd_user_retrieve(gdd, oa):
+    """U by the per-cell loop: block B retrieves row j unless j misses B on
+    all of its L coordinates."""
+    labels = gdd_row_labels(oa, gdd.block_size, gdd.strength)
+    grid = np.zeros((len(labels), gdd.num_blocks), dtype=bool)
+    l = gdd.block_size
+    meta = [(gdd.block_groups(k), gdd.block_values(k)) for k in range(gdd.num_blocks)]
+    for r, (j, _) in enumerate(labels):
+        for k, (groups, values) in enumerate(meta):
+            if _reference_misses(oa.rows[j - 1], groups, values) < l:
+                grid[r, k] = True
+    return grid
+
+
+def reference_gdd_user_delivery(gdd, oa, t):
+    """Q with one CountedVectorId per cell, numbered by ``Pda(cells)``."""
+    labels = gdd_row_labels(oa, gdd.block_size, t)
+    l = gdd.block_size
+    meta = [(gdd.block_groups(k), gdd.block_values(k)) for k in range(gdd.num_blocks)]
+    cells = [[STAR] * gdd.num_blocks for _ in range(len(labels))]
+    for k, (groups, values) in enumerate(meta):
+        copies = {}
+        for r, (j, tt) in enumerate(labels):
+            row = oa.rows[j - 1]
+            if _reference_misses(row, groups, values) < l:
+                continue
+            e = list(row)
+            for h in tt:
+                e[groups[h - 1] - 1] = values[h - 1]
+            e = tuple(e)
+            copies[e] = n = copies.get(e, 0) + 1
+            cells[r][k] = CountedVectorId(e, n)
+    return Pda(cells)
+
+
+def assert_gdd_matches_reference(gdd, oa):
+    scheme = build_gdd_scheme(gdd, oa)
+    ref = reference_gdd_user_delivery(gdd, oa, gdd.strength)
+    assert np.array_equal(scheme.user_delivery.grid, ref.grid)
+    assert scheme.user_delivery.ids == ref.ids
+    assert np.array_equal(scheme.user_retrieve, reference_gdd_user_retrieve(gdd, oa))
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("gdd, oa", [
+        pytest.param(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2"), id="3-2-2-oa322"),
+        pytest.param(transversal_gdd(3, 2, 1), catalog_oa("oa-3-2-2"), id="3-2-1-oa322"),
+        pytest.param(catalog_gdd("gdd-3-2-3-1"), trivial_oa(3, 2), id="gdd-3-2-3-1"),
+        pytest.param(transversal_gdd(3, 3, 2), linear_oa(3, 3, 2), id="3-3-2-linear"),
+        pytest.param(transversal_gdd(3, 3, 1), linear_oa(3, 3, 2), id="3-3-1-linear"),
+        pytest.param(transversal_gdd(4, 2, 2), trivial_oa(4, 2), id="4-2-2-trivial"),
+        pytest.param(transversal_gdd(5, 5, 2), linear_oa(5, 5, 3), id="5-5-2-linear"),
+        # 17^17 vectors do not fit one int64
+        pytest.param(transversal_gdd(17, 17, 1), linear_oa(17, 17, 2), id="17-17-1-linear"),
+    ])
+    def test_builders_match_object_cell_reference(self, gdd, oa):
+        assert_gdd_matches_reference(gdd, oa)
+
+    @given(st.data())
+    def test_random_gdds_match_reference(self, data):
+        m = data.draw(st.integers(2, 4))
+        q = data.draw(st.integers(2, 3))
+        s = data.draw(st.integers(1, m))
+        l = data.draw(st.integers(1, s))
+        t = data.draw(st.integers(1, l))
+        rows = data.draw(st.lists(
+            st.tuples(*[st.integers(1, q)] * m), min_size=q**s, max_size=q**s,
+        ))
+        blocks = data.draw(st.lists(st.builds(
+            lambda gs, vs: tuple(zip(gs, vs)),
+            st.sampled_from(list(itertools.combinations(range(1, m + 1), l))),
+            st.tuples(*[st.integers(1, q)] * l),
+        ), min_size=1, max_size=12))
+        gdd = GroupDivisibleDesign(m, q, tuple(blocks), strength=t)
+        oa = OrthogonalArray(q, s, 1, tuple(rows))
+        got = build_gdd_user_delivery(gdd, oa)
+        ref = reference_gdd_user_delivery(gdd, oa, t)
+        assert np.array_equal(got.grid, ref.grid) and got.ids == ref.ids
+        assert np.array_equal(build_gdd_user_retrieve(gdd, oa),
+                              reference_gdd_user_retrieve(gdd, oa))
