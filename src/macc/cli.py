@@ -214,6 +214,15 @@ def _cmd_simulate(args) -> int:
     if not isinstance(bundle, dict) or bundle.get("type") != "scheme":
         raise InvalidInputError(f"{args.scheme} is not a scheme bundle")
     scheme = _rebuild_scheme(bundle)
+    summary = bundle.get("summary")
+    if not isinstance(summary, dict):
+        raise InvalidInputError(f"{args.scheme} has no summary object")
+    rebuilt = {"K": scheme.num_users, "F": scheme.subpacketization,
+               "S_counted": scheme.counted_messages}
+    for field, value in rebuilt.items():
+        if summary.get(field) != value:
+            raise MaccError(f"bundle summary {field} is {summary.get(field)!r}, "
+                            f"but the scheme rebuilt from its parameters has {value}")
     library = simulate.make_library(
         args.files if args.files else max(scheme.num_users, scheme.params.num_files),
         scheme.subpacketization, args.packet_bytes, args.seed,
@@ -243,7 +252,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        obj = serialize.load_object(args.path)
+        obj = serialize.object_from_obj(raw, args.path)
     except (json.JSONDecodeError, OSError, KeyError, TypeError, InvalidInputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -37,29 +37,41 @@ def _is_int(x) -> bool:
 
 def _require(obj, kind: str, **fields) -> None:
     """Reject ``obj`` unless it is a JSON object holding every named field,
-    each an instance of the type given for it."""
+    each an instance of the type given for it (``int`` excludes bool)."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{kind} must be a JSON object, not {type(obj).__name__}")
     for key, want in fields.items():
         if key not in obj:
             raise InvalidInputError(f"{kind} has no {key!r} field")
-        if not isinstance(obj[key], want):
+        value = obj[key]
+        if not isinstance(value, want) or (want is int and isinstance(value, bool)):
             raise InvalidInputError(
-                f"{kind} field {key!r} is {type(obj[key]).__name__}, not {want.__name__}"
+                f"{kind} field {key!r} is {type(value).__name__}, not {want.__name__}"
             )
 
 
+def _int_tuples(value, kind: str, path: str, depth: int, width=None) -> tuple:
+    """``value`` as tuples of integers nested ``depth`` lists deep, each
+    innermost list ``width`` long when given.  The error names the first bad
+    entry by its path, e.g. ``blocks[0][1]``."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{kind} {path} is {type(value).__name__}, not a list")
+    if depth > 1:
+        return tuple(_int_tuples(v, kind, f"{path}[{i}]", depth - 1, width)
+                     for i, v in enumerate(value))
+    for i, x in enumerate(value):
+        if not _is_int(x):
+            raise InvalidInputError(f"{kind} {path}[{i}] is {x!r}, not an integer")
+    if width is not None and len(value) != width:
+        raise InvalidInputError(f"{kind} {path} has {len(value)} entries, not {width}")
+    return tuple(value)
+
+
 def design_from_obj(obj: dict) -> Design:
-    _require(obj, "design", points=object, blocks=list)
-    blocks = tuple(tuple(b) for b in obj["blocks"])
-    if not _is_int(obj["points"]):
-        raise InvalidInputError(f"design point count {obj['points']!r} is not an integer")
-    for n, block in enumerate(blocks, start=1):
-        bad = [x for x in block if not _is_int(x)]
-        if bad:
-            raise InvalidInputError(f"design block {n}: point {bad[0]!r} is not an integer")
+    _require(obj, "design", points=int, blocks=list)
     return Design(
-        obj["points"], blocks, strength=obj.get("t"), index=obj.get("lambda"),
+        obj["points"], _int_tuples(obj["blocks"], "design", "blocks", 2),
+        strength=obj.get("t"), index=obj.get("lambda"),
     )
 
 
@@ -74,10 +86,9 @@ def gdd_to_obj(gdd: GroupDivisibleDesign) -> dict:
 
 
 def gdd_from_obj(obj: dict) -> GroupDivisibleDesign:
-    _require(obj, "gdd", m=object, q=object, blocks=list)
+    _require(obj, "gdd", m=int, q=int, blocks=list)
     return GroupDivisibleDesign(
-        obj["m"], obj["q"],
-        tuple(tuple(tuple(p) for p in b) for b in obj["blocks"]),
+        obj["m"], obj["q"], _int_tuples(obj["blocks"], "gdd", "blocks", 3, width=2),
         strength=obj.get("t"), index=obj.get("lambda"),
     )
 
@@ -88,10 +99,10 @@ def oa_to_obj(oa: OrthogonalArray) -> dict:
 
 
 def oa_from_obj(obj: dict) -> OrthogonalArray:
-    _require(obj, "oa", q=object, s=object, rows=list)
+    _require(obj, "oa", q=int, s=int, rows=list)
     return OrthogonalArray(
         obj["q"], obj["s"], obj.get("lambda", obj.get("index", 1)),
-        tuple(tuple(r) for r in obj["rows"]),
+        _int_tuples(obj["rows"], "oa", "rows", 2),
     )
 
 
@@ -128,17 +139,17 @@ def scheme_to_obj(scheme) -> dict:
         "U": _grid_to_obj(scheme.user_retrieve),
         "Q": pda_to_obj(scheme.user_delivery),
     }
+    p = scheme.params
+    summary = {
+        "K": p.num_users, "F": p.subpacketization, "Z": p.stars_per_user,
+        "S_counted": scheme.counted_messages, "S_bound": scheme.message_bound,
+        "S_below_bound": scheme.counted_messages < scheme.message_bound,
+        "guaranteed_known": scheme.guaranteed_known,
+        "load_plain": fraction_str(Fraction(scheme.counted_messages, p.subpacketization)),
+    }
     if isinstance(scheme, DesignCachingScheme):
-        p = scheme.params
-        summary = {
-            "K": p.num_users, "F": p.subpacketization, "Z": p.stars_per_user,
-            "S_counted": scheme.counted_messages, "S_bound": scheme.message_bound,
-            "S_below_bound": scheme.counted_messages < scheme.message_bound,
-            "guaranteed_known": scheme.guaranteed_known,
-            "load_plain": fraction_str(Fraction(scheme.counted_messages, p.subpacketization)),
-            "load_reduced": fraction_str(achievable_load(p)),
-            "shared_link_memory": fraction_str(shared_link_tradeoff(p)[0]),
-        }
+        summary["load_reduced"] = fraction_str(achievable_load(p))
+        summary["shared_link_memory"] = fraction_str(shared_link_tradeoff(p)[0])
         params = {
             "kind": "design", "nodes": p.num_nodes, "L": p.access_degree,
             "t": p.strength, "lambda": p.index, "cached_nodes": p.cached_nodes,
@@ -146,18 +157,10 @@ def scheme_to_obj(scheme) -> dict:
         }
         base["design"] = design_to_obj(scheme.design)
     elif isinstance(scheme, GddCachingScheme):
-        p = scheme.params
         trade = gdd_tradeoff(p)
-        summary = {
-            "K": p.num_users, "F": p.subpacketization, "Z": p.stars_per_user,
-            "S_counted": scheme.counted_messages, "S_bound": scheme.message_bound,
-            "S_below_bound": scheme.counted_messages < scheme.message_bound,
-            "guaranteed_known": scheme.guaranteed_known,
-            "load_plain": fraction_str(Fraction(scheme.counted_messages, p.subpacketization)),
-            "node_memory_ratio": fraction_str(trade.node_memory_ratio),
-            "coverage_ratio": fraction_str(trade.coverage_ratio),
-            "load_bound": fraction_str(trade.load),
-        }
+        summary["node_memory_ratio"] = fraction_str(trade.node_memory_ratio)
+        summary["coverage_ratio"] = fraction_str(trade.coverage_ratio)
+        summary["load_bound"] = fraction_str(trade.load)
         params = {
             "kind": "gdd", "m": p.num_groups, "q": p.group_size, "L": p.access_degree,
             "t": p.strength, "s": p.placement_strength, "files": p.num_files,
@@ -186,11 +189,10 @@ def report_to_obj(report) -> dict:
     return out
 
 
-def load_object(path):
-    """Parse one of the interchange files into its toolkit object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    _require(obj, str(path))
+def object_from_obj(obj, source: str = "object"):
+    """Build the toolkit object an interchange JSON value describes;
+    ``source`` names the value in errors."""
+    _require(obj, source)
     kind = obj.get("type")
     loaders = {
         "design": design_from_obj,
@@ -203,9 +205,65 @@ def load_object(path):
     return loaders[kind](obj)
 
 
+def load_object(path):
+    """Parse one of the interchange files into its toolkit object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return object_from_obj(json.load(fh), str(path))
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: a non-string scalar key becomes
+    its JSON text, then the key is quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _encode(obj, indent: str, parts: list) -> None:
+    """Append to ``parts`` the text ``json.dumps`` with ``indent=2`` gives
+    ``obj`` when it is nested at ``indent``."""
+    if not isinstance(obj, (list, tuple, dict)):
+        parts.append(json.dumps(obj))
+        return
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        for n, (key, value) in enumerate(obj.items()):
+            parts.append(("{\n" + inner if n == 0 else sep) + _key(key) + ": ")
+            _encode(value, inner, parts)
+        parts.append("\n" + indent + "}")
+    elif _SCALARS.issuperset(map(type, obj)):
+        # A row of scalars is one call to the C encoder, which json.dumps
+        # skips whenever an indent is set; its item separator carries the
+        # newline and the indent.
+        row = json.dumps(obj, separators=(sep, ": "))
+        parts.append("[\n" + inner + row[1:-1] + "\n" + indent + "]")
+    else:
+        for n, item in enumerate(obj):
+            parts.append("[\n" + inner if n == 0 else sep)
+            _encode(item, inner, parts)
+        parts.append("\n" + indent + "]")
+
+
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    """The text of ``json.dumps`` with ``indent=2``, byte for byte, without
+    its per-item chunk list; with ``path``, also write the text and a
+    newline there."""
+    parts = []
+    _encode(obj, "", parts)
+    text = "".join(parts)
+    del parts  # before the write, which encodes a copy of the whole text
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     return text

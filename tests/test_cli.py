@@ -52,7 +52,24 @@ class TestSchemeCommand:
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, "scheme", "--design", f"@{path}", "--mu-gamma", "1")
         assert code == 3
-        assert err.startswith("parse error:") and "block 2" in err
+        assert err.startswith("parse error:") and "blocks[1][0]" in err
+
+    def test_non_list_design_block_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"type": "design", "points": 7, "blocks": [5, 6]}))
+        code, _, err = run(capsys, "scheme", "--design", f"@{path}", "--mu-gamma", "1")
+        assert code == 3
+        assert err.startswith("parse error:") and "blocks[0]" in err
+
+    def test_short_gdd_point_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        run(capsys, "gdd", "--transversal", "3,2,2", "--out", str(path))
+        obj = json.loads(path.read_text())
+        obj["blocks"][0][1] = [2]
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "scheme", "--gdd-file", str(path), "--oa", "trivial")
+        assert code == 3
+        assert err.startswith("parse error:") and "blocks[0][1]" in err
 
     @pytest.mark.parametrize("argv, digest", [
         (("--design", "fano-7-3-1", "--mu-gamma", "1"),
@@ -65,10 +82,15 @@ class TestSchemeCommand:
          "2d409d4f4efc7d098de4500b5fddf56345adacc45e23523f8e130e7ffcbc8d0b"),
         (("--design", "complete:13,3", "--mu-gamma", "4"),
          "da3b923259c691c933beb72f2041e21ee61e08cd5c912566bad876a7e9fad556"),
-    ], ids=["fano-mu1", "affine-mu2", "biplane-mu2", "gdd-3-2-2", "complete-13-3-mu4"])
+        (("--design", "complete:16,3", "--mu-gamma", "5"),
+         "e748ff8a5bd88c30637e274ef9af824a7d323a7e9b17b5d0b41fff580aa1abde"),
+    ], ids=["fano-mu1", "affine-mu2", "biplane-mu2", "gdd-3-2-2", "complete-13-3-mu4",
+            "complete-16-3-mu5"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        # Digests recorded with the object-cell builders: the key-grid
-        # builders must write the same bundle byte for byte.
+        # The first five digests were recorded with the object-cell builders,
+        # complete-16-3-mu5 with json.dumps(indent=2) as the writer: the
+        # key-grid builders and the row-wise writer must write the same
+        # bundle byte for byte.
         path = tmp_path / "s.json"
         code, _, _ = run(capsys, "scheme", *argv, "--out", str(path))
         assert code == 0
@@ -176,6 +198,16 @@ class TestVerifyCommand:
         assert code == 3
         assert err.startswith("parse error:") and "(3, 2)" in err
 
+    def test_file_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "fano.json"
+        run(capsys, "design", "--catalog", "fano-7-3-1", "--out", str(path))
+        loads = []
+        real_load = json.load
+        monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name) or real_load(fh))
+        code, _, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert loads == [str(path)]
+
     def test_verify_oa_file(self, capsys, tmp_path):
         path = tmp_path / "oa.json"
         run(capsys, "oa", "--trivial", "3,2", "--out", str(path))
@@ -227,6 +259,18 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 3
         assert err.startswith("parse error:") and "design" in err
+
+    @pytest.mark.parametrize("field", ["K", "F", "S_counted"])
+    def test_stale_bundle_summary_fails(self, capsys, tmp_path, field):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        obj["summary"][field] += 1
+        bundle.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 1
+        assert out == "" and field in err and err.startswith("error:")
 
     def test_design_file_is_not_a_bundle(self, capsys, tmp_path):
         path = tmp_path / "fano.json"

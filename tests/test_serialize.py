@@ -1,0 +1,107 @@
+import json
+import re
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from macc.designs import catalog_design, catalog_gdd, linear_oa
+from macc.errors import InvalidInputError
+from macc.scheme_design import build_scheme
+from macc.serialize import (
+    design_from_obj,
+    design_to_obj,
+    dump_json,
+    gdd_from_obj,
+    gdd_to_obj,
+    object_from_obj,
+    oa_from_obj,
+    oa_to_obj,
+    scheme_to_obj,
+)
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+)
+KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(KEYS, kids)),
+    max_leaves=40,
+)
+
+
+class TestDumpJson:
+    # json.dumps(indent=2) is the oracle the writer must match byte for byte.
+    @settings(max_examples=400)
+    @given(JSON_VALUES)
+    @example([1, True, None, "*"])
+    @example({"C": [["*", None], [None, "*"]], "Q": {"cells": [[1, "*"], []]}})
+    @example([[], {}, [[]], [{}], ()])
+    @example({"é": "ü☃", 1: 1.5, 2.5: float("nan"), None: float("-inf"), False: 1e300})
+    def test_matches_json_dumps_indent_2(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {"a": {1, 2}}, [[1, object()]], [1, [2], {3}], {(1, 2): 0},
+    ], ids=["set-value", "object-in-row", "set-in-mixed-list", "tuple-key"])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            dump_json(value)
+
+    def test_file_is_returned_text_plus_newline(self, tmp_path):
+        path = tmp_path / "s.json"
+        text = dump_json(scheme_to_obj(build_scheme(catalog_design("fano-7-3-1"), 1)), path)
+        assert path.read_text(encoding="utf-8") == text + "\n"
+
+
+class TestLoaderValidation:
+    @pytest.mark.parametrize("blocks, where", [
+        ([5, 6], "blocks[0]"),
+        ([[1, 2, 4], "x"], "blocks[1]"),
+        ([[1, 2, 4], [2, "3", 5]], "blocks[1][1]"),
+        ([[1, 2, 4], [2, True, 5]], "blocks[1][1]"),
+        ([[1, 2, 4], [2, [3], 5]], "blocks[1][1]"),
+    ], ids=["int-block", "str-block", "str-point", "bool-point", "list-point"])
+    def test_design_names_bad_entry(self, blocks, where):
+        with pytest.raises(InvalidInputError, match=re.escape(f"design {where} ")):
+            design_from_obj({"type": "design", "points": 7, "blocks": blocks})
+
+    @pytest.mark.parametrize("blocks, where", [
+        ([7], "blocks[0]"),
+        ([[[1, 1], 2]], "blocks[0][1]"),
+        ([[[1, 1], [2]]], "blocks[0][1]"),
+        ([[[1, 1], [2, 1, 1]]], "blocks[0][1]"),
+        ([[[1, 1], [2, "1"]]], "blocks[0][1][1]"),
+    ], ids=["int-block", "int-point", "short-point", "long-point", "str-coordinate"])
+    def test_gdd_names_bad_entry(self, blocks, where):
+        with pytest.raises(InvalidInputError, match=re.escape(f"gdd {where} ")):
+            gdd_from_obj({"type": "gdd", "m": 3, "q": 2, "blocks": blocks})
+
+    @pytest.mark.parametrize("rows, where", [
+        ([1, 2], "rows[0]"),
+        ([[1, 1], [1, None]], "rows[1][1]"),
+    ], ids=["int-row", "null-entry"])
+    def test_oa_names_bad_entry(self, rows, where):
+        with pytest.raises(InvalidInputError, match=re.escape(f"oa {where} ")):
+            oa_from_obj({"type": "oa", "q": 2, "s": 1, "rows": rows})
+
+    @pytest.mark.parametrize("obj", [
+        {"type": "gdd", "m": "3", "q": 2, "blocks": [[[1, 1]]]},
+        {"type": "oa", "q": 2, "s": 1.0, "rows": [[1], [2]]},
+        {"type": "design", "points": None, "blocks": [[1]]},
+    ], ids=["gdd-m", "oa-s", "design-points"])
+    def test_non_integer_header_is_rejected(self, obj):
+        with pytest.raises(InvalidInputError, match="not int"):
+            object_from_obj(obj)
+
+    @pytest.mark.parametrize("to_obj, value", [
+        (design_to_obj, catalog_design("fano-7-3-1")),
+        (gdd_to_obj, catalog_gdd("gdd-3-2-3-1")),
+        (oa_to_obj, linear_oa(3, 3, 2)),
+    ], ids=["design", "gdd", "oa"])
+    def test_round_trip(self, to_obj, value):
+        assert object_from_obj(to_obj(value)) == value
