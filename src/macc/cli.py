@@ -194,9 +194,12 @@ def _cmd_scheme(args) -> int:
 
 
 def _rebuild_scheme(bundle: dict):
+    serialize._require(bundle, "scheme bundle", params=dict)
+    params = bundle["params"]
+    serialize._require(params, "scheme bundle params", kind=str, files=int)
     try:
-        params = bundle["params"]
         if params["kind"] == "design":
+            serialize._require(params, "scheme bundle params", cached_nodes=int)
             design = serialize.design_from_obj(bundle["design"])
             return build_scheme(design, params["cached_nodes"], params["files"])
         if params["kind"] == "gdd":
@@ -257,16 +260,13 @@ def _cmd_verify(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
-    if isinstance(obj, designs.Design):
-        if raw.get("t") is None or raw.get("lambda") is None:
-            raise InvalidParametersError("design file carries no t/lambda tag to verify")
-        report = designs.verify_t_design(obj, raw["t"], raw["lambda"])
-    elif isinstance(obj, designs.GroupDivisibleDesign):
-        if raw.get("t") is None or raw.get("lambda") is None:
-            raise InvalidParametersError("gdd file carries no t/lambda tag to verify")
-        report = designs.verify_gdd(obj, raw["t"], raw["lambda"])
+    if isinstance(obj, (designs.Design, designs.GroupDivisibleDesign)):
+        if obj.strength is None or obj.index is None:
+            raise InvalidParametersError(f"{raw['type']} file carries no t/lambda tag to verify")
+        verify = designs.verify_t_design if isinstance(obj, designs.Design) else designs.verify_gdd
+        report = verify(obj, obj.strength, obj.index)
     elif isinstance(obj, designs.OrthogonalArray):
-        report = designs.verify_oa(obj, raw["s"], raw.get("lambda", raw.get("index", 1)))
+        report = designs.verify_oa(obj, obj.strength, obj.index)
     else:
         report = verify_pda(obj)
     print(serialize.dump_json(serialize.report_to_obj(report)))

@@ -162,16 +162,8 @@ class Pda:
         return {i: tuple(cells[a:b]) for i, a, b in zip(self.ids, ptr[:-1], ptr[1:])}
 
     @cached_property
-    def canonical_index(self) -> dict:
-        """id -> dense integer 1..S."""
-        return {i: n for n, i in enumerate(self.ids, start=1)}
-
-    @cached_property
     def column_star_counts(self) -> tuple:
         return tuple((self.grid < 0).sum(axis=0).tolist())
-
-    def to_canonical(self) -> "Pda":
-        return Pda(self.relabel([*range(1, self.num_ids + 1), STAR]))
 
     def stars_uniform(self) -> bool:
         return len(set(self.column_star_counts)) == 1

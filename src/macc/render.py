@@ -25,15 +25,6 @@ def group_block_label(block) -> str:
     return "U_" + ",".join(f"{u}{v}" if u <= 9 and v <= 9 else f"({u},{v})" for u, v in block)
 
 
-def node_label(g: int) -> str:
-    return f"C_{g}"
-
-
-def group_node_label(point) -> str:
-    u, v = point
-    return f"C_{u},{v}"
-
-
 def design_row_label(label) -> str:
     d, t = label
     return f"{subset_str(d)},{subset_str(t)}"
@@ -74,12 +65,6 @@ def render_pda(pda: Pda, row_labels=None, col_labels=None, corner: str = "") -> 
     return render_table(col_labels, row_labels, cells, corner)
 
 
-def render_star_grid(grid, row_labels, col_labels, corner: str = "") -> str:
-    cells = [["*" if grid[j, k] else "" for k in range(grid.shape[1])]
-             for j in range(grid.shape[0])]
-    return render_table(col_labels, row_labels, cells, corner)
-
-
 def render_design_scheme_delivery(scheme) -> str:
     return render_pda(
         scheme.user_delivery,
@@ -96,35 +81,6 @@ def render_gdd_scheme_delivery(scheme) -> str:
         col_labels=[group_block_label(b) for b in scheme.user_blocks],
         corner="j,T",
     )
-
-
-def render_scheme_placement(scheme) -> str:
-    from .scheme_design import DesignCachingScheme
-
-    if isinstance(scheme, DesignCachingScheme):
-        rows = [design_row_label(l) for l in scheme.row_labels]
-        cols = [node_label(g) for g in range(1, scheme.num_nodes + 1)]
-    else:
-        rows = [oa_row_label(l) for l in scheme.row_labels]
-        q = scheme.params.group_size
-        cols = [
-            group_node_label((u, v))
-            for u in range(1, scheme.params.num_groups + 1)
-            for v in range(1, q + 1)
-        ]
-    return render_star_grid(scheme.node_placement, rows, cols, corner="row")
-
-
-def render_scheme_retrieve(scheme) -> str:
-    from .scheme_design import DesignCachingScheme
-
-    if isinstance(scheme, DesignCachingScheme):
-        rows = [design_row_label(l) for l in scheme.row_labels]
-        cols = [point_block_label(b) for b in scheme.user_blocks]
-    else:
-        rows = [oa_row_label(l) for l in scheme.row_labels]
-        cols = [group_block_label(b) for b in scheme.user_blocks]
-    return render_star_grid(scheme.user_retrieve, rows, cols, corner="row")
 
 
 def render_scheme_delivery(scheme) -> str:

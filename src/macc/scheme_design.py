@@ -287,7 +287,7 @@ def achievable_load(params: DesignSchemeParams) -> Fraction:
         return Fraction(params.num_users)
     numerator = (
         lam * math.comb(g, t + mu)
-        - lam * sum(math.comb(l, t + i) * math.comb(g - l, mu - i) for i in range(1, mu))
+        - lam * redundancy_count(params)
         - params.num_users * math.comb(l, t + mu)
     )
     return Fraction(numerator, math.comb(g, mu) * math.comb(l, t))

@@ -35,7 +35,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _require(obj, kind: str, **fields) -> None:
+def _require(obj, kind: str, /, **fields) -> None:
     """Reject ``obj`` unless it is a JSON object holding every named field,
     each an instance of the type given for it (``int`` excludes bool)."""
     if not isinstance(obj, dict):
@@ -48,6 +48,13 @@ def _require(obj, kind: str, **fields) -> None:
             raise InvalidInputError(
                 f"{kind} field {key!r} is {type(value).__name__}, not {want.__name__}"
             )
+
+
+def _tags(obj: dict, kind: str, *keys) -> dict:
+    """The optional integer tags ``keys`` that ``obj`` carries."""
+    tags = {key: obj[key] for key in keys if key in obj}
+    _require(tags, kind, **dict.fromkeys(tags, int))
+    return tags
 
 
 def _int_tuples(value, kind: str, path: str, depth: int, width=None) -> tuple:
@@ -69,9 +76,10 @@ def _int_tuples(value, kind: str, path: str, depth: int, width=None) -> tuple:
 
 def design_from_obj(obj: dict) -> Design:
     _require(obj, "design", points=int, blocks=list)
+    tags = _tags(obj, "design", "t", "lambda")
     return Design(
         obj["points"], _int_tuples(obj["blocks"], "design", "blocks", 2),
-        strength=obj.get("t"), index=obj.get("lambda"),
+        strength=tags.get("t"), index=tags.get("lambda"),
     )
 
 
@@ -87,9 +95,10 @@ def gdd_to_obj(gdd: GroupDivisibleDesign) -> dict:
 
 def gdd_from_obj(obj: dict) -> GroupDivisibleDesign:
     _require(obj, "gdd", m=int, q=int, blocks=list)
+    tags = _tags(obj, "gdd", "t", "lambda")
     return GroupDivisibleDesign(
         obj["m"], obj["q"], _int_tuples(obj["blocks"], "gdd", "blocks", 3, width=2),
-        strength=obj.get("t"), index=obj.get("lambda"),
+        strength=tags.get("t"), index=tags.get("lambda"),
     )
 
 
@@ -100,8 +109,9 @@ def oa_to_obj(oa: OrthogonalArray) -> dict:
 
 def oa_from_obj(obj: dict) -> OrthogonalArray:
     _require(obj, "oa", q=int, s=int, rows=list)
+    tags = _tags(obj, "oa", "lambda", "index")
     return OrthogonalArray(
-        obj["q"], obj["s"], obj.get("lambda", obj.get("index", 1)),
+        obj["q"], obj["s"], tags.get("lambda", tags.get("index", 1)),
         _int_tuples(obj["rows"], "oa", "rows", 2),
     )
 

@@ -71,10 +71,6 @@ class ArrayScheme:
         return self.user_delivery.num_rows
 
     @property
-    def num_nodes(self) -> int:
-        return self.node_placement.shape[1]
-
-    @property
     def counted_messages(self) -> int:
         return self.user_delivery.num_ids
 
@@ -184,13 +180,11 @@ class DecodePlan:
 
 @dataclass
 class NodeCaches:
-    """Rows held by each cache-node, backed by the library payloads."""
+    """The placed caches, backed by the library payloads: node g holds
+    packet row j of every file where ``grid[j, g]`` is set."""
 
     library: Library
-    node_rows: tuple  # per node, frozenset of 0-based packet rows
-
-    def cached_bytes(self, node: int) -> int:
-        return len(self.node_rows[node]) * self.library.num_files * self.library.packet_bytes
+    grid: np.ndarray  # F x nodes bool, read-only
 
 
 def place(library: Library, scheme) -> NodeCaches:
@@ -200,12 +194,9 @@ def place(library: Library, scheme) -> NodeCaches:
             f"library has {library.num_packets} packets per file, "
             f"scheme needs {scheme.subpacketization}"
         )
-    grid = scheme.node_placement
-    rows = tuple(
-        frozenset(int(j) for j in np.nonzero(grid[:, g])[0])
-        for g in range(scheme.num_nodes)
-    )
-    return NodeCaches(library, rows)
+    grid = np.array(scheme.node_placement, dtype=bool)
+    grid.flags.writeable = False
+    return NodeCaches(library, grid)
 
 
 def validate_demands(scheme, library: Library, demands, distinct: bool = False) -> tuple:
@@ -239,7 +230,6 @@ class TransmissionPlan:
     mode: str                 # "plain" | "mds"
     demands: tuple
     num_messages: int         # S
-    sources: tuple            # per message, tuple of (row, col) cells, 0-based
     symbols: np.ndarray       # (count, words) uint16
     coeff: Optional[np.ndarray]
     reduced_by: int
@@ -252,9 +242,8 @@ class TransmissionPlan:
 def deliver_plain(scheme, library: Library, demands) -> TransmissionPlan:
     """One XOR multicast per delivery-array id, in canonical id order."""
     demands = validate_demands(scheme, library, demands)
-    sources = tuple(scheme.user_delivery.id_positions.values())
     payloads = scheme.decode_plan.payloads(library.data, demands)
-    return TransmissionPlan("plain", demands, len(sources), sources, payloads, None, 0)
+    return TransmissionPlan("plain", demands, scheme.counted_messages, payloads, None, 0)
 
 
 def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
@@ -268,7 +257,7 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
     undecodable batch is refused rather than papered over.
     """
     demands = validate_demands(scheme, library, demands)
-    sources = tuple(scheme.user_delivery.id_positions.values())
+    s = scheme.counted_messages
     reduced = scheme.guaranteed_known
     if reduced:
         short = int(scheme.decode_plan.known.sum(axis=1).min())
@@ -278,21 +267,21 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
                 f"rebuild from cache ({short}); the coded batch would be "
                 "undecodable, use plain delivery"
             )
-    num_out = len(sources) - reduced
-    if len(sources) + num_out > gf16.FIELD_SIZE - 1:
+    num_out = s - reduced
+    if s + num_out > gf16.FIELD_SIZE - 1:
         raise ConfigurationError(
             f"coded delivery needs a field with at least "
-            f"{len(sources) + num_out + 1} elements; GF(2^16) is too small"
+            f"{s + num_out + 1} elements; GF(2^16) is too small"
         )
     payloads = scheme.decode_plan.payloads(library.data, demands)
-    if num_out == len(sources):
+    if num_out == s:
         # No reduction available; identity coding keeps symbols inspectable.
-        coeff = np.eye(len(sources), dtype=np.uint16)
+        coeff = np.eye(s, dtype=np.uint16)
         symbols = payloads
     else:
-        coeff = gf16.cauchy_matrix(num_out, len(sources))
+        coeff = gf16.cauchy_matrix(num_out, s)
         symbols = gf16.matvec(coeff, payloads)
-    return TransmissionPlan("mds", demands, len(sources), sources, symbols, coeff, reduced)
+    return TransmissionPlan("mds", demands, s, symbols, coeff, reduced)
 
 
 def _user_index(scheme, user) -> int:
@@ -305,30 +294,9 @@ def _user_index(scheme, user) -> int:
         raise InvalidInputError(f"no user with block {block}") from None
 
 
-def retrievable_rows(scheme, caches: NodeCaches, user) -> frozenset:
-    k = _user_index(scheme, user)
-    rows = set()
-    for node in scheme.user_node_indices(k):
-        rows |= caches.node_rows[node]
-    return frozenset(rows)
-
-
 def _cached_mask(scheme, caches: NodeCaches, user: int) -> np.ndarray:
     """Per-row mask of what the user's nodes actually hold."""
-    mask = np.zeros(scheme.subpacketization, dtype=bool)
-    mask[list(retrievable_rows(scheme, caches, user))] = True
-    return mask
-
-
-def reconstructible_messages(scheme, caches: NodeCaches, user) -> frozenset:
-    """Message indices (0-based) the user can rebuild purely from its cache:
-    every constituent packet row is retrievable.  Recomputed from the actual
-    node contents, independent of the delivery-array bookkeeping."""
-    rows = retrievable_rows(scheme, caches, user)
-    sources = scheme.user_delivery.id_positions.values()
-    return frozenset(
-        s for s, cells in enumerate(sources) if all(j in rows for j, _ in cells)
-    )
+    return caches.grid[:, scheme.user_node_indices(user)].any(axis=1)
 
 
 def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
@@ -514,8 +482,8 @@ def _read(fh, size: int) -> bytes:
 
 
 def read_transcript(path) -> TransmissionPlan:
-    """Inverse of :func:`write_transcript`.  Sources are not stored:
-    :func:`decode` reads the message cells from the scheme's decode plan."""
+    """Inverse of :func:`write_transcript`.  Message cells are not stored:
+    :func:`decode` reads them from the scheme's decode plan."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInputError("not a transcript file")
@@ -539,4 +507,4 @@ def read_transcript(path) -> TransmissionPlan:
         symbols = np.array(symbols, dtype=np.uint16) if symbols else np.zeros((0, 0), np.uint16)
     mode = "plain" if mode_flag == 0 else "mds"
     reduced = num_messages - len(symbols) if mode == "mds" else 0
-    return TransmissionPlan(mode, demands, num_messages, (), symbols, coeff, reduced)
+    return TransmissionPlan(mode, demands, num_messages, symbols, coeff, reduced)

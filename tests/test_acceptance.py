@@ -11,6 +11,7 @@ import pathlib
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from macc.designs import (
@@ -79,8 +80,9 @@ def test_criterion_1_mn_reproduction():
         scheme = SharedLinkScheme(mn_pda(4, 2))
         lib = make_library(4, 6, 16, seed=1)
         plan = deliver_plain(scheme, lib, (1, 2, 3, 4))
+        messages = list(scheme.user_delivery.id_positions.values())
         packet_sets = [
-            {(plan.demands[k], j + 1) for j, k in cells} for cells in plan.sources
+            {(plan.demands[k], j + 1) for j, k in cells} for cells in messages
         ]
         assert packet_sets == [
             {(1, 4), (2, 2), (3, 1)},
@@ -88,6 +90,11 @@ def test_criterion_1_mn_reproduction():
             {(1, 6), (3, 3), (4, 2)},
             {(2, 6), (3, 5), (4, 4)},
         ]
+        # each multicast is the XOR of the demanded packets at its cells
+        assert len(plan.symbols) == len(messages)
+        for symbol, cells in zip(plan.symbols, messages):
+            packets = [lib.data[plan.demands[k] - 1, j] for j, k in cells]
+            assert np.array_equal(symbol, np.bitwise_xor.reduce(packets))
         report = measure_worst_case(scheme, lib)
         assert report.all_ok
         assert report.measured_load == Fraction(2, 3)
@@ -230,8 +237,6 @@ def _gdd_instances():
 
 
 def test_criterion_6_property_grid():
-    import numpy as np
-
     from macc.scheme_design import DesignCachingScheme
 
     with _Budget("6 property grid", 60.0):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from macc.cli import main
 from macc.serialize import load_object
@@ -214,6 +217,20 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("build, key, value", [
+        (("design", "--catalog", "fano-7-3-1"), "t", "2"),
+        (("oa", "--trivial", "3,2"), "lambda", "x"),
+    ], ids=["design-t-string", "oa-lambda-string"])
+    def test_non_integer_tag_is_parse_error(self, capsys, tmp_path, build, key, value):
+        path = tmp_path / "obj.json"
+        run(capsys, *build, "--out", str(path))
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and f"'{key}'" in err
+
 
 class TestSimulateCommand:
     def test_end_to_end(self, capsys, tmp_path):
@@ -271,6 +288,21 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 1
         assert out == "" and field in err and err.startswith("error:")
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda obj: obj.update(params="x"), "'params'"),
+        (lambda obj: obj["params"].update(cached_nodes="1"), "'cached_nodes'"),
+    ], ids=["params-string", "cached-nodes-string"])
+    def test_malformed_bundle_params_is_parse_error(self, capsys, tmp_path, edit, names):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        edit(obj)
+        bundle.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 3
+        assert err.startswith("parse error:") and names in err
 
     def test_design_file_is_not_a_bundle(self, capsys, tmp_path):
         path = tmp_path / "fano.json"
@@ -349,3 +381,55 @@ class TestThinAdapter:
             "--out", str(path))
         expected = dump_json(scheme_to_obj(build_scheme(catalog_design("affine-9-3-1"), 2)))
         assert path.read_text().strip() == expected.strip()
+
+
+@pytest.fixture(scope="module")
+def fano_files(tmp_path_factory):
+    """A work directory, a fano mu=1 scheme bundle and the fano design file,
+    the last two as parsed JSON."""
+    work = tmp_path_factory.mktemp("fano")
+    bundle, design = work / "bundle.json", work / "design.json"
+    assert main(["scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+                 "--out", str(bundle)]) == 0
+    assert main(["design", "--catalog", "fano-7-3-1", "--out", str(design)]) == 0
+    return work, json.loads(bundle.read_text()), json.loads(design.read_text())
+
+
+# The fields `simulate` reads from a bundle and `verify` from a design file,
+# each with its JSON type; and a value strategy for every JSON type.
+_READ_FIELDS = [
+    ("bundle", ("params", "kind"), str),
+    ("bundle", ("params", "cached_nodes"), int),
+    ("bundle", ("params", "files"), int),
+    ("bundle", ("design", "t"), int),
+    ("bundle", ("design", "lambda"), int),
+    ("design", ("t",), int),
+    ("design", ("lambda",), int),
+]
+_VALUES = {
+    str: st.text(max_size=4),
+    int: st.integers(-3, 30),
+    list: st.lists(st.integers(0, 3), max_size=3),
+    type(None): st.none(),
+    bool: st.booleans(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@given(st.data())
+def test_wrong_field_type_exits_with_a_code(fano_files, data):
+    work, bundle, design = fano_files
+    which, path, own = data.draw(st.sampled_from(_READ_FIELDS))
+    wrong = data.draw(st.sampled_from([t for t in _VALUES if t is not own]))
+    obj = json.loads(json.dumps(bundle if which == "bundle" else design))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_VALUES[wrong])
+    target = work / f"{which}-mutated.json"
+    target.write_text(json.dumps(obj))
+    argv = (["simulate", "--scheme", str(target), "--packet-bytes", "8"]
+            if which == "bundle" else ["verify", str(target)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {1, 2, 3}

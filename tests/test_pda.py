@@ -30,6 +30,16 @@ REFERENCE_6x4 = (
 )
 
 
+def canonical_index(pda) -> dict:
+    """id -> dense integer 1..S, in canonical order."""
+    return {i: n for n, i in enumerate(pda.ids, start=1)}
+
+
+def to_canonical(pda) -> Pda:
+    """The PDA with every id replaced by its canonical integer."""
+    return Pda(pda.relabel([*range(1, pda.num_ids + 1), S]))
+
+
 class TestMnPda:
     def test_reference_array(self):
         assert mn_pda(4, 2).cells == REFERENCE_6x4
@@ -175,12 +185,12 @@ class TestGrid:
         canon = {i: n for n, i in enumerate(ids, start=1)}
         assert p.cells == tuple(tuple(row) for row in cells)
         assert p.ids == ids
-        assert p.canonical_index == canon
+        assert canonical_index(p) == canon
         assert p.id_positions == {
             i: tuple((j, k) for j, row in enumerate(cells) for k, c in enumerate(row) if c == i)
             for i in ids
         }
-        assert p.to_canonical().cells == tuple(
+        assert to_canonical(p).cells == tuple(
             tuple(S if c is S else canon[c] for c in row) for row in cells
         )
         assert p.grid.tolist() == [[-1 if c is S else canon[c] - 1 for c in row] for row in cells]
@@ -210,8 +220,8 @@ class TestStats:
 class TestCanonicalIds:
     def test_first_occurrence_order(self):
         p = Pda(((SubsetId((2, 3)), S), (S, SubsetId((1, 2)))))
-        assert p.canonical_index == {SubsetId((2, 3)): 1, SubsetId((1, 2)): 2}
-        assert p.to_canonical().cells == ((1, S), (S, 2))
+        assert canonical_index(p) == {SubsetId((2, 3)): 1, SubsetId((1, 2)): 2}
+        assert to_canonical(p).cells == ((1, S), (S, 2))
 
     def test_structured_id_display(self):
         assert str(SubsetId((1, 2, 3))) == "123"
@@ -222,7 +232,7 @@ class TestCanonicalIds:
 
     def test_mn_canonical_is_identity(self):
         p = mn_pda(5, 2)
-        assert p.to_canonical().cells == p.cells
+        assert to_canonical(p).cells == p.cells
 
 
 class TestSubsetRank:

@@ -26,11 +26,38 @@ from macc.simulate import (
     place,
     random_demands,
     read_transcript,
-    reconstructible_messages,
     run_demand_trials,
     run_simulation,
     write_transcript,
 )
+
+
+def held_rows(caches, node: int) -> set:
+    """0-based packet rows the placed caches keep at ``node``."""
+    return set(np.flatnonzero(caches.grid[:, node]).tolist())
+
+
+def reconstructible_messages(scheme, caches, user: int) -> frozenset:
+    """Message indices (0-based) the user can rebuild purely from its cache:
+    every row of the message's cells is held by one of its nodes.  Read from
+    the placed caches and the delivery array's cells, independent of the
+    retrieve grid and of the decode plan."""
+    rows = set().union(*(held_rows(caches, g) for g in scheme.user_node_indices(user)))
+    cells = scheme.user_delivery.id_positions.values()
+    return frozenset(s for s, msg in enumerate(cells) if all(j in rows for j, _ in msg))
+
+
+def assert_plain_symbols(scheme, lib, plan) -> list:
+    """Check that plain symbol s is the XOR of the demanded packets at the
+    cells of message s; return those cells, per message."""
+    cells = list(scheme.user_delivery.id_positions.values())
+    assert plan.num_messages == len(plan.symbols) == len(cells)
+    for sym, msg in zip(plan.symbols, cells):
+        want = np.zeros_like(sym)
+        for j, k in msg:
+            want ^= lib.data[plan.demands[k] - 1, j]
+        assert np.array_equal(sym, want)
+    return cells
 
 
 @pytest.fixture
@@ -69,27 +96,33 @@ class TestPlacement:
     def test_mn_caches_match_columns(self, mn_scheme):
         lib = make_library(4, 6, 8)
         caches = place(lib, mn_scheme)
-        assert caches.node_rows[0] == frozenset({0, 1, 2})
-        assert caches.node_rows[1] == frozenset({0, 3, 4})
-        assert caches.node_rows[2] == frozenset({1, 3, 5})
-        assert caches.node_rows[3] == frozenset({2, 4, 5})
+        assert held_rows(caches, 0) == {0, 1, 2}
+        assert held_rows(caches, 1) == {0, 3, 4}
+        assert held_rows(caches, 2) == {1, 3, 5}
+        assert held_rows(caches, 3) == {2, 4, 5}
+
+    def test_grid_is_a_read_only_copy(self, fano):
+        caches = place(make_library(7, 21, 8), fano)
+        assert np.array_equal(caches.grid, fano.node_placement)
+        assert caches.grid is not fano.node_placement
+        assert not caches.grid.flags.writeable
 
     def test_fano_node_one_holds_its_subsets(self, fano):
         lib = make_library(7, 21, 8)
         caches = place(lib, fano)
         # rows (D={1}, T) for the three T choices: indices 0, 7, 14
-        assert caches.node_rows[0] == frozenset({0, 7, 14})
+        assert held_rows(caches, 0) == {0, 7, 14}
 
     def test_gdd_node_rows(self, gdd_scheme):
         lib = make_library(12, 4, 8)
         caches = place(lib, gdd_scheme)
-        assert caches.node_rows[0] == frozenset({0, 2})  # node (1,1): rows 1 and 3
+        assert held_rows(caches, 0) == {0, 2}  # node (1,1): rows 1 and 3
 
     def test_zero_cache(self):
         scheme = build_scheme(catalog_design("fano-7-3-1"), 0)
         lib = make_library(7, scheme.subpacketization, 8)
         caches = place(lib, scheme)
-        assert all(not rows for rows in caches.node_rows)
+        assert not caches.grid.any()
 
     def test_byte_budget(self, fano):
         lib = make_library(7, 21, 64)
@@ -97,7 +130,8 @@ class TestPlacement:
         mu = Fraction(1, 7)
         per_file = 21 * 64
         for g in range(7):
-            assert caches.cached_bytes(g) == mu * 7 * per_file
+            held = len(held_rows(caches, g)) * lib.num_files * lib.packet_bytes
+            assert held == mu * 7 * per_file
 
     def test_size_mismatch(self, fano):
         with pytest.raises(InvalidInputError):
@@ -110,7 +144,7 @@ class TestPlainDelivery:
         plan = deliver_plain(mn_scheme, lib, (1, 2, 3, 4))
         got = [
             sorted((plan.demands[k], j + 1) for j, k in cells)
-            for cells in plan.sources
+            for cells in assert_plain_symbols(mn_scheme, lib, plan)
         ]
         assert got == [
             [(1, 4), (2, 2), (3, 1)],
@@ -123,7 +157,8 @@ class TestPlainDelivery:
         lib = make_library(7, 21, 8)
         a = deliver_plain(fano, lib, tuple(range(1, 8)))
         b = deliver_plain(fano, lib, (3,) * 7)
-        assert a.sources == b.sources
+        # both plans are XORs over the same message cells
+        assert assert_plain_symbols(fano, lib, a) == assert_plain_symbols(fano, lib, b)
         assert a.symbols_sent == b.symbols_sent == 28
 
     def test_unicast_pda(self):
@@ -131,7 +166,7 @@ class TestPlainDelivery:
         lib = make_library(3, 1, 8)
         plan = deliver_plain(scheme, lib, (1, 2, 3))
         assert plan.symbols_sent == 3
-        assert all(len(cells) == 1 for cells in plan.sources)
+        assert all(len(cells) == 1 for cells in assert_plain_symbols(scheme, lib, plan))
 
     def test_bad_demands(self, fano):
         lib = make_library(7, 21, 8)
