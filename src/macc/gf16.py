@@ -4,11 +4,11 @@ Log/antilog tables drive multiplication; addition is XOR.  The tables carry
 a zero sentinel: ``LOG[0] = 2*ORDER`` and every ``EXP`` entry from ``2*ORDER``
 up (``4*ORDER`` inclusive) is 0, so ``EXP[LOG[a] + LOG[b]]`` is ``a*b`` for
 every pair of elements, zero included, without a mask.  Payloads are vectors
-of 16-bit words and the bulk kernels (``scale``, ``matvec``, ``solve``,
-``cauchy_matrix``) are whole-array gathers over numpy uint16 arrays.  Cauchy
-matrices supply the erasure-coding coefficients: every square submatrix of
-a Cauchy matrix is invertible, which is exactly the solvability guarantee
-the coded delivery needs.
+of 16-bit words and the bulk kernels (``matvec``, ``solve``, ``cauchy_matrix``)
+are whole-array gathers over numpy uint16 arrays.  Cauchy matrices supply the
+erasure-coding coefficients: every square submatrix of a Cauchy matrix is
+invertible, the solvability guarantee the coded delivery needs, and has a
+closed-form inverse, which ``solve`` uses.
 """
 
 from __future__ import annotations
@@ -49,23 +49,6 @@ def _build_tables():
 EXP, LOG, PRIMITIVE_POLY = _build_tables()
 
 
-def mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(EXP[LOG[a] + LOG[b]])
-
-
-def inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("no inverse of 0 in GF(2^16)")
-    return int(EXP[ORDER - LOG[a]])
-
-
-def scale(scalar: int, words: np.ndarray) -> np.ndarray:
-    """scalar * words, elementwise over GF(2^16)."""
-    return EXP[LOG[scalar] + LOG[words]]
-
-
 def cauchy_matrix(num_rows: int, num_cols: int) -> np.ndarray:
     """C[i, j] = 1 / (x_i ^ y_j) with all x_i, y_j distinct field elements."""
     if num_rows + num_cols > FIELD_SIZE:
@@ -78,34 +61,48 @@ def cauchy_matrix(num_rows: int, num_cols: int) -> np.ndarray:
     return EXP[ORDER - LOG[i ^ (num_rows + j)]]
 
 
-def matvec(matrix: np.ndarray, payloads: np.ndarray) -> np.ndarray:
-    """Matrix (n x k) times k payload rows, each a uint16 word vector.
+# Words of the block x k x w product that ``matvec`` gathers at once.
+_BLOCK_WORDS = 1 << 14
 
-    One output row at a time, so the temporaries stay k x words."""
-    logs = LOG[payloads]
-    out = np.empty((matrix.shape[0], payloads.shape[1]), dtype=np.uint16)
-    for i, row in enumerate(LOG[matrix]):
-        out[i] = np.bitwise_xor.reduce(EXP[row[:, None] + logs], axis=0)
+
+def matvec(matrix: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+    """Matrix (n x k) times k payload rows, each a uint16 word vector, a block
+    of about ``_BLOCK_WORDS`` products of output rows at a time."""
+    k, w = payloads.shape
+    logs = LOG[payloads][None]
+    rows = LOG[matrix][:, :, None]
+    out = np.empty((matrix.shape[0], w), dtype=np.uint16)
+    step = max(1, _BLOCK_WORDS // max(1, k * w))
+    for i in range(0, len(out), step):  # take: indexing would cast int32 to intp
+        np.bitwise_xor.reduce(np.take(EXP, rows[i:i + step] + logs), axis=1, out=out[i:i + step])
     return out
 
 
-def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A X = B over GF(2^16); A is square n x n, B holds n payload rows.
+def _log_prod_others(v: np.ndarray) -> np.ndarray:
+    """Per entry i, the log of the product of (v_i ^ v_k) over k != i."""
+    logs = LOG[v[:, None] ^ v[None, :]]
+    np.fill_diagonal(logs, 0)
+    if (logs == 2 * ORDER).any():
+        raise ConfigurationError("singular coefficient matrix")
+    return logs.sum(axis=1, dtype=np.int64)
 
-    Gauss-Jordan on the augmented [A | B]: each pivot column is cleared from
-    every other row by one outer-product gather."""
-    n = matrix.shape[0]
-    aug = np.concatenate((matrix, rhs), axis=1).astype(np.uint16, copy=False)
-    for col in range(n):
-        nonzero = np.flatnonzero(aug[col:, col])
-        if not len(nonzero):
-            raise ConfigurationError("singular coefficient matrix")
-        pivot = col + int(nonzero[0])
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = scale(inv(int(aug[col, col])), aug[col])
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        # Columns left of col are already zero in the pivot row.
-        aug[:, col:] ^= EXP[LOG[factors][:, None] + LOG[aug[col, col:]][None, :]]
-    return aug[:, n:]
+
+def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A X = B over GF(2^16); A is n x n Cauchy, B holds n payload rows.
+
+    A[i, j] = 1 / (x_i ^ y_j) has the closed-form inverse (Schechter 1959)
+    diag(b) A^T diag(a), a_j = prod_k (x_j ^ y_k) / prod_{k!=j} (x_j ^ x_k),
+    b_i = prod_k (x_k ^ y_i) / prod_{k!=i} (y_i ^ y_k).  With D = 1 / A,
+    x = D[:, 0] and y = D[0] ^ D[0, 0]: both shifted by y_0, which cancels."""
+    if not len(matrix):
+        return np.zeros(rhs.shape, dtype=np.uint16)
+    log_d = ORDER - LOG[matrix]  # negative where A is 0; those raise below
+    d = EXP[log_d]
+    x, y = d[:, 0], d[0] ^ d[0, 0]
+    if not matrix.all() or not np.array_equal(d, x[:, None] ^ y[None, :]):
+        raise ConfigurationError("not a Cauchy matrix")
+    # One row scale, one matvec, one more row scale; log sums in int64.
+    log_a = (log_d.sum(axis=1, dtype=np.int64) - _log_prod_others(x)) % ORDER
+    log_b = (log_d.sum(axis=0, dtype=np.int64) - _log_prod_others(y)) % ORDER
+    inner = matvec(matrix.T, EXP[log_a[:, None] + LOG[rhs]])
+    return EXP[log_b[:, None] + LOG[inner]]

@@ -55,10 +55,6 @@ class GddSchemeParams:
             raise InvalidParametersError("need at least one file")
 
     @property
-    def num_nodes(self) -> int:
-        return self.num_groups * self.group_size
-
-    @property
     def num_users(self) -> int:
         return (
             math.comb(self.num_groups, self.strength)

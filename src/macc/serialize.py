@@ -124,9 +124,11 @@ def pda_to_obj(pda: Pda) -> dict:
 
 
 def pda_from_obj(obj: dict) -> Pda:
-    _require(obj, "pda", F=object, K=object, cells=list)
+    _require(obj, "pda", F=int, K=int, cells=list)
     cells = []
     for j, row in enumerate(obj["cells"], start=1):
+        if not isinstance(row, list) or len(row) != obj["K"]:
+            raise InvalidInputError(f"pda cells[{j - 1}] is not a list of {obj['K']} entries")
         for k, c in enumerate(row, start=1):
             if c != "*" and not _is_int(c):
                 raise InvalidInputError(

@@ -321,7 +321,12 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
             )
         use = range(len(unknown))
         rhs = plan.symbols[use] ^ gf16.matvec(plan.coeff[np.ix_(use, known)], messages[known])
-        messages[unknown] = gf16.solve(plan.coeff[np.ix_(use, unknown)], rhs)
+        try:
+            messages[unknown] = gf16.solve(plan.coeff[np.ix_(use, unknown)], rhs)
+        except ConfigurationError as err:
+            raise DecodeFailureError(
+                user, None, f"coefficient submatrix is not Cauchy or is singular ({err})"
+            ) from None
     return messages
 
 

@@ -201,6 +201,21 @@ class TestVerifyCommand:
         assert code == 3
         assert err.startswith("parse error:") and "(3, 2)" in err
 
+    @pytest.mark.parametrize("command, obj, names", [
+        ("scheme", {"type": "pda", "F": 1, "K": 1, "cells": [5]}, "cells[0]"),
+        ("verify", {"type": "pda", "F": 2, "K": 2, "cells": [[1, "*"], [1]]}, "cells[1]"),
+        ("verify", {"type": "pda", "F": "1", "K": 1, "cells": [[1]]}, "'F'"),
+        ("verify", {"type": "pda", "F": 1, "K": 1.0, "cells": [[1]]}, "'K'"),
+    ], ids=["row-not-list", "ragged-rows", "F-string", "K-float"])
+    def test_malformed_pda_shape_is_parse_error(self, capsys, tmp_path, command, obj, names):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        argv = (("scheme", "--design", f"@{path}", "--mu-gamma", "1")
+                if command == "scheme" else ("verify", str(path)))
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("parse error:") and names in err
+
     def test_file_is_parsed_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "fano.json"
         run(capsys, "design", "--catalog", "fano-7-3-1", "--out", str(path))

@@ -396,6 +396,19 @@ class TestTranscript:
         for k in range(scheme.num_users):
             assert decode(scheme, k, back, caches) == lib.file_bytes(k + 1)
 
+    def test_changed_coefficient_names_the_user(self, tmp_path):
+        scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
+        lib = make_library(scheme.num_users, scheme.subpacketization, 16, seed=2)
+        path = tmp_path / "t.bin"
+        write_transcript(deliver_mds(scheme, lib, distinct_demands(scheme, lib)), path)
+        back = read_transcript(path)
+        k = 5
+        column = int(np.flatnonzero(~scheme.decode_plan.known[k])[0])
+        back.coeff[0, column] ^= 1
+        with pytest.raises(DecodeFailureError, match="not Cauchy or is singular") as info:
+            decode(scheme, k, back, place(lib, scheme))
+        assert info.value.user == k and str(info.value).startswith(f"user {k} ")
+
     def test_truncated_file_is_invalid_input(self, tmp_path):
         scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
         lib = make_library(7, scheme.subpacketization, 16)
