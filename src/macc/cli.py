@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,7 +93,11 @@ def _resolve_oa(kind: str, m: int, q: int, s: int):
         return designs.catalog_oa(kind.split(":", 1)[1])
     if kind == "linear":
         return designs.linear_oa(m, q, s)
-    # "trivial"/"auto": the standard source for these parameters.
+    if kind not in ("trivial", "auto"):
+        raise InvalidParametersError(
+            f"--oa {kind!r} is not trivial, linear, auto or catalog:NAME"
+        )
+    # The standard source for these parameters.
     if s == m:
         return designs.trivial_oa(m, q)
     if m <= q and designs._is_prime(q):
@@ -273,7 +278,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at first use."""
     parser = argparse.ArgumentParser(
         prog="macc",
         description="Multiaccess coded caching toolkit: build access topologies, "

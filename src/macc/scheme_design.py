@@ -139,21 +139,21 @@ def _mask_points(words, size: int) -> list:
     return (np.nonzero(bits.reshape(len(words), -1))[1].reshape(-1, size) + 1).tolist()
 
 
-def _d_meets_block(design: Design, cached_nodes: int) -> tuple:
-    """The masks of the D subsets in lexicographic order, and the D x users
-    boolean grid that says whether block B meets D."""
-    d_masks = _point_masks(
+def _subset_masks(design: Design, cached_nodes: int) -> np.ndarray:
+    """The masks of the D subsets, in lexicographic order."""
+    return _point_masks(
         list(itertools.combinations(range(1, design.num_points + 1), cached_nodes)),
         design.num_points,
     )
-    b_masks = _point_masks(design.blocks, design.num_points)
-    return d_masks, ((d_masks[:, None, :] & b_masks[None, :, :]) != 0).any(axis=2)
 
 
 def build_user_retrieve(design: Design, cached_nodes: int) -> np.ndarray:
-    """F x users boolean grid; row (D, T) stars user B iff B meets D."""
+    """F x users boolean grid U; row (D, T) stars user B iff B meets D.
+    These are the stars of the delivery array."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    _, meets = _d_meets_block(design, cached_nodes)
+    d_masks = _subset_masks(design, cached_nodes)
+    b_masks = _point_masks(design.blocks, design.num_points)
+    meets = ((d_masks[:, None, :] & b_masks[None, :, :]) != 0).any(axis=2)
     return np.tile(meets, (math.comb(params.access_degree, params.strength), 1))
 
 
@@ -180,13 +180,13 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     params = DesignSchemeParams.from_design(design, cached_nodes)
     if params.index == 1:
         _check_unique_t_subsets(design, params.strength)
-    d_masks, meets = _d_meets_block(design, cached_nodes)
+    d_masks = _subset_masks(design, cached_nodes)
     blocks = np.array(design.blocks)
     t_masks = np.stack([
         _point_masks(blocks[:, list(tt)], design.num_points)
         for tt in itertools.combinations(range(design.block_size), params.strength)
     ])
-    stars = np.tile(meets, (len(t_masks), 1))
+    stars = build_user_retrieve(design, cached_nodes)
     rows, cols = np.nonzero(~stars)
     t_of, d_of = np.divmod(rows, len(d_masks))
     unions = d_masks[d_of] | t_masks[t_of, cols]
@@ -219,7 +219,6 @@ class DesignCachingScheme(ArrayScheme):
     design: Design
     row_labels: tuple
     node_placement: np.ndarray
-    user_retrieve: np.ndarray
     user_delivery: Pda
 
     @property
@@ -253,7 +252,6 @@ def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = N
         design=design,
         row_labels=row_labels(params),
         node_placement=build_node_placement(params),
-        user_retrieve=build_user_retrieve(design, cached_nodes),
         user_delivery=build_user_delivery(design, cached_nodes),
     )
 

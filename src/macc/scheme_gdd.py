@@ -132,54 +132,49 @@ def build_gdd_node_placement(oa: OrthogonalArray, access_degree: int, strength: 
     return grid
 
 
-def _oa_misses(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> tuple:
-    """The OA rows, the 0-based groups and the values of the blocks (K x L
-    each), and the rows x users boolean grid that says whether OA row j
-    disagrees with block B on all of the block's L coordinates."""
-    rows = np.array(oa.rows)
+def _block_coordinates(gdd: GroupDivisibleDesign) -> tuple:
+    """The 0-based groups and the values of the blocks, K x L each."""
     groups = np.array([gdd.block_groups(k) for k in range(gdd.num_blocks)]) - 1
     values = np.array([gdd.block_values(k) for k in range(gdd.num_blocks)])
-    return rows, groups, values, (rows[:, groups] != values).all(axis=2)
+    return groups, values
 
 
 def build_gdd_user_retrieve(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> np.ndarray:
-    """F x users boolean grid; user B retrieves row j unless the row misses
-    B on every one of its L coordinates."""
+    """F x users boolean grid U; user B retrieves row j unless the row
+    misses B on every one of its L coordinates.  These are the stars of the
+    delivery array."""
     _check_frame(gdd, oa)
     if gdd.strength is None:
         raise InvalidInputError("GDD carries no strength tag")
-    *_, misses = _oa_misses(gdd, oa)
+    groups, values = _block_coordinates(gdd)
+    misses = (np.array(oa.rows)[:, groups] != values).all(axis=2)
     return np.tile(~misses, (math.comb(gdd.block_size, gdd.strength), 1))
 
 
-def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
-                            strength: Optional[int] = None) -> Pda:
+def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> Pda:
     """Delivery array for an index-1 GDD: each missed cell gets the vector id
     (e, n_e) described in the module docstring."""
-    _check_frame(gdd, oa)
-    t = strength if strength is not None else gdd.strength
-    if t is None:
-        raise InvalidInputError("pass the strength or use a tagged GDD")
+    stars = build_gdd_user_retrieve(gdd, oa)
     if gdd.index not in (None, 1):
         raise UnsupportedParametersError(
             "delivery construction requires a GDD of index 1"
         )
-    oa_rows, groups, values, misses = _oa_misses(gdd, oa)
+    t = gdd.strength
+    groups, values = _block_coordinates(gdd)
     positions = np.array(
         list(itertools.combinations(range(gdd.block_size), t)), dtype=np.int64,
     ).reshape(-1, t)
-    missed = np.tile(misses, (len(positions), 1))
-    rows, cols = np.nonzero(missed)
+    rows, cols = np.nonzero(~stars)
     t_of, j = np.divmod(rows, oa.num_rows)
     # e: OA row j, overwritten with the block's values on its T-selected groups.
-    vectors = oa_rows[j]
+    vectors = np.array(oa.rows)[j]
     picked = (cols[:, None], positions[t_of])
     vectors[np.arange(len(vectors))[:, None], groups[picked]] = values[picked]
     vector = row_keys(vectors)
     # Copies count each vector down its column: the missed cells are listed
     # row by row, so within a column they run top to bottom.
     copy = occurrences(row_keys(np.column_stack([vector, cols])))
-    keys = np.full(missed.shape, -1, dtype=np.int64)
+    keys = np.full(stars.shape, -1, dtype=np.int64)
     keys[rows, cols] = row_keys(np.column_stack([vector, copy]))
 
     def label(first):
@@ -195,7 +190,6 @@ class GddCachingScheme(ArrayScheme):
     oa: OrthogonalArray
     row_labels: tuple
     node_placement: np.ndarray
-    user_retrieve: np.ndarray
     user_delivery: Pda
 
     @property
@@ -227,8 +221,7 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
         oa=oa,
         row_labels=gdd_row_labels(oa, gdd.block_size, params.strength),
         node_placement=build_gdd_node_placement(oa, gdd.block_size, params.strength),
-        user_retrieve=build_gdd_user_retrieve(gdd, oa),
-        user_delivery=build_gdd_user_delivery(gdd, oa, params.strength),
+        user_delivery=build_gdd_user_delivery(gdd, oa),
     )
 
 

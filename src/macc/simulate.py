@@ -9,6 +9,7 @@ the scheme's per-user count of messages reconstructible from cache alone.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +60,19 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
 
 
 class ArrayScheme:
-    """What every scheme reads off its three arrays (``node_placement``,
-    ``user_retrieve``, ``user_delivery``), and its decode plan."""
+    """What every scheme reads off its arrays (``node_placement`` and
+    ``user_delivery``), and its decode plan."""
+
+    @property
+    def user_retrieve(self) -> np.ndarray:
+        """U, read-only: user k retrieves row j where Q stars it."""
+        return self._stars
+
+    @cached_property
+    def _stars(self) -> np.ndarray:
+        stars = self.user_delivery.grid < 0
+        stars.flags.writeable = False
+        return stars
 
     @property
     def num_users(self) -> int:
@@ -76,7 +88,7 @@ class ArrayScheme:
 
     @cached_property
     def decode_plan(self) -> "DecodePlan":
-        return DecodePlan(self.user_delivery.grid, self.user_retrieve)
+        return DecodePlan(self.user_delivery.grid)
 
 
 class SharedLinkScheme(ArrayScheme):
@@ -85,7 +97,7 @@ class SharedLinkScheme(ArrayScheme):
 
     def __init__(self, pda):
         self.user_delivery = pda
-        self.node_placement = self.user_retrieve = pda.grid < 0
+        self.node_placement = self.user_retrieve
         self.guaranteed_known = 0
         self.user_blocks = tuple((k + 1,) for k in range(pda.num_cols))
 
@@ -113,23 +125,23 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
 
 class DecodePlan:
     """Demand-independent delivery and decode structure of one scheme,
-    compiled from its delivery grid and user-retrieve grid.
+    compiled from its delivery grid alone: a star is a row the user
+    retrieves from its nodes.
 
     ``rows``/``cols``/``ptr`` list the cells of each message (canonical id
     order; see :func:`macc.pda.id_cells`).
     """
 
-    def __init__(self, grid: np.ndarray, retrieve: np.ndarray):
+    def __init__(self, grid: np.ndarray):
         self.grid = grid
-        self.retrieve = retrieve
         self.rows, self.cols, self.ptr = id_cells(grid)
 
     @cached_property
     def known(self) -> np.ndarray:
         """users x S bitmap: user k rebuilds message s from cache alone when
-        the retrieve grid stars k in every row of the message's cells."""
+        the grid stars k in every row of the message's cells."""
         known = np.zeros((self.grid.shape[1], len(self.ptr) - 1), dtype=bool)
-        for k, starred in enumerate(self.retrieve.T):
+        for k, starred in enumerate((self.grid < 0).T):
             known[k] = np.logical_and.reduceat(starred[self.rows], self.ptr[:-1])
         return known
 
@@ -155,15 +167,12 @@ class DecodePlan:
             raise DecodeFailureError(user, s + 1, f"packet row {self.rows[pos[p]]} not cached")
 
     def side_cells(self, user: int, cached: np.ndarray) -> tuple:
-        """What the user peels: the rows the retrieve grid leaves it to
-        fetch, the message carrying each, and the other cells of those
-        messages (the side packets, all cached) as positions with segment
-        offsets."""
-        needed = np.flatnonzero(~self.retrieve[:, user])
-        msgs = self.grid[needed, user]
-        if len(msgs) and msgs.min() < 0:
-            j = int(needed[np.argmin(msgs)])
-            raise DecodeFailureError(user, None, f"row {j} neither cached nor delivered")
+        """What the user peels: the rows its column does not star, the
+        message carrying each, and the other cells of those messages (the
+        side packets, all cached) as positions with segment offsets."""
+        column = self.grid[:, user]
+        needed = np.flatnonzero(column >= 0)
+        msgs = column[needed]
         pos, seg = _segments(self.ptr, msgs)
         own = np.repeat(needed, np.diff(seg))
         side = pos[(self.cols[pos] != user) | (self.rows[pos] != own)]
@@ -232,18 +241,21 @@ class TransmissionPlan:
     num_messages: int         # S
     symbols: np.ndarray       # (count, words) uint16
     coeff: Optional[np.ndarray]
-    reduced_by: int
 
     @property
     def symbols_sent(self) -> int:
         return len(self.symbols)
+
+    @property
+    def reduced_by(self) -> int:
+        return self.num_messages - self.symbols_sent
 
 
 def deliver_plain(scheme, library: Library, demands) -> TransmissionPlan:
     """One XOR multicast per delivery-array id, in canonical id order."""
     demands = validate_demands(scheme, library, demands)
     payloads = scheme.decode_plan.payloads(library.data, demands)
-    return TransmissionPlan("plain", demands, scheme.counted_messages, payloads, None, 0)
+    return TransmissionPlan("plain", demands, scheme.counted_messages, payloads, None)
 
 
 def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
@@ -281,7 +293,7 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
     else:
         coeff = gf16.cauchy_matrix(num_out, s)
         symbols = gf16.matvec(coeff, payloads)
-    return TransmissionPlan("mds", demands, s, symbols, coeff, reduced)
+    return TransmissionPlan("mds", demands, s, symbols, coeff)
 
 
 def _user_index(scheme, user) -> int:
@@ -292,6 +304,31 @@ def _user_index(scheme, user) -> int:
         return scheme.user_blocks.index(block)
     except ValueError:
         raise InvalidInputError(f"no user with block {block}") from None
+
+
+def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> None:
+    """Raise unless the plan's demands, message count, symbols and
+    coefficients fit the scheme and the library."""
+    demands = np.asarray(plan.demands)
+    if len(demands) != scheme.num_users:
+        raise InvalidInputError(
+            f"plan demands has {len(demands)} entries for {scheme.num_users} users"
+        )
+    if len(demands) and not 1 <= demands.min() <= demands.max() <= library.num_files:
+        raise InvalidInputError(f"plan demands name a file outside 1..{library.num_files}")
+    s = scheme.counted_messages
+    if plan.num_messages != s:
+        raise InvalidInputError(f"plan num_messages is {plan.num_messages}, the scheme has {s}")
+    count, words = plan.symbols_sent, library.data.shape[2]
+    if count > s or (plan.mode == "plain" and count < s):
+        raise InvalidInputError(f"plan symbols has {count} for {s} {plan.mode} messages")
+    if count and plan.symbols.shape[1] != words:
+        raise InvalidInputError(
+            f"plan symbols are {plan.symbols.shape[1]} words wide, packets {words}"
+        )
+    coeff = getattr(plan.coeff, "shape", None)
+    if plan.mode == "mds" and count and coeff != (count, s):
+        raise InvalidInputError(f"plan coeff has shape {coeff}, not {(count, s)}")
 
 
 def _cached_mask(scheme, caches: NodeCaches, user: int) -> np.ndarray:
@@ -332,17 +369,18 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
 
 def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
     """Reconstruct the user's demanded file, byte-exact, from its reachable
-    caches plus the transmission.  The scheme's decode plan says which rows
-    to read from cache; every row read is checked against the placed
-    caches."""
+    caches plus the transmission, which must fit the scheme and the library.
+    The scheme's decode plan says which rows to read from cache; every row
+    read is checked against the placed caches."""
     k = _user_index(scheme, user)
+    _check_plan(scheme, caches.library, plan)
     data = caches.library.data
     dplan = scheme.decode_plan
     cached = _cached_mask(scheme, caches, k)
     messages = _all_messages(dplan, plan, data, k, cached)
     cells = dplan.side_cells(k, cached)
     needed = cells[0]
-    own = np.flatnonzero(dplan.retrieve[:, k])
+    own = np.flatnonzero(dplan.grid[:, k] < 0)
     if not cached[own].all():
         j = int(own[np.argmin(cached[own])])
         raise DecodeFailureError(k, None, f"row {j} not cached")
@@ -477,13 +515,14 @@ def write_transcript(plan: TransmissionPlan, path) -> None:
 
 
 def _read(fh, size: int) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
+    # Checked before reading, so a corrupt length allocates nothing.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
         raise InvalidInputError(
             f"truncated transcript: {size} bytes expected at offset "
-            f"{fh.tell() - len(raw)}, {len(raw)} left"
+            f"{fh.tell()}, {left} left"
         )
-    return raw
+    return fh.read(size)
 
 
 def read_transcript(path) -> TransmissionPlan:
@@ -511,5 +550,4 @@ def read_transcript(path) -> TransmissionPlan:
             symbols.append(np.frombuffer(_read(fh, ln), dtype="<u2").copy())
         symbols = np.array(symbols, dtype=np.uint16) if symbols else np.zeros((0, 0), np.uint16)
     mode = "plain" if mode_flag == 0 else "mds"
-    reduced = num_messages - len(symbols) if mode == "mds" else 0
-    return TransmissionPlan(mode, demands, num_messages, symbols, coeff, reduced)
+    return TransmissionPlan(mode, demands, num_messages, symbols, coeff)

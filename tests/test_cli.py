@@ -42,6 +42,14 @@ class TestSchemeCommand:
         assert "(12,4,3,4)" in out
         assert "R=1" in out
 
+    @pytest.mark.parametrize("kind", ["banana", "catalog", "Linear", ""])
+    def test_unknown_oa_kind_is_param_error(self, capsys, kind):
+        code, out, err = run(
+            capsys, "scheme", "--gdd-transversal", "3,2,2", "--oa", kind, "--s", "2",
+        )
+        assert code == 2
+        assert out == "" and f"--oa {kind!r}" in err
+
     def test_infeasible_mu_gamma(self, capsys):
         code, _, err = run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "5")
         assert code == 2
@@ -380,6 +388,12 @@ class TestTablesCommand:
 
 
 class TestThinAdapter:
+    def test_parser_is_built_once(self, capsys):
+        from macc.cli import build_parser
+
+        assert run(capsys, "tables", "fig3")[0] == run(capsys, "pda", "--mn", "4,2")[0] == 0
+        assert build_parser() is build_parser()
+
     def test_tables_output_is_library_output(self, capsys):
         from macc.tables import emit_table
 

@@ -250,9 +250,8 @@ class TestKnownMessages:
 
         pda = Pda(((STAR, SubsetId((1,))), (STAR, SubsetId((2,)))))
         scheme = build_scheme(catalog_design("fano-7-3-1"), 1)
-        retrieve = np.ones((2, 2), dtype=bool)
         fake = DesignCachingScheme(scheme.params, scheme.design, scheme.row_labels[:2],
-                                   scheme.node_placement[:2], retrieve, pda)
+                                   scheme.node_placement[:2], pda)
         assert known_messages(fake, 0) == frozenset({1, 2})
 
 

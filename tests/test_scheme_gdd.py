@@ -149,7 +149,7 @@ class TestUserDelivery:
             strength=1, index=2,
         )
         with pytest.raises(UnsupportedParametersError):
-            build_gdd_user_delivery(gdd, trivial_oa(2, 2), 1)
+            build_gdd_user_delivery(gdd, trivial_oa(2, 2))
 
     def test_vector_occurrences_bounded_per_column(self):
         for gdd, oa in [

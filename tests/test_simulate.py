@@ -1,9 +1,13 @@
+import dataclasses
+import functools
 import math
+import struct
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macc.designs import catalog_design, catalog_oa, transversal_gdd
 from macc.errors import (
@@ -11,6 +15,7 @@ from macc.errors import (
     DecodeFailureError,
     InvalidInputError,
     InvalidParametersError,
+    MaccError,
 )
 from macc.pda import mn_pda
 from macc.scheme_design import build_scheme, known_messages
@@ -90,6 +95,17 @@ class TestLibrary:
     def test_odd_packet_length_rejected(self):
         with pytest.raises(ConfigurationError):
             make_library(2, 2, 7)
+
+
+class TestUserRetrieve:
+    @pytest.mark.parametrize("name", ["mn_scheme", "fano", "gdd_scheme"])
+    def test_is_the_read_only_star_pattern_of_q(self, request, name):
+        scheme = request.getfixturevalue(name)
+        u = scheme.user_retrieve
+        assert np.array_equal(u, scheme.user_delivery.grid < 0)
+        assert scheme.user_retrieve is u and not u.flags.writeable
+        with pytest.raises(AttributeError):
+            scheme.user_retrieve = ~u
 
 
 class TestPlacement:
@@ -419,3 +435,81 @@ class TestTranscript:
             path.write_bytes(whole[:cut])
             with pytest.raises(InvalidInputError, match="truncated"):
                 read_transcript(path)
+        # a length field far beyond the file is refused before any read
+        rows_at = 18 + 4 * 7
+        path.write_bytes(whole[:rows_at] + b"\xff" * 4 + whole[rows_at + 4:])
+        with pytest.raises(InvalidInputError, match="truncated"):
+            read_transcript(path)
+
+
+@functools.cache
+def _written(design: str, cached: int, mode: str) -> tuple:
+    """A scheme, its library and its distinct-demand plan."""
+    scheme = build_scheme(catalog_design(design), cached)
+    lib = make_library(scheme.num_users, scheme.subpacketization, 16, seed=2)
+    deliver = deliver_mds if mode == "mds" else deliver_plain
+    plan = deliver(scheme, lib, distinct_demands(scheme, lib))
+    return scheme, lib, plan
+
+
+def _header_fields(plan) -> list:
+    """(offset, struct format) of every header field of a written
+    transcript: mode, field, S, K, demand count, each demand, coefficient
+    rows and columns, and the symbol count."""
+    k = len(plan.demands)
+    coeff = 0 if plan.coeff is None else plan.coeff.size
+    return [(4, "<B"), (5, "<B"), (6, "<I"), (10, "<I"), (14, "<I"),
+            *((18 + 4 * i, "<I") for i in range(k)),
+            (18 + 4 * k, "<I"), (22 + 4 * k, "<I"), (26 + 4 * k + 2 * coeff, "<I")]
+
+
+_INSTANCES = [("fano-7-3-1", 1, "plain"), ("affine-9-3-1", 2, "mds")]
+
+
+class TestPlanFitsScheme:
+    @pytest.mark.parametrize("instance, field, edit", [
+        (_INSTANCES[0], "demands", lambda p: {"demands": p.demands[:-1]}),
+        (_INSTANCES[0], "demands", lambda p: {"demands": p.demands[:-1] + (8,)}),
+        (_INSTANCES[0], "demands", lambda p: {"demands": (0,) + p.demands[1:]}),
+        (_INSTANCES[0], "num_messages", lambda p: {"num_messages": p.num_messages + 1}),
+        (_INSTANCES[0], "symbols", lambda p: {"symbols": p.symbols[:-1]}),
+        (_INSTANCES[0], "symbols", lambda p: {"symbols": p.symbols[:, :-1]}),
+        (_INSTANCES[1], "symbols", lambda p: {"symbols": p.symbols[:, :-1]}),
+        (_INSTANCES[1], "symbols", lambda p: {"symbols": np.vstack([p.symbols] * 3)}),
+        (_INSTANCES[1], "coeff", lambda p: {"coeff": None}),
+        (_INSTANCES[1], "coeff", lambda p: {"coeff": p.coeff[:, :-1]}),
+        (_INSTANCES[1], "coeff", lambda p: {"coeff": p.coeff[:-1]}),
+    ])
+    def test_plan_read_back_and_edited_is_rejected(self, tmp_path, instance, field, edit):
+        scheme, lib, plan = _written(*instance)
+        write_transcript(plan, tmp_path / "t.bin")
+        back = read_transcript(tmp_path / "t.bin")
+        bad = dataclasses.replace(back, **edit(back))
+        caches = place(lib, scheme)
+        for k in range(scheme.num_users):
+            with pytest.raises(InvalidInputError, match=f"plan {field} "):
+                decode(scheme, k, bad, caches)
+
+    @pytest.mark.parametrize("instance", _INSTANCES)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_rewritten_header_field_decodes_or_raises(self, tmp_path_factory, instance, data):
+        scheme, lib, plan = _written(*instance)
+        path = tmp_path_factory.getbasetemp() / f"rewrite-{instance[0]}.bin"
+        write_transcript(plan, path)
+        whole = bytearray(path.read_bytes())
+        offset, fmt = data.draw(st.sampled_from(_header_fields(plan)))
+        (was,) = struct.unpack_from(fmt, whole, offset)
+        top = 256 ** struct.calcsize(fmt) - 1
+        value = data.draw(st.one_of(
+            st.integers(0, top), st.integers(-2, 2).map(lambda d: min(max(was + d, 0), top)),
+        ))
+        struct.pack_into(fmt, whole, offset, value)
+        path.write_bytes(bytes(whole))
+        caches = place(lib, scheme)
+        try:
+            back = read_transcript(path)
+            for k in range(scheme.num_users):
+                assert isinstance(decode(scheme, k, back, caches), bytes)
+        except MaccError:
+            pass
