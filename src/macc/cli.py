@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -217,8 +216,7 @@ def _rebuild_scheme(bundle: dict):
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.scheme, "r", encoding="utf-8") as fh:
-        bundle = json.load(fh)
+    bundle = serialize.read_json(args.scheme)
     if not isinstance(bundle, dict) or bundle.get("type") != "scheme":
         raise InvalidInputError(f"{args.scheme} is not a scheme bundle")
     scheme = _rebuild_scheme(bundle)
@@ -232,7 +230,7 @@ def _cmd_simulate(args) -> int:
             raise MaccError(f"bundle summary {field} is {summary.get(field)!r}, "
                             f"but the scheme rebuilt from its parameters has {value}")
     library = simulate.make_library(
-        args.files if args.files else max(scheme.num_users, scheme.params.num_files),
+        args.files if args.files is not None else max(scheme.num_users, scheme.params.num_files),
         scheme.subpacketization, args.packet_bytes, args.seed,
     )
     if args.demands == "distinct":
@@ -258,10 +256,9 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = serialize.read_json(args.path)
         obj = serialize.object_from_obj(raw, args.path)
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, InvalidInputError) as exc:
+    except (KeyError, TypeError, InvalidInputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
@@ -379,7 +376,7 @@ def main(argv=None) -> int:
             ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
-    except (json.JSONDecodeError, FileNotFoundError, InvalidInputError) as exc:
+    except (FileNotFoundError, InvalidInputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except MaccError as exc:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Optional
 
 import numpy as np
 
@@ -236,11 +235,14 @@ def random_demands(scheme, library: Library, rng: Random) -> tuple:
 
 @dataclass
 class TransmissionPlan:
+    """What is sent.  The mds symbols are ``gf16.cauchy_matrix(count, S)``
+    times the S multicast payloads, or the payloads themselves when count
+    is S, so no coefficient is carried."""
+
     mode: str                 # "plain" | "mds"
     demands: tuple
     num_messages: int         # S
     symbols: np.ndarray       # (count, words) uint16
-    coeff: Optional[np.ndarray]
 
     @property
     def symbols_sent(self) -> int:
@@ -255,7 +257,7 @@ def deliver_plain(scheme, library: Library, demands) -> TransmissionPlan:
     """One XOR multicast per delivery-array id, in canonical id order."""
     demands = validate_demands(scheme, library, demands)
     payloads = scheme.decode_plan.payloads(library.data, demands)
-    return TransmissionPlan("plain", demands, scheme.counted_messages, payloads, None)
+    return TransmissionPlan("plain", demands, scheme.counted_messages, payloads)
 
 
 def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
@@ -285,15 +287,10 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
             f"coded delivery needs a field with at least "
             f"{s + num_out + 1} elements; GF(2^16) is too small"
         )
-    payloads = scheme.decode_plan.payloads(library.data, demands)
-    if num_out == s:
-        # No reduction available; identity coding keeps symbols inspectable.
-        coeff = np.eye(s, dtype=np.uint16)
-        symbols = payloads
-    else:
-        coeff = gf16.cauchy_matrix(num_out, s)
-        symbols = gf16.matvec(coeff, payloads)
-    return TransmissionPlan("mds", demands, s, symbols, coeff)
+    symbols = scheme.decode_plan.payloads(library.data, demands)
+    if num_out < s:
+        symbols = gf16.matvec(gf16.cauchy_matrix(num_out, s), symbols)
+    return TransmissionPlan("mds", demands, s, symbols)
 
 
 def _user_index(scheme, user) -> int:
@@ -307,8 +304,8 @@ def _user_index(scheme, user) -> int:
 
 
 def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> None:
-    """Raise unless the plan's demands, message count, symbols and
-    coefficients fit the scheme and the library."""
+    """Raise unless the plan's demands, message count and symbols fit the
+    scheme and the library."""
     demands = np.asarray(plan.demands)
     if len(demands) != scheme.num_users:
         raise InvalidInputError(
@@ -326,9 +323,6 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> None:
         raise InvalidInputError(
             f"plan symbols are {plan.symbols.shape[1]} words wide, packets {words}"
         )
-    coeff = getattr(plan.coeff, "shape", None)
-    if plan.mode == "mds" and count and coeff != (count, s):
-        raise InvalidInputError(f"plan coeff has shape {coeff}, not {(count, s)}")
 
 
 def _cached_mask(scheme, caches: NodeCaches, user: int) -> np.ndarray:
@@ -356,14 +350,11 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
                 user, None,
                 f"{len(unknown)} unknown messages but only {len(plan.symbols)} symbols",
             )
-        use = range(len(unknown))
-        rhs = plan.symbols[use] ^ gf16.matvec(plan.coeff[np.ix_(use, known)], messages[known])
-        try:
-            messages[unknown] = gf16.solve(plan.coeff[np.ix_(use, unknown)], rhs)
-        except ConfigurationError as err:
-            raise DecodeFailureError(
-                user, None, f"coefficient submatrix is not Cauchy or is singular ({err})"
-            ) from None
+        # The first rows suffice: every square submatrix of a Cauchy matrix
+        # is Cauchy, so invertible.
+        coeff = gf16.cauchy_matrix(len(plan.symbols), plan.num_messages)[:len(unknown)]
+        rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(coeff[:, known], messages[known])
+        messages[unknown] = gf16.solve(coeff[:, unknown], rhs)
     return messages
 
 
@@ -487,31 +478,23 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
 # Binary transcript
 
 _MAGIC = b"MACC"
-_FIELD_IDS = {"plain": 0, "mds": 16}
+_VERSION = 2
+_MODES = ("plain", "mds")
+# version, mode, S, K, symbol count, words per symbol
+_HEADER = struct.Struct("<BBIIII")
 
 
 def write_transcript(plan: TransmissionPlan, path) -> None:
-    """header(mode, S, F omitted, K, field) + coefficients (mds) +
-    length-prefixed symbols."""
+    """``MACC``, the header, K ``<u4`` demands, then the count x words
+    ``<u2`` symbol block."""
+    symbols = np.asarray(plan.symbols, dtype="<u2")
+    k = len(plan.demands)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack(
-            "<BBII", 0 if plan.mode == "plain" else 1,
-            _FIELD_IDS[plan.mode], plan.num_messages, len(plan.demands),
-        ))
-        fh.write(struct.pack("<I", len(plan.demands)))
-        fh.write(struct.pack(f"<{len(plan.demands)}I", *plan.demands))
-        if plan.coeff is None:
-            fh.write(struct.pack("<II", 0, 0))
-        else:
-            r, c = plan.coeff.shape
-            fh.write(struct.pack("<II", r, c))
-            fh.write(plan.coeff.astype("<u2").tobytes())
-        fh.write(struct.pack("<I", plan.symbols_sent))
-        for sym in plan.symbols:
-            raw = sym.astype("<u2").tobytes()
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+        fh.write(_HEADER.pack(_VERSION, _MODES.index(plan.mode), plan.num_messages, k,
+                              *symbols.shape))
+        fh.write(struct.pack(f"<{k}I", *plan.demands))
+        fh.write(symbols.tobytes())
 
 
 def _read(fh, size: int) -> bytes:
@@ -531,23 +514,14 @@ def read_transcript(path) -> TransmissionPlan:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInputError("not a transcript file")
-        mode_flag, _field, num_messages, _k = struct.unpack("<BBII", _read(fh, 10))
-        (dlen,) = struct.unpack("<I", _read(fh, 4))
-        demands = struct.unpack(f"<{dlen}I", _read(fh, 4 * dlen))
-        rows, cols = struct.unpack("<II", _read(fh, 8))
-        coeff = None
-        if rows:
-            coeff = np.frombuffer(_read(fh, 2 * rows * cols), dtype="<u2").reshape(rows, cols).copy()
-        (count,) = struct.unpack("<I", _read(fh, 4))
-        symbols = []
-        for n in range(count):
-            (ln,) = struct.unpack("<I", _read(fh, 4))
-            if ln % 2 or (symbols and ln != 2 * len(symbols[0])):
-                raise InvalidInputError(
-                    f"transcript symbol {n} has {ln} bytes; symbols must share "
-                    "one even length"
-                )
-            symbols.append(np.frombuffer(_read(fh, ln), dtype="<u2").copy())
-        symbols = np.array(symbols, dtype=np.uint16) if symbols else np.zeros((0, 0), np.uint16)
-    mode = "plain" if mode_flag == 0 else "mds"
-    return TransmissionPlan(mode, demands, num_messages, symbols, coeff)
+        version, mode, num_messages, k, count, words = _HEADER.unpack(_read(fh, _HEADER.size))
+        if version != _VERSION:
+            raise InvalidInputError(f"transcript version {version}, not {_VERSION}")
+        if mode >= len(_MODES):
+            raise InvalidInputError(f"transcript mode byte {mode}, not 0 (plain) or 1 (mds)")
+        demands = struct.unpack(f"<{k}I", _read(fh, 4 * k))
+        raw = _read(fh, 2 * count * words)
+        if fh.read(1):
+            raise InvalidInputError("transcript has bytes after its symbols")
+    symbols = np.frombuffer(raw, dtype="<u2").astype(np.uint16).reshape(count, words)
+    return TransmissionPlan(_MODES[mode], demands, num_messages, symbols)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import InvalidParametersError
 from .scheme_design import DesignSchemeParams, shared_link_tradeoff
 from .scheme_gdd import GddSchemeParams, gdd_tradeoff
+from .serialize import fraction_str
 
 CSV_COLUMNS = (
     "scheme", "params", "K", "M_over_N", "M_over_N_exact",
@@ -44,8 +45,7 @@ def sci2(n: int) -> str:
 
 
 def _fraction_pair(x: Fraction):
-    exact = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return sig3(x), exact
+    return sig3(x), fraction_str(x)
 
 
 # The group-divisible comparison table: 2-(m, q, 3, 1) GDD rows with full-

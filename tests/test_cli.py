@@ -275,8 +275,10 @@ class TestSimulateCommand:
         assert transcript.exists()
 
     def test_affine_mds_outputs_pinned(self, capsys, tmp_path):
-        # Digests recorded with the scalar GF(2^16) kernels, before the
-        # vectorised ones: coded outputs must stay byte-identical, and the
+        # The report digest was recorded with the scalar GF(2^16) kernels,
+        # before the vectorised ones: coded outputs must stay byte-identical.
+        # The transcript digest is of the version-2 format, whose symbol
+        # block holds the same 120 symbols as the version-1 file did; the
         # transcript written is the plan that was decoded.
         bundle, report, transcript = (tmp_path / n for n in ("s.json", "r.json", "t.bin"))
         run(capsys, "scheme", "--design", "affine-9-3-1", "--mu-gamma", "2",
@@ -284,8 +286,9 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, "simulate", "--scheme", str(bundle), "--mode", "mds",
                          "--seed", "5", "--out", str(report), "--transcript", str(transcript))
         assert code == 0
+        assert transcript.stat().st_size == 22 + 4 * 12 + 120 * 64 == 7750
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (transcript, report)] == [
-            "785c090041b24da54a0a7c9dcb5038257c439883cc382cb8797081e1d2fbc09d",
+            "8667149bbd71fe23a160068b40b1b70056e3e27fe43dc5b3c3dad4a0af87aa8f",
             "f26d831a612d1c309e719c3e89eb1f76cc432089903261a76c71d8e0127b5e1d",
         ]
 
@@ -350,6 +353,40 @@ class TestSimulateCommand:
                            "--demands", "1,1,2,2,3,3,4")
         assert code == 0
         assert json.loads(out)["all_ok"] is True
+
+
+    def test_zero_files_is_param_error(self, capsys, tmp_path):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        code, out, err = run(capsys, "simulate", "--scheme", str(bundle), "--files", "0")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
+class TestUnreadableInput:
+    """Every command that reads a JSON file exits 3 and names the file
+    when it is missing, a directory, not UTF-8 or not JSON."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "{}"),
+        ("simulate", "--scheme", "{}"),
+        ("scheme", "--design", "@{}", "--mu-gamma", "1"),
+        ("scheme", "--gdd-file", "{}"),
+        ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}"),
+    ], ids=["verify", "simulate", "scheme-design", "scheme-gdd-file", "scheme-oa-file"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json"])
+    def test_is_parse_error(self, capsys, tmp_path, argv, kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"type": "design\xff"}')
+        elif kind == "not-json":
+            path.write_text("{not json")
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == 3
+        assert out == "" and err.startswith("parse error:") and str(path) in err
 
 
 class TestTablesCommand:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from macc.designs import catalog_design, catalog_gdd, linear_oa
+from macc import serialize
 from macc.errors import InvalidInputError
 from macc.scheme_design import build_scheme
 from macc.serialize import (
@@ -52,7 +53,11 @@ class TestDumpJson:
         with pytest.raises(TypeError):
             dump_json(value)
 
-    def test_file_is_returned_text_plus_newline(self, tmp_path):
+    @pytest.mark.parametrize("write_chars", [None, 1, 7])
+    def test_file_is_returned_text_plus_newline(self, tmp_path, monkeypatch, write_chars):
+        # None keeps the library's slice size, one slice for this bundle
+        if write_chars is not None:
+            monkeypatch.setattr(serialize, "_WRITE_CHARS", write_chars)
         path = tmp_path / "s.json"
         text = dump_json(scheme_to_obj(build_scheme(catalog_design("fano-7-3-1"), 1)), path)
         assert path.read_text(encoding="utf-8") == text + "\n"
