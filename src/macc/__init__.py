@@ -58,6 +58,7 @@ from .simulate import (
     deliver_mds,
     deliver_plain,
     decode,
+    decode_all,
     make_library,
     measure_worst_case,
     place,

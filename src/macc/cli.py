@@ -2,13 +2,14 @@
 
 Thin adapters only: every subcommand parses flags, calls the library, and
 prints or writes the result.  Exit codes: 0 ok, 1 verification failed (or
-the reader closed standard output early), 2 invalid parameters, 3 parse
-error.
+the reader closed standard output early), 2 invalid parameters (or an
+output path that cannot be written), 3 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -40,9 +41,18 @@ def _ints(text: str) -> tuple:
         raise InvalidParametersError(f"expected comma-separated integers, got {text!r}") from None
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """A failed write to ``path`` is a bad argument, not a parse error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidParametersError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _writing(out), open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -190,7 +200,8 @@ def _cmd_scheme(args) -> int:
             "pass --design NAME|complete:G,L|@file or --gdd-transversal m,q,t/--gdd-file"
         )
     if args.out:
-        serialize.dump_json(serialize.scheme_to_obj(scheme), args.out)
+        with _writing(args.out):
+            serialize.dump_json(serialize.scheme_to_obj(scheme), args.out)
     if args.format == "table":
         _emit(render.render_scheme_delivery(scheme), None)
     print(summary)
@@ -243,7 +254,8 @@ def _cmd_simulate(args) -> int:
         demands = _ints(args.demands)
     report, plan = simulate._simulate(scheme, library, demands, args.mode)
     if args.transcript:
-        simulate.write_transcript(plan, args.transcript)
+        with _writing(args.transcript):
+            simulate.write_transcript(plan, args.transcript)
     _emit(serialize.dump_json(serialize.report_to_obj(report)), args.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
@@ -376,7 +388,7 @@ def main(argv=None) -> int:
             ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
-    except (FileNotFoundError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except MaccError as exc:

@@ -90,20 +90,6 @@ class ArrayScheme:
         return DecodePlan(self.user_delivery.grid)
 
 
-class SharedLinkScheme(ArrayScheme):
-    """A bare PDA run as a single-link system: one cache-node per user,
-    holding exactly the starred rows of that user's column."""
-
-    def __init__(self, pda):
-        self.user_delivery = pda
-        self.node_placement = self.user_retrieve
-        self.guaranteed_known = 0
-        self.user_blocks = tuple((k + 1,) for k in range(pda.num_cols))
-
-    def user_node_indices(self, user: int) -> tuple:
-        return (user,)
-
-
 def _segments(ptr, sel) -> tuple:
     """Positions of the CSR segments ``sel`` (offsets ``ptr``), and the
     offsets of those segments laid end to end."""
@@ -178,12 +164,6 @@ class DecodePlan:
         ptr = seg - np.arange(len(seg))  # each message drops the user's own cell
         self.require_cached(user, cached, side, ptr, msgs)
         return needed, msgs, side, ptr
-
-    def peel(self, cells: tuple, data: np.ndarray, demands, payloads: np.ndarray) -> np.ndarray:
-        """The user's packets at the rows :meth:`side_cells` lists: each
-        row's message payload XOR its side packets."""
-        _, msgs, side, ptr = cells
-        return payloads[msgs] ^ self.xor_cells(data, demands, side, ptr)
 
 
 @dataclass
@@ -303,10 +283,10 @@ def _user_index(scheme, user) -> int:
         raise InvalidInputError(f"no user with block {block}") from None
 
 
-def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> None:
+def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
     """Raise unless the plan's demands, message count and symbols fit the
-    scheme and the library."""
-    demands = np.asarray(plan.demands)
+    scheme and the library; return the demands as an array."""
+    demands = np.asarray(plan.demands, dtype=np.intp)
     if len(demands) != scheme.num_users:
         raise InvalidInputError(
             f"plan demands has {len(demands)} entries for {scheme.num_users} users"
@@ -323,19 +303,14 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> None:
         raise InvalidInputError(
             f"plan symbols are {plan.symbols.shape[1]} words wide, packets {words}"
         )
+    return demands
 
 
-def _cached_mask(scheme, caches: NodeCaches, user: int) -> np.ndarray:
-    """Per-row mask of what the user's nodes actually hold."""
-    return caches.grid[:, scheme.user_node_indices(user)].any(axis=1)
-
-
-def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
+def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, coeff, data: np.ndarray,
                   user: int, cached: np.ndarray) -> np.ndarray:
-    """Recover all S multicast payloads at one user."""
-    if plan.mode == "plain" or plan.reduced_by == 0:
-        # With no reduction the coded batch is the identity code: the
-        # symbols are the multicast payloads verbatim.
+    """Recover all S multicast payloads at one user; ``coeff`` is the plan's
+    Cauchy matrix, or None when the symbols are the payloads verbatim."""
+    if coeff is None:
         return plan.symbols
 
     known = np.flatnonzero(dplan.known[user])
@@ -352,33 +327,48 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, data: np.ndarray,
             )
         # The first rows suffice: every square submatrix of a Cauchy matrix
         # is Cauchy, so invertible.
-        coeff = gf16.cauchy_matrix(len(plan.symbols), plan.num_messages)[:len(unknown)]
+        coeff = coeff[:len(unknown)]
         rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(coeff[:, known], messages[known])
         messages[unknown] = gf16.solve(coeff[:, unknown], rhs)
     return messages
 
 
-def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
-    """Reconstruct the user's demanded file, byte-exact, from its reachable
-    caches plus the transmission, which must fit the scheme and the library.
-    The scheme's decode plan says which rows to read from cache; every row
-    read is checked against the placed caches."""
-    k = _user_index(scheme, user)
-    _check_plan(scheme, caches.library, plan)
+def decode_all(scheme, plans, caches: NodeCaches, users=None):
+    """Rebuild each user's demanded file, byte-exact, under every plan, from
+    the user's reachable caches plus that plan's symbols; yield ``(k, files)``
+    for each user k (all users by default), ``files[p]`` the F x words file
+    under ``plans[p]``.  Every plan must fit the scheme and the library.  The
+    scheme's decode plan says which rows to read from cache; every row read
+    is checked against the placed caches."""
     data = caches.library.data
+    demands = [_check_plan(scheme, caches.library, p) for p in plans]
+    # With no reduction the coded batch is the identity code: the symbols
+    # are the multicast payloads verbatim.
+    coeffs = [gf16.cauchy_matrix(p.symbols_sent, p.num_messages) if p.reduced_by else None
+              for p in plans]
     dplan = scheme.decode_plan
-    cached = _cached_mask(scheme, caches, k)
-    messages = _all_messages(dplan, plan, data, k, cached)
-    cells = dplan.side_cells(k, cached)
-    needed = cells[0]
-    own = np.flatnonzero(dplan.grid[:, k] < 0)
-    if not cached[own].all():
-        j = int(own[np.argmin(cached[own])])
-        raise DecodeFailureError(k, None, f"row {j} not cached")
-    out = np.empty((scheme.subpacketization, data.shape[2]), dtype=np.uint16)
-    out[own] = data[plan.demands[k] - 1, own]
-    if len(needed):
-        out[needed] = dplan.peel(cells, data, plan.demands, messages)
+    for k in range(scheme.num_users) if users is None else users:
+        cached = caches.grid[:, scheme.user_node_indices(k)].any(axis=1)
+        messages = [_all_messages(dplan, p, c, data, k, cached) for p, c in zip(plans, coeffs)]
+        needed, msgs, side, ptr = dplan.side_cells(k, cached)
+        own = np.flatnonzero(dplan.grid[:, k] < 0)
+        if not cached[own].all():
+            j = int(own[np.argmin(cached[own])])
+            raise DecodeFailureError(k, None, f"row {j} not cached")
+        files = []
+        for sent, d in zip(messages, demands):
+            out = np.empty((len(dplan.grid), data.shape[2]), dtype=np.uint16)
+            out[own] = data[d[k] - 1, own]
+            if len(needed):  # peel: each row's message XOR its side packets
+                out[needed] = sent[msgs] ^ dplan.xor_cells(data, d, side, ptr)
+            files.append(out)
+        yield k, files
+
+
+def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
+    """Reconstruct the user's demanded file, byte-exact: the one-user,
+    one-plan case of :func:`decode_all`."""
+    _, (out,) = next(decode_all(scheme, [plan], caches, [_user_index(scheme, user)]))
     return out.tobytes()
 
 
@@ -411,10 +401,8 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
         plan = deliver_mds(scheme, library, demands)
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    verdicts = [
-        decode(scheme, k, plan, caches) == library.file_bytes(plan.demands[k])
-        for k in range(scheme.num_users)
-    ]
+    verdicts = [np.array_equal(files[0], library.data[plan.demands[k] - 1])
+                for k, files in decode_all(scheme, [plan], caches)]
     max_unknown = plan.num_messages - int(scheme.decode_plan.known.sum(axis=1).min())
     f = scheme.subpacketization
     s = scheme.counted_messages
@@ -445,32 +433,28 @@ _TRIAL_BLOCK = 32
 
 
 def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) -> int:
-    """Plain-delivery decode check over seeded random demand vectors.
-
-    Each trial gathers the multicast payloads once; every user then peels
-    its missing packets with the scheme's decode plan, as :func:`decode`
-    does.  Returns the number of trials run; raises DecodeFailureError on
-    the first mismatch.
+    """Plain-delivery decode check over seeded random demand vectors: each
+    trial gathers the multicast payloads once, and :func:`decode_all` decodes
+    a block of trials at every user.  Returns the number of trials run; the
+    first mismatch raises DecodeFailureError naming the user, message and row.
     """
     caches = place(library, scheme)
     dplan = scheme.decode_plan
     data = library.data
     rng = Random(seed)
     for first in range(0, num_trials, _TRIAL_BLOCK):
-        block = [
-            np.array(random_demands(scheme, library, rng), dtype=np.intp)
-            for _ in range(min(_TRIAL_BLOCK, num_trials - first))
-        ]
-        payloads = [dplan.payloads(data, demands) for demands in block]
-        for k in range(scheme.num_users):
-            cells = dplan.side_cells(k, _cached_mask(scheme, caches, k))
-            needed, msgs = cells[:2]
-            for demands, sent in zip(block, payloads):
-                decoded = dplan.peel(cells, data, demands, sent)
-                truth = data[demands[k] - 1, needed]
+        plans = []
+        for _ in range(min(_TRIAL_BLOCK, num_trials - first)):
+            demands = random_demands(scheme, library, rng)
+            plans.append(TransmissionPlan("plain", demands, scheme.counted_messages,
+                                          dplan.payloads(data, demands)))
+        for k, files in decode_all(scheme, plans, caches):
+            for plan, decoded in zip(plans, files):
+                truth = data[plan.demands[k] - 1]
                 if not np.array_equal(decoded, truth):
-                    bad = int(np.nonzero(np.any(decoded != truth, axis=1))[0][0])
-                    raise DecodeFailureError(k, int(msgs[bad]) + 1, "payload mismatch")
+                    j = int(np.flatnonzero(np.any(decoded != truth, axis=1))[0])
+                    raise DecodeFailureError(k, int(dplan.grid[j, k]) + 1,
+                                             f"row {j} payload mismatch")
     return num_trials
 
 

@@ -1,0 +1,18 @@
+"""A bare PDA run as a scheme, for tests that need a delivery array with no
+access topology around it."""
+
+from macc.simulate import ArrayScheme
+
+
+class SharedLinkScheme(ArrayScheme):
+    """A bare PDA run as a single-link system: one cache-node per user,
+    holding exactly the starred rows of that user's column."""
+
+    def __init__(self, pda):
+        self.user_delivery = pda
+        self.node_placement = self.user_retrieve
+        self.guaranteed_known = 0
+        self.user_blocks = tuple((k + 1,) for k in range(pda.num_cols))
+
+    def user_node_indices(self, user: int) -> tuple:
+        return (user,)

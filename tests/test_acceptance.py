@@ -41,13 +41,14 @@ from macc.scheme_design import (
 )
 from macc.scheme_gdd import build_gdd_scheme
 from macc.simulate import (
-    SharedLinkScheme,
     deliver_plain,
     make_library,
     measure_worst_case,
     run_demand_trials,
 )
 from macc.tables import gdd_comparison_rows
+
+from shared_link import SharedLinkScheme
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

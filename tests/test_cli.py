@@ -389,6 +389,27 @@ class TestUnreadableInput:
         assert out == "" and err.startswith("parse error:") and str(path) in err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 and names the path;
+    the command's input was read and parsed, so it is not a parse error."""
+
+    @pytest.mark.parametrize("argv, target", [
+        (("design", "--catalog", "fano-7-3-1", "--out", "{dir}"), "{dir}"),
+        (("design", "--catalog", "fano-7-3-1", "--out", "{missing}"), "{missing}"),
+        (("scheme", "--design", "fano-7-3-1", "--mu-gamma", "1", "--out", "{missing}"),
+         "{missing}"),
+        (("simulate", "--scheme", "{bundle}", "--transcript", "{dir}"), "{dir}"),
+    ], ids=["design-out-directory", "design-out-missing-parent",
+            "scheme-out-missing-parent", "simulate-transcript-directory"])
+    def test_is_param_error(self, capsys, tmp_path, fano_files, argv, target):
+        names = {"dir": tmp_path, "missing": tmp_path / "missing" / "x.json",
+                 "bundle": fano_files[0] / "bundle.json"}
+        code, _, err = run(capsys, *(a.format(**names) for a in argv))
+        assert code == 2
+        assert err.startswith("error: cannot write ") and target.format(**names) in err
+        assert "Traceback" not in err
+
+
 class TestTablesCommand:
     def test_table4_csv(self, capsys):
         code, out, _ = run(capsys, "tables", "table4")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macc import gf16
 from macc.designs import catalog_design, catalog_oa, transversal_gdd
 from macc.errors import (
     ConfigurationError,
@@ -21,8 +22,9 @@ from macc.pda import mn_pda
 from macc.scheme_design import build_scheme, known_messages
 from macc.scheme_gdd import build_gdd_scheme
 from macc.simulate import (
-    SharedLinkScheme,
+    DecodePlan,
     decode,
+    decode_all,
     deliver_mds,
     deliver_plain,
     distinct_demands,
@@ -35,6 +37,8 @@ from macc.simulate import (
     run_simulation,
     write_transcript,
 )
+
+from shared_link import SharedLinkScheme
 
 
 def held_rows(caches, node: int) -> set:
@@ -577,3 +581,65 @@ class TestTranscriptFormat:
         path.write_bytes(path.read_bytes() + b"\0" * extra)
         with pytest.raises(InvalidInputError, match="bytes after its symbols"):
             read_transcript(path)
+
+
+class TestDecodeAll:
+    def test_matches_per_user_decode_of_a_transcript_read_back(self, tmp_path):
+        scheme, lib, plan = _written("affine-9-3-1", 2, "mds")
+        write_transcript(plan, tmp_path / "t.bin")
+        back = read_transcript(tmp_path / "t.bin")
+        caches = place(lib, scheme)
+        got = [(k, files[0].tobytes()) for k, files in decode_all(scheme, [back], caches)]
+        assert got == [(k, decode(scheme, k, back, caches)) for k in range(scheme.num_users)]
+        assert all(out == lib.file_bytes(back.demands[k]) for k, out in got)
+        # several plans at once, for the users asked for, in that order
+        plain = deliver_plain(scheme, lib, back.demands)
+        users = []
+        for k, (coded, xor) in decode_all(scheme, [back, plain], caches, [5, 0]):
+            users.append(k)
+            assert coded.tobytes() == xor.tobytes() == lib.file_bytes(back.demands[k])
+        assert users == [5, 0]
+
+    def test_cauchy_matrix_is_built_once_per_plan(self, monkeypatch):
+        scheme = _scheme("affine-9-3-1", 2)
+        lib = make_library(scheme.num_users, scheme.subpacketization, 16, seed=2)
+        calls, build = [], gf16.cauchy_matrix
+        monkeypatch.setattr(gf16, "cauchy_matrix", lambda *a: calls.append(a) or build(*a))
+        rep = run_simulation(scheme, lib, distinct_demands(scheme, lib), "mds")
+        assert rep.all_ok
+        # one in deliver_mds, one in decode_all; not one per user
+        assert calls == [(120, 126)] * 2
+
+    def test_trials_name_the_user_message_and_row_not_cached(self, fano):
+        # as in test_retrieve_grid_claiming_an_unheld_row_fails: user 0's
+        # nodes lose row j, which carries a side packet user 0 peels off
+        pda = fano.user_delivery
+        needed = int(np.flatnonzero(~fano.user_retrieve[:, 0])[0])
+        j = next(r for r, c in pda.id_positions[pda.cell(needed, 0)] if c != 0)
+        placement = fano.node_placement.copy()
+        placement[j, list(fano.user_node_indices(0))] = False
+        broken = dataclasses.replace(fano, node_placement=placement)
+        with pytest.raises(DecodeFailureError) as exc:
+            run_demand_trials(broken, make_library(7, 21, 8), 4, seed=3)
+        err = exc.value
+        assert err.user == 0
+        assert j in {r for r, _ in pda.id_positions[pda.ids[err.message_id - 1]]}
+        assert f"row {j} not cached" in str(err)
+
+    def test_trials_name_the_user_message_and_row_of_a_wrong_packet(self, fano, monkeypatch):
+        gather = DecodePlan.payloads
+
+        def damaged(self, data, demands):
+            out = gather(self, data, demands)
+            out[5, 0] ^= 1  # message 6
+            return out
+
+        monkeypatch.setattr(DecodePlan, "payloads", damaged)
+        with pytest.raises(DecodeFailureError) as exc:
+            run_demand_trials(fano, make_library(7, 21, 8), 4, seed=3)
+        # the first user that peels message 6, at the row where it does
+        grid = fano.decode_plan.grid
+        k = int(np.flatnonzero((grid == 5).any(axis=0))[0])
+        j = int(np.flatnonzero(grid[:, k] == 5)[0])
+        assert (exc.value.user, exc.value.message_id) == (k, 6)
+        assert f"row {j} payload mismatch" in str(exc.value)
