@@ -9,6 +9,7 @@ the scheme's per-user count of messages reconstructible from cache alone.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -108,6 +109,11 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
     return out
 
 
+# Cells of whole messages that ``DecodePlan.others`` scans at once, which
+# bounds its scratch arrays to a few of this many packets.
+_SCAN_CELLS = 1 << 12
+
+
 class DecodePlan:
     """Demand-independent delivery and decode structure of one scheme,
     compiled from its delivery grid alone: a star is a row the user
@@ -130,15 +136,40 @@ class DecodePlan:
             known[k] = np.logical_and.reduceat(starred[self.rows], self.ptr[:-1])
         return known
 
-    def xor_cells(self, data: np.ndarray, demands, pos, ptr) -> np.ndarray:
-        """XOR of the demanded packets at message cells ``pos``, per segment
-        ``ptr`` of ``pos``."""
-        demands = np.asarray(demands, dtype=np.intp)
-        return _xor_segments(data[demands[self.cols[pos]] - 1, self.rows[pos]], ptr)
+    def gather(self, data: np.ndarray, demands, pos) -> np.ndarray:
+        """The demanded packets at message cells ``pos``: one ``np.take`` on
+        the flat (files·F, words) view of the library."""
+        f, words = data.shape[1:]
+        flat = (np.asarray(demands, dtype=np.intp)[self.cols[pos]] - 1) * f + self.rows[pos]
+        return np.take(data.reshape(-1, words), flat, axis=0)
 
     def payloads(self, data: np.ndarray, demands) -> np.ndarray:
         """The S multicast payloads, one XOR over each message's cells."""
-        return self.xor_cells(data, demands, slice(None), self.ptr)
+        return _xor_segments(self.gather(data, demands, slice(None)), self.ptr)
+
+    def others(self, data: np.ndarray, demands, pos, seg) -> np.ndarray:
+        """For each message cell ``pos`` (one segment ``seg`` per message),
+        the XOR of the demanded packets at the other cells of its message:
+        exclusive forward and backward scans over chunks of whole messages
+        (at most ``_SCAN_CELLS`` cells unless one message is larger), with
+        what lies outside each message XORed back out.  So a cell's own
+        packet never enters its value."""
+        out = self.gather(data, demands, pos)
+        # XOR is bitwise: scan the widest words that tile a packet
+        wide = out.view(f"u{math.gcd(8, out.itemsize * out.shape[1])}")
+        first = 0
+        while first < len(seg) - 1:
+            last = max(first + 1, int(np.searchsorted(seg, seg[first] + _SCAN_CELLS, "right")) - 1)
+            cells = wide[seg[first]:seg[last]]
+            before, after = np.zeros((2, len(cells) + 1, cells.shape[1]), dtype=cells.dtype)
+            np.bitwise_xor.accumulate(cells, axis=0, out=before[1:])  # cells before i
+            np.bitwise_xor.accumulate(cells[::-1], axis=0, out=after[-2::-1])  # cells from i on
+            starts = seg[first:last + 1] - seg[first]
+            outside = before[starts[:-1]] ^ after[starts[1:]]
+            np.bitwise_xor(before[:-1], after[1:], out=cells)
+            cells ^= np.repeat(outside, np.diff(starts), axis=0)
+            first = last
+        return out
 
     def require_cached(self, user: int, cached: np.ndarray, pos, ptr, msgs) -> None:
         """Raise unless every cell ``pos`` lies in a row that ``cached``, a
@@ -153,17 +184,15 @@ class DecodePlan:
 
     def side_cells(self, user: int, cached: np.ndarray) -> tuple:
         """What the user peels: the rows its column does not star, the
-        message carrying each, and the other cells of those messages (the
-        side packets, all cached) as positions with segment offsets."""
+        message carrying each and the user's own cell of it.  Raises unless
+        the other cells of those messages (the side packets) are cached."""
         column = self.grid[:, user]
         needed = np.flatnonzero(column >= 0)
         msgs = column[needed]
         pos, seg = _segments(self.ptr, msgs)
-        own = np.repeat(needed, np.diff(seg))
-        side = pos[(self.cols[pos] != user) | (self.rows[pos] != own)]
-        ptr = seg - np.arange(len(seg))  # each message drops the user's own cell
-        self.require_cached(user, cached, side, ptr, msgs)
-        return needed, msgs, side, ptr
+        own = (self.cols[pos] == user) & (self.rows[pos] == np.repeat(needed, np.diff(seg)))
+        self.require_cached(user, cached, pos[~own], seg - np.arange(len(seg)), msgs)
+        return needed, msgs, pos[own]
 
 
 @dataclass
@@ -318,7 +347,7 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, coeff, data: np.nda
     messages = np.zeros((plan.num_messages, data.shape[2]), dtype=np.uint16)
     pos, seg = _segments(dplan.ptr, known)
     dplan.require_cached(user, cached, pos, seg, known)
-    messages[known] = dplan.xor_cells(data, plan.demands, pos, seg)
+    messages[known] = _xor_segments(dplan.gather(data, plan.demands, pos), seg)
     if len(unknown):
         if len(unknown) > len(plan.symbols):
             raise DecodeFailureError(
@@ -339,7 +368,9 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
     for each user k (all users by default), ``files[p]`` the F x words file
     under ``plans[p]``.  Every plan must fit the scheme and the library.  The
     scheme's decode plan says which rows to read from cache; every row read
-    is checked against the placed caches."""
+    is checked against the placed caches.  Each plan's leave-one-out XOR is
+    computed once, over the messages the users need, and every user peels
+    its rows from it."""
     data = caches.library.data
     demands = [_check_plan(scheme, caches.library, p) for p in plans]
     # With no reduction the coded batch is the identity code: the symbols
@@ -347,20 +378,26 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
     coeffs = [gf16.cauchy_matrix(p.symbols_sent, p.num_messages) if p.reduced_by else None
               for p in plans]
     dplan = scheme.decode_plan
-    for k in range(scheme.num_users) if users is None else users:
+    users = range(scheme.num_users) if users is None else list(users)
+    ids = dplan.grid[:, users]
+    wanted = np.bincount(ids[ids >= 0], minlength=len(dplan.ptr) - 1) > 0  # by some user
+    pos, seg = _segments(dplan.ptr, np.flatnonzero(wanted))
+    where = np.empty(len(dplan.rows), dtype=np.intp)  # a cell's place in others
+    where[pos] = np.arange(len(pos))
+    others = [dplan.others(data, d, pos, seg) for d in demands]
+    for k in users:
         cached = caches.grid[:, scheme.user_node_indices(k)].any(axis=1)
         messages = [_all_messages(dplan, p, c, data, k, cached) for p, c in zip(plans, coeffs)]
-        needed, msgs, side, ptr = dplan.side_cells(k, cached)
+        needed, msgs, cells = dplan.side_cells(k, cached)
         own = np.flatnonzero(dplan.grid[:, k] < 0)
         if not cached[own].all():
             j = int(own[np.argmin(cached[own])])
             raise DecodeFailureError(k, None, f"row {j} not cached")
         files = []
-        for sent, d in zip(messages, demands):
+        for sent, d, rest in zip(messages, demands, others):
             out = np.empty((len(dplan.grid), data.shape[2]), dtype=np.uint16)
             out[own] = data[d[k] - 1, own]
-            if len(needed):  # peel: each row's message XOR its side packets
-                out[needed] = sent[msgs] ^ dplan.xor_cells(data, d, side, ptr)
+            out[needed] = sent[msgs] ^ rest[where[cells]]
             files.append(out)
         yield k, files
 
@@ -427,34 +464,26 @@ def measure_worst_case(scheme, library: Library, mode: str = "plain") -> Simulat
     return run_simulation(scheme, library, distinct_demands(scheme, library), mode)
 
 
-# Trials whose payloads are held at once: each user's side cells are derived
-# once per block, and the block's payloads stay small.
-_TRIAL_BLOCK = 32
-
-
 def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) -> int:
     """Plain-delivery decode check over seeded random demand vectors: each
     trial gathers the multicast payloads once, and :func:`decode_all` decodes
-    a block of trials at every user.  Returns the number of trials run; the
-    first mismatch raises DecodeFailureError naming the user, message and row.
+    it at every user.  Returns the number of trials run; the first mismatch
+    raises DecodeFailureError naming the user, message and row.
     """
     caches = place(library, scheme)
     dplan = scheme.decode_plan
     data = library.data
     rng = Random(seed)
-    for first in range(0, num_trials, _TRIAL_BLOCK):
-        plans = []
-        for _ in range(min(_TRIAL_BLOCK, num_trials - first)):
-            demands = random_demands(scheme, library, rng)
-            plans.append(TransmissionPlan("plain", demands, scheme.counted_messages,
-                                          dplan.payloads(data, demands)))
-        for k, files in decode_all(scheme, plans, caches):
-            for plan, decoded in zip(plans, files):
-                truth = data[plan.demands[k] - 1]
-                if not np.array_equal(decoded, truth):
-                    j = int(np.flatnonzero(np.any(decoded != truth, axis=1))[0])
-                    raise DecodeFailureError(k, int(dplan.grid[j, k]) + 1,
-                                             f"row {j} payload mismatch")
+    for _ in range(num_trials):
+        demands = random_demands(scheme, library, rng)
+        plan = TransmissionPlan("plain", demands, scheme.counted_messages,
+                                dplan.payloads(data, demands))
+        for k, (decoded,) in decode_all(scheme, [plan], caches):
+            truth = data[demands[k] - 1]
+            if not np.array_equal(decoded, truth):
+                j = int(np.flatnonzero(np.any(decoded != truth, axis=1))[0])
+                raise DecodeFailureError(k, int(dplan.grid[j, k]) + 1,
+                                         f"row {j} payload mismatch")
     return num_trials
 
 

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from macc.cli import main
 from macc.serialize import load_object
@@ -520,3 +520,62 @@ def test_wrong_field_type_exits_with_a_code(fano_files, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in {1, 2, 3}
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    """A work directory and one file of each JSON kind a command reads."""
+    work = tmp_path_factory.mktemp("inputs")
+    for kind, argv in [
+        ("design", ["design", "--catalog", "fano-7-3-1"]),
+        ("pda", ["pda", "--mn", "4,2"]),
+        ("gdd", ["gdd", "--transversal", "3,2,2"]),
+        ("oa", ["oa", "--catalog", "oa-3-2-2"]),
+        ("bundle", ["scheme", "--design", "fano-7-3-1", "--mu-gamma", "1"]),
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(work / f"{kind}.json")]) == 0
+    return work
+
+
+# Every command that reads a JSON file, with the kind of file it reads.
+_JSON_READERS = [
+    ("design", ("verify", "{}")),
+    ("pda", ("verify", "{}")),
+    ("gdd", ("verify", "{}")),
+    ("oa", ("verify", "{}")),
+    ("bundle", ("verify", "{}")),
+    ("design", ("scheme", "--design", "@{}", "--mu-gamma", "1")),
+    ("gdd", ("scheme", "--gdd-file", "{}")),
+    ("oa", ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}")),
+    ("bundle", ("simulate", "--scheme", "{}", "--packet-bytes", "8")),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(_JSON_READERS), data=st.data())
+def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
+    """A JSON input cut short or with one bit flipped never ends in a
+    traceback.  Damage that leaves no JSON is a parse error; damage that
+    leaves other JSON (a digit changed, the final newline cut) may still be
+    a valid input."""
+    kind, argv = reader
+    whole = (json_inputs / f"{kind}.json").read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = whole[:data.draw(st.integers(0, len(whole) - 1), label="cut")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(whole) - 1), label="bit")
+        damaged = bytearray(whole)
+        damaged[bit // 8] ^= 1 << bit % 8
+    target = json_inputs / "damaged.json"
+    target.write_bytes(damaged)
+    try:
+        json.loads(bytes(damaged).decode("utf-8"))
+        parses = True
+    except ValueError:
+        parses = False
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([a.format(target) for a in argv])
+    assert "Traceback" not in err.getvalue()
+    assert code in ({0, 1, 2, 3} if parses else {3})
