@@ -1,10 +1,10 @@
 """Combinatorial access topologies: block designs, GDDs, resolvable designs, OAs.
 
-Everything here is small and exhaustive by intent: constructors build the
-classical families used as cache-access topologies, verifiers check the
-defining coverage properties by full enumeration, and the duality transforms
-move between cross resolvable designs, group divisible designs, and
-orthogonal arrays.
+Constructors build the classical families used as cache-access topologies,
+the verifiers check the defining coverage property of each (every t-subset,
+cross t-subset or s-column tuple occurs exactly lambda times) with one
+counting kernel, and the duality transforms move between cross resolvable
+designs, group divisible designs, and orthogonal arrays.
 
 Conventions: points are 1-based, every subset is stored as a sorted tuple,
 and enumerations are lexicographic unless a catalog entry pins a specific
@@ -13,22 +13,46 @@ published ordering.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
+    InconsistentDesignError,
     InvalidInputError,
     InvalidParametersError,
     NotFoundError,
     UnsupportedParametersError,
 )
+from .pda import subset_ranks
 
-# Exhaustive verification caps; correctness over scale.
-MAX_DESIGN_POINTS = 24
+# Largest array trivial_oa enumerates.
 MAX_OA_CELLS = 1 << 20
+# Largest peak the counting kernel may reach: it measures at up to 48 bytes
+# per counted key plus 24 per point gathered with it (t per key of a design
+# or GDD, none for an OA, whose column sets are ranked by position).
+MAX_COUNT_BYTES = 1 << 30
+
+
+def int_text(x) -> str:
+    """str(x), or x's bit length when str() refuses an int of more than
+    4300 digits."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
+def require_match(report, what: str) -> None:
+    """Raise InconsistentDesignError naming the first violation of a failed
+    verification of ``what`` against its own tag."""
+    if not report.ok:
+        raise InconsistentDesignError(f"{what} does not match its tag: {report.first_violation}")
 
 
 def _sorted_block(block) -> tuple:
@@ -39,6 +63,66 @@ def _sorted_block(block) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# The counting kernel.  Every verifier counts t-subsets of [n], each paired
+# with a symbol vector (a GDD's values, an OA row's entries) or with none, as
+# the keys rank(subset) * q^w + symbols read base q.  Keys run in the
+# lexicographic order of the enumeration, so the first miscounted key is the
+# first violation.
+
+
+def _check_countable(keys: int, gathered: int, key_space: int, what: str) -> None:
+    """Refuse, before any array is made, a count whose keys pass int64 or
+    whose arrays would pass MAX_COUNT_BYTES."""
+    if key_space > np.iinfo(np.int64).max:
+        raise UnsupportedParametersError(f"{what} exceed the int64 key range")
+    if keys * (48 + 24 * gathered) > MAX_COUNT_BYTES:
+        raise UnsupportedParametersError(f"{what}: counting needs over {MAX_COUNT_BYTES} bytes")
+
+
+def _first_miscount(points, symbols, t: int, universe: int, base: int, index: int):
+    """Count every t-set of positions of every row: its points, a sorted
+    t-subset of [universe], with its 0-based symbols read base ``base``.
+    ``points`` (R x W) None stands for the 1-based positions themselves,
+    ``symbols`` (R x W) None for no symbols.  Returns the first (subset,
+    1-based symbols, count) in order whose count is not ``index``, or None."""
+    rows, width = (symbols if points is None else points).shape
+    pos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(width), t)),
+                      dtype=np.int64).reshape(-1, t)
+    if points is None:  # the positions run in lexicographic order
+        keys = np.tile(np.arange(len(pos)), rows)
+    else:
+        keys = subset_ranks(points[:, pos].reshape(-1, t), universe)
+    w = 0 if symbols is None else t
+    for i in range(w):
+        keys *= base
+        keys += symbols[:, pos[:, i]].ravel()
+    values, counts = np.unique(keys, return_counts=True)
+    # For index != 0 every key before the first violation occurs: values[i] == i.
+    bad = np.flatnonzero((counts != index) | (values != np.arange(len(values))) & (index != 0))
+    if len(bad):
+        i = int(bad[0])
+        key, count = (int(values[i]), int(counts[i])) if index == 0 or values[i] == i else (i, 0)
+    elif index == 0 or len(values) == math.comb(universe, t) * base**w:
+        return None
+    else:
+        key, count = len(values), 0
+    rank, vector = divmod(key, base**w)
+    return (_subset_at(rank, universe, t),
+            tuple(vector // base**(w - 1 - i) % base + 1 for i in range(w)), count)
+
+
+def _subset_at(rank: int, n: int, t: int) -> tuple:
+    """The t-subset of [n] of lexicographic rank ``rank``, read off the
+    combinatorial number system: C(n,t) - 1 - rank = sum_i C(n - x_i, t - i)."""
+    rest, out = math.comb(n, t) - 1 - rank, []
+    for k in range(t, 0, -1):
+        c = bisect.bisect_right(range(n), rest, key=lambda x: math.comb(x, k)) - 1
+        rest -= math.comb(c, k)
+        out.append(n - c)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # t-designs
 
 
@@ -46,8 +130,9 @@ def _sorted_block(block) -> tuple:
 class Design:
     """A uniform block design on points 1..num_points.
 
-    ``strength``/``index`` record the claimed t-(v, L, lambda) tag; they are
-    advisory until checked with :func:`verify_t_design`.
+    ``strength``/``index`` record the claimed t-(v, L, lambda) tag;
+    :func:`verify_t_design` checks it, and the scheme builders refuse a
+    design whose blocks do not match it.
     """
 
     num_points: int
@@ -161,7 +246,7 @@ class DesignVerification:
 
 
 def verify_t_design(design: Design, strength: int, index: int) -> DesignVerification:
-    """Exhaustively check that every t-subset lies in exactly ``index`` blocks.
+    """Check that every t-subset lies in exactly ``index`` blocks.
 
     The report carries the replication count and the derived lower-strength
     indices lambda * C(v-t', t-t') / C(L-t', t-t') for every t' <= t.
@@ -170,30 +255,22 @@ def verify_t_design(design: Design, strength: int, index: int) -> DesignVerifica
     v, L = design.num_points, design.block_size
     if not 1 <= t <= L:
         raise InvalidParametersError(f"need 1 <= t <= L={L}, got t={t}")
-    if v > MAX_DESIGN_POINTS:
-        raise UnsupportedParametersError(
-            f"exhaustive verification capped at {MAX_DESIGN_POINTS} points"
-        )
-    replication = Fraction(lam * math.comb(v - 1, t - 1), math.comb(L - 1, t - 1))
+    _check_countable(design.num_blocks * math.comb(L, t), t, math.comb(v, t),
+                     f"the {t}-subsets of {v} points")
     derived = {
         tp: Fraction(lam * math.comb(v - tp, t - tp), math.comb(L - tp, t - tp))
         for tp in range(1, t + 1)
     }
-    counts = {}
-    for block in design.blocks:
-        for sub in itertools.combinations(block, t):
-            counts[sub] = counts.get(sub, 0) + 1
+    first = _first_miscount(np.array(design.blocks, dtype=np.int64), None, t, v, 1, lam)
     violation = None
-    for sub in itertools.combinations(range(1, v + 1), t):
-        got = counts.get(sub, 0)
-        if got != lam:
-            violation = f"subset {set(sub)} lies in {got} blocks, expected {lam}"
-            break
+    if first:
+        sub, _, got = first
+        violation = f"subset {set(sub)} lies in {got} blocks, expected {lam}"
     return DesignVerification(
         ok=violation is None,
         strength=t,
         index=lam,
-        replication=replication,
+        replication=derived[1],
         derived_indices=derived,
         first_violation=violation,
     )
@@ -253,14 +330,6 @@ class GroupDivisibleDesign:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_groups(self, k: int) -> tuple:
-        """Group indices of block k (0-based), ascending."""
-        return tuple(u for u, _ in self.blocks[k])
-
-    def block_values(self, k: int) -> tuple:
-        """Within-group values of block k, ordered by group."""
-        return tuple(v for _, v in self.blocks[k])
 
     def canonical(self) -> "GroupDivisibleDesign":
         return GroupDivisibleDesign(
@@ -325,43 +394,28 @@ class GddVerification:
 
 
 def verify_gdd(gdd: GroupDivisibleDesign, strength: int, index: int) -> GddVerification:
-    """Check transversality, cross coverage, and the block count
-    lambda * C(m,t) * q^t / C(L,t)."""
+    """Check transversality and cross coverage, which together imply the
+    block count lambda * C(m,t) * q^t / C(L,t)."""
     t, lam = strength, index
     m, q, L = gdd.num_groups, gdd.group_size, gdd.block_size
     if not 1 <= t <= L <= m:
         raise InvalidParametersError(f"need 1 <= t <= L <= m, got t={t}, L={L}, m={m}")
-    if math.comb(m, t) * q**t > MAX_OA_CELLS:
-        raise UnsupportedParametersError("cross t-set enumeration too large")
+    _check_countable(gdd.num_blocks * math.comb(L, t), t, math.comb(m, t) * q**t,
+                     f"the cross {t}-subsets of {m} groups of {q}")
     expected_blocks = Fraction(lam * math.comb(m, t) * q**t, math.comb(L, t))
 
+    points = np.array(gdd.blocks, dtype=np.int64)
+    # Points sort by group, so a repeated group is an adjacent pair.
+    repeats = np.flatnonzero((np.diff(points[:, :, 0], axis=1) == 0).any(axis=1))
     violation = None
-    for k, block in enumerate(gdd.blocks):
-        groups = gdd.block_groups(k)
-        if len(set(groups)) != len(groups):
-            violation = f"block {block} meets a group twice"
-            break
-
-    if violation is None:
-        counts = {}
-        for block in gdd.blocks:
-            for sub in itertools.combinations(block, t):
-                if len({u for u, _ in sub}) == t:
-                    counts[sub] = counts.get(sub, 0) + 1
-        for groups in itertools.combinations(range(1, m + 1), t):
-            for values in itertools.product(range(1, q + 1), repeat=t):
-                sub = tuple(zip(groups, values))
-                got = counts.get(sub, 0)
-                if got != lam:
-                    violation = f"cross subset {sub} lies in {got} blocks, expected {lam}"
-                    break
-            if violation:
-                break
-
-    if violation is None and gdd.num_blocks != expected_blocks:
-        violation = (
-            f"block count {gdd.num_blocks} != lambda*C(m,t)*q^t/C(L,t) = {expected_blocks}"
-        )
+    if len(repeats):
+        violation = f"block {gdd.blocks[repeats[0]]} meets a group twice"
+    else:
+        first = _first_miscount(points[:, :, 0], points[:, :, 1] - 1, t, m, q, lam)
+        if first:
+            groups, values, got = first
+            violation = (f"cross subset {tuple(zip(groups, values))} lies in {got} blocks, "
+                         f"expected {lam}")
     return GddVerification(
         ok=violation is None,
         strength=t,
@@ -425,63 +479,69 @@ class ResolvableVerification:
     first_violation: Optional[str] = None
 
 
+def _point_blocks(rd: ResolvableDesign) -> tuple:
+    """(first class, rows): the 1-based first class that is not a partition
+    of [v], or None; and when there is none, the v x m array whose row j - 1
+    holds in column u - 1 the 0-based index of the class-u block holding j."""
+    v, m = rd.num_points, rd.num_classes
+    blocks = list(itertools.chain.from_iterable(rd.parallel_classes))
+    cls = np.repeat(np.arange(m), list(map(len, rd.parallel_classes)))
+    block = np.repeat(np.arange(len(blocks)) - np.searchsorted(cls, cls), rd.block_size)
+    cls, points = np.repeat(cls, rd.block_size), np.array(blocks, dtype=np.int64).ravel()
+    # A class is a partition when its v points all lie in [v] and cover it.
+    inside = (points >= 1) & (points <= v)
+    rows = np.full((v, m), -1, dtype=np.int64)
+    rows[points[inside] - 1, cls[inside]] = block[inside]
+    bad = (np.bincount(cls, minlength=m) != v) | (rows < 0).any(axis=0)
+    bad[cls[~inside]] = True
+    return (int(bad.argmax()) + 1, None) if bad.any() else (None, rows)
+
+
 def verify_resolvable(rd: ResolvableDesign, strength: int, cross_number: int) -> ResolvableVerification:
     """Check that each class partitions the points and any ``strength`` blocks
-    from distinct classes intersect in exactly ``cross_number`` points."""
+    from distinct classes intersect in exactly ``cross_number`` points: the
+    point-to-block rows form an OA of that strength and index."""
     t, lam = strength, cross_number
-    if not 1 <= t <= rd.num_classes:
-        raise InvalidParametersError(f"need 1 <= t <= m={rd.num_classes}")
-    points = set(range(1, rd.num_points + 1))
+    m, q = rd.num_classes, rd.blocks_per_class
+    if not 1 <= t <= m:
+        raise InvalidParametersError(f"need 1 <= t <= m={m}")
+    bad_class, rows = _point_blocks(rd)
     violation = None
-    for u, cls in enumerate(rd.parallel_classes, start=1):
-        seen = [p for b in cls for p in b]
-        if len(seen) != len(points) or set(seen) != points:
-            violation = f"class {u} is not a partition of [{rd.num_points}]"
-            break
-    if violation is None:
-        for class_ids in itertools.combinations(range(rd.num_classes), t):
-            for choice in itertools.product(*(rd.parallel_classes[u] for u in class_ids)):
-                inter = set(choice[0])
-                for b in choice[1:]:
-                    inter &= set(b)
-                if len(inter) != lam:
-                    violation = (
-                        f"blocks {choice} from classes {[u + 1 for u in class_ids]} "
-                        f"meet in {len(inter)} points, expected {lam}"
-                    )
-                    break
-            if violation:
-                break
+    if bad_class:
+        violation = f"class {bad_class} is not a partition of [{rd.num_points}]"
+    else:
+        _check_countable(rd.num_points * math.comb(m, t), 0, math.comb(m, t) * q**t,
+                         f"the {t}-class block choices of {m} classes")
+        first = _first_miscount(None, rows, t, m, q, lam)
+        if first:
+            classes, blocks, got = first
+            choice = tuple(rd.parallel_classes[u - 1][b - 1] for u, b in zip(classes, blocks))
+            violation = (f"blocks {choice} from classes {list(classes)} "
+                         f"meet in {got} points, expected {lam}")
     return ResolvableVerification(violation is None, t, lam, violation)
 
 
-def _resolve_cross_tag(rd: ResolvableDesign, strength, cross_number):
+def _cross_rows(rd: ResolvableDesign, strength, cross_number) -> tuple:
+    """The cross tag and point-to-block rows of a t-cross resolvable design."""
     t = strength if strength is not None else rd.strength
     lam = cross_number if cross_number is not None else rd.cross_number
     if t is None or lam is None:
         raise InvalidInputError("resolvable design carries no cross tag; pass strength/cross_number")
-    return t, lam
+    report = verify_resolvable(rd, t, lam)
+    if not report.ok:
+        raise InvalidInputError(f"input is not {t}-cross resolvable: {report.first_violation}")
+    return t, lam, _point_blocks(rd)[1]
 
 
 def dual_of_resolvable(rd: ResolvableDesign, strength=None, cross_number=None) -> GroupDivisibleDesign:
     """Swap points and blocks: class u becomes group u, and point j becomes
     the block {(u, v) : j in class-u block v}.  A t-cross design with
     intersection number lam dualizes to a t-(m, q, m, lam) GDD."""
-    t, lam = _resolve_cross_tag(rd, strength, cross_number)
-    report = verify_resolvable(rd, t, lam)
-    if not report.ok:
-        raise InvalidInputError(f"input is not {t}-cross resolvable: {report.first_violation}")
-    m = rd.num_classes
-    q = rd.blocks_per_class
-    blocks = []
-    for j in range(1, rd.num_points + 1):
-        block = []
-        for u, cls in enumerate(rd.parallel_classes, start=1):
-            for v, b in enumerate(cls, start=1):
-                if j in b:
-                    block.append((u, v))
-        blocks.append(tuple(block))
-    return GroupDivisibleDesign(m, q, tuple(blocks), strength=t, index=lam)
+    t, lam, rows = _cross_rows(rd, strength, cross_number)
+    groups = np.broadcast_to(np.arange(1, rd.num_classes + 1), rows.shape)
+    blocks = np.stack([groups, rows + 1], axis=2).tolist()
+    return GroupDivisibleDesign(rd.num_classes, rd.blocks_per_class, blocks,
+                                strength=t, index=lam)
 
 
 def dual_of_gdd(gdd: GroupDivisibleDesign) -> ResolvableDesign:
@@ -534,10 +594,14 @@ class OrthogonalArray:
             for x in r:
                 if not 1 <= x <= self.num_symbols:
                     raise InvalidInputError(f"entry {x} outside [{self.num_symbols}]")
-        expected = self.index * self.num_symbols**self.strength
-        if len(rows) != expected:
+        q, s, lam = self.num_symbols, self.strength, self.index
+        # Past 2^14 bits q^s has over 4300 digits and dwarfs any row count,
+        # so it is named by its factors, not formed.
+        if lam and s * (q.bit_length() - 1) > 1 << 14:
+            raise InvalidInputError(f"row count {len(rows)} != index*q^strength = {lam}*{q}^{s}")
+        if len(rows) != lam * q**s:
             raise InvalidInputError(
-                f"row count {len(rows)} != index*q^strength = {expected}"
+                f"row count {len(rows)} != index*q^strength = {int_text(lam * q**s)}"
             )
 
     @property
@@ -568,27 +632,16 @@ def verify_oa(oa: OrthogonalArray, strength: int, index: int) -> OaVerification:
     q = oa.num_symbols
     if not 1 <= s <= m:
         raise InvalidParametersError(f"need 1 <= s <= m={m}")
-    if q**s > MAX_OA_CELLS:
-        raise UnsupportedParametersError("projection enumeration too large")
+    _check_countable(oa.num_rows * math.comb(m, s), 0, math.comb(m, s) * q**s,
+                     f"the {s}-column projections over {q} symbols")
     violation = None
     if oa.num_rows != lam * q**s:
         violation = f"row count {oa.num_rows} != index*q^s = {lam * q ** s}"
     else:
-        for cols in itertools.combinations(range(m), s):
-            counts = {}
-            for row in oa.rows:
-                key = tuple(row[c] for c in cols)
-                counts[key] = counts.get(key, 0) + 1
-            for tup in itertools.product(range(1, q + 1), repeat=s):
-                got = counts.get(tup, 0)
-                if got != lam:
-                    violation = (
-                        f"columns {tuple(c + 1 for c in cols)}: tuple {tup} "
-                        f"appears {got} times, expected {lam}"
-                    )
-                    break
-            if violation:
-                break
+        first = _first_miscount(None, np.array(oa.rows, dtype=np.int64) - 1, s, m, q, lam)
+        if first:
+            cols, tup, got = first
+            violation = f"columns {cols}: tuple {tup} appears {got} times, expected {lam}"
     return OaVerification(violation is None, s, lam, violation)
 
 
@@ -659,21 +712,8 @@ def catalog_oa(name: str) -> OrthogonalArray:
 def resolvable_to_oa(rd: ResolvableDesign, strength=None, cross_number=None) -> OrthogonalArray:
     """Encode a t-cross resolvable design as an OA: row j, column u holds the
     class-u block containing point j."""
-    t, lam = _resolve_cross_tag(rd, strength, cross_number)
-    report = verify_resolvable(rd, t, lam)
-    if not report.ok:
-        raise InvalidInputError(f"input is not {t}-cross resolvable: {report.first_violation}")
-    q = rd.blocks_per_class
-    rows = []
-    for j in range(1, rd.num_points + 1):
-        row = []
-        for cls in rd.parallel_classes:
-            for v, b in enumerate(cls, start=1):
-                if j in b:
-                    row.append(v)
-                    break
-        rows.append(tuple(row))
-    return OrthogonalArray(q, t, lam, tuple(rows))
+    t, lam, rows = _cross_rows(rd, strength, cross_number)
+    return OrthogonalArray(rd.blocks_per_class, t, lam, tuple(map(tuple, (rows + 1).tolist())))
 
 
 def oa_to_resolvable(oa: OrthogonalArray) -> ResolvableDesign:
@@ -682,13 +722,8 @@ def oa_to_resolvable(oa: OrthogonalArray) -> ResolvableDesign:
     report = verify_oa(oa, oa.strength, oa.index)
     if not report.ok:
         raise InvalidInputError(f"not an OA: {report.first_violation}")
-    classes = []
-    for u in range(oa.num_columns):
-        cls = []
-        for v in range(1, oa.num_symbols + 1):
-            cls.append(tuple(j for j, row in enumerate(oa.rows, start=1) if row[u] == v))
-        classes.append(tuple(cls))
-    return ResolvableDesign(
-        oa.num_rows, tuple(classes),
-        strength=oa.strength, cross_number=oa.index,
-    )
+    # Each symbol fills a 1/q share of each column, so the rows of each
+    # column sorted stably by symbol split into q equal blocks.
+    order = np.argsort(np.array(oa.rows).T, axis=1, kind="stable") + 1
+    classes = order.reshape(oa.num_columns, oa.num_symbols, -1).tolist()
+    return ResolvableDesign(oa.num_rows, classes, strength=oa.strength, cross_number=oa.index)

@@ -26,7 +26,7 @@ class NotAPdaError(MaccError):
 
 
 class InconsistentDesignError(MaccError):
-    """A design tagged with index 1 contains a repeated t-subset."""
+    """A design, GDD or OA whose blocks or rows do not match its tag."""
 
 
 class ConfigurationError(MaccError):

@@ -196,6 +196,20 @@ def row_keys(rows) -> np.ndarray:
     return key
 
 
+def subset_ranks(subsets, universe: int) -> np.ndarray:
+    """0-based lexicographic rank of each row of an N x t array of sorted
+    t-subsets of [universe]: C(v, t) - 1 - sum_i C(v - x_i, t - i), i from 0.
+    C(universe, t) must fit in int64."""
+    subsets = np.asarray(subsets, dtype=np.int64)
+    t = subsets.shape[1]
+    rank = np.full(len(subsets), math.comb(universe, t) - 1, dtype=np.int64)
+    for i, col in enumerate(subsets.T):
+        # one exact binomial per distinct point of the column
+        rest, inverse = np.unique(universe - col, return_inverse=True)
+        rank -= np.array([math.comb(int(r), t - i) for r in rest], dtype=np.int64)[inverse]
+    return rank
+
+
 def occurrences(keys) -> np.ndarray:
     """1-based copy counter: entry i counts the entries up to i (in array
     order) whose key equals ``keys[i]``."""
@@ -323,19 +337,6 @@ def verify_pda(pda: Pda) -> PdaVerification:
     )
 
 
-def subset_lex_rank(subset, universe: int) -> int:
-    """1-based rank of a sorted subset among all same-size subsets of
-    [universe] in lexicographic order."""
-    rank = 0
-    size = len(subset)
-    prev = 0
-    for i, x in enumerate(subset):
-        for y in range(prev + 1, x):
-            rank += math.comb(universe - y, size - i - 1)
-        prev = x
-    return rank + 1
-
-
 def mn_pda(num_users: int, cached_fraction: int) -> Pda:
     """The classical single-cache PDA: rows are the t-subsets of users in
     lexicographic order, and cell (D, k) for k outside D is the rank of
@@ -343,12 +344,11 @@ def mn_pda(num_users: int, cached_fraction: int) -> Pda:
     k_users, t = num_users, cached_fraction
     if not 0 <= t <= k_users:
         raise InvalidParametersError(f"need 0 <= t <= K, got t={t}, K={k_users}")
-    rows = []
-    for d in itertools.combinations(range(1, k_users + 1), t):
-        dset = set(d)
-        row = [
-            STAR if k in dset else subset_lex_rank(tuple(sorted(d + (k,))), k_users)
-            for k in range(1, k_users + 1)
-        ]
-        rows.append(tuple(row))
-    return Pda(tuple(rows))
+    subsets = np.array(list(itertools.combinations(range(1, k_users + 1), t)), dtype=np.int64)
+    users = np.arange(1, k_users + 1)
+    rows, cols = np.nonzero((subsets[:, :, None] != users).all(axis=1))
+    keys = np.full((len(subsets), k_users), -1, dtype=np.int64)
+    keys[rows, cols] = subset_ranks(
+        np.sort(np.column_stack([subsets[rows], users[cols]]), axis=1), k_users,
+    )
+    return Pda.from_keys(keys, lambda first: (keys[keys >= 0][first] + 1).tolist())

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import Design
-from .errors import InconsistentDesignError, InvalidInputError, InvalidParametersError
+from .designs import Design, require_match, verify_t_design
+from .errors import InvalidInputError, InvalidParametersError
 from .pda import CountedSubsetId, Pda, SubsetId, occurrences, row_keys
 from .simulate import ArrayScheme, _user_index
 
@@ -89,11 +89,6 @@ class DesignSchemeParams:
             cached_nodes=cached_nodes,
             num_files=num_files if num_files is not None else 1,
         )
-        if design.num_blocks != params.num_users:
-            raise InvalidInputError(
-                f"design has {design.num_blocks} blocks but its tag implies "
-                f"{params.num_users}"
-            )
         if num_files is None:
             params = cls(
                 params.num_nodes, params.access_degree, params.strength,
@@ -157,17 +152,6 @@ def build_user_retrieve(design: Design, cached_nodes: int) -> np.ndarray:
     return np.tile(meets, (math.comb(params.access_degree, params.strength), 1))
 
 
-def _check_unique_t_subsets(design: Design, strength: int) -> None:
-    seen = set()
-    for block in design.blocks:
-        for sub in itertools.combinations(block, strength):
-            if sub in seen:
-                raise InconsistentDesignError(
-                    f"t-subset {set(sub)} appears in two blocks of an index-1 design"
-                )
-            seen.add(sub)
-
-
 def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     """Delivery array: the cell at row (D, T), column B is a star when B meets
     D; otherwise it carries the subset D + B(T).
@@ -178,8 +162,6 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     bottom.
     """
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    if params.index == 1:
-        _check_unique_t_subsets(design, params.strength)
     d_masks = _subset_masks(design, cached_nodes)
     blocks = np.array(design.blocks)
     t_masks = np.stack([
@@ -247,6 +229,7 @@ class DesignCachingScheme(ArrayScheme):
 
 def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> DesignCachingScheme:
     params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
+    require_match(verify_t_design(design, params.strength, params.index), "design")
     return DesignCachingScheme(
         params=params,
         design=design,

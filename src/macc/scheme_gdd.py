@@ -21,7 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import GroupDivisibleDesign, OrthogonalArray, flatten_point
+from .designs import (
+    GroupDivisibleDesign, OrthogonalArray, flatten_point, require_match, verify_gdd, verify_oa,
+)
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from .pda import CountedVectorId, Pda, occurrences, row_keys
 from .simulate import ArrayScheme
@@ -134,9 +136,8 @@ def build_gdd_node_placement(oa: OrthogonalArray, access_degree: int, strength: 
 
 def _block_coordinates(gdd: GroupDivisibleDesign) -> tuple:
     """The 0-based groups and the values of the blocks, K x L each."""
-    groups = np.array([gdd.block_groups(k) for k in range(gdd.num_blocks)]) - 1
-    values = np.array([gdd.block_values(k) for k in range(gdd.num_blocks)])
-    return groups, values
+    points = np.array(gdd.blocks)
+    return points[:, :, 0] - 1, points[:, :, 1]
 
 
 def build_gdd_user_retrieve(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> np.ndarray:
@@ -215,6 +216,11 @@ class GddCachingScheme(ArrayScheme):
 def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
                      num_files: Optional[int] = None) -> GddCachingScheme:
     params = GddSchemeParams.from_components(gdd, oa, num_files)
+    _check_frame(gdd, oa)
+    # An untagged GDD is checked as index 1, the only index the delivery
+    # array is built for.
+    require_match(verify_gdd(gdd, params.strength, 1 if gdd.index is None else gdd.index), "GDD")
+    require_match(verify_oa(oa, oa.strength, oa.index), "OA")
     return GddCachingScheme(
         params=params,
         gdd=gdd,

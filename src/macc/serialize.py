@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .designs import Design, GroupDivisibleDesign, OrthogonalArray
+from .designs import Design, GroupDivisibleDesign, OrthogonalArray, int_text
 from .errors import InvalidInputError
 from .pda import Pda, STAR
 from .scheme_design import DesignCachingScheme, achievable_load, shared_link_tradeoff
@@ -18,7 +18,8 @@ from .scheme_gdd import GddCachingScheme, gdd_tradeoff
 
 
 def fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    text = int_text(x.numerator)
+    return f"{text}/{int_text(x.denominator)}" if x.denominator != 1 else text
 
 
 def design_to_obj(design: Design) -> dict:
@@ -219,13 +220,14 @@ def object_from_obj(obj, source: str = "object"):
 
 def read_json(path):
     """The JSON value in the file at ``path``.  A file that cannot be read,
-    or is not UTF-8 JSON, raises InvalidInputError naming the path."""
+    or is not UTF-8 JSON (or holds an integer of more than 4300 digits),
+    raises InvalidInputError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, long ints
         raise InvalidInputError(f"{path} is not UTF-8 JSON: {exc}") from None
 
 

@@ -375,7 +375,8 @@ class TestUnreadableInput:
         ("scheme", "--gdd-file", "{}"),
         ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}"),
     ], ids=["verify", "simulate", "scheme-design", "scheme-gdd-file", "scheme-oa-file"])
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json",
+                                      "long-int"])
     def test_is_parse_error(self, capsys, tmp_path, argv, kind):
         path = tmp_path / "input.json"
         if kind == "directory":
@@ -384,9 +385,102 @@ class TestUnreadableInput:
             path.write_bytes(b'{"type": "design\xff"}')
         elif kind == "not-json":
             path.write_text("{not json")
+        elif kind == "long-int":
+            # one digit past the longest integer Python converts from text
+            path.write_text('{"type": "design", "points": ' + "9" * 4301 + "}")
         code, out, err = run(capsys, *(a.format(path) for a in argv))
         assert code == 3
         assert out == "" and err.startswith("parse error:") and str(path) in err
+
+
+def _edit_json(change):
+    """A file edit that applies ``change`` to the parsed JSON."""
+    def edit(raw):
+        obj = json.loads(raw)
+        change(obj)
+        return json.dumps(obj).encode()
+    return edit
+
+
+class TestFalseTagIsRefused:
+    """A design, GDD or OA whose blocks or rows do not match its tag builds no
+    scheme: the command exits 1 and names the first violation, the one
+    `macc verify` reports on the same file."""
+
+    @pytest.mark.parametrize("build, edit, argv, violation", [
+        (("design", "--catalog", "biplane-7-4-2"),
+         _edit_json(lambda o: o["blocks"].__setitem__(0, [1, 3, 4, 6])),
+         ("scheme", "--design", "@{}", "--mu-gamma", "2"),
+         "subset {1, 2} lies in 1 blocks, expected 2"),
+        (("gdd", "--transversal", "3,2,2"),
+         lambda raw: raw[:603] + b"3" + raw[604:],  # a group 1 becomes 3
+         ("scheme", "--gdd-file", "{}"),
+         "block ((3, 1), (3, 2)) meets a group twice"),
+        (("oa", "--catalog", "oa-3-2-2"),
+         _edit_json(lambda o: o["rows"][0].__setitem__(0, 2)),
+         ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}"),
+         "columns (1, 2): tuple (1, 1) appears 0 times, expected 1"),
+    ], ids=["design", "gdd", "oa"])
+    def test_scheme_exits_1(self, capsys, tmp_path, build, edit, argv, violation):
+        path = tmp_path / "input.json"
+        run(capsys, *build, "--out", str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.rstrip().endswith(violation)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1 and json.loads(out)["first_violation"] == violation
+
+    def test_simulate_exits_1(self, capsys, fano_files):
+        work, bundle, _ = fano_files
+        altered = json.loads(json.dumps(bundle))
+        altered["design"]["blocks"][0] = [1, 2, 3]
+        path = work / "altered-bundle.json"
+        path.write_text(json.dumps(altered))
+        code, out, err = run(capsys, "simulate", "--scheme", str(path))
+        assert (code, out) == (1, "")
+        assert err.rstrip().endswith("subset {1, 3} lies in 2 blocks, expected 1")
+
+
+# The longest integer Python converts to text: 4300 nines.
+_NINES = 10**4300 - 1
+
+
+class TestLargeIntegers:
+    """Tags whose products pass Python's 4300-digit str() limit end in a
+    code, not a traceback; shorter ones print in full as before."""
+
+    @pytest.mark.parametrize("obj, argv, code, text", [
+        ({"type": "oa", "q": 3, "s": 3000000, "lambda": 1, "rows": [[1, 2, 3]]},
+         ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}"), 3,
+         "row count 1 != index*q^strength = 1*3^3000000"),
+        ({"type": "oa", "q": 10**4000, "s": 2, "lambda": 1, "rows": [[1, 2, 3]]},
+         ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}"), 3,
+         f"row count 1 != index*q^strength = 1*{10**4000}^2"),
+        ({"type": "oa", "q": 2, "s": 100, "lambda": 1, "rows": [[1, 2, 2]]},
+         ("scheme", "--gdd-transversal", "3,2,2", "--oa-file", "{}"), 3,
+         f"row count 1 != index*q^strength = {2**100}"),
+        ({"type": "design", "points": 7, "t": 2, "lambda": _NINES,
+          "blocks": [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [1, 5, 6], [2, 6, 7], [1, 3, 7]]},
+         ("scheme", "--design", "@{}", "--mu-gamma", "1"), 1,
+         f"subset {{1, 2}} lies in 1 blocks, expected {_NINES}"),
+    ], ids=["oa-s-3000000", "oa-q-4001-digits", "oa-q-2-s-100", "design-lambda-4300-digits"])
+    def test_exit_code_and_message(self, capsys, tmp_path, obj, argv, code, text):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        got, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert (got, out) == (code, "")
+        assert text in err and "Traceback" not in err
+        got, out, err = run(capsys, "verify", str(path))
+        if obj["type"] == "oa":
+            assert got == 3 and text in err
+        else:
+            report = json.loads(out)
+            assert got == 1
+            assert report["replication"] == f"<{(3 * _NINES).bit_length()}-bit integer>"
+            assert report["first_violation"] == (
+                f"subset {{1, 2}} lies in 1 blocks, expected {_NINES}"
+            )
 
 
 class TestUnwritableOutput:
@@ -556,9 +650,12 @@ _JSON_READERS = [
 @given(reader=st.sampled_from(_JSON_READERS), data=st.data())
 def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
     """A JSON input cut short or with one bit flipped never ends in a
-    traceback.  Damage that leaves no JSON is a parse error; damage that
-    leaves other JSON (a digit changed, the final newline cut) may still be
-    a valid input."""
+    traceback.  Damage that leaves no JSON is a parse error.  Damage that
+    leaves the same JSON value (the final newline cut) is the same input.  A
+    design, GDD or OA file that keeps its keys but changes a value no longer
+    matches its tag, or is malformed, so it exits 1, 2 or 3.  A renamed or
+    dropped key, and damage to a PDA or to a bundle, whose Q grid nothing
+    checks, may still leave a valid input."""
     kind, argv = reader
     whole = (json_inputs / f"{kind}.json").read_bytes()
     if data.draw(st.booleans(), label="truncate"):
@@ -569,13 +666,17 @@ def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
         damaged[bit // 8] ^= 1 << bit % 8
     target = json_inputs / "damaged.json"
     target.write_bytes(damaged)
+    original = json.loads(whole)
     try:
-        json.loads(bytes(damaged).decode("utf-8"))
-        parses = True
+        parsed = json.loads(bytes(damaged).decode("utf-8"))
     except ValueError:
-        parses = False
+        allowed = {3}
+    else:
+        value_changed = (kind in ("design", "gdd", "oa") and parsed != original
+                         and isinstance(parsed, dict) and parsed.keys() == original.keys())
+        allowed = {1, 2, 3} if value_changed else {0, 1, 2, 3}
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([a.format(target) for a in argv])
     assert "Traceback" not in err.getvalue()
-    assert code in ({0, 1, 2, 3} if parses else {3})
+    assert code in allowed

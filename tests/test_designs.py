@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from macc.designs import (
     Design,
+    DesignVerification,
+    GddVerification,
+    GroupDivisibleDesign,
+    OaVerification,
+    OrthogonalArray,
     ResolvableDesign,
+    ResolvableVerification,
     catalog_design,
     catalog_design_names,
     catalog_gdd,
@@ -131,9 +137,24 @@ class TestVerifyTDesign:
         with pytest.raises(InvalidParametersError):
             verify_t_design(catalog_design("fano-7-3-1"), 4, 1)
 
-    def test_points_cap(self):
-        with pytest.raises(UnsupportedParametersError):
-            verify_t_design(Design(30, ((1, 2),)), 1, 1)
+    def test_no_points_cap(self):
+        rep = verify_t_design(Design(30, ((1, 2),)), 1, 1)
+        assert rep.first_violation == "subset {3} lies in 0 blocks, expected 1"
+
+    def test_key_space_fills_int64(self):
+        # C(66, 33) < 2^63 <= C(67, 33): the first is counted, the second refused
+        block = tuple(range(1, 34))
+        rep = verify_t_design(Design(66, (block,)), 33, 1)
+        assert rep.first_violation == (
+            f"subset {set(block[:-1] + (34,))} lies in 0 blocks, expected 1"
+        )
+        with pytest.raises(UnsupportedParametersError, match="int64"):
+            verify_t_design(Design(67, (block,)), 33, 1)
+
+    def test_count_too_large_is_refused(self):
+        # one block of 40 points holds C(40, 20) 20-subsets
+        with pytest.raises(UnsupportedParametersError, match="counting needs over"):
+            verify_t_design(Design(40, (tuple(range(1, 41)),)), 20, 1)
 
 
 class TestDivisibility:
@@ -337,3 +358,193 @@ def test_complete_design_replication(v, data):
     assert rep.ok
     assert d.num_blocks * l == rep.replication * v
     assert rep.replication == math.comb(v - 1, l - 1)
+
+
+# The verifiers as plain loops over every subset, the reference the counting
+# kernel must match report for report.
+
+
+def oracle_t_design(design, t, lam):
+    v, L = design.num_points, design.block_size
+    counts = {}
+    for block in design.blocks:
+        for sub in itertools.combinations(block, t):
+            counts[sub] = counts.get(sub, 0) + 1
+    violation = None
+    for sub in itertools.combinations(range(1, v + 1), t):
+        got = counts.get(sub, 0)
+        if got != lam:
+            violation = f"subset {set(sub)} lies in {got} blocks, expected {lam}"
+            break
+    return DesignVerification(
+        violation is None, t, lam,
+        Fraction(lam * math.comb(v - 1, t - 1), math.comb(L - 1, t - 1)),
+        {tp: Fraction(lam * math.comb(v - tp, t - tp), math.comb(L - tp, t - tp))
+         for tp in range(1, t + 1)},
+        violation,
+    )
+
+
+def oracle_gdd(gdd, t, lam):
+    m, q, L = gdd.num_groups, gdd.group_size, gdd.block_size
+    expected_blocks = Fraction(lam * math.comb(m, t) * q**t, math.comb(L, t))
+    violation = None
+    for block in gdd.blocks:
+        groups = [u for u, _ in block]
+        if len(set(groups)) != len(groups):
+            violation = f"block {block} meets a group twice"
+            break
+    if violation is None:
+        counts = {}
+        for block in gdd.blocks:
+            for sub in itertools.combinations(block, t):
+                if len({u for u, _ in sub}) == t:
+                    counts[sub] = counts.get(sub, 0) + 1
+        for groups in itertools.combinations(range(1, m + 1), t):
+            for values in itertools.product(range(1, q + 1), repeat=t):
+                sub = tuple(zip(groups, values))
+                got = counts.get(sub, 0)
+                if got != lam:
+                    violation = f"cross subset {sub} lies in {got} blocks, expected {lam}"
+                    break
+            if violation:
+                break
+    if violation is None and gdd.num_blocks != expected_blocks:
+        violation = (
+            f"block count {gdd.num_blocks} != lambda*C(m,t)*q^t/C(L,t) = {expected_blocks}"
+        )
+    return GddVerification(violation is None, t, lam, expected_blocks, violation)
+
+
+def oracle_oa(oa, s, lam):
+    m, q = oa.num_columns, oa.num_symbols
+    violation = None
+    if oa.num_rows != lam * q**s:
+        violation = f"row count {oa.num_rows} != index*q^s = {lam * q ** s}"
+    else:
+        for cols in itertools.combinations(range(m), s):
+            counts = {}
+            for row in oa.rows:
+                key = tuple(row[c] for c in cols)
+                counts[key] = counts.get(key, 0) + 1
+            for tup in itertools.product(range(1, q + 1), repeat=s):
+                got = counts.get(tup, 0)
+                if got != lam:
+                    violation = (
+                        f"columns {tuple(c + 1 for c in cols)}: tuple {tup} "
+                        f"appears {got} times, expected {lam}"
+                    )
+                    break
+            if violation:
+                break
+    return OaVerification(violation is None, s, lam, violation)
+
+
+def oracle_resolvable(rd, t, lam):
+    points = set(range(1, rd.num_points + 1))
+    violation = None
+    for u, cls in enumerate(rd.parallel_classes, start=1):
+        seen = [p for b in cls for p in b]
+        if len(seen) != len(points) or set(seen) != points:
+            violation = f"class {u} is not a partition of [{rd.num_points}]"
+            break
+    if violation is None:
+        for class_ids in itertools.combinations(range(rd.num_classes), t):
+            for choice in itertools.product(*(rd.parallel_classes[u] for u in class_ids)):
+                inter = set(choice[0])
+                for b in choice[1:]:
+                    inter &= set(b)
+                if len(inter) != lam:
+                    violation = (
+                        f"blocks {choice} from classes {[u + 1 for u in class_ids]} "
+                        f"meet in {len(inter)} points, expected {lam}"
+                    )
+                    break
+            if violation:
+                break
+    return ResolvableVerification(violation is None, t, lam, violation)
+
+
+# Tags to check against: mostly small, sometimes far past any count.
+_INDICES = st.one_of(st.integers(0, 3), st.sampled_from([-1, 10**30]))
+
+
+def _edited(data, blocks, make):
+    """``blocks`` with a few drawn edits: one dropped, repeated or replaced
+    by a ``make()`` draw."""
+    blocks = list(blocks)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        edit = data.draw(st.sampled_from(["drop", "repeat", "replace"]))
+        if edit == "drop" and len(blocks) > 1:
+            del blocks[i]
+        elif edit == "repeat":
+            blocks.append(blocks[i])
+        else:
+            blocks[i] = data.draw(make())
+    return blocks
+
+
+class TestKernelMatchesOracle:
+    @given(st.data())
+    def test_t_design(self, data):
+        v = data.draw(st.integers(2, 8))
+        l = data.draw(st.integers(1, v))
+        block = lambda: st.lists(st.integers(1, v), min_size=l, max_size=l, unique=True)
+        blocks = _edited(data, complete_design(v, l).blocks, block)
+        if data.draw(st.booleans()):
+            blocks = data.draw(st.lists(block(), min_size=1, max_size=12))
+        design = Design(v, tuple(map(tuple, blocks)))
+        t, lam = data.draw(st.integers(1, l)), data.draw(_INDICES)
+        assert verify_t_design(design, t, lam) == oracle_t_design(design, t, lam)
+
+    @given(st.data())
+    def test_gdd(self, data):
+        m = data.draw(st.integers(1, 4))
+        q = data.draw(st.integers(1, 3))
+        l = data.draw(st.integers(1, m))
+        t = data.draw(st.integers(1, l))
+        points = st.tuples(st.integers(1, m), st.integers(1, q))
+        # blocks of distinct points, which may meet a group twice
+        block = lambda: st.lists(points, min_size=l, max_size=l, unique=True)
+        if data.draw(st.booleans()):
+            blocks = _edited(data, transversal_gdd(m, q, l).blocks, block)
+        else:
+            blocks = data.draw(st.lists(block(), min_size=1, max_size=12))
+        gdd = GroupDivisibleDesign(m, q, tuple(map(tuple, blocks)))
+        lam = data.draw(_INDICES)
+        assert verify_gdd(gdd, t, lam) == oracle_gdd(gdd, t, lam)
+
+    @given(st.data())
+    def test_oa(self, data):
+        m = data.draw(st.integers(1, 4))
+        q = data.draw(st.integers(2, 3))
+        row = st.lists(st.integers(1, q), min_size=m, max_size=m)
+        if data.draw(st.booleans()):
+            oa = trivial_oa(m, q)
+            rows = [list(r) for r in oa.rows]
+            for _ in range(data.draw(st.integers(0, 2))):
+                rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(row)
+            oa = OrthogonalArray(q, m, 1, rows)
+        else:
+            s0 = data.draw(st.integers(1, min(m, 2)))
+            n = q**s0
+            oa = OrthogonalArray(q, s0, 1, data.draw(st.lists(row, min_size=n, max_size=n)))
+        s, lam = data.draw(st.integers(1, m)), data.draw(_INDICES)
+        assert verify_oa(oa, s, lam) == oracle_oa(oa, s, lam)
+
+    @given(st.data())
+    def test_resolvable(self, data):
+        size = data.draw(st.integers(1, 3))
+        v = size * data.draw(st.integers(1, 3))
+        classes = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            order = data.draw(st.permutations(range(1, v + 1)))
+            cls = [order[i:i + size] for i in range(0, v, size)]
+            if data.draw(st.integers(0, 3)) == 0:
+                # a point moved out of the partition: repeated, or outside [v]
+                cls[0][0] = data.draw(st.integers(0, v + 1).filter(lambda p: p not in cls[0]))
+            classes.append(tuple(map(tuple, cls)))
+        rd = ResolvableDesign(v, tuple(classes))
+        t, lam = data.draw(st.integers(1, len(classes))), data.draw(_INDICES)
+        assert verify_resolvable(rd, t, lam) == oracle_resolvable(rd, t, lam)

@@ -276,7 +276,7 @@ def reference_gdd_user_retrieve(gdd, oa):
     labels = gdd_row_labels(oa, gdd.block_size, gdd.strength)
     grid = np.zeros((len(labels), gdd.num_blocks), dtype=bool)
     l = gdd.block_size
-    meta = [(gdd.block_groups(k), gdd.block_values(k)) for k in range(gdd.num_blocks)]
+    meta = [tuple(zip(*block)) for block in gdd.blocks]
     for r, (j, _) in enumerate(labels):
         for k, (groups, values) in enumerate(meta):
             if _reference_misses(oa.rows[j - 1], groups, values) < l:
@@ -288,7 +288,7 @@ def reference_gdd_user_delivery(gdd, oa, t):
     """Q with one CountedVectorId per cell, numbered by ``Pda(cells)``."""
     labels = gdd_row_labels(oa, gdd.block_size, t)
     l = gdd.block_size
-    meta = [(gdd.block_groups(k), gdd.block_values(k)) for k in range(gdd.num_blocks)]
+    meta = [tuple(zip(*block)) for block in gdd.blocks]
     cells = [[STAR] * gdd.num_blocks for _ in range(len(labels))]
     for k, (groups, values) in enumerate(meta):
         copies = {}
