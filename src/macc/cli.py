@@ -240,6 +240,10 @@ def _cmd_simulate(args) -> int:
         if summary.get(field) != value:
             raise MaccError(f"bundle summary {field} is {summary.get(field)!r}, "
                             f"but the scheme rebuilt from its parameters has {value}")
+    for key, value in (("C", serialize._grid_to_obj(scheme.node_placement)),
+                       ("Q", serialize.pda_to_obj(scheme.user_delivery))):
+        if bundle.get(key) != value:
+            raise MaccError(f"bundle {key} differs from the scheme rebuilt from its parameters")
     library = simulate.make_library(
         args.files if args.files is not None else max(scheme.num_users, scheme.params.num_files),
         scheme.subpacketization, args.packet_bytes, args.seed,

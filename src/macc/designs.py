@@ -55,10 +55,12 @@ def require_match(report, what: str) -> None:
         raise InconsistentDesignError(f"{what} does not match its tag: {report.first_violation}")
 
 
-def _sorted_block(block) -> tuple:
+def _sorted_block(block, num_points: int) -> tuple:
     out = tuple(sorted(block))
     if len(set(out)) != len(out):
         raise InvalidInputError(f"block {block!r} has repeated points")
+    if not out or out[0] < 1 or out[-1] > num_points:
+        raise InvalidInputError(f"block {out} is not a non-empty subset of [{num_points}]")
     return out
 
 
@@ -143,16 +145,13 @@ class Design:
     def __post_init__(self):
         if self.num_points < 1:
             raise InvalidParametersError("need at least one point")
-        blocks = tuple(_sorted_block(b) for b in self.blocks)
+        blocks = tuple(_sorted_block(b, self.num_points) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise InvalidInputError("design has no blocks")
         sizes = {len(b) for b in blocks}
         if len(sizes) != 1:
             raise InvalidInputError(f"non-uniform block sizes {sorted(sizes)}")
-        for b in blocks:
-            if b[0] < 1 or b[-1] > self.num_points:
-                raise InvalidInputError(f"block {b} not inside [{self.num_points}]")
 
     @property
     def block_size(self) -> int:
@@ -338,12 +337,6 @@ class GroupDivisibleDesign:
         )
 
 
-def flatten_point(point, group_size: int) -> int:
-    """Map (u, v) to the flat node index (u-1)*q + v."""
-    u, v = point
-    return (u - 1) * group_size + v
-
-
 def transversal_gdd(num_groups: int, group_size: int, strength: int) -> GroupDivisibleDesign:
     """The t-(m, q, t, 1) GDD whose blocks are all value assignments on all
     t-subsets of groups, in lexicographic order."""
@@ -441,7 +434,7 @@ class ResolvableDesign:
 
     def __post_init__(self):
         classes = tuple(
-            tuple(_sorted_block(b) for b in cls) for cls in self.parallel_classes
+            tuple(_sorted_block(b, self.num_points) for b in cls) for cls in self.parallel_classes
         )
         object.__setattr__(self, "parallel_classes", classes)
         if not classes or not all(classes):
@@ -488,12 +481,10 @@ def _point_blocks(rd: ResolvableDesign) -> tuple:
     cls = np.repeat(np.arange(m), list(map(len, rd.parallel_classes)))
     block = np.repeat(np.arange(len(blocks)) - np.searchsorted(cls, cls), rd.block_size)
     cls, points = np.repeat(cls, rd.block_size), np.array(blocks, dtype=np.int64).ravel()
-    # A class is a partition when its v points all lie in [v] and cover it.
-    inside = (points >= 1) & (points <= v)
+    # A class of points in [v] is a partition when it has v points covering [v].
     rows = np.full((v, m), -1, dtype=np.int64)
-    rows[points[inside] - 1, cls[inside]] = block[inside]
+    rows[points - 1, cls] = block
     bad = (np.bincount(cls, minlength=m) != v) | (rows < 0).any(axis=0)
-    bad[cls[~inside]] = True
     return (int(bad.argmax()) + 1, None) if bad.any() else (None, rows)
 
 

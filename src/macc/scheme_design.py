@@ -25,7 +25,7 @@ import numpy as np
 from .designs import Design, require_match, verify_t_design
 from .errors import InvalidInputError, InvalidParametersError
 from .pda import CountedSubsetId, Pda, SubsetId, occurrences, row_keys
-from .simulate import ArrayScheme, _user_index
+from .simulate import ArrayScheme, _user_index, reach
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,12 @@ def row_labels(params: DesignSchemeParams) -> tuple:
 
 
 def build_node_placement(params: DesignSchemeParams) -> np.ndarray:
-    """F x nodes boolean grid; row (D, T) stars node g iff g is in D."""
-    grid = np.zeros((params.subpacketization, params.num_nodes), dtype=bool)
-    for r, (d, _) in enumerate(row_labels(params)):
-        for g in d:
-            grid[r, g - 1] = True
-    return grid
+    """F x nodes boolean grid; row (D, T) stars node g iff g is in D: the
+    D-subset indicator, once per T."""
+    g, mu = params.num_nodes, params.cached_nodes
+    d = np.array(list(itertools.combinations(range(g), mu)))
+    base = (d.reshape(len(d), mu, 1) == np.arange(g)).any(axis=1)
+    return np.tile(base, (math.comb(params.access_degree, params.strength), 1))
 
 
 def _point_masks(sets, num_points: int) -> np.ndarray:
@@ -134,22 +134,16 @@ def _mask_points(words, size: int) -> list:
     return (np.nonzero(bits.reshape(len(words), -1))[1].reshape(-1, size) + 1).tolist()
 
 
-def _subset_masks(design: Design, cached_nodes: int) -> np.ndarray:
-    """The masks of the D subsets, in lexicographic order."""
-    return _point_masks(
-        list(itertools.combinations(range(1, design.num_points + 1), cached_nodes)),
-        design.num_points,
-    )
+def _user_nodes(design: Design) -> np.ndarray:
+    """The 0-based node columns of each user's block, K x L."""
+    return np.array(design.blocks, dtype=np.intp) - 1
 
 
 def build_user_retrieve(design: Design, cached_nodes: int) -> np.ndarray:
     """F x users boolean grid U; row (D, T) stars user B iff B meets D.
     These are the stars of the delivery array."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    d_masks = _subset_masks(design, cached_nodes)
-    b_masks = _point_masks(design.blocks, design.num_points)
-    meets = ((d_masks[:, None, :] & b_masks[None, :, :]) != 0).any(axis=2)
-    return np.tile(meets, (math.comb(params.access_degree, params.strength), 1))
+    return reach(build_node_placement(params), _user_nodes(design))
 
 
 def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
@@ -162,7 +156,10 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     bottom.
     """
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    d_masks = _subset_masks(design, cached_nodes)
+    d_masks = _point_masks(
+        list(itertools.combinations(range(1, design.num_points + 1), cached_nodes)),
+        design.num_points,
+    )
     blocks = np.array(design.blocks)
     t_masks = np.stack([
         _point_masks(blocks[:, list(tt)], design.num_points)
@@ -207,9 +204,9 @@ class DesignCachingScheme(ArrayScheme):
     def user_blocks(self) -> tuple:
         return self.design.blocks
 
-    def user_node_indices(self, user: int) -> tuple:
-        """0-based node columns reachable by user ``user`` (0-based)."""
-        return tuple(g - 1 for g in self.design.blocks[user])
+    @cached_property
+    def user_nodes(self) -> np.ndarray:
+        return _user_nodes(self.design)
 
     @cached_property
     def message_bound(self) -> int:

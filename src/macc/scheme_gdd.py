@@ -17,16 +17,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .designs import (
-    GroupDivisibleDesign, OrthogonalArray, flatten_point, require_match, verify_gdd, verify_oa,
+    GroupDivisibleDesign, OrthogonalArray, require_match, verify_gdd, verify_oa,
 )
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from .pda import CountedVectorId, Pda, occurrences, row_keys
-from .simulate import ArrayScheme
+from .simulate import ArrayScheme, reach
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,10 @@ def gdd_row_labels(oa: OrthogonalArray, access_degree: int, strength: int) -> tu
 
 
 def build_gdd_node_placement(oa: OrthogonalArray, access_degree: int, strength: int) -> np.ndarray:
-    """F x (m*q) boolean grid; row (j, T) stars node (u, v) iff A(j, u) = v."""
-    labels = gdd_row_labels(oa, access_degree, strength)
-    m, q = oa.num_columns, oa.num_symbols
-    grid = np.zeros((len(labels), m * q), dtype=bool)
-    for r, (j, _) in enumerate(labels):
-        row = oa.rows[j - 1]
-        for u in range(1, m + 1):
-            grid[r, flatten_point((u, row[u - 1]), q) - 1] = True
-    return grid
+    """F x (m*q) boolean grid; row (j, T) stars node (u, v), column
+    (u-1)*q + v-1, iff A(j, u) = v: the one-hot OA rows, once per T."""
+    one_hot = np.array(oa.rows)[:, :, None] == np.arange(1, oa.num_symbols + 1)
+    return np.tile(one_hot.reshape(oa.num_rows, -1), (math.comb(access_degree, strength), 1))
 
 
 def _block_coordinates(gdd: GroupDivisibleDesign) -> tuple:
@@ -140,16 +136,20 @@ def _block_coordinates(gdd: GroupDivisibleDesign) -> tuple:
     return points[:, :, 0] - 1, points[:, :, 1]
 
 
+def _user_nodes(gdd: GroupDivisibleDesign) -> np.ndarray:
+    """The 0-based node columns of each user's block, K x L."""
+    groups, values = _block_coordinates(gdd)
+    return groups * gdd.group_size + values - 1
+
+
 def build_gdd_user_retrieve(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> np.ndarray:
-    """F x users boolean grid U; user B retrieves row j unless the row
-    misses B on every one of its L coordinates.  These are the stars of the
+    """F x users boolean grid U; user B retrieves row j when the row agrees
+    with B on one of its L coordinates.  These are the stars of the
     delivery array."""
     _check_frame(gdd, oa)
     if gdd.strength is None:
         raise InvalidInputError("GDD carries no strength tag")
-    groups, values = _block_coordinates(gdd)
-    misses = (np.array(oa.rows)[:, groups] != values).all(axis=2)
-    return np.tile(~misses, (math.comb(gdd.block_size, gdd.strength), 1))
+    return reach(build_gdd_node_placement(oa, gdd.block_size, gdd.strength), _user_nodes(gdd))
 
 
 def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> Pda:
@@ -197,9 +197,9 @@ class GddCachingScheme(ArrayScheme):
     def user_blocks(self) -> tuple:
         return self.gdd.blocks
 
-    def user_node_indices(self, user: int) -> tuple:
-        q = self.params.group_size
-        return tuple(flatten_point(p, q) - 1 for p in self.gdd.blocks[user])
+    @cached_property
+    def user_nodes(self) -> np.ndarray:
+        return _user_nodes(self.gdd)
 
     @property
     def message_bound(self) -> int:

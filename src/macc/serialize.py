@@ -149,7 +149,6 @@ def _grid_to_obj(grid) -> list:
 def scheme_to_obj(scheme) -> dict:
     base = {
         "C": _grid_to_obj(scheme.node_placement),
-        "U": _grid_to_obj(scheme.user_retrieve),
         "Q": pda_to_obj(scheme.user_delivery),
     }
     p = scheme.params
@@ -281,9 +280,9 @@ def _encode(obj, indent: str, parts: list) -> None:
 
 # Characters encoded per write.  One write of the whole text encodes a
 # second full copy, and when the allocator has not returned the freed row
-# strings to the system, that copy adds to them: the 61 MB complete:16,3
-# mu=5 bundle then peaked at 268 MB instead of 210 MB, depending only on
-# the lengths of the file paths in the process.
+# strings to the system, that copy adds to them: the complete:16,3 mu=5
+# bundle, 61 MB while it held U, peaked at 268 MB instead of 210 MB,
+# depending only on the lengths of the file paths in the process.
 _WRITE_CHARS = 1 << 20
 
 

@@ -59,9 +59,16 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
     return Library(num_files, num_packets, packet_bytes, seed, data)
 
 
+def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
+    """F x users boolean grid: user k reaches row j when one of its nodes
+    ``user_nodes[k]`` (0-based columns of ``placement``) caches j."""
+    return placement[:, user_nodes].any(axis=2)
+
+
 class ArrayScheme:
-    """What every scheme reads off its arrays (``node_placement`` and
-    ``user_delivery``), and its decode plan."""
+    """What every scheme reads off its arrays (``node_placement``,
+    ``user_delivery`` and ``user_nodes``, the K x L node columns each user
+    accesses), and its decode plan."""
 
     @property
     def user_retrieve(self) -> np.ndarray:
@@ -385,8 +392,8 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
     where = np.empty(len(dplan.rows), dtype=np.intp)  # a cell's place in others
     where[pos] = np.arange(len(pos))
     others = [dplan.others(data, d, pos, seg) for d in demands]
-    for k in users:
-        cached = caches.grid[:, scheme.user_node_indices(k)].any(axis=1)
+    reached = reach(caches.grid, scheme.user_nodes[users])
+    for k, cached in zip(users, reached.T):
         messages = [_all_messages(dplan, p, c, data, k, cached) for p, c in zip(plans, coeffs)]
         needed, msgs, cells = dplan.side_cells(k, cached)
         own = np.flatnonzero(dplan.grid[:, k] < 0)

@@ -255,7 +255,7 @@ def test_criterion_6_property_grid():
             assert (stars == scheme.user_retrieve).all(), label
             # what user k retrieves is what its L nodes hold
             for k in range(scheme.num_users):
-                held = scheme.node_placement[:, list(scheme.user_node_indices(k))].any(axis=1)
+                held = scheme.node_placement[:, scheme.user_nodes[k]].any(axis=1)
                 assert np.array_equal(scheme.user_retrieve[:, k], held), (label, k)
             per_row = (
                 scheme.params.cached_nodes

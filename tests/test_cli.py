@@ -72,6 +72,13 @@ class TestSchemeCommand:
         assert code == 3
         assert err.startswith("parse error:") and "blocks[0]" in err
 
+    def test_empty_design_block_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"type": "design", "points": 7, "blocks": [[]]}))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert err.startswith("parse error:") and "block () is not a non-empty subset" in err
+
     def test_short_gdd_point_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         run(capsys, "gdd", "--transversal", "3,2,2", "--out", str(path))
@@ -84,28 +91,39 @@ class TestSchemeCommand:
 
     @pytest.mark.parametrize("argv, digest", [
         (("--design", "fano-7-3-1", "--mu-gamma", "1"),
-         "4c1f3b6f663c65d6f3d7750261bf006b352f2f291eb8b61bcdf855b953d9eba7"),
+         "5e43b33d368488f15d9be1cb4e94be0b5bc5f6bb5d16b1526d84ed884a733d91"),
         (("--design", "affine-9-3-1", "--mu-gamma", "2"),
-         "9c3b4d81c642c913eed715c8990774d7eecbfefdfd4cefe135bab4b638126967"),
+         "2445ef80ae1a194e4363fcf18ed1022f2e9c211cc38827e066cf5a2ed8612865"),
         (("--design", "biplane-7-4-2", "--mu-gamma", "2"),
-         "98bb6fef0a9da6c00df7c0d001bde7f119b2069d0f3a70f5d9c6ea13f28a5c2e"),
+         "51b7bdc544a38d77f6403abe6409d5396fecbff171377408d480a7159f098d6f"),
         (("--gdd-transversal", "3,2,2", "--oa", "catalog:oa-3-2-2"),
-         "2d409d4f4efc7d098de4500b5fddf56345adacc45e23523f8e130e7ffcbc8d0b"),
+         "85d3dabc2d79b69ce7d1382c071659c7ac7490f93be3d92979e8ed6c47f39644"),
         (("--design", "complete:13,3", "--mu-gamma", "4"),
-         "da3b923259c691c933beb72f2041e21ee61e08cd5c912566bad876a7e9fad556"),
+         "88ada3fb12adbae8418ce2c653609fd90fcc12684d558176787bcc70ddf2f6be"),
         (("--design", "complete:16,3", "--mu-gamma", "5"),
-         "e748ff8a5bd88c30637e274ef9af824a7d323a7e9b17b5d0b41fff580aa1abde"),
+         "97a81d310b73af26c374a0854dc9073f93198789ac0619375f392eaf6207edfe"),
     ], ids=["fano-mu1", "affine-mu2", "biplane-mu2", "gdd-3-2-2", "complete-13-3-mu4",
             "complete-16-3-mu5"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
-        # The first five digests were recorded with the object-cell builders,
-        # complete-16-3-mu5 with json.dumps(indent=2) as the writer: the
-        # key-grid builders and the row-wise writer must write the same
-        # bundle byte for byte.
+        # Bundles no longer hold U.  Each digest is of the bundle written
+        # before that change (the first five recorded with the object-cell
+        # builders, complete-16-3-mu5 with json.dumps(indent=2) as the
+        # writer) with its "U" key popped and the rest re-dumped through
+        # dump_json, so nothing but U may change, byte for byte.
         path = tmp_path / "s.json"
         code, _, _ = run(capsys, "scheme", *argv, "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, topology", [
+        (("--design", "fano-7-3-1", "--mu-gamma", "1"), ["design"]),
+        (("--gdd-transversal", "3,2,2", "--oa", "catalog:oa-3-2-2"), ["gdd", "oa"]),
+    ], ids=["design", "gdd"])
+    def test_bundle_keys(self, capsys, tmp_path, argv, topology):
+        path = tmp_path / "s.json"
+        assert run(capsys, "scheme", *argv, "--out", str(path))[0] == 0
+        keys = list(json.loads(path.read_text()))
+        assert keys == ["type", "params", "summary", "C", "Q", *topology]
 
     def test_design_file_without_blocks_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "d.json"
@@ -314,6 +332,19 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 1
         assert out == "" and field in err and err.startswith("error:")
+
+    @pytest.mark.parametrize("key", ["C", "Q"])
+    def test_changed_bundle_array_fails(self, capsys, tmp_path, key):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        row = obj["C"][0] if key == "C" else obj["Q"]["cells"][0]
+        row.reverse()
+        bundle.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 1
+        assert out == "" and err.startswith(f"error: bundle {key} differs")
 
     @pytest.mark.parametrize("edit, names", [
         (lambda obj: obj.update(params="x"), "'params'"),
@@ -653,9 +684,10 @@ def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
     traceback.  Damage that leaves no JSON is a parse error.  Damage that
     leaves the same JSON value (the final newline cut) is the same input.  A
     design, GDD or OA file that keeps its keys but changes a value no longer
-    matches its tag, or is malformed, so it exits 1, 2 or 3.  A renamed or
-    dropped key, and damage to a PDA or to a bundle, whose Q grid nothing
-    checks, may still leave a valid input."""
+    matches its tag, or is malformed, so it exits 1, 2 or 3; so does a
+    bundle that keeps its keys but changes C or Q, which no longer match the
+    scheme rebuilt from it.  A renamed or dropped key, other damage to a
+    bundle, and damage to a PDA may still leave a valid input."""
     kind, argv = reader
     whole = (json_inputs / f"{kind}.json").read_bytes()
     if data.draw(st.booleans(), label="truncate"):
@@ -672,8 +704,10 @@ def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
     except ValueError:
         allowed = {3}
     else:
-        value_changed = (kind in ("design", "gdd", "oa") and parsed != original
-                         and isinstance(parsed, dict) and parsed.keys() == original.keys())
+        same_keys = isinstance(parsed, dict) and parsed.keys() == original.keys()
+        value_changed = same_keys and (
+            parsed != original if kind in ("design", "gdd", "oa")
+            else kind == "bundle" and any(parsed[k] != original[k] for k in "CQ"))
         allowed = {1, 2, 3} if value_changed else {0, 1, 2, 3}
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

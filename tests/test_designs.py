@@ -545,6 +545,10 @@ class TestKernelMatchesOracle:
                 # a point moved out of the partition: repeated, or outside [v]
                 cls[0][0] = data.draw(st.integers(0, v + 1).filter(lambda p: p not in cls[0]))
             classes.append(tuple(map(tuple, cls)))
+        if any(not 1 <= p <= v for cls in classes for b in cls for p in b):
+            with pytest.raises(InvalidInputError, match="not a non-empty subset"):
+                ResolvableDesign(v, tuple(classes))
+            return
         rd = ResolvableDesign(v, tuple(classes))
         t, lam = data.draw(st.integers(1, len(classes))), data.draw(_INDICES)
         assert verify_resolvable(rd, t, lam) == oracle_resolvable(rd, t, lam)

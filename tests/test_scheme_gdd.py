@@ -119,12 +119,11 @@ class TestUserRetrieve:
         oa = catalog_oa("oa-3-2-2")
         retrieve = build_gdd_user_retrieve(gdd, oa)
         placement = build_gdd_node_placement(oa, 1, 1)
-        # blocks of a 1-design are single points in flat column order
-        from macc.designs import flatten_point
-
-        for k, block in enumerate(gdd.blocks):
-            col = flatten_point(block[0], 2) - 1
-            assert (retrieve[:, k] == placement[:, col]).all()
+        scheme = build_gdd_scheme(gdd, oa)
+        # blocks of a 1-design are single points (u, v), column (u-1)*q + v-1
+        for k, ((u, v),) in enumerate(gdd.blocks):
+            assert scheme.user_nodes[k].tolist() == [(u - 1) * 2 + v - 1]
+            assert (retrieve[:, k] == placement[:, scheme.user_nodes[k, 0]]).all()
 
     def test_frame_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -59,7 +59,7 @@ def reconstructible_messages(scheme, caches, user: int) -> frozenset:
     every row of the message's cells is held by one of its nodes.  Read from
     the placed caches and the delivery array's cells, independent of the
     retrieve grid and of the decode plan."""
-    rows = set().union(*(held_rows(caches, g) for g in scheme.user_node_indices(user)))
+    rows = set().union(*(held_rows(caches, g) for g in scheme.user_nodes[user]))
     cells = scheme.user_delivery.id_positions.values()
     return frozenset(s for s, msg in enumerate(cells) if all(j in rows for j, _ in msg))
 
@@ -243,7 +243,7 @@ class TestDecode:
         ident = pda.cell(needed, 0)
         j = next(r for r, c in pda.id_positions[ident] if c != 0)
         placement = fano.node_placement.copy()
-        placement[j, list(fano.user_node_indices(0))] = False
+        placement[j, fano.user_nodes[0]] = False
         broken = dataclasses.replace(fano, node_placement=placement)
         lib = make_library(7, 21, 8)
         plan = deliver_plain(broken, lib, tuple(range(1, 8)))
@@ -625,7 +625,7 @@ class TestDecodeAll:
         needed = int(np.flatnonzero(~fano.user_retrieve[:, 0])[0])
         j = next(r for r, c in pda.id_positions[pda.cell(needed, 0)] if c != 0)
         placement = fano.node_placement.copy()
-        placement[j, list(fano.user_node_indices(0))] = False
+        placement[j, fano.user_nodes[0]] = False
         broken = dataclasses.replace(fano, node_placement=placement)
         with pytest.raises(DecodeFailureError) as exc:
             run_demand_trials(broken, make_library(7, 21, 8), 4, seed=3)
