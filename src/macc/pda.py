@@ -204,9 +204,14 @@ def subset_ranks(subsets, universe: int) -> np.ndarray:
     t = subsets.shape[1]
     rank = np.full(len(subsets), math.comb(universe, t) - 1, dtype=np.int64)
     for i, col in enumerate(subsets.T):
-        # one exact binomial per distinct point of the column
-        rest, inverse = np.unique(universe - col, return_inverse=True)
-        rank -= np.array([math.comb(int(r), t - i) for r in rest], dtype=np.int64)[inverse]
+        # one exact binomial per distinct point of the column (not through
+        # np.unique, whose hash path imports numpy.ma, about 1 MB)
+        values = np.sort(col)
+        first = np.ones(len(values), dtype=bool)
+        first[1:] = values[1:] != values[:-1]
+        values = values[first]
+        binom = np.array([math.comb(universe - x, t - i) for x in values.tolist()], dtype=np.int64)
+        rank -= binom[np.searchsorted(values, col)]
     return rank
 
 

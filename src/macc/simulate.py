@@ -119,6 +119,9 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
 # Cells of whole messages that ``DecodePlan.others`` scans at once, which
 # bounds its scratch arrays to a few of this many packets.
 _SCAN_CELLS = 1 << 12
+# Packet rows of the files that ``decode_all`` assembles at once, per plan,
+# which bounds its scratch arrays the same way.
+_BLOCK_ROWS = _SCAN_CELLS
 
 
 class DecodePlan:
@@ -135,13 +138,39 @@ class DecodePlan:
         self.rows, self.cols, self.ptr = id_cells(grid)
 
     @cached_property
+    def cell_at(self) -> np.ndarray:
+        """F x K map from each non-star cell to its place in ``rows``/``cols``;
+        -1 at stars."""
+        cell_at = np.full(self.grid.shape, -1, dtype=np.int32)
+        cell_at[self.rows, self.cols] = np.arange(len(self.rows))
+        cell_at.flags.writeable = False
+        return cell_at
+
+    @property
     def known(self) -> np.ndarray:
         """users x S bitmap: user k rebuilds message s from cache alone when
         the grid stars k in every row of the message's cells."""
+        return self._cover[0]
+
+    @property
+    def side_starred(self) -> np.ndarray:
+        """Per-user flag: every other cell of every message the user needs
+        lies in a row that the user's column stars."""
+        return self._cover[1]
+
+    @cached_property
+    def _cover(self) -> tuple:
+        # one count per (user, message) of its cells in rows the user's
+        # column does not star: 0 for a known message, and 1 (the user's
+        # own cell) at every needed message of a side-starred user
         known = np.zeros((self.grid.shape[1], len(self.ptr) - 1), dtype=bool)
-        for k, starred in enumerate((self.grid < 0).T):
-            known[k] = np.logical_and.reduceat(starred[self.rows], self.ptr[:-1])
-        return known
+        side_starred = np.zeros(self.grid.shape[1], dtype=bool)
+        for k, column in enumerate((self.grid >= 0).T):
+            unstarred = np.add.reduceat(column.view(np.uint8)[self.rows], self.ptr[:-1],
+                                        dtype=np.int32)
+            known[k] = unstarred == 0
+            side_starred[k] = (unstarred[self.grid[column, k]] == 1).all()
+        return known, side_starred
 
     def gather(self, data: np.ndarray, demands, pos) -> np.ndarray:
         """The demanded packets at message cells ``pos``: one ``np.take`` on
@@ -189,17 +218,20 @@ class DecodePlan:
             s = int(msgs[np.searchsorted(ptr, p, side="right") - 1])
             raise DecodeFailureError(user, s + 1, f"packet row {self.rows[pos[p]]} not cached")
 
-    def side_cells(self, user: int, cached: np.ndarray) -> tuple:
-        """What the user peels: the rows its column does not star, the
-        message carrying each and the user's own cell of it.  Raises unless
-        the other cells of those messages (the side packets) are cached."""
+    def require_user(self, user: int, cached: np.ndarray) -> None:
+        """Raise unless ``cached``, a per-row mask of the placed caches, marks
+        every row the user reads: the other cells (the side packets) of each
+        message at a row its column does not star, then its starred rows."""
         column = self.grid[:, user]
         needed = np.flatnonzero(column >= 0)
         msgs = column[needed]
         pos, seg = _segments(self.ptr, msgs)
         own = (self.cols[pos] == user) & (self.rows[pos] == np.repeat(needed, np.diff(seg)))
         self.require_cached(user, cached, pos[~own], seg - np.arange(len(seg)), msgs)
-        return needed, msgs, pos[own]
+        stars = np.flatnonzero(column < 0)
+        if not cached[stars].all():
+            j = int(stars[np.argmin(cached[stars])])
+            raise DecodeFailureError(user, None, f"row {j} not cached")
 
 
 @dataclass
@@ -310,13 +342,19 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
 
 
 def _user_index(scheme, user) -> int:
-    if isinstance(user, int):
-        return user
-    block = tuple(sorted(tuple(p) if isinstance(p, (tuple, list)) else p for p in user))
-    try:
-        return scheme.user_blocks.index(block)
-    except ValueError:
-        raise InvalidInputError(f"no user with block {block}") from None
+    """A 0-based user index, checked against the user count, or the index
+    of the user whose block is ``user``."""
+    if isinstance(user, (int, np.integer)) and not isinstance(user, bool):
+        if 0 <= user < scheme.num_users:
+            return int(user)
+    elif isinstance(user, (tuple, list, set, frozenset)):
+        block = tuple(sorted(tuple(p) if isinstance(p, (tuple, list)) else p for p in user))
+        try:
+            return scheme.user_blocks.index(block)
+        except ValueError:
+            raise InvalidInputError(f"no user with block {block}") from None
+    raise InvalidInputError(f"user {user!r} is neither an index in 0..{scheme.num_users - 1} "
+                            "nor a block")
 
 
 def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
@@ -372,12 +410,13 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, coeff, data: np.nda
 def decode_all(scheme, plans, caches: NodeCaches, users=None):
     """Rebuild each user's demanded file, byte-exact, under every plan, from
     the user's reachable caches plus that plan's symbols; yield ``(k, files)``
-    for each user k (all users by default), ``files[p]`` the F x words file
-    under ``plans[p]``.  Every plan must fit the scheme and the library.  The
-    scheme's decode plan says which rows to read from cache; every row read
-    is checked against the placed caches.  Each plan's leave-one-out XOR is
-    computed once, over the messages the users need, and every user peels
-    its rows from it."""
+    for each user k (all users by default; an index or a block each),
+    ``files[p]`` the F x words file under ``plans[p]``.  Every plan must fit
+    the scheme and the library.  The scheme's decode plan says which rows to
+    read from cache; every row read is checked against the placed caches.
+    Each plan's leave-one-out XOR is computed once, over the messages the
+    users need, and every user peels its rows from it; the files are built
+    for a block of users at a time."""
     data = caches.library.data
     demands = [_check_plan(scheme, caches.library, p) for p in plans]
     # With no reduction the coded batch is the identity code: the symbols
@@ -385,7 +424,8 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
     coeffs = [gf16.cauchy_matrix(p.symbols_sent, p.num_messages) if p.reduced_by else None
               for p in plans]
     dplan = scheme.decode_plan
-    users = range(scheme.num_users) if users is None else list(users)
+    users = (list(range(scheme.num_users)) if users is None
+             else [_user_index(scheme, k) for k in users])
     ids = dplan.grid[:, users]
     wanted = np.bincount(ids[ids >= 0], minlength=len(dplan.ptr) - 1) > 0  # by some user
     pos, seg = _segments(dplan.ptr, np.flatnonzero(wanted))
@@ -393,26 +433,56 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
     where[pos] = np.arange(len(pos))
     others = [dplan.others(data, d, pos, seg) for d in demands]
     reached = reach(caches.grid, scheme.user_nodes[users])
-    for k, cached in zip(users, reached.T):
-        messages = [_all_messages(dplan, p, c, data, k, cached) for p, c in zip(plans, coeffs)]
-        needed, msgs, cells = dplan.side_cells(k, cached)
-        own = np.flatnonzero(dplan.grid[:, k] < 0)
-        if not cached[own].all():
-            j = int(own[np.argmin(cached[own])])
-            raise DecodeFailureError(k, None, f"row {j} not cached")
-        files = []
-        for sent, d, rest in zip(messages, demands, others):
-            out = np.empty((len(dplan.grid), data.shape[2]), dtype=np.uint16)
-            out[own] = data[d[k] - 1, own]
-            out[needed] = sent[msgs] ^ rest[where[cells]]
-            files.append(out)
-        yield k, files
+    # Every row a side-starred user reads is a starred row, so one F x users
+    # test clears each such user whose starred rows are cached; only the
+    # rest take the per-user check.
+    checked = dplan.side_starred[users] & ~((ids < 0) & ~reached).any(axis=0)
+    coded = any(c is not None for c in coeffs)
+    f, words = data.shape[1:]
+    step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
+    for a in range(0, len(users), step):
+        block = users[a:a + step]
+        recovered = [[] for _ in plans]  # each coded plan's payloads, per user
+        failure = None
+        # per-user work: the coded plans' solves, and the users not cleared
+        for i in range(len(block)) if coded else np.flatnonzero(~checked[a:a + step]):
+            try:
+                for got, p, c in zip(recovered, plans, coeffs):
+                    if c is not None:
+                        got.append(_all_messages(dplan, p, c, data, block[i], reached[:, a + i]))
+                if not checked[a + i]:
+                    dplan.require_user(block[i], reached[:, a + i])
+            except DecodeFailureError as exc:  # raised after the users before it
+                failure, block = exc, block[:i]
+                break
+        if block:
+            grid = ids[:, a:a + len(block)].T.ravel()  # the block's columns, user after user
+            need = np.flatnonzero(grid >= 0)
+            at = where[dplan.cell_at[:, block].T.ravel()[need]]
+            files = []
+            for p, c, d, rest, got in zip(plans, coeffs, demands, others, recovered):
+                # The demanded files hold the cached packets at the starred
+                # rows; each other row is its message (plain: the symbol;
+                # mds: the user's recovered payload) XOR the leave-one-out
+                # value at the user's own cell.
+                out = np.take(data, d[block] - 1, axis=0)
+                if c is None:
+                    sent = np.take(p.symbols, grid[need], axis=0)
+                else:
+                    sent = np.take(np.concatenate(got[:len(block)]),
+                                   need // f * p.num_messages + grid[need], axis=0)
+                out.reshape(-1, words)[need] = sent ^ np.take(rest, at, axis=0)
+                files.append(out)
+            for i, k in enumerate(block):
+                yield k, [out[i] for out in files]
+        if failure is not None:
+            raise failure
 
 
 def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
     """Reconstruct the user's demanded file, byte-exact: the one-user,
     one-plan case of :func:`decode_all`."""
-    _, (out,) = next(decode_all(scheme, [plan], caches, [_user_index(scheme, user)]))
+    _, (out,) = next(decode_all(scheme, [plan], caches, [user]))
     return out.tobytes()
 
 

@@ -4,12 +4,13 @@ import math
 import struct
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from macc import gf16
+from macc import gf16, simulate
 from macc.designs import (
     catalog_design,
     catalog_design_names,
@@ -29,6 +30,7 @@ from macc.pda import STAR, Pda, mn_pda
 from macc.scheme_design import build_scheme, known_messages
 from macc.scheme_gdd import build_gdd_scheme
 from macc.simulate import (
+    _BLOCK_ROWS,
     _SCAN_CELLS,
     DecodePlan,
     decode,
@@ -231,6 +233,20 @@ class TestDecode:
         caches = place(lib, fano)
         plan = deliver_plain(fano, lib, tuple(range(1, 8)))
         assert decode(fano, (1, 2, 4), plan, caches) == lib.file_bytes(1)
+
+    @pytest.mark.parametrize("user", [-1, 35, 2.0, True, None])
+    def test_user_that_is_not_an_index_is_rejected(self, user):
+        scheme = build_scheme(complete_design(7, 3), 1)
+        assert scheme.num_users == 35
+        lib = make_library(35, scheme.subpacketization, 8)
+        caches = place(lib, scheme)
+        plan = deliver_plain(scheme, lib, random_demands(scheme, lib, Random(2)))
+        with pytest.raises(InvalidInputError, match=f"user {user} is neither"):
+            decode(scheme, user, plan, caches)
+        with pytest.raises(InvalidInputError, match=f"user {user} is neither"):
+            next(decode_all(scheme, [plan], caches, [0, user]))
+        with pytest.raises(InvalidInputError, match=f"user {user} is neither"):
+            known_messages(scheme, user)
 
     def test_retrieve_grid_claiming_an_unheld_row_fails(self, fano):
         # user 0's first missing row travels in a message whose side packet
@@ -763,3 +779,125 @@ class TestSharedPeel:
                 data[demands[k] - 1, j] = ~data[demands[k] - 1, j]
                 copy = dataclasses.replace(lib, data=data)
                 assert decode(fano, k, plan, place(copy, fano)) == lib.file_bytes(demands[k])
+
+
+def reference_failure(scheme, plans, caches, user: int):
+    """The cache check of one user, written out cell by cell as the
+    reference for ``decode_all``'s once-per-call test: ``(user, message id,
+    reason)`` of the first ``DecodeFailureError`` it must raise, or None.
+    In order: for each coded plan, every cell of each message the user
+    rebuilds from its stars alone, then the side packets of each needed row,
+    then the starred rows."""
+    dplan = scheme.decode_plan
+    cached = caches.grid[:, scheme.user_nodes[user]].any(axis=1)
+    column = dplan.grid[:, user]
+
+    def cells(s):
+        return zip(dplan.rows[dplan.ptr[s]:dplan.ptr[s + 1]].tolist(),
+                   dplan.cols[dplan.ptr[s]:dplan.ptr[s + 1]].tolist())
+
+    def first_uncached(messages):  # (message, the user's own row of it or None)
+        for s, own in messages:
+            for r, c in cells(s):
+                if (r, c) != (own, user) and not cached[r]:
+                    return user, s + 1, f"packet row {r} not cached"
+        return None
+
+    known = [s for s in range(len(dplan.ptr) - 1) if all(column[r] < 0 for r, _ in cells(s))]
+    for plan in plans:
+        if plan.reduced_by:
+            fail = first_uncached((s, None) for s in known)
+            if fail:
+                return fail
+            unknown = plan.num_messages - len(known)
+            if unknown > plan.symbols_sent:
+                return (user, None,
+                        f"{unknown} unknown messages but only {plan.symbols_sent} symbols")
+    fail = first_uncached((int(column[j]), j) for j in np.flatnonzero(column >= 0))
+    if fail:
+        return fail
+    missing = [j for j in np.flatnonzero(column < 0).tolist() if not cached[j]]
+    return (user, None, f"row {missing[0]} not cached") if missing else None
+
+
+_CACHE_TEST_SCHEMES = {
+    "fano": lambda: _scheme("fano-7-3-1", 1),
+    "affine": lambda: _scheme("affine-9-3-1", 2),
+    "biplane": lambda: _scheme("biplane-7-4-2", 1),
+    "gdd-3-2-2": lambda: _peel_scheme("gdd-3-2-2", None),
+    "mn": lambda: SharedLinkScheme(mn_pda(5, 2)),
+    # C3b fails: message 1 at (0, 0) and (1, 1), but (0, 1) is no star, so
+    # user 1's side packet lies in a row it neither stars nor caches
+    "no-c3b": lambda: SharedLinkScheme(Pda(((1, 2, STAR), (STAR, 1, 3), (4, STAR, 5)))),
+    # C3a fails: message 1 twice in user 0's column
+    "no-c3a": lambda: SharedLinkScheme(Pda(((1, STAR), (1, 2)))),
+}
+
+
+class TestCacheTest:
+    def test_side_starred_marks_the_users_c3_covers(self, fano):
+        assert fano.decode_plan.side_starred.all()
+        assert _CACHE_TEST_SCHEMES["no-c3b"]().decode_plan.side_starred.tolist() == [
+            True, False, True]
+        assert _CACHE_TEST_SCHEMES["no-c3a"]().decode_plan.side_starred.tolist() == [False, True]
+
+    def test_cell_at_is_the_place_of_each_cell(self, fano):
+        dplan = fano.decode_plan
+        cell_at = dplan.cell_at
+        assert np.array_equal(cell_at < 0, fano.user_retrieve)
+        assert np.array_equal(cell_at[dplan.rows, dplan.cols], np.arange(len(dplan.rows)))
+
+    def test_c3b_break_fails_or_decodes_as_the_caches_allow(self):
+        scheme = _CACHE_TEST_SCHEMES["no-c3b"]()
+        lib = make_library(3, 3, 8, seed=1)
+        plan = deliver_plain(scheme, lib, (1, 2, 3))
+        caches = place(lib, scheme)
+        with pytest.raises(DecodeFailureError, match="user 1 failed on message 1: packet row 0"):
+            list(decode_all(scheme, [plan], caches))
+        grid = caches.grid.copy()
+        grid[0, 1] = True  # the side row user 1 lacks
+        full = dataclasses.replace(caches, grid=grid)
+        assert [out.tobytes() for _, (out,) in decode_all(scheme, [plan], full)] == [
+            lib.file_bytes(d) for d in (1, 2, 3)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(_CACHE_TEST_SCHEMES)),
+           modes=st.sampled_from([("plain",), ("mds",), ("mds", "plain")]),
+           block_rows=st.sampled_from([1, 8, 64, _BLOCK_ROWS]), data=st.data())
+    def test_decode_all_matches_the_per_user_check(self, name, modes, block_rows, data):
+        scheme = _CACHE_TEST_SCHEMES[name]()
+        k = scheme.num_users
+        lib = make_library(k, scheme.subpacketization, 2 * data.draw(st.integers(1, 4)),
+                           seed=data.draw(st.integers(0, 2**16)))
+        demands = data.draw(st.lists(st.integers(1, k), min_size=k, max_size=k))
+        try:
+            plans = [{"plain": deliver_plain, "mds": deliver_mds}[m](scheme, lib, demands)
+                     for m in modes]
+        except UnsupportedParametersError:
+            assume(False)  # mds refuses an advertised reduction some user cannot meet
+        # drop rows from the nodes or add rows beyond the stars
+        caches = place(lib, scheme)
+        grid = caches.grid.copy()
+        cells = [(j, g) for j in range(grid.shape[0]) for g in range(grid.shape[1])]
+        for j, g in data.draw(st.lists(st.sampled_from(cells), max_size=4), label="flips"):
+            grid[j, g] = not grid[j, g]
+        caches = dataclasses.replace(caches, grid=grid)
+        users = data.draw(st.none() | st.lists(st.integers(0, k - 1), unique=True), label="users")
+
+        payloads = deliver_plain(scheme, lib, demands).symbols
+        want, fail = [], None
+        for u in range(k) if users is None else users:
+            fail = reference_failure(scheme, plans, caches, u)
+            if fail:
+                break
+            want.append((u, [peel_oracle(scheme, caches, payloads, demands, u).tobytes()]
+                         * len(plans)))
+        got, raised = [], None
+        with mock.patch.object(simulate, "_BLOCK_ROWS", block_rows):
+            try:
+                for u, files in decode_all(scheme, plans, caches, users):
+                    got.append((u, [out.tobytes() for out in files]))
+            except DecodeFailureError as exc:
+                raised = (exc.user, exc.message_id, str(exc))
+        assert got == want
+        assert raised == (fail and (*fail[:2], str(DecodeFailureError(*fail))))
