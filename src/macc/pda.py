@@ -263,16 +263,69 @@ class PdaVerification:
     first_violation: Optional[str] = None
 
 
-# Cell pairs examined per step of the C3 scan; bounds its scratch memory.
+# Cell pairs examined per step of the C3 pair scan; bounds its scratch memory.
 _PAIR_CHUNK = 1 << 18
+# Bytes of packed row bits that ``crossings`` tests per step; bounds its
+# scratch memory.
+_SCREEN_BYTES = 1 << 20
+
+
+def pack_rows(mask) -> np.ndarray:
+    """The rows of a boolean array as bitsets: ``np.packbits`` bit order,
+    zero-padded to whole uint64 words."""
+    n, k = mask.shape
+    out = np.zeros((n, -(-k // 64) * 8), dtype=np.uint8)
+    out[:, :-(-k // 8)] = np.packbits(mask, axis=1)
+    return out.view(np.uint64)
+
+
+def crossings(grid, rows, cols, ptr) -> tuple:
+    """For the non-star cells of a grid grouped by id (the CSR of
+    :func:`id_cells`): per cell (r, c), the number of non-star cells of row
+    r within the columns of its id, and per id, its number of distinct
+    columns.  Both come from rows and column sets packed into bitsets, the
+    per-cell count a step of cells at a time (at most _SCREEN_BYTES of row
+    bits)."""
+    packed = pack_rows(grid >= 0)
+    counts = np.diff(ptr)
+    ids = np.repeat(np.arange(len(counts)), counts)
+    bits = np.zeros((len(counts), packed.shape[1] * 8), dtype=np.uint8)
+    np.bitwise_or.at(bits, (ids, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
+    bits = bits.view(np.uint64)
+    crossing = np.empty(len(rows), dtype=np.intp)
+    step = max(_SCREEN_BYTES // packed.itemsize // packed.shape[1], 1)
+    for start in range(0, len(rows), step):
+        cells = slice(start, start + step)
+        crossing[cells] = np.bitwise_count(packed[rows[cells]] & bits[ids[cells]]).sum(axis=1)
+    return crossing, np.bitwise_count(bits).sum(axis=1)
+
+
+def _flag_c3(grid, rows, cols, ptr) -> np.ndarray:
+    """Per id, whether it breaks C3a or C3b.  An id keeps C3 exactly when it
+    has as many distinct columns as cells and, for each of its cells (r, c),
+    the only non-star cell of row r within its columns is c (see
+    :func:`crossings`): a second one would lie in the row or, at a
+    crossing, in the column of another of its cells."""
+    crossing, spans = crossings(grid, rows, cols, ptr)
+    flagged = spans != np.diff(ptr)
+    flagged[np.searchsorted(ptr, np.flatnonzero(crossing != 1), side="right") - 1] = True
+    return flagged
 
 
 def _first_c3_violations(grid) -> list:
     """The first cell pair breaking C3a and the first breaking C3b, each as
     [j1, k1, j2, k2] or None.  Pairs run in id order, then in combination
     order over the id's row-major cells, scanned a step of first cells at a
-    time (at most _PAIR_CHUNK pairs, unless one cell alone has more)."""
+    time (at most _PAIR_CHUNK pairs, unless one cell alone has more).  Only
+    the ids that :func:`_flag_c3` flags hold a violation, so only their
+    cells are scanned, and a valid array scans no pairs."""
     rows, cols, ptr = id_cells(grid)
+    flagged = _flag_c3(grid, rows, cols, ptr)
+    if not flagged.any():
+        return [None, None]
+    keep = np.repeat(flagged, np.diff(ptr))
+    rows, cols = rows[keep], cols[keep]
+    ptr = np.concatenate([[0], np.cumsum(np.diff(ptr)[flagged])])
     # Partners of each cell: the later cells of the same id.
     later = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(len(rows)) - 1
     step = max(_PAIR_CHUNK // int(later.max(initial=1)), 1)
@@ -293,8 +346,27 @@ def _first_c3_violations(grid) -> list:
     return first
 
 
+def _missing_ids(ids) -> str:
+    """The integers in 1..max(ids) that are no id, as a sorted list, or past
+    ten of them the first ten and how many more; "" when none.  They are
+    read off the gaps between the sorted ids, so the text and the work grow
+    with the number of ids, not with their values."""
+    shown = 10
+    present = sorted(i for i in ids if i >= 1)
+    total = present[-1] - len(present) if present else 0
+    first, prev = [], 0
+    for i in present:
+        first += range(prev + 1, min(i, prev + 1 + shown - len(first)))
+        prev = i
+    if total > shown:
+        return f"{first} and {total - shown} more"
+    return str(first) if total else ""
+
+
 def verify_pda(pda: Pda) -> PdaVerification:
-    """Exhaustive check of C1-C3 over every pair of cells sharing an id."""
+    """Exhaustive check of C1-C3.  C3 covers every pair of cells sharing an
+    id: the packed-bits screen clears the ids that keep it, and the pair
+    scan names the first violation among the rest."""
     violations = []
 
     c1 = pda.stars_uniform()
@@ -307,10 +379,10 @@ def verify_pda(pda: Pda) -> PdaVerification:
     c2 = True
     ids = pda.ids
     if ids and all(isinstance(i, int) for i in ids):
-        missing = set(range(1, max(ids) + 1)) - set(ids)
+        missing = _missing_ids(ids)
         if missing:
             c2 = False
-            violations.append(f"C2: integer ids missing {sorted(missing)}")
+            violations.append(f"C2: integer ids missing {missing}")
 
     first_a, first_b = _first_c3_violations(pda.grid)
     if first_a:

@@ -27,7 +27,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedParametersError,
 )
-from .pda import id_cells
+from .pda import crossings, id_cells, pack_rows
 
 
 @dataclass
@@ -122,6 +122,9 @@ _SCAN_CELLS = 1 << 12
 # Packet rows of the files that ``decode_all`` assembles at once, per plan,
 # which bounds its scratch arrays the same way.
 _BLOCK_ROWS = _SCAN_CELLS
+# 64-bit words of packed rows that ``DecodePlan._cover`` ORs at once: as many
+# bytes as _SCAN_CELLS packets of 64 bytes.
+_COVER_WORDS = 8 * _SCAN_CELLS
 
 
 class DecodePlan:
@@ -160,16 +163,29 @@ class DecodePlan:
 
     @cached_property
     def _cover(self) -> tuple:
-        # one count per (user, message) of its cells in rows the user's
-        # column does not star: 0 for a known message, and 1 (the user's
-        # own cell) at every needed message of a side-starred user
-        known = np.zeros((self.grid.shape[1], len(self.ptr) - 1), dtype=bool)
-        side_starred = np.zeros(self.grid.shape[1], dtype=bool)
-        for k, column in enumerate((self.grid >= 0).T):
-            unstarred = np.add.reduceat(column.view(np.uint8)[self.rows], self.ptr[:-1],
-                                        dtype=np.int32)
-            known[k] = unstarred == 0
-            side_starred[k] = (unstarred[self.grid[column, k]] == 1).all()
+        grid, rows, cols, ptr = self.grid, self.rows, self.cols, self.ptr
+        # A user knows a message when its bit is clear in the OR of the
+        # message's rows, packed 64 users to a word; ORed over a block of
+        # words at a time.
+        held = pack_rows(grid >= 0)
+        known = np.empty((grid.shape[1], len(ptr) - 1), dtype=bool)
+        step = max(_COVER_WORDS // max(len(rows), 1), 1)
+        for w in range(0, held.shape[1], step):
+            some = np.bitwise_or.reduceat(np.ascontiguousarray(held[:, w:w + step])[rows],
+                                          ptr[:-1], axis=0)
+            users = known[64 * w:64 * (w + step)]
+            users[:] = np.unpackbits(~some.view(np.uint8), axis=1, count=len(users)).T
+        # A user is side-starred when, at each of its cells (r, k), the only
+        # non-star cell of column k within the rows of the cell's message is
+        # its own, and no other cell of that message lies in row r.
+        crossing, _ = crossings(grid.T, cols, rows, ptr)
+        shared = rows[1:] == rows[:-1]
+        shared[ptr[1:-1] - 1] = False  # pairs across two messages
+        off = crossing != 1
+        off[1:] |= shared
+        off[:-1] |= shared
+        side_starred = np.ones(grid.shape[1], dtype=bool)
+        side_starred[cols[off]] = False
         return known, side_starred
 
     def gather(self, data: np.ndarray, demands, pos) -> np.ndarray:
@@ -412,11 +428,20 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
     the user's reachable caches plus that plan's symbols; yield ``(k, files)``
     for each user k (all users by default; an index or a block each),
     ``files[p]`` the F x words file under ``plans[p]``.  Every plan must fit
-    the scheme and the library.  The scheme's decode plan says which rows to
-    read from cache; every row read is checked against the placed caches.
+    the scheme and the library.  See :func:`_decode_blocks`."""
+    for block, files in _decode_blocks(scheme, plans, caches, users):
+        for i, k in enumerate(block):
+            yield k, [out[i] for out in files]
+
+
+def _decode_blocks(scheme, plans, caches: NodeCaches, users=None):
+    """:func:`decode_all` a block of users at a time: yield ``(block,
+    files)``, ``files[p]`` the users' files under ``plans[p]`` as one
+    len(block) x F x words array.  The scheme's decode plan says which rows
+    to read from cache; every row read is checked against the placed caches,
+    and a failing user ends the run after the block of the users before it.
     Each plan's leave-one-out XOR is computed once, over the messages the
-    users need, and every user peels its rows from it; the files are built
-    for a block of users at a time."""
+    users need, and every user peels its rows from it."""
     data = caches.library.data
     demands = [_check_plan(scheme, caches.library, p) for p in plans]
     # With no reduction the coded batch is the identity code: the symbols
@@ -473,8 +498,7 @@ def decode_all(scheme, plans, caches: NodeCaches, users=None):
                                    need // f * p.num_messages + grid[need], axis=0)
                 out.reshape(-1, words)[need] = sent ^ np.take(rest, at, axis=0)
                 files.append(out)
-            for i, k in enumerate(block):
-                yield k, [out[i] for out in files]
+            yield block, files
         if failure is not None:
             raise failure
 
@@ -515,8 +539,10 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
         plan = deliver_mds(scheme, library, demands)
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    verdicts = [np.array_equal(files[0], library.data[plan.demands[k] - 1])
-                for k, files in decode_all(scheme, [plan], caches)]
+    verdicts = []
+    for block, (files,) in _decode_blocks(scheme, [plan], caches):
+        truth = np.take(library.data, np.asarray(plan.demands)[block] - 1, axis=0)
+        verdicts += (files == truth).reshape(len(block), -1).all(axis=1).tolist()
     max_unknown = plan.num_messages - int(scheme.decode_plan.known.sum(axis=1).min())
     f = scheme.subpacketization
     s = scheme.counted_messages
@@ -544,8 +570,9 @@ def measure_worst_case(scheme, library: Library, mode: str = "plain") -> Simulat
 def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) -> int:
     """Plain-delivery decode check over seeded random demand vectors: each
     trial gathers the multicast payloads once, and :func:`decode_all` decodes
-    it at every user.  Returns the number of trials run; the first mismatch
-    raises DecodeFailureError naming the user, message and row.
+    it at every user, each block of users checked with one comparison.
+    Returns the number of trials run; the first mismatch (first user, then
+    first row) raises DecodeFailureError naming the user, message and row.
     """
     caches = place(library, scheme)
     dplan = scheme.decode_plan
@@ -555,10 +582,12 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
         demands = random_demands(scheme, library, rng)
         plan = TransmissionPlan("plain", demands, scheme.counted_messages,
                                 dplan.payloads(data, demands))
-        for k, (decoded,) in decode_all(scheme, [plan], caches):
-            truth = data[demands[k] - 1]
-            if not np.array_equal(decoded, truth):
-                j = int(np.flatnonzero(np.any(decoded != truth, axis=1))[0])
+        for block, (decoded,) in _decode_blocks(scheme, [plan], caches):
+            truth = np.take(data, np.asarray(demands)[block] - 1, axis=0)
+            wrong = (decoded != truth).any(axis=2)  # block x F
+            if wrong.any():
+                i, j = np.argwhere(wrong)[0].tolist()
+                k = block[i]
                 raise DecodeFailureError(k, int(dplan.grid[j, k]) + 1,
                                          f"row {j} payload mismatch")
     return num_trials

@@ -1,10 +1,16 @@
+import functools
 import itertools
 import math
+import time
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from macc import pda as pda_module
+from macc.designs import catalog_oa, complete_design, linear_oa, transversal_gdd
 from macc.errors import InvalidParametersError, NotAPdaError
 from macc.pda import (
     CountedSubsetId,
@@ -13,11 +19,16 @@ from macc.pda import (
     PdaVerification,
     STAR,
     SubsetId,
+    _first_c3_violations,
+    _flag_c3,
+    id_cells,
     mn_pda,
     pda_stats,
     subset_ranks,
     verify_pda,
 )
+from macc.scheme_design import build_scheme
+from macc.scheme_gdd import build_gdd_scheme
 
 S = STAR
 REFERENCE_6x4 = (
@@ -98,6 +109,22 @@ class TestVerify:
     def test_missing_integer_id(self):
         rep = verify_pda(Pda(((1, 3), (3, 1))))
         assert not rep.c2_ids_complete
+
+    @pytest.mark.parametrize("big", [10**6, 10**12])
+    def test_missing_ids_past_ten_are_counted_not_listed(self, big):
+        # a 2 x 2 PDA whose one id is big: the report lists ten gaps and
+        # counts the rest, and takes no time or memory that grows with big
+        start = time.perf_counter()
+        rep = verify_pda(Pda(((big, S), (S, big))))
+        assert time.perf_counter() - start < 0.1
+        assert not rep.c2_ids_complete
+        assert rep.first_violation == (
+            f"C2: integer ids missing {list(range(1, 11))} and {big - 11} more"
+        )
+
+    def test_ten_missing_ids_are_all_listed(self):
+        rep = verify_pda(Pda(((11, S), (S, 11))))
+        assert rep.first_violation == f"C2: integer ids missing {list(range(1, 11))}"
 
     def test_all_star_degenerate(self):
         rep = verify_pda(Pda([[S] * 4 for _ in range(3)]))
@@ -194,6 +221,114 @@ class TestGrid:
             tuple(S if c is S else canon[c] for c in row) for row in cells
         )
         assert p.grid.tolist() == [[-1 if c is S else canon[c] - 1 for c in row] for row in cells]
+
+
+def all_pairs(grid) -> tuple:
+    """Every cell pair of every id, in id order, then in combination order
+    over the id's row-major cells: the pair's id and (r1, c1, r2, c2), and
+    whether it breaks C3a and whether it breaks C3b."""
+    rows, cols, ptr = id_cells(grid)
+    later = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(len(rows)) - 1
+    i = np.repeat(np.arange(len(rows)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    r1, c1, r2, c2 = rows[i], cols[i], rows[j], cols[j]
+    same = (r1 == r2) | (c1 == c2)
+    uncrossed = ~same & ((grid[r1, c2] >= 0) | (grid[r2, c1] >= 0))
+    return grid[r1, c1], (r1, c1, r2, c2), same, uncrossed
+
+
+def full_pair_scan(grid) -> list:
+    """The first C3a and the first C3b cell pair, as [j1, k1, j2, k2] or
+    None, by the all-pairs scan that ran before the bit screen."""
+    _, cells, same, uncrossed = all_pairs(grid)
+    return [[int(x[bad.argmax()]) for x in cells] if bad.any() else None
+            for bad in (same, uncrossed)]
+
+
+@functools.cache
+def scheme_grid(name: str) -> np.ndarray:
+    """The user-delivery grid of a small complete-design or GDD scheme."""
+    if name == "gdd-3-2-2":
+        return build_gdd_scheme(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2")).user_delivery.grid
+    if name == "gdd-3-3-2":
+        return build_gdd_scheme(transversal_gdd(3, 3, 2), linear_oa(3, 3, 2)).user_delivery.grid
+    v, k, mu = map(int, name.split("-")[1:])
+    return build_scheme(complete_design(v, k), mu).user_delivery.grid
+
+
+SCHEME_GRIDS = ["complete-6-3-1", "complete-6-3-2", "complete-7-3-2", "complete-7-3-3",
+                "gdd-3-2-2", "gdd-3-3-2"]
+# Widths around the byte boundaries of the packed rows.
+WIDTHS = [1, 7, 8, 9, 17]
+
+
+@st.composite
+def damaged_pdas(draw, width: int):
+    """A PDA ``width`` columns wide, taken from a complete-design or GDD
+    scheme grid (a random choice of its columns) or from ``mn_pda``, with
+    one random cell damaged: a star becomes an id, an id a star, or an id
+    another id (new or present).  Ids are the integers 1..S."""
+    source = draw(st.sampled_from(["mn", *SCHEME_GRIDS]))
+    if source == "mn" or scheme_grid(source).shape[1] < width:
+        keys = mn_pda(width, draw(st.integers(0, min(width, 3)))).grid
+    else:
+        grid = scheme_grid(source)
+        keys = grid[:, draw(st.permutations(range(grid.shape[1])))[:width]]
+    keys = keys.astype(np.int64)
+    damage = draw(st.sampled_from(["none", "star->id", "id->star", "id->id"]))
+    stars = np.argwhere(keys < 0)
+    held = np.argwhere(keys >= 0)
+    cells = stars if damage == "star->id" else held
+    if damage != "none" and len(cells):
+        j, k = cells[draw(st.integers(0, len(cells) - 1))]
+        if damage == "id->star":
+            keys[j, k] = -1
+        else:
+            # an id present in the grid, or one no cell has
+            keys[j, k] = draw(st.integers(0, int(keys.max()) + 1))
+    return Pda.from_keys(keys, lambda first: list(range(1, len(first) + 1)))
+
+
+class TestC3Screen:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @given(data=st.data())
+    def test_verify_matches_the_full_pair_scan(self, width, data):
+        pda = data.draw(damaged_pdas(width))
+        ids, _, same, uncrossed = all_pairs(pda.grid)
+        flagged = _flag_c3(pda.grid, *id_cells(pda.grid))
+        assert set(np.flatnonzero(flagged).tolist()) == set(ids[same | uncrossed].tolist())
+        assert _first_c3_violations(pda.grid) == full_pair_scan(pda.grid)
+        with mock.patch.object(pda_module, "_first_c3_violations", full_pair_scan):
+            expected = verify_pda(pda)
+        assert verify_pda(pda) == expected
+
+    @pytest.mark.parametrize("cells", [
+        # id 1 twice in column 1 and nowhere else: each of its rows has one
+        # non-star cell within its columns, so only the column count sees it
+        ((1, S), (1, 2)),
+        ((S, 2, 3), (1, S, 3), (1, 2, S)),
+        # one-cell ids next to an id repeated in its column
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9), (10, 11, 12, 13, 14, 15, 16, 17, 9)),
+    ])
+    def test_ids_repeated_within_one_column(self, cells):
+        rep = verify_pda(Pda(cells))
+        assert not rep.c3a_distinct_rows_cols
+        assert rep == reference_verify(cells)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_one_cell_ids(self, width):
+        pda = mn_pda(width, 0)
+        assert verify_pda(pda).ok
+        keys = pda.grid.astype(np.int64)
+        keys[0, 0] = keys[0, -1]
+        damaged = Pda.from_keys(keys, lambda first: list(range(1, len(first) + 1)))
+        assert _first_c3_violations(damaged.grid) == full_pair_scan(damaged.grid)
+        assert verify_pda(damaged).c3a_distinct_rows_cols == (width == 1)
+
+    @pytest.mark.parametrize("name", SCHEME_GRIDS)
+    def test_a_valid_array_flags_no_id(self, name):
+        grid = scheme_grid(name)
+        assert not _flag_c3(grid, *id_cells(grid)).any()
 
 
 class TestStats:

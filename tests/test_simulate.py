@@ -26,11 +26,12 @@ from macc.errors import (
     MaccError,
     UnsupportedParametersError,
 )
-from macc.pda import STAR, Pda, mn_pda
+from macc.pda import STAR, Pda, id_cells, mn_pda
 from macc.scheme_design import build_scheme, known_messages
 from macc.scheme_gdd import build_gdd_scheme
 from macc.simulate import (
     _BLOCK_ROWS,
+    _COVER_WORDS,
     _SCAN_CELLS,
     DecodePlan,
     decode,
@@ -668,6 +669,32 @@ class TestDecodeAll:
         assert (exc.value.user, exc.value.message_id) == (k, 6)
         assert f"row {j} payload mismatch" in str(exc.value)
 
+    @pytest.mark.parametrize("block_rows", [1, 21, 42, 63, _BLOCK_ROWS])
+    def test_blocks_of_users_keep_the_first_mismatch(self, fano, monkeypatch, block_rows):
+        # files are compared a block of users at a time (block_rows // F
+        # users, at least one); the error still names the first user in user
+        # order that peels a damaged message, at its first damaged row
+        gather = DecodePlan.payloads
+
+        def damaged(self, data, demands):
+            out = gather(self, data, demands)
+            out[[12, 5], 0] ^= 1  # messages 13 and 6
+            return out
+
+        monkeypatch.setattr(DecodePlan, "payloads", damaged)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        grid = fano.decode_plan.grid
+        bad = (grid == 12) | (grid == 5)
+        k = int(np.flatnonzero(bad.any(axis=0))[0])
+        j = int(np.flatnonzero(bad[:, k])[0])
+        with pytest.raises(DecodeFailureError) as exc:
+            run_demand_trials(fano, make_library(7, 21, 8), 4, seed=3)
+        assert (exc.value.user, exc.value.message_id) == (k, int(grid[j, k]) + 1)
+        assert f"row {j} payload mismatch" in str(exc.value)
+        # the worst case marks every user that peels a damaged message
+        rep = run_simulation(fano, make_library(7, 21, 8), range(1, 8))
+        assert rep.decode_ok == tuple(~bad.any(axis=0))
+
 
 def peel_oracle(scheme, caches, payloads, demands, user: int) -> np.ndarray:
     """The per-user peel that the shared leave-one-out XOR replaced: the
@@ -832,6 +859,55 @@ _CACHE_TEST_SCHEMES = {
     # C3a fails: message 1 twice in user 0's column
     "no-c3a": lambda: SharedLinkScheme(Pda(((1, STAR), (1, 2)))),
 }
+
+
+def cover_oracle(grid) -> tuple:
+    """``known`` and ``side_starred`` one user at a time, from one count per
+    (user, message) of the message's cells in rows that the user's column
+    does not star: 0 for a known message, and 1 (the user's own cell) at
+    every needed message of a side-starred user."""
+    rows, _, ptr = id_cells(grid)
+    known = np.zeros((grid.shape[1], len(ptr) - 1), dtype=bool)
+    side_starred = np.zeros(grid.shape[1], dtype=bool)
+    for k, column in enumerate((grid >= 0).T):
+        unstarred = np.add.reduceat(column.view(np.uint8)[rows], ptr[:-1], dtype=np.int32)
+        known[k] = unstarred == 0
+        side_starred[k] = (unstarred[grid[column, k]] == 1).all()
+    return known, side_starred
+
+
+class TestCover:
+    @pytest.mark.parametrize("name", sorted(_CACHE_TEST_SCHEMES))
+    def test_matches_the_per_user_count(self, name):
+        dplan = _CACHE_TEST_SCHEMES[name]().decode_plan
+        known, side_starred = cover_oracle(dplan.grid)
+        assert np.array_equal(dplan.known, known)
+        assert np.array_equal(dplan.side_starred, side_starred)
+
+    @pytest.mark.parametrize("cover_words", [1, _COVER_WORDS])
+    def test_matches_the_per_user_count_on_complete_13_3(self, cover_words):
+        grid = build_scheme(complete_design(13, 3), 4).user_delivery.grid  # K = 286
+        with mock.patch.object(simulate, "_COVER_WORDS", cover_words):
+            dplan = DecodePlan(grid)
+            known, side_starred = dplan.known, dplan.side_starred
+        want_known, want_side = cover_oracle(grid)
+        assert np.array_equal(known, want_known)
+        assert np.array_equal(side_starred, want_side)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 70)), ids=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1), cover_words=st.sampled_from([1, 2]))
+    def test_matches_the_per_user_count_on_any_grid(self, shape, ids, seed, cover_words):
+        # random cells (key 0 a star) break C3 in every way, ids repeat
+        # within rows and columns, and more than 64 users span two words
+        keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
+        grid = Pda.from_keys(keys, lambda first: range(len(first))).grid
+        with mock.patch.object(simulate, "_COVER_WORDS", cover_words):
+            dplan = DecodePlan(grid)
+            known, side_starred = dplan.known, dplan.side_starred
+        want_known, want_side = cover_oracle(grid)
+        assert np.array_equal(known, want_known)
+        assert np.array_equal(side_starred, want_side)
 
 
 class TestCacheTest:
