@@ -5,7 +5,8 @@ subfile per size-``cached_nodes`` subset D of the nodes, each subfile into one
 packet per t-subset T of the access positions, and node ``g`` stores the
 packets with ``g in D``.  A user attached to block B retrieves everything its
 L nodes hold, and the delivery array assigns the remaining cells the message
-id D + B(T) (plus a copy counter when the design index exceeds 1).
+id D + B(T) (plus a copy counter when the design index exceeds 1).  The
+arrays come from ``simulate.coordinate_arrays`` over the D-subset indicators.
 
 Row order everywhere is T-major: all D's in lexicographic order under the
 first T, then the next T.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -24,8 +25,8 @@ import numpy as np
 
 from .designs import Design, require_match, verify_t_design
 from .errors import InvalidInputError, InvalidParametersError
-from .pda import CountedSubsetId, Pda, SubsetId, occurrences, row_keys
-from .simulate import ArrayScheme, _user_index, reach
+from .pda import CountedSubsetId, Pda, SubsetId
+from .simulate import ArrayScheme, _user_index, coordinate_arrays, reach, tiled_labels
 
 
 @dataclass(frozen=True)
@@ -89,61 +90,45 @@ class DesignSchemeParams:
             cached_nodes=cached_nodes,
             num_files=num_files if num_files is not None else 1,
         )
-        if num_files is None:
-            params = cls(
-                params.num_nodes, params.access_degree, params.strength,
-                params.index, params.cached_nodes, params.num_users,
-            )
-        return params
+        return params if num_files is not None else replace(params, num_files=params.num_users)
 
 
 def row_labels(params: DesignSchemeParams) -> tuple:
     """(D, T) row labels, T-major then D lexicographic."""
-    g, l, t, mu = (
-        params.num_nodes, params.access_degree, params.strength, params.cached_nodes,
-    )
-    return tuple(
-        (d, tt)
-        for tt in itertools.combinations(range(1, l + 1), t)
-        for d in itertools.combinations(range(1, g + 1), mu)
-    )
+    subsets = list(itertools.combinations(range(1, params.num_nodes + 1), params.cached_nodes))
+    return tiled_labels(subsets, params.access_degree, params.strength)
+
+
+def _arrays(params: DesignSchemeParams, blocks, delivery: bool = True) -> tuple:
+    """C, user nodes and (with ``delivery``) Q: base row D is the indicator
+    of the subset D, node g is the pair (g, 1) and block B the pairs (b, 1),
+    so a missed cell's id vector is the indicator of D + B(T).  For index
+    > 1 the copies are counted per D, as D fixes the split (D, B(T))."""
+    g, mu, t = params.num_nodes, params.cached_nodes, params.strength
+    subsets = np.array(list(itertools.combinations(range(g), mu)), dtype=np.intp)
+    base = (subsets[:, :, None] == np.arange(g)).any(axis=1)
+    blocks = np.asarray(blocks, dtype=np.int64).reshape(-1, params.access_degree) - 1
+    users = np.stack([blocks, np.ones_like(blocks)], axis=2)
+
+    def ids(digits, copy):
+        points = map(tuple, (np.nonzero(digits)[1].reshape(-1, mu + t) + 1).tolist())
+        return map(SubsetId, points) if copy is None else map(CountedSubsetId, points, copy.tolist())
+
+    return coordinate_arrays(base, 2, [1], users, t, ids if delivery else None,
+                             "base" if params.index > 1 else None)
 
 
 def build_node_placement(params: DesignSchemeParams) -> np.ndarray:
     """F x nodes boolean grid; row (D, T) stars node g iff g is in D: the
     D-subset indicator, once per T."""
-    g, mu = params.num_nodes, params.cached_nodes
-    d = np.array(list(itertools.combinations(range(g), mu)))
-    base = (d.reshape(len(d), mu, 1) == np.arange(g)).any(axis=1)
-    return np.tile(base, (math.comb(params.access_degree, params.strength), 1))
-
-
-def _point_masks(sets, num_points: int) -> np.ndarray:
-    """Bit masks of point sets, one row of int64 words per set: point p is
-    bit (p-1) % 63 of word (p-1) // 63, so no word is negative."""
-    sets = np.asarray(sets, dtype=np.int64).reshape(len(sets), -1) - 1
-    words = np.zeros((len(sets), -(-num_points // 63)), dtype=np.int64)
-    for col in sets.T:  # the points of a set are distinct
-        words[np.arange(len(sets)), col // 63] |= np.left_shift(1, col % 63)
-    return words
-
-
-def _mask_points(words, size: int) -> list:
-    """Sorted 1-based points of each mask row; every row holds ``size``."""
-    bits = (words[:, :, None] >> np.arange(63)) & 1
-    return (np.nonzero(bits.reshape(len(words), -1))[1].reshape(-1, size) + 1).tolist()
-
-
-def _user_nodes(design: Design) -> np.ndarray:
-    """The 0-based node columns of each user's block, K x L."""
-    return np.array(design.blocks, dtype=np.intp) - 1
+    return _arrays(params, (), delivery=False)[0]
 
 
 def build_user_retrieve(design: Design, cached_nodes: int) -> np.ndarray:
     """F x users boolean grid U; row (D, T) stars user B iff B meets D.
     These are the stars of the delivery array."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    return reach(build_node_placement(params), _user_nodes(design))
+    return reach(*_arrays(params, design.blocks, delivery=False)[:2])
 
 
 def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
@@ -155,41 +140,7 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     split (D, B(T)) scanning columns left to right and each column top to
     bottom.
     """
-    params = DesignSchemeParams.from_design(design, cached_nodes)
-    d_masks = _point_masks(
-        list(itertools.combinations(range(1, design.num_points + 1), cached_nodes)),
-        design.num_points,
-    )
-    blocks = np.array(design.blocks)
-    t_masks = np.stack([
-        _point_masks(blocks[:, list(tt)], design.num_points)
-        for tt in itertools.combinations(range(design.block_size), params.strength)
-    ])
-    stars = build_user_retrieve(design, cached_nodes)
-    rows, cols = np.nonzero(~stars)
-    t_of, d_of = np.divmod(rows, len(d_masks))
-    unions = d_masks[d_of] | t_masks[t_of, cols]
-    key = row_keys(unions)
-    if params.index > 1:
-        # D fixes the split, since D and B(T) are disjoint.  Copies count in
-        # column-major order.
-        by_column = np.argsort(cols, kind="stable")
-        copy = np.empty_like(key)
-        copy[by_column] = occurrences(row_keys(np.column_stack([key, d_of]))[by_column])
-        key = row_keys(np.column_stack([key, copy]))
-
-    def label(first):
-        points = map(tuple, _mask_points(unions[first], params.cached_nodes + params.strength))
-        if params.index == 1:
-            return map(SubsetId, points)
-        return map(CountedSubsetId, points, copy[first].tolist())
-
-    keys = np.full(stars.shape, -1, dtype=np.int64)
-    keys[rows, cols] = key
-    # Free the per-cell arrays first: the numbering's temporaries then reuse
-    # their memory instead of raising the peak.
-    del rows, cols, t_of, d_of, key
-    return Pda.from_keys(keys, label)
+    return _arrays(DesignSchemeParams.from_design(design, cached_nodes), design.blocks)[2]
 
 
 @dataclass
@@ -206,7 +157,7 @@ class DesignCachingScheme(ArrayScheme):
 
     @cached_property
     def user_nodes(self) -> np.ndarray:
-        return _user_nodes(self.design)
+        return _arrays(self.params, self.design.blocks, delivery=False)[1]
 
     @cached_property
     def message_bound(self) -> int:
@@ -227,12 +178,13 @@ class DesignCachingScheme(ArrayScheme):
 def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> DesignCachingScheme:
     params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
     require_match(verify_t_design(design, params.strength, params.index), "design")
+    placement, _, delivery = _arrays(params, design.blocks)
     return DesignCachingScheme(
         params=params,
         design=design,
         row_labels=row_labels(params),
-        node_placement=build_node_placement(params),
-        user_delivery=build_user_delivery(design, cached_nodes),
+        node_placement=placement,
+        user_delivery=delivery,
     )
 
 

@@ -4,18 +4,15 @@ Placement follows an orthogonal array: a file splits into one subfile per OA
 row j (times one packet per t-subset T of access positions), and cache-node
 (u, v) stores the packets of rows with A(j, u) = v, so each node holds a 1/q
 fraction of the library.  A user attached to a transversal block B misses a
-packet only when row j disagrees with the block's value vector on all of the
-block's groups; the delivery id is then the symbol vector e matching the
-block's values on the T-selected groups and row j elsewhere, plus a copy
-counter ranking repeat appearances of e within the column (rows scanned in
-the fixed T-major order).
+packet only when row j disagrees with B on all of its groups; the delivery
+id is then row j with B's values written on the T-selected groups, plus a
+copy counter ranking its repeats down the column (``coordinate_arrays``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -26,8 +23,8 @@ from .designs import (
     GroupDivisibleDesign, OrthogonalArray, require_match, verify_gdd, verify_oa,
 )
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
-from .pda import CountedVectorId, Pda, occurrences, row_keys
-from .simulate import ArrayScheme, reach
+from .pda import CountedVectorId, Pda
+from .simulate import ArrayScheme, coordinate_arrays, reach, tiled_labels
 
 
 @dataclass(frozen=True)
@@ -89,24 +86,21 @@ class GddSchemeParams:
     @classmethod
     def from_components(cls, gdd: GroupDivisibleDesign, oa: OrthogonalArray,
                         num_files: Optional[int] = None):
-        if gdd.strength is None:
-            raise InvalidInputError("GDD carries no strength tag")
+        _check_components(gdd, oa)
         params = cls(
             num_groups=gdd.num_groups,
             group_size=gdd.group_size,
             access_degree=gdd.block_size,
             strength=gdd.strength,
             placement_strength=oa.strength,
-            num_files=1,
+            num_files=num_files if num_files is not None else 1,
         )
-        return cls(
-            params.num_groups, params.group_size, params.access_degree,
-            params.strength, params.placement_strength,
-            num_files if num_files is not None else params.num_users,
-        )
+        return params if num_files is not None else replace(params, num_files=params.num_users)
 
 
-def _check_frame(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> None:
+def _check_components(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> None:
+    if gdd.strength is None:
+        raise InvalidInputError("GDD carries no strength tag")
     if gdd.num_groups != oa.num_columns or gdd.group_size != oa.num_symbols:
         raise InvalidInputError(
             f"frame mismatch: GDD is ({gdd.num_groups},{gdd.group_size}), "
@@ -116,72 +110,43 @@ def _check_frame(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> None:
 
 def gdd_row_labels(oa: OrthogonalArray, access_degree: int, strength: int) -> tuple:
     """(j, T) row labels, T-major then j = 1..rows."""
-    return tuple(
-        (j, tt)
-        for tt in itertools.combinations(range(1, access_degree + 1), strength)
-        for j in range(1, oa.num_rows + 1)
-    )
+    return tiled_labels(range(1, oa.num_rows + 1), access_degree, strength)
+
+
+def _arrays(gdd: GroupDivisibleDesign, oa: OrthogonalArray, delivery: bool = True) -> tuple:
+    """C, user nodes and (with ``delivery``, for index 1 only) Q: base row
+    j is OA row j, and nodes and block points are (group, value) pairs."""
+    if delivery and gdd.index not in (None, 1):
+        raise UnsupportedParametersError("delivery construction requires a GDD of index 1")
+    q = oa.num_symbols
+
+    def ids(digits, copy):
+        return map(CountedVectorId, map(tuple, (digits + 1).tolist()), copy.tolist())
+
+    return coordinate_arrays(np.array(oa.rows) - 1, q, np.arange(q), np.array(gdd.blocks) - 1,
+                             gdd.strength, ids if delivery else None, "column")
 
 
 def build_gdd_node_placement(oa: OrthogonalArray, access_degree: int, strength: int) -> np.ndarray:
     """F x (m*q) boolean grid; row (j, T) stars node (u, v), column
     (u-1)*q + v-1, iff A(j, u) = v: the one-hot OA rows, once per T."""
-    one_hot = np.array(oa.rows)[:, :, None] == np.arange(1, oa.num_symbols + 1)
-    return np.tile(one_hot.reshape(oa.num_rows, -1), (math.comb(access_degree, strength), 1))
-
-
-def _block_coordinates(gdd: GroupDivisibleDesign) -> tuple:
-    """The 0-based groups and the values of the blocks, K x L each."""
-    points = np.array(gdd.blocks)
-    return points[:, :, 0] - 1, points[:, :, 1]
-
-
-def _user_nodes(gdd: GroupDivisibleDesign) -> np.ndarray:
-    """The 0-based node columns of each user's block, K x L."""
-    groups, values = _block_coordinates(gdd)
-    return groups * gdd.group_size + values - 1
+    q, no_users = oa.num_symbols, np.empty((0, access_degree, 2), dtype=np.int64)
+    return coordinate_arrays(np.array(oa.rows) - 1, q, np.arange(q), no_users, strength)[0]
 
 
 def build_gdd_user_retrieve(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> np.ndarray:
     """F x users boolean grid U; user B retrieves row j when the row agrees
     with B on one of its L coordinates.  These are the stars of the
     delivery array."""
-    _check_frame(gdd, oa)
-    if gdd.strength is None:
-        raise InvalidInputError("GDD carries no strength tag")
-    return reach(build_gdd_node_placement(oa, gdd.block_size, gdd.strength), _user_nodes(gdd))
+    _check_components(gdd, oa)
+    return reach(*_arrays(gdd, oa, delivery=False)[:2])
 
 
 def build_gdd_user_delivery(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> Pda:
     """Delivery array for an index-1 GDD: each missed cell gets the vector id
     (e, n_e) described in the module docstring."""
-    stars = build_gdd_user_retrieve(gdd, oa)
-    if gdd.index not in (None, 1):
-        raise UnsupportedParametersError(
-            "delivery construction requires a GDD of index 1"
-        )
-    t = gdd.strength
-    groups, values = _block_coordinates(gdd)
-    positions = np.array(
-        list(itertools.combinations(range(gdd.block_size), t)), dtype=np.int64,
-    ).reshape(-1, t)
-    rows, cols = np.nonzero(~stars)
-    t_of, j = np.divmod(rows, oa.num_rows)
-    # e: OA row j, overwritten with the block's values on its T-selected groups.
-    vectors = np.array(oa.rows)[j]
-    picked = (cols[:, None], positions[t_of])
-    vectors[np.arange(len(vectors))[:, None], groups[picked]] = values[picked]
-    vector = row_keys(vectors)
-    # Copies count each vector down its column: the missed cells are listed
-    # row by row, so within a column they run top to bottom.
-    copy = occurrences(row_keys(np.column_stack([vector, cols])))
-    keys = np.full(stars.shape, -1, dtype=np.int64)
-    keys[rows, cols] = row_keys(np.column_stack([vector, copy]))
-
-    def label(first):
-        return map(CountedVectorId, map(tuple, vectors[first].tolist()), copy[first].tolist())
-
-    return Pda.from_keys(keys, label)
+    _check_components(gdd, oa)
+    return _arrays(gdd, oa)[2]
 
 
 @dataclass
@@ -199,7 +164,7 @@ class GddCachingScheme(ArrayScheme):
 
     @cached_property
     def user_nodes(self) -> np.ndarray:
-        return _user_nodes(self.gdd)
+        return _arrays(self.gdd, self.oa, delivery=False)[1]
 
     @property
     def message_bound(self) -> int:
@@ -216,18 +181,18 @@ class GddCachingScheme(ArrayScheme):
 def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
                      num_files: Optional[int] = None) -> GddCachingScheme:
     params = GddSchemeParams.from_components(gdd, oa, num_files)
-    _check_frame(gdd, oa)
     # An untagged GDD is checked as index 1, the only index the delivery
     # array is built for.
     require_match(verify_gdd(gdd, params.strength, 1 if gdd.index is None else gdd.index), "GDD")
     require_match(verify_oa(oa, oa.strength, oa.index), "OA")
+    placement, _, delivery = _arrays(gdd, oa)
     return GddCachingScheme(
         params=params,
         gdd=gdd,
         oa=oa,
         row_labels=gdd_row_labels(oa, gdd.block_size, params.strength),
-        node_placement=build_gdd_node_placement(oa, gdd.block_size, params.strength),
-        user_delivery=build_gdd_user_delivery(gdd, oa),
+        node_placement=placement,
+        user_delivery=delivery,
     )
 
 

@@ -9,6 +9,7 @@ the scheme's per-user count of messages reconstructible from cache alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -27,7 +28,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedParametersError,
 )
-from .pda import crossings, id_cells, pack_rows
+from .pda import Pda, crossings, id_cells, occurrences, pack_rows, row_keys
 
 
 @dataclass
@@ -63,6 +64,84 @@ def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
     """F x users boolean grid: user k reaches row j when one of its nodes
     ``user_nodes[k]`` (0-based columns of ``placement``) caches j."""
     return placement[:, user_nodes].any(axis=2)
+
+
+def coordinate_arrays(base, q: int, node_values, users, strength: int,
+                      ids=None, copies_by=None) -> tuple:
+    """C, user nodes and Q of a scheme whose cache nodes are (coordinate,
+    value) pairs over ``base``, R x m digits in 0..q-1, a row per subfile.
+
+    Node (c, v), v in the sorted ``node_values``, is column
+    c * len(node_values) + rank(v) of C and caches the base rows with digit
+    v at c; the rows tile once per t-subset T of the L access positions,
+    T-major.  ``users`` (K x L x 2) holds each user's (coordinate, value)
+    pairs.  A cell (T, j) that user k misses has the id vector base row j
+    with the user's T-selected pairs written over it.  Coordinate c is a
+    b-bit field, b = max(1, ceil(log2 q)), of int64 word c // (63 // b), so
+    a cell's words are ``(base[j] & ~mask[T, k]) | value[T, k]``.
+
+    Q, built only when ``ids`` is given, tells the cells apart by vector and,
+    if ``copies_by`` is "base" (copies with the same base row) or "column"
+    (copies in the same column), by a copy counter, counted column by column
+    and top to bottom.  ``ids(digits, copy)`` makes the id objects from the
+    vectors and copies (None without a copy rule) of the ids' first cells.
+    """
+    base = np.asarray(base, dtype=np.int64)
+    users = np.asarray(users, dtype=np.int64)
+    (rows, m), (k, l) = base.shape, users.shape[:2]
+    tiles = np.array(list(itertools.combinations(range(l), strength)), dtype=np.intp).reshape(-1, strength)
+    placement = np.tile((base[:, :, None] == np.asarray(node_values)).reshape(rows, -1), (len(tiles), 1))
+    user_nodes = users[:, :, 0] * len(node_values) + np.searchsorted(node_values, users[:, :, 1])
+    if ids is None:
+        return placement, user_nodes, None
+    b = max(1, (q - 1).bit_length())
+    shifts = b * np.arange(63 // b, dtype=np.int64)
+    width = -(-m // len(shifts))
+    slots = width * len(shifts)
+
+    def pack(digits):  # ... x slots digits -> ... x width words
+        return (digits.reshape(*digits.shape[:-1], width, len(shifts)) << shifts).sum(axis=-1)
+
+    # The fields each (T, user) overwrites, and the values it writes there.
+    picked = users[:, tiles].transpose(1, 0, 2, 3)
+    fields = np.zeros((len(tiles), k, slots), dtype=np.int64)
+    values = np.zeros_like(fields)
+    at = np.arange(len(tiles))[:, None, None], np.arange(k)[:, None], picked[..., 0]
+    fields[at] = (1 << b) - 1
+    values[at] = picked[..., 1]
+    keep, values = ~pack(fields), pack(values)
+    base = pack(np.pad(base, ((0, 0), (0, slots - m))))
+
+    stars = reach(placement, user_nodes)
+    missed = ~stars
+    keys = row_keys(((base[None, :, None] & keep[:, None]) | values[:, None])
+                    .reshape(-1, width)).reshape(stars.shape)
+    keys[stars] = -1
+    copy = None
+    if copies_by is not None:
+        by = np.arange(len(keys))[:, None] % rows if copies_by == "base" else np.arange(k)
+        # The transposed grids list the missed cells column by column.
+        by_column = missed.T
+        copy = np.zeros((k, len(keys)), dtype=np.int64)
+        copy[by_column] = occurrences(row_keys(np.column_stack(
+            [keys.T[by_column], np.broadcast_to(by, keys.shape).T[by_column]])))
+        copy = copy.T
+        keys[missed] = row_keys(np.column_stack([keys[missed], copy[missed]]))
+
+    def label(first):
+        r, col = np.divmod(np.flatnonzero(missed)[first], k)
+        words = (base[r % rows] & keep[r // rows, col]) | values[r // rows, col]
+        digits = (words[:, :, None] >> shifts) & ((1 << b) - 1)
+        return ids(digits.reshape(-1, slots)[:, :m], None if copy is None else copy[r, col])
+
+    return placement, user_nodes, Pda.from_keys(keys, label)
+
+
+def tiled_labels(bases, access_degree: int, strength: int) -> tuple:
+    """(base, T) row labels in the order ``coordinate_arrays`` tiles the
+    rows: T-major, then the ``bases`` in order."""
+    tiles = itertools.combinations(range(1, access_degree + 1), strength)
+    return tuple((base, tt) for tt in tiles for base in bases)
 
 
 class ArrayScheme:

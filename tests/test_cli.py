@@ -102,8 +102,11 @@ class TestSchemeCommand:
          "88ada3fb12adbae8418ce2c653609fd90fcc12684d558176787bcc70ddf2f6be"),
         (("--design", "complete:16,3", "--mu-gamma", "5"),
          "97a81d310b73af26c374a0854dc9073f93198789ac0619375f392eaf6207edfe"),
+        # q = 3: the GDD id vectors take 2-bit fields, not the 1-bit design ones
+        (("--gdd-transversal", "3,3,2", "--oa", "linear", "--s", "2"),
+         "ebb73ea2a6c0bf74bca683e9a1877a5daf0782616c03364b29967f7a56bbdbc7"),
     ], ids=["fano-mu1", "affine-mu2", "biplane-mu2", "gdd-3-2-2", "complete-13-3-mu4",
-            "complete-16-3-mu5"])
+            "complete-16-3-mu5", "gdd-3-3-2-linear"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
         # Bundles no longer hold U.  Each digest is of the bundle written
         # before that change (the first five recorded with the object-cell

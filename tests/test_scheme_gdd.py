@@ -312,6 +312,14 @@ def assert_gdd_matches_reference(gdd, oa):
     assert np.array_equal(scheme.user_retrieve, reference_gdd_user_retrieve(gdd, oa))
 
 
+def random_rows_oa(m, q, seed):
+    """A strength-1 OA with random rows: each column an independent random
+    permutation of the q symbols."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.permutation(q) + 1 for _ in range(m)]
+    return OrthogonalArray(q, 1, 1, tuple(zip(*(c.tolist() for c in columns))))
+
+
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("gdd, oa", [
         pytest.param(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2"), id="3-2-2-oa322"),
@@ -323,6 +331,12 @@ class TestReferenceEquivalence:
         pytest.param(transversal_gdd(5, 5, 2), linear_oa(5, 5, 3), id="5-5-2-linear"),
         # 17^17 vectors do not fit one int64
         pytest.param(transversal_gdd(17, 17, 1), linear_oa(17, 17, 2), id="17-17-1-linear"),
+        # The id vectors pack in b = ceil(log2 q)-bit fields, 63 // b to a
+        # word: symbol q fills its field at q = 4 and q = 8, and at q = 9
+        # (b = 4) sixteen groups spill past 15 fields into a second word.
+        pytest.param(transversal_gdd(5, 4, 1), random_rows_oa(5, 4, 1), id="5-4-1-random"),
+        pytest.param(transversal_gdd(4, 8, 1), random_rows_oa(4, 8, 2), id="4-8-1-random"),
+        pytest.param(transversal_gdd(16, 9, 1), random_rows_oa(16, 9, 3), id="16-9-1-random"),
     ])
     def test_builders_match_object_cell_reference(self, gdd, oa):
         assert_gdd_matches_reference(gdd, oa)
