@@ -53,10 +53,17 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
         raise InvalidParametersError("need at least one file and one packet")
     if packet_bytes < 2 or packet_bytes % 2:
         raise ConfigurationError("packet length must be a positive even byte count")
-    rng = np.random.default_rng(seed)
-    data = rng.integers(
-        0, 1 << 16, size=(num_files, num_packets, packet_bytes // 2), dtype=np.uint16
-    )
+    if seed < 0:
+        raise InvalidParametersError(f"library seed must be non-negative, got {seed}")
+    try:
+        data = np.random.default_rng(seed).integers(
+            0, 1 << 16, size=(num_files, num_packets, packet_bytes // 2), dtype=np.uint16
+        )
+    except (ValueError, MemoryError) as exc:  # a shape or a size numpy refuses
+        raise ConfigurationError(
+            f"cannot allocate {num_files} files of {num_packets} packets of "
+            f"{packet_bytes} bytes: {exc}"
+        ) from None
     return Library(num_files, num_packets, packet_bytes, seed, data)
 
 
@@ -198,8 +205,8 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
 # Cells of whole messages that ``DecodePlan.others`` scans at once, which
 # bounds its scratch arrays to a few of this many packets.
 _SCAN_CELLS = 1 << 12
-# Packet rows of the files that ``decode_all`` assembles at once, per plan,
-# which bounds its scratch arrays the same way.
+# Packet rows of the files that ``decode_all`` assembles at once, which
+# bounds its scratch arrays the same way.
 _BLOCK_ROWS = _SCAN_CELLS
 # 64-bit words of packed rows that ``DecodePlan._cover`` ORs at once: as many
 # bytes as _SCAN_CELLS packets of 64 bytes.
@@ -350,7 +357,7 @@ def place(library: Library, scheme) -> NodeCaches:
     return NodeCaches(library, grid)
 
 
-def validate_demands(scheme, library: Library, demands, distinct: bool = False) -> tuple:
+def validate_demands(scheme, library: Library, demands) -> tuple:
     demands = tuple(int(d) for d in demands)
     if len(demands) != scheme.num_users:
         raise InvalidParametersError(
@@ -358,8 +365,6 @@ def validate_demands(scheme, library: Library, demands, distinct: bool = False) 
         )
     if any(not 1 <= d <= library.num_files for d in demands):
         raise InvalidParametersError("demanded file index outside the library")
-    if distinct and len(set(demands)) != len(demands):
-        raise InvalidParametersError("worst-case mode needs all-distinct demands")
     return demands
 
 
@@ -477,11 +482,8 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
 
 def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, coeff, data: np.ndarray,
                   user: int, cached: np.ndarray) -> np.ndarray:
-    """Recover all S multicast payloads at one user; ``coeff`` is the plan's
-    Cauchy matrix, or None when the symbols are the payloads verbatim."""
-    if coeff is None:
-        return plan.symbols
-
+    """Recover all S multicast payloads at one user from the plan's coded
+    symbols; ``coeff`` is the plan's Cauchy matrix."""
     known = np.flatnonzero(dplan.known[user])
     unknown = np.flatnonzero(~dplan.known[user])
     messages = np.zeros((plan.num_messages, data.shape[2]), dtype=np.uint16)
@@ -502,31 +504,29 @@ def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, coeff, data: np.nda
     return messages
 
 
-def decode_all(scheme, plans, caches: NodeCaches, users=None):
-    """Rebuild each user's demanded file, byte-exact, under every plan, from
-    the user's reachable caches plus that plan's symbols; yield ``(k, files)``
-    for each user k (all users by default; an index or a block each),
-    ``files[p]`` the F x words file under ``plans[p]``.  Every plan must fit
-    the scheme and the library.  See :func:`_decode_blocks`."""
-    for block, files in _decode_blocks(scheme, plans, caches, users):
-        for i, k in enumerate(block):
-            yield k, [out[i] for out in files]
+def decode_all(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
+    """Rebuild each user's demanded file, byte-exact, from the user's
+    reachable caches plus the plan's symbols; yield ``(k, file)`` for each
+    user k (all users by default; an index or a block each), ``file`` the
+    F x words array.  The plan must fit the scheme and the library.  See
+    :func:`_decode_blocks`."""
+    for block, files in _decode_blocks(scheme, plan, caches, users):
+        yield from zip(block, files)
 
 
-def _decode_blocks(scheme, plans, caches: NodeCaches, users=None):
+def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
     """:func:`decode_all` a block of users at a time: yield ``(block,
-    files)``, ``files[p]`` the users' files under ``plans[p]`` as one
-    len(block) x F x words array.  The scheme's decode plan says which rows
-    to read from cache; every row read is checked against the placed caches,
-    and a failing user ends the run after the block of the users before it.
-    Each plan's leave-one-out XOR is computed once, over the messages the
-    users need, and every user peels its rows from it."""
+    files)``, the users' files as one len(block) x F x words array.  The
+    scheme's decode plan says which rows to read from cache; every row read
+    is checked against the placed caches, and a failing user ends the run
+    after the block of the users before it.  The leave-one-out XOR is
+    computed once, over the messages the users need, and every user peels
+    its rows from it."""
     data = caches.library.data
-    demands = [_check_plan(scheme, caches.library, p) for p in plans]
+    demands = _check_plan(scheme, caches.library, plan)
     # With no reduction the coded batch is the identity code: the symbols
     # are the multicast payloads verbatim.
-    coeffs = [gf16.cauchy_matrix(p.symbols_sent, p.num_messages) if p.reduced_by else None
-              for p in plans]
+    coeff = gf16.cauchy_matrix(plan.symbols_sent, plan.num_messages) if plan.reduced_by else None
     dplan = scheme.decode_plan
     users = (list(range(scheme.num_users)) if users is None
              else [_user_index(scheme, k) for k in users])
@@ -535,25 +535,24 @@ def _decode_blocks(scheme, plans, caches: NodeCaches, users=None):
     pos, seg = _segments(dplan.ptr, np.flatnonzero(wanted))
     where = np.empty(len(dplan.rows), dtype=np.intp)  # a cell's place in others
     where[pos] = np.arange(len(pos))
-    others = [dplan.others(data, d, pos, seg) for d in demands]
+    others = dplan.others(data, demands, pos, seg)
     reached = reach(caches.grid, scheme.user_nodes[users])
     # Every row a side-starred user reads is a starred row, so one F x users
     # test clears each such user whose starred rows are cached; only the
     # rest take the per-user check.
     checked = dplan.side_starred[users] & ~((ids < 0) & ~reached).any(axis=0)
-    coded = any(c is not None for c in coeffs)
     f, words = data.shape[1:]
     step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
     for a in range(0, len(users), step):
         block = users[a:a + step]
-        recovered = [[] for _ in plans]  # each coded plan's payloads, per user
+        recovered = []  # the coded plan's payloads, per user
         failure = None
-        # per-user work: the coded plans' solves, and the users not cleared
-        for i in range(len(block)) if coded else np.flatnonzero(~checked[a:a + step]):
+        # per-user work: the coded plan's solves, and the users not cleared
+        for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
             try:
-                for got, p, c in zip(recovered, plans, coeffs):
-                    if c is not None:
-                        got.append(_all_messages(dplan, p, c, data, block[i], reached[:, a + i]))
+                if coeff is not None:
+                    recovered.append(_all_messages(dplan, plan, coeff, data, block[i],
+                                                   reached[:, a + i]))
                 if not checked[a + i]:
                     dplan.require_user(block[i], reached[:, a + i])
             except DecodeFailureError as exc:  # raised after the users before it
@@ -563,29 +562,26 @@ def _decode_blocks(scheme, plans, caches: NodeCaches, users=None):
             grid = ids[:, a:a + len(block)].T.ravel()  # the block's columns, user after user
             need = np.flatnonzero(grid >= 0)
             at = where[dplan.cell_at[:, block].T.ravel()[need]]
-            files = []
-            for p, c, d, rest, got in zip(plans, coeffs, demands, others, recovered):
-                # The demanded files hold the cached packets at the starred
-                # rows; each other row is its message (plain: the symbol;
-                # mds: the user's recovered payload) XOR the leave-one-out
-                # value at the user's own cell.
-                out = np.take(data, d[block] - 1, axis=0)
-                if c is None:
-                    sent = np.take(p.symbols, grid[need], axis=0)
-                else:
-                    sent = np.take(np.concatenate(got[:len(block)]),
-                                   need // f * p.num_messages + grid[need], axis=0)
-                out.reshape(-1, words)[need] = sent ^ np.take(rest, at, axis=0)
-                files.append(out)
+            # The demanded files hold the cached packets at the starred rows;
+            # each other row is its message (plain: the symbol; mds: the
+            # user's recovered payload) XOR the leave-one-out value at the
+            # user's own cell.
+            files = np.take(data, demands[block] - 1, axis=0)
+            if coeff is None:
+                sent = np.take(plan.symbols, grid[need], axis=0)
+            else:
+                sent = np.take(np.concatenate(recovered[:len(block)]),
+                               need // f * plan.num_messages + grid[need], axis=0)
+            files.reshape(-1, words)[need] = sent ^ np.take(others, at, axis=0)
             yield block, files
         if failure is not None:
             raise failure
 
 
 def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
-    """Reconstruct the user's demanded file, byte-exact: the one-user,
-    one-plan case of :func:`decode_all`."""
-    _, (out,) = next(decode_all(scheme, [plan], caches, [user]))
+    """Reconstruct the user's demanded file, byte-exact: the one-user case
+    of :func:`decode_all`."""
+    _, out = next(decode_all(scheme, plan, caches, [user]))
     return out.tobytes()
 
 
@@ -619,7 +615,7 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
     verdicts = []
-    for block, (files,) in _decode_blocks(scheme, [plan], caches):
+    for block, files in _decode_blocks(scheme, plan, caches):
         truth = np.take(library.data, np.asarray(plan.demands)[block] - 1, axis=0)
         verdicts += (files == truth).reshape(len(block), -1).all(axis=1).tolist()
     max_unknown = plan.num_messages - int(scheme.decode_plan.known.sum(axis=1).min())
@@ -661,7 +657,7 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
         demands = random_demands(scheme, library, rng)
         plan = TransmissionPlan("plain", demands, scheme.counted_messages,
                                 dplan.payloads(data, demands))
-        for block, (decoded,) in _decode_blocks(scheme, [plan], caches):
+        for block, decoded in _decode_blocks(scheme, plan, caches):
             truth = np.take(data, np.asarray(demands)[block] - 1, axis=0)
             wrong = (decoded != truth).any(axis=2)  # block x F
             if wrong.any():

@@ -44,8 +44,14 @@ def sci2(n: int) -> str:
     return f"{mantissa}e{exponent}"
 
 
-def _fraction_pair(x: Fraction):
-    return sig3(x), fraction_str(x)
+def _row(scheme: str, params: str, k: int, memory: Fraction, load: Fraction, f: int) -> dict:
+    """A CSV row with no note."""
+    return {
+        "scheme": scheme, "params": params, "K": str(k),
+        "M_over_N": sig3(memory), "M_over_N_exact": fraction_str(memory),
+        "R": sig3(load), "R_exact": fraction_str(load), "F": str(f), "F_sci": sci2(f),
+        "note": "",
+    }
 
 
 # The group-divisible comparison table: 2-(m, q, 3, 1) GDD rows with full-
@@ -74,15 +80,8 @@ def gdd_comparison_rows(rows=GDD_TABLE_ROWS, access_degree: int = 3, strength: i
             })
             continue
         trade = gdd_tradeoff(params)
-        mem3, mem_exact = _fraction_pair(trade.coverage_ratio)
-        r3, r_exact = _fraction_pair(trade.load)
-        f = params.subpacketization
-        out.append({
-            "scheme": "gdd", "params": label, "K": str(params.num_users),
-            "M_over_N": mem3, "M_over_N_exact": mem_exact,
-            "R": r3, "R_exact": r_exact, "F": str(f), "F_sci": sci2(f),
-            "note": "",
-        })
+        out.append(_row("gdd", label, params.num_users, trade.coverage_ratio, trade.load,
+                        params.subpacketization))
     return out
 
 
@@ -96,34 +95,16 @@ def design_comparison_rows(num_nodes: int = 15, access_degree: int = 3, strength
     """Shared-link tradeoff curve of the design scheme next to the
     single-cache baseline at the same user count."""
     g, l, t = num_nodes, access_degree, strength
-    if math.comb(g, t) % math.comb(l, t):
-        raise InvalidParametersError(
-            f"C({g},{t})/C({l},{t}) must be an integer for an index-1 design"
-        )
-    k = math.comb(g, t) // math.comb(l, t)
+    k = DesignSchemeParams(g, l, t, 1, 0, num_files=1).num_users
     out = []
     for mu in range(0, g - l + 1):
         params = DesignSchemeParams(g, l, t, 1, mu, num_files=1)
         memory, load = shared_link_tradeoff(params)
-        mem3, mem_exact = _fraction_pair(memory)
-        r3, r_exact = _fraction_pair(load)
-        f = params.subpacketization
-        out.append({
-            "scheme": "design", "params": f"nodes={g},L={l},t={t},cached={mu}",
-            "K": str(k), "M_over_N": mem3, "M_over_N_exact": mem_exact,
-            "R": r3, "R_exact": r_exact, "F": str(f), "F_sci": sci2(f), "note": "",
-        })
+        out.append(_row("design", f"nodes={g},L={l},t={t},cached={mu}", k, memory, load,
+                        params.subpacketization))
     for i in range(0, k + 1):
-        memory = Fraction(i, k)
-        load = mn_load(k, i)
-        mem3, mem_exact = _fraction_pair(memory)
-        r3, r_exact = _fraction_pair(load)
-        f = math.comb(k, i)
-        out.append({
-            "scheme": "mn", "params": f"K={k},cached={i}",
-            "K": str(k), "M_over_N": mem3, "M_over_N_exact": mem_exact,
-            "R": r3, "R_exact": r_exact, "F": str(f), "F_sci": sci2(f), "note": "",
-        })
+        out.append(_row("mn", f"K={k},cached={i}", k, Fraction(i, k), mn_load(k, i),
+                        math.comb(k, i)))
     return out
 
 

@@ -717,3 +717,39 @@ def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
         code = main([a.format(target) for a in argv])
     assert "Traceback" not in err.getvalue()
     assert code in allowed
+
+
+_SMALL = st.integers(-2, 5)
+# Object commands with a comma-separated integer argument, and its length.
+_NUMERIC_FLAGS = [
+    ("pda", "--mn", 2),
+    ("design", "--complete", 2),
+    ("gdd", "--transversal", 3),
+    ("oa", "--trivial", 2),
+    ("oa", "--linear", 3),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["object", "tables", "simulate"]), data=st.data())
+def test_numeric_arguments_exit_with_a_code(fano_files, command, data):
+    """Small integers in every numeric argument, and a library too large
+    to allocate, end in an exit code, never a traceback."""
+    if command == "object":
+        name, flag, n = data.draw(st.sampled_from(_NUMERIC_FLAGS))
+        argv = [name, flag, ",".join(str(data.draw(_SMALL)) for _ in range(n))]
+    elif command == "tables":
+        argv = ["tables", data.draw(st.sampled_from(["fig3", "table4"]))]
+        for flag in ("--nodes", "--L", "--t"):
+            argv += [flag, str(data.draw(_SMALL, label=flag))]
+    else:
+        argv = ["simulate", "--scheme", str(fano_files[0] / "bundle.json"),
+                "--demands", data.draw(st.sampled_from(["distinct", "random"])),
+                "--seed", str(data.draw(_SMALL, label="seed")),
+                "--files", str(data.draw(_SMALL | st.just(10**22), label="files")),
+                "--packet-bytes", str(data.draw(_SMALL, label="packet bytes"))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code in {0, 1, 2, 3}
