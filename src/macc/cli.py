@@ -226,6 +226,15 @@ def _rebuild_scheme(bundle: dict):
     raise InvalidInputError(f"unknown scheme kind {params['kind']!r}")
 
 
+def _writes_as(value, obj) -> bool:
+    """Whether the parsed JSON ``value`` is written as ``obj`` is, dict key
+    order aside; unlike ``==``, ``true`` and ``1.0`` differ from ``1``."""
+    if isinstance(obj, dict):
+        return (isinstance(value, dict) and value.keys() == obj.keys()
+                and all(_writes_as(value[key], item) for key, item in obj.items()))
+    return serialize.dump_json(value) == serialize.dump_json(obj)
+
+
 def _cmd_simulate(args) -> int:
     bundle = serialize.read_json(args.scheme)
     if not isinstance(bundle, dict) or bundle.get("type") != "scheme":
@@ -240,9 +249,9 @@ def _cmd_simulate(args) -> int:
         if summary.get(field) != value:
             raise MaccError(f"bundle summary {field} is {summary.get(field)!r}, "
                             f"but the scheme rebuilt from its parameters has {value}")
-    for key, value in (("C", serialize._grid_to_obj(scheme.node_placement)),
+    for key, value in (("C", serialize.placement_to_obj(scheme.node_placement)),
                        ("Q", serialize.pda_to_obj(scheme.user_delivery))):
-        if bundle.get(key) != value:
+        if not _writes_as(bundle.get(key), value):
             raise MaccError(f"bundle {key} differs from the scheme rebuilt from its parameters")
     library = simulate.make_library(
         args.files if args.files is not None else max(scheme.num_users, scheme.params.num_files),

@@ -8,7 +8,10 @@ cells as JSON null.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .designs import Design, GroupDivisibleDesign, OrthogonalArray, int_text
 from .errors import InvalidInputError
@@ -117,10 +120,26 @@ def oa_from_obj(obj: dict) -> OrthogonalArray:
     )
 
 
+@dataclass(frozen=True)
+class CodeGrid:
+    """A JSON list of rows held as codes: cell (j, k) is the JSON text
+    ``texts[codes[j, k]]``, a negative code counting from the end of
+    ``texts``.  ``dump_json`` writes it without a Python object per cell;
+    ``codes`` is a 2-d integer array with at least one row and column."""
+
+    codes: np.ndarray
+    texts: tuple
+
+
+def placement_to_obj(placement: np.ndarray) -> CodeGrid:
+    """The node-placement grid C: "*" where a node caches a packet, else null."""
+    return CodeGrid(placement.view(np.int8), ("null", '"*"'))
+
+
 def pda_to_obj(pda: Pda) -> dict:
     return {
         "type": "pda", "F": pda.num_rows, "K": pda.num_cols,
-        "cells": pda.relabel([*range(1, pda.num_ids + 1), "*"]),
+        "cells": CodeGrid(pda.grid, (*map(str, range(1, pda.num_ids + 1)), '"*"')),
     }
 
 
@@ -142,13 +161,9 @@ def pda_from_obj(obj: dict) -> Pda:
     return pda
 
 
-def _grid_to_obj(grid) -> list:
-    return [["*" if x else None for x in row] for row in grid.tolist()]
-
-
 def scheme_to_obj(scheme) -> dict:
     base = {
-        "C": _grid_to_obj(scheme.node_placement),
+        "C": placement_to_obj(scheme.node_placement),
         "Q": pda_to_obj(scheme.user_delivery),
     }
     p = scheme.params
@@ -252,6 +267,9 @@ def _key(key) -> str:
 def _encode(obj, indent: str, parts: list) -> None:
     """Append to ``parts`` the text ``json.dumps`` with ``indent=2`` gives
     ``obj`` when it is nested at ``indent``."""
+    if isinstance(obj, CodeGrid):
+        _encode_grid(obj, indent, parts)
+        return
     if not isinstance(obj, (list, tuple, dict)):
         parts.append(json.dumps(obj))
         return
@@ -266,9 +284,9 @@ def _encode(obj, indent: str, parts: list) -> None:
             _encode(value, inner, parts)
         parts.append("\n" + indent + "}")
     elif _SCALARS.issuperset(map(type, obj)):
-        # A row of scalars is one call to the C encoder, which json.dumps
-        # skips whenever an indent is set; its item separator carries the
-        # newline and the indent.
+        # A list of scalars, such as a design block, is one call to the C
+        # encoder, which json.dumps skips whenever an indent is set; its item
+        # separator carries the newline and the indent.
         row = json.dumps(obj, separators=(sep, ": "))
         parts.append("[\n" + inner + row[1:-1] + "\n" + indent + "]")
     else:
@@ -278,11 +296,44 @@ def _encode(obj, indent: str, parts: list) -> None:
         parts.append("\n" + indent + "]")
 
 
+# Grid cells gathered per block of rows; a bundle's Q cell pads to 16 bytes.
+# Blocks of 2^16 cells wrote the complete:16,3 mu=5 bundle no faster and
+# raised its peak RSS by 2.3 MB.
+_GRID_BLOCK_CELLS = 1 << 14
+
+
+def _encode_grid(grid: CodeGrid, indent: str, parts: list) -> None:
+    """Append the text of ``grid`` nested at ``indent``.  Each cell text is
+    stored with its leading separator in a zero-padded byte table; a block
+    of rows is one gather from it plus a closing piece per row, and the
+    padding is dropped on the way to the text."""
+    inner = indent + "  "
+    pieces = [",\n" + inner + "  " + text for text in grid.texts]
+    pieces += ["\n" + inner + "],\n" + inner, "\n" + inner + "]"]  # row ends: inner, last
+    width = max(map(len, pieces))
+    table = np.frombuffer(
+        "".join(p.ljust(width, "\0") for p in pieces).encode("ascii"), np.uint8
+    ).reshape(len(pieces), width)
+    table, (close, last) = table[:-2], table[-2:]
+    rows, cols = grid.codes.shape
+    step = max(1, _GRID_BLOCK_CELLS // cols)
+    parts.append("[\n" + inner)
+    for start in range(0, rows, step):
+        codes = grid.codes[start:start + step]
+        cells = np.empty((len(codes), cols + 1, width), np.uint8)
+        # "wrap" reads a negative code from the end of the table
+        np.take(table, codes, axis=0, out=cells[:, :cols], mode="wrap")
+        cells[:, cols] = close
+        cells[:, 0, 0] = ord("[")  # the first cell's separator opens the row
+        if start + step >= rows:
+            cells[-1, cols] = last
+        parts.append(cells[cells != 0].tobytes().decode("ascii"))
+    parts.append("\n" + indent + "]")
+
+
 # Characters encoded per write.  One write of the whole text encodes a
-# second full copy, and when the allocator has not returned the freed row
-# strings to the system, that copy adds to them: the complete:16,3 mu=5
-# bundle, 61 MB while it held U, peaked at 268 MB instead of 210 MB,
-# depending only on the lengths of the file paths in the process.
+# second full copy: `macc scheme` writing the 33,586,463-byte complete:16,3
+# mu=5 bundle peaks at 145 MB RSS that way and at 114 MB in slices.
 _WRITE_CHARS = 1 << 20
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macc.cli import main
+from macc.pda import mn_pda
 from macc.serialize import load_object
 
 
@@ -168,6 +169,17 @@ class TestObjectCommands:
         assert code == 0
         assert json.loads(out)["cells"][0] == ["*", "*", 1, 2]
         assert "(4,6,3,4), R=2/3" in err
+
+    @pytest.mark.parametrize("mn", ["4,2", "6,3", "8,1"])
+    def test_pda_json_is_json_dumps_of_relabelled_cells(self, capsys, mn):
+        pda = mn_pda(*map(int, mn.split(",")))
+        expected = json.dumps({
+            "type": "pda", "F": pda.num_rows, "K": pda.num_cols,
+            "cells": pda.relabel([*range(1, pda.num_ids + 1), "*"]),
+        }, indent=2)
+        code, out, _ = run(capsys, "pda", "--mn", mn, "--format", "json")
+        assert code == 0
+        assert out == expected + "\n"
 
     def test_unknown_catalog(self, capsys):
         code, _, err = run(capsys, "design", "--catalog", "nope")
@@ -348,6 +360,32 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 1
         assert out == "" and err.startswith(f"error: bundle {key} differs")
+
+    @pytest.mark.parametrize("id_value", [True, 1.0], ids=["true", "float"])
+    def test_bundle_q_id_of_another_type_fails(self, capsys, tmp_path, id_value):
+        # Python's == has True == 1.0 == 1; the bundle's text must match.
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        row = next(row for row in obj["Q"]["cells"] if 1 in row)
+        row[row.index(1)] = id_value
+        bundle.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 1
+        assert out == "" and err == (
+            "error: bundle Q differs from the scheme rebuilt from its parameters\n")
+
+    def test_reordered_bundle_q_simulates(self, capsys, tmp_path):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        obj["Q"] = dict(reversed(obj["Q"].items()))
+        bundle.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 0
+        assert json.loads(out)["all_ok"] is True
 
     @pytest.mark.parametrize("edit, names", [
         (lambda obj: obj.update(params="x"), "'params'"),

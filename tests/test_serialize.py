@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from macc import serialize
 from macc.errors import InvalidInputError
 from macc.scheme_design import build_scheme
 from macc.serialize import (
+    CodeGrid,
     design_from_obj,
     design_to_obj,
     dump_json,
@@ -61,6 +63,41 @@ class TestDumpJson:
         path = tmp_path / "s.json"
         text = dump_json(scheme_to_obj(build_scheme(catalog_design("fano-7-3-1"), 1)), path)
         assert path.read_text(encoding="utf-8") == text + "\n"
+
+
+@st.composite
+def code_grids(draw):
+    """A CodeGrid of 1-6 rows by 1-7 columns, its list form, and the grid
+    nested 0-3 containers deep beside other values."""
+    tokens = draw(st.lists(st.integers(0, 10**6) | st.just("*") | st.none(),
+                           min_size=1, max_size=5, unique=True))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    codes = draw(st.lists(st.lists(st.integers(-len(tokens), len(tokens) - 1),
+                                   min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    grid = CodeGrid(np.array(codes, dtype=draw(st.sampled_from([np.int8, np.int32]))),
+                    tuple(map(json.dumps, tokens)))
+    value, listed = grid, [[tokens[c] for c in row] for row in codes]
+    for in_dict in draw(st.lists(st.booleans(), max_size=3)):
+        if in_dict:
+            value, listed = ({"F": rows, "cells": v, "K": cols} for v in (value, listed))
+        else:
+            value, listed = ([v, None] for v in (value, listed))
+    return value, listed, rows, cols
+
+
+class TestCodeGrid:
+    @pytest.mark.parametrize("block", ["row", "half", "default"])
+    @settings(max_examples=150)
+    @given(code_grids())
+    def test_matches_json_dumps_of_list_form(self, block, drawn):
+        value, listed, rows, cols = drawn
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if block != "default":
+                # one row per block, or the first half of the rows in one block
+                monkeypatch.setattr(serialize, "_GRID_BLOCK_CELLS",
+                                    cols * (1 if block == "row" else (rows + 1) // 2))
+            assert dump_json(value) == json.dumps(listed, indent=2)
 
 
 class TestLoaderValidation:
