@@ -3,12 +3,15 @@
 Log/antilog tables drive multiplication; addition is XOR.  The tables carry
 a zero sentinel: ``LOG[0] = 2*ORDER`` and every ``EXP`` entry from ``2*ORDER``
 up (``4*ORDER`` inclusive) is 0, so ``EXP[LOG[a] + LOG[b]]`` is ``a*b`` for
-every pair of elements, zero included, without a mask.  Payloads are vectors
-of 16-bit words and the bulk kernels (``matvec``, ``solve``, ``cauchy_matrix``)
-are whole-array gathers over numpy uint16 arrays.  Cauchy matrices supply the
-erasure-coding coefficients: every square submatrix of a Cauchy matrix is
-invertible, the solvability guarantee the coded delivery needs, and has a
-closed-form inverse, which ``solve`` uses.
+every pair of elements, zero included, without a mask.  They are built at
+import by doubling: the powers x^n .. x^(2n-1) are the first n powers times
+x^n, one carry-less multiply over a uint16 array per step, and the first
+candidate polynomial whose x hits every non-zero element is used.
+Payloads are vectors of 16-bit words and the bulk kernels (``matvec``,
+``solve``, ``cauchy_matrix``) are whole-array gathers over numpy uint16
+arrays.  Cauchy matrices supply the erasure-coding coefficients: every square
+submatrix of a Cauchy matrix is invertible, the solvability guarantee the
+coded delivery needs, and has a closed-form inverse, which ``solve`` uses.
 """
 
 from __future__ import annotations
@@ -27,20 +30,29 @@ _CANDIDATE_POLYS = (0x1100B, 0x1002D, 0x10039, 0x1003F, 0x14FAB)
 
 def _build_tables():
     for poly in _CANDIDATE_POLYS:
+        # exp[i] = x^i mod poly, by doubling: x^(n + i) = x^i * x^n, so
+        # exp[n:2n] is exp[:n] times x^n, a carry-less multiply by Horner's
+        # rule over the bits of x^n, top bit first, each step times x
+        # reduced by poly, so every word stays within 16 bits.
         exp = np.zeros(4 * ORDER + 1, dtype=np.uint16)
+        exp[0] = 1
+        n = 1
+        while n < FIELD_SIZE:
+            xn = int(exp[n - 1]) << 1
+            xn ^= poly if xn & FIELD_SIZE else 0
+            low, out = exp[:n], exp[n:2 * n]
+            for b in reversed(range(FIELD_BITS)):
+                top = out >> (FIELD_BITS - 1)
+                out <<= 1
+                out ^= top * np.uint16(poly & ORDER)
+                if xn >> b & 1:
+                    out ^= low
+            n *= 2
+        # x is primitive when its first ORDER powers hit every non-zero
+        # element, so each once.
         log = np.full(FIELD_SIZE, 2 * ORDER, dtype=np.int32)
-        # Memoryview item access takes and gives plain ints: much cheaper
-        # than numpy scalar indexing, and no 65535-int list to hold.
-        e, g = memoryview(exp), memoryview(log)
-        x, i = 1, 0
-        while i < ORDER and g[x] == 2 * ORDER:  # stop when x comes round
-            e[i] = x
-            g[x] = i
-            i += 1
-            x <<= 1
-            if x & FIELD_SIZE:
-                x ^= poly
-        if i == ORDER and x == 1:
+        log[exp[:ORDER]] = np.arange(ORDER, dtype=np.int32)
+        if (log[1:] < ORDER).all():
             exp[ORDER:2 * ORDER] = exp[:ORDER]
             return exp, log, poly
     raise ConfigurationError("no primitive polynomial found")

@@ -16,7 +16,10 @@ in row-major first-occurrence order, and serialization writes those as
 arithmetic (``row_keys`` folds a tuple of coordinates into one key,
 ``occurrences`` numbers repeat copies) and ``Pda.from_keys`` numbers the key
 grid, making an id object only for each of the S distinct keys; ``Pda(cells)``
-maps hashable cells to keys and numbers them the same way.
+maps hashable cells to keys and numbers them the same way.  The numbering and
+``id_cells`` sort keys cast to the narrowest unsigned type that holds them
+(``_narrow``): numpy's stable sort of uint8 or uint16 keys is a radix sort,
+and the keys of the larger schemes, and their ids, are below 2^16.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ class Pda:
             raise InvalidParametersError("PDA needs at least one row and one column")
         flat = keys.ravel()
         cells = np.flatnonzero(flat >= 0)
-        _, first, inverse = np.unique(flat[cells], return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(_narrow(flat[cells]), return_index=True,
+                                      return_inverse=True)
         order = np.argsort(first)
         grid = np.full(keys.shape, -1, dtype=np.int32)
         grid.ravel()[cells] = np.argsort(order)[inverse]  # key -> canonical id
@@ -169,6 +173,12 @@ class Pda:
         return len(set(self.column_star_counts)) == 1
 
 
+def _narrow(keys) -> np.ndarray:
+    """Non-negative integer keys in the narrowest unsigned dtype that holds
+    them: a stable sort of uint8 or uint16 keys is a radix sort."""
+    return keys.astype(np.min_scalar_type(keys.max(initial=0)), copy=False)
+
+
 def id_cells(grid) -> tuple:
     """The non-star cells of a delivery grid grouped by id, as a CSR:
     ``(rows, cols, ptr)`` with the cells of id s at ``ptr[s]:ptr[s + 1]``,
@@ -176,7 +186,7 @@ def id_cells(grid) -> tuple:
     flat = grid.ravel()
     cells = np.flatnonzero(flat >= 0)
     ids = flat[cells]
-    rows, cols = np.divmod(cells[np.argsort(ids, kind="stable")], grid.shape[1])
+    rows, cols = np.divmod(cells[np.argsort(_narrow(ids), kind="stable")], grid.shape[1])
     counts = np.bincount(ids, minlength=int(grid.max()) + 1)
     ptr = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=ptr[1:])

@@ -193,12 +193,19 @@ def _segments(ptr, sel) -> tuple:
     return np.arange(out[-1]) + np.repeat(ptr[sel] - out[:-1], lens), out
 
 
+def _wide(packets: np.ndarray) -> np.ndarray:
+    """The packets (uint16 words along the last, contiguous axis) viewed in
+    the widest unsigned words that tile a packet: u8, else u4, else u2.
+    XOR and equality are bytewise, so every bitwise step runs on this view."""
+    return packets.view(f"u{math.gcd(8, packets.itemsize * packets.shape[-1])}")
+
+
 def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
     """XOR of each segment ``ptr[s]:ptr[s + 1]`` of the packet rows; an
     empty segment gives zeros."""
     out = np.zeros((len(ptr) - 1, packets.shape[1]), dtype=np.uint16)
     full = ptr[:-1] < ptr[1:]  # an empty segment takes no rows
-    out[full] = np.bitwise_xor.reduceat(packets, ptr[:-1][full], axis=0)
+    _wide(out)[full] = np.bitwise_xor.reduceat(_wide(packets), ptr[:-1][full], axis=0)
     return out
 
 
@@ -206,8 +213,9 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
 # bounds its scratch arrays to a few of this many packets.
 _SCAN_CELLS = 1 << 12
 # Packet rows of the files that ``decode_all`` assembles at once, which
-# bounds its scratch arrays the same way.
-_BLOCK_ROWS = _SCAN_CELLS
+# bounds its scratch arrays to a few of this many packets.  2^14 rows beat
+# 2^12; 2^16 rows are slower, as every fresh buffer page-faults.
+_BLOCK_ROWS = 1 << 14
 # 64-bit words of packed rows that ``DecodePlan._cover`` ORs at once: as many
 # bytes as _SCAN_CELLS packets of 64 bytes.
 _COVER_WORDS = 8 * _SCAN_CELLS
@@ -293,13 +301,13 @@ class DecodePlan:
         what lies outside each message XORed back out.  So a cell's own
         packet never enters its value."""
         out = self.gather(data, demands, pos)
-        # XOR is bitwise: scan the widest words that tile a packet
-        wide = out.view(f"u{math.gcd(8, out.itemsize * out.shape[1])}")
+        wide = _wide(out)
         first = 0
         while first < len(seg) - 1:
             last = max(first + 1, int(np.searchsorted(seg, seg[first] + _SCAN_CELLS, "right")) - 1)
             cells = wide[seg[first]:seg[last]]
-            before, after = np.zeros((2, len(cells) + 1, cells.shape[1]), dtype=cells.dtype)
+            before, after = np.empty((2, len(cells) + 1, cells.shape[1]), dtype=cells.dtype)
+            before[0] = after[-1] = 0
             np.bitwise_xor.accumulate(cells, axis=0, out=before[1:])  # cells before i
             np.bitwise_xor.accumulate(cells[::-1], axis=0, out=after[-2::-1])  # cells from i on
             starts = seg[first:last + 1] - seg[first]
@@ -535,7 +543,7 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     pos, seg = _segments(dplan.ptr, np.flatnonzero(wanted))
     where = np.empty(len(dplan.rows), dtype=np.intp)  # a cell's place in others
     where[pos] = np.arange(len(pos))
-    others = dplan.others(data, demands, pos, seg)
+    others = _wide(dplan.others(data, demands, pos, seg))
     reached = reach(caches.grid, scheme.user_nodes[users])
     # Every row a side-starred user reads is a starred row, so one F x users
     # test clears each such user whose starred rows are cached; only the
@@ -572,7 +580,7 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
             else:
                 sent = np.take(np.concatenate(recovered[:len(block)]),
                                need // f * plan.num_messages + grid[need], axis=0)
-            files.reshape(-1, words)[need] = sent ^ np.take(others, at, axis=0)
+            _wide(files.reshape(-1, words))[need] = _wide(sent) ^ np.take(others, at, axis=0)
             yield block, files
         if failure is not None:
             raise failure
@@ -617,7 +625,7 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
     verdicts = []
     for block, files in _decode_blocks(scheme, plan, caches):
         truth = np.take(library.data, np.asarray(plan.demands)[block] - 1, axis=0)
-        verdicts += (files == truth).reshape(len(block), -1).all(axis=1).tolist()
+        verdicts += (_wide(files) == _wide(truth)).reshape(len(block), -1).all(axis=1).tolist()
     max_unknown = plan.num_messages - int(scheme.decode_plan.known.sum(axis=1).min())
     f = scheme.subpacketization
     s = scheme.counted_messages
@@ -649,6 +657,10 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
     Returns the number of trials run; the first mismatch (first user, then
     first row) raises DecodeFailureError naming the user, message and row.
     """
+    if not isinstance(num_trials, int) or isinstance(num_trials, bool) or num_trials < 0:
+        raise InvalidParametersError(
+            f"trial count must be a non-negative integer, got {num_trials!r}"
+        )
     caches = place(library, scheme)
     dplan = scheme.decode_plan
     data = library.data
@@ -659,7 +671,7 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
                                 dplan.payloads(data, demands))
         for block, decoded in _decode_blocks(scheme, plan, caches):
             truth = np.take(data, np.asarray(demands)[block] - 1, axis=0)
-            wrong = (decoded != truth).any(axis=2)  # block x F
+            wrong = (_wide(decoded) != _wide(truth)).any(axis=2)  # block x F
             if wrong.any():
                 i, j = np.argwhere(wrong)[0].tolist()
                 k = block[i]

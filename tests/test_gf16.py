@@ -247,3 +247,55 @@ def test_solve_round_trip():
     x = np.arange(1, 13, dtype=np.uint16).reshape(4, 3)
     b = gf16.matvec(a, x)
     assert np.array_equal(gf16.solve(a, b), x)
+
+
+# -- table build -----------------------------------------------------------
+
+def loop_tables(polys):
+    """EXP, LOG and the polynomial as the one-power-at-a-time loop builds
+    them: step x through its powers until it comes round, and take the
+    first polynomial whose x comes round after ORDER steps."""
+    for poly in polys:
+        exp = np.zeros(4 * gf16.ORDER + 1, dtype=np.uint16)
+        log = np.full(gf16.FIELD_SIZE, 2 * gf16.ORDER, dtype=np.int32)
+        e, g = memoryview(exp), memoryview(log)
+        x, i = 1, 0
+        while i < gf16.ORDER and g[x] == 2 * gf16.ORDER:
+            e[i] = x
+            g[x] = i
+            i += 1
+            x <<= 1
+            if x & gf16.FIELD_SIZE:
+                x ^= poly
+        if i == gf16.ORDER and x == 1:
+            exp[gf16.ORDER:2 * gf16.ORDER] = exp[:gf16.ORDER]
+            return exp, log, poly
+    return None
+
+
+def test_tables_equal_the_loop_build():
+    exp, log, poly = loop_tables(gf16._CANDIDATE_POLYS)
+    assert gf16.PRIMITIVE_POLY == poly == 0x1100B
+    for got, want in ((gf16.EXP, exp), (gf16.LOG, log)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# x^16 + 1 = (x + 1)^16 and x^16 + x^8 + 1 are reducible; 0x1002D, 0x10039
+# and 0x1003F are checked here against the loop as well.
+@pytest.mark.parametrize("polys", [
+    (0x10001, 0x1100B), (0x10101, 0x1002D), (0x10039,), (0x1003F,),
+])
+def test_first_primitive_candidate_is_taken(monkeypatch, polys):
+    monkeypatch.setattr(gf16, "_CANDIDATE_POLYS", polys)
+    want = loop_tables(polys)
+    assert want is not None
+    exp, log, poly = gf16._build_tables()
+    assert (exp.tobytes(), log.tobytes(), poly) == (want[0].tobytes(), want[1].tobytes(), want[2])
+
+
+def test_no_primitive_candidate_is_a_configuration_error(monkeypatch):
+    monkeypatch.setattr(gf16, "_CANDIDATE_POLYS", (0x10001, 0x10101))
+    assert loop_tables((0x10001, 0x10101)) is None
+    with pytest.raises(ConfigurationError, match="no primitive polynomial"):
+        gf16._build_tables()

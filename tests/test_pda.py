@@ -21,9 +21,11 @@ from macc.pda import (
     SubsetId,
     _first_c3_violations,
     _flag_c3,
+    _narrow,
     id_cells,
     mn_pda,
     pda_stats,
+    row_keys,
     subset_ranks,
     verify_pda,
 )
@@ -382,3 +384,98 @@ class TestSubsetRank:
         subsets = list(itertools.combinations(range(1, n + 1), r))
         picks = data.draw(st.lists(st.integers(0, len(subsets) - 1), min_size=1))
         assert subset_ranks([subsets[i] for i in picks], n).tolist() == picks
+
+
+# -- narrowed sort keys ----------------------------------------------------
+
+def number_unnarrowed(keys) -> tuple:
+    """``Pda._number`` on the int64 keys as given: the grid, and the first
+    cell (among the non-star cells, row-major) of each id."""
+    flat = keys.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    _, first, inverse = np.unique(flat[cells], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    grid = np.full(keys.shape, -1, dtype=np.int32)
+    grid.ravel()[cells] = np.argsort(order)[inverse]
+    return grid, first[order]
+
+
+def id_cells_unnarrowed(grid) -> tuple:
+    """``id_cells`` with the ids sorted at their own width."""
+    flat = grid.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    ids = flat[cells]
+    rows, cols = np.divmod(cells[np.argsort(ids, kind="stable")], grid.shape[1])
+    ptr = np.zeros(int(grid.max()) + 2, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=len(ptr) - 1), out=ptr[1:])
+    return rows, cols, ptr
+
+
+# Each unsigned type, and the bound that the keys narrowed to it stay below.
+_WIDTHS = [(np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.uint32, 1 << 32),
+           (np.uint64, 1 << 63)]
+
+
+@st.composite
+def key_grids(draw):
+    """An F x K int64 key grid, -1 a star, whose largest key needs the
+    drawn unsigned width; the keys are single words or, as the GDD schemes
+    make them, multi-word rows folded by ``row_keys``."""
+    width, (dtype, top) = draw(st.sampled_from(list(enumerate(_WIDTHS))))
+    f, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()) or width == 3:
+        pool = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=6))
+        keys = np.array(pool, dtype=np.int64)[draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=f * k, max_size=f * k))]
+        largest = draw(st.integers(_WIDTHS[width - 1][1] if width else 0, top - 1))
+    else:  # words of (f*k) x m digits; row_keys stays below (f*k)^2
+        m = draw(st.integers(2, 4))
+        digits = draw(st.lists(st.integers(0, 3), min_size=f * k * m, max_size=f * k * m))
+        keys = row_keys(np.array(digits).reshape(-1, m))
+        largest = int(keys.max())
+        dtype = np.min_scalar_type(largest)
+    keys = keys.reshape(f, k)
+    stars = draw(st.lists(st.booleans(), min_size=f * k, max_size=f * k))
+    keys[np.array(stars).reshape(f, k)] = -1
+    keys[draw(st.integers(0, f - 1)), draw(st.integers(0, k - 1))] = largest
+    return keys, dtype
+
+
+class TestNarrowedKeys:
+    @given(key_grids())
+    def test_numbering_equals_the_unnarrowed_code(self, drawn):
+        keys, dtype = drawn
+        assert _narrow(keys[keys >= 0]).dtype == dtype
+        p = Pda.from_keys(keys, lambda first: first.tolist())
+        grid, first = number_unnarrowed(keys)
+        assert p.grid.dtype == np.int32
+        assert p.grid.tobytes() == grid.tobytes()
+        assert p.ids == tuple(first.tolist())
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1 << 8, 1 << 16, 1 << 17]),
+           st.data())
+    def test_id_cells_equal_the_unnarrowed_code(self, f, k, top, data):
+        # ids are sparse here, up to 2^17, so that they sort as uint8,
+        # uint16 and uint32
+        grid = np.array(data.draw(st.lists(st.integers(-1, top - 1), min_size=f * k,
+                                           max_size=f * k)), dtype=np.int32).reshape(f, k)
+        grid[data.draw(st.integers(0, f - 1)), data.draw(st.integers(0, k - 1))] = top - 1
+        assert _narrow(grid[grid >= 0]).dtype == np.min_scalar_type(top - 1)
+        for got, want in zip(id_cells(grid), id_cells_unnarrowed(grid)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_scheme(complete_design(13, 3), 4),
+        lambda: build_gdd_scheme(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2")),
+        # 10 coordinates of 7 bits: two words per id vector
+        lambda: build_gdd_scheme(transversal_gdd(10, 67, 1), linear_oa(10, 67, 1)),
+    ], ids=["complete-13-3-4", "gdd-3-2-2", "gdd-10-67-1"])
+    def test_schemes_are_built_as_without_narrowing(self, monkeypatch, build):
+        narrowed = build()
+        monkeypatch.setattr(pda_module, "_narrow", lambda keys: keys)
+        wide = build()
+        assert narrowed.user_delivery.grid.tobytes() == wide.user_delivery.grid.tobytes()
+        assert narrowed.user_delivery.ids == wide.user_delivery.ids
+        for got, want in zip(id_cells(narrowed.user_delivery.grid),
+                             id_cells_unnarrowed(wide.user_delivery.grid)):
+            assert np.array_equal(got, want)

@@ -34,6 +34,7 @@ from macc.simulate import (
     _COVER_WORDS,
     _SCAN_CELLS,
     DecodePlan,
+    _wide,
     decode,
     decode_all,
     deliver_mds,
@@ -380,6 +381,15 @@ class TestRandomTrials:
         assert len(demands) == 7
         assert all(1 <= d <= 7 for d in demands)
 
+    @pytest.mark.parametrize("count", [-3, -1, 2.5, 4.0, True, False, None, "4", np.int64(4)])
+    def test_count_that_is_not_a_non_negative_int_is_refused(self, fano, count):
+        with pytest.raises(InvalidParametersError, match="trial count"):
+            run_demand_trials(fano, make_library(7, 21, 8), count)
+
+    def test_zero_trials_run_none(self, fano, monkeypatch):
+        monkeypatch.setattr(simulate, "random_demands", mock.Mock(side_effect=AssertionError))
+        assert run_demand_trials(fano, make_library(7, 21, 8), 0) == 0
+
 
 class TestWorstCase:
     def test_mn_load(self, mn_scheme):
@@ -661,23 +671,31 @@ class TestDecodeAll:
         assert j in {r for r, _ in pda.id_positions[pda.ids[err.message_id - 1]]}
         assert f"row {j} not cached" in str(err)
 
-    def test_trials_name_the_user_message_and_row_of_a_wrong_packet(self, fano, monkeypatch):
+    # the first uint16 word of an 8-byte packet, and the last of a 64-byte
+    # one, which lies in the last of its u8 words
+    @pytest.mark.parametrize("packet_bytes, word", [(8, 0), (64, -1)])
+    def test_trials_name_the_user_message_and_row_of_a_wrong_packet(self, fano, monkeypatch,
+                                                                    packet_bytes, word):
         gather = DecodePlan.payloads
 
         def damaged(self, data, demands):
             out = gather(self, data, demands)
-            out[5, 0] ^= 1  # message 6
+            out[5, word] ^= 1  # message 6
             return out
 
         monkeypatch.setattr(DecodePlan, "payloads", damaged)
+        lib = make_library(7, 21, packet_bytes)
         with pytest.raises(DecodeFailureError) as exc:
-            run_demand_trials(fano, make_library(7, 21, 8), 4, seed=3)
+            run_demand_trials(fano, lib, 4, seed=3)
         # the first user that peels message 6, at the row where it does
         grid = fano.decode_plan.grid
         k = int(np.flatnonzero((grid == 5).any(axis=0))[0])
         j = int(np.flatnonzero(grid[:, k] == 5)[0])
         assert (exc.value.user, exc.value.message_id) == (k, 6)
         assert f"row {j} payload mismatch" in str(exc.value)
+        # the worst case marks every user that peels message 6
+        rep = run_simulation(fano, lib, range(1, 8))
+        assert rep.decode_ok == tuple(~(grid == 5).any(axis=0))
 
     @pytest.mark.parametrize("block_rows", [1, 21, 42, 63, _BLOCK_ROWS])
     def test_blocks_of_users_keep_the_first_mismatch(self, fano, monkeypatch, block_rows):
@@ -704,6 +722,44 @@ class TestDecodeAll:
         # the worst case marks every user that peels a damaged message
         rep = run_simulation(fano, make_library(7, 21, 8), range(1, 8))
         assert rep.decode_ok == tuple(~bad.any(axis=0))
+
+
+class TestWideWords:
+    """Every bitwise step of the decode runs on packets viewed in the widest
+    words that tile them: u8 for a multiple of 8 bytes, u4 for 4 and u2
+    otherwise, with the same bytes out."""
+
+    @pytest.mark.parametrize("packet_bytes, word", [
+        (2, 2), (6, 2), (8, 8), (10, 2), (12, 4), (64, 8), (66, 2),
+    ])
+    @pytest.mark.parametrize("mode", ["plain", "mds"])
+    def test_decode_is_byte_exact_at_any_packet_length(self, tmp_path, packet_bytes, word,
+                                                       mode):
+        scheme = _scheme("affine-9-3-1", 2)
+        lib = make_library(scheme.num_users, scheme.subpacketization, packet_bytes, seed=5)
+        assert _wide(lib.data).dtype == np.dtype(f"u{word}")
+        demands = random_demands(scheme, lib, Random(packet_bytes))
+        plain = deliver_plain(scheme, lib, demands)
+        assert_plain_symbols(scheme, lib, plain)
+        plan = plain if mode == "plain" else deliver_mds(scheme, lib, demands)
+        if mode == "mds":
+            assert plan.reduced_by and np.array_equal(plan.symbols, gf16.matvec(
+                gf16.cauchy_matrix(plan.symbols_sent, plan.num_messages), plain.symbols))
+        assert plan.symbols.dtype == np.uint16
+        assert run_simulation(scheme, lib, demands, mode).all_ok
+        # the transcript holds the uint16 symbols as they were, and a plan
+        # read back decodes every user byte for byte
+        path = tmp_path / "t.bin"
+        write_transcript(plan, path)
+        assert path.read_bytes().endswith(plan.symbols.astype("<u2").tobytes())
+        back = read_transcript(path)
+        assert back.symbols.tobytes() == plan.symbols.tobytes()
+        caches = place(lib, scheme)
+        got = [(k, out.tobytes()) for k, out in decode_all(scheme, back, caches)]
+        assert got == [(k, lib.file_bytes(d)) for k, d in enumerate(demands)]
+        if mode == "plain":
+            assert_peels(scheme, lib, plan)
+            assert run_demand_trials(scheme, lib, 2, seed=packet_bytes) == 2
 
 
 def peel_oracle(scheme, caches, payloads, demands, user: int) -> np.ndarray:
