@@ -31,29 +31,15 @@ from .designs import (
 )
 from .pda import Pda, STAR, mn_pda, pda_stats, verify_pda
 from .scheme_design import (
-    DesignCachingScheme,
     DesignSchemeParams,
     achievable_load,
-    build_node_placement,
     build_scheme,
-    build_user_delivery,
-    build_user_retrieve,
-    known_messages,
     redundancy_count,
     shared_link_tradeoff,
 )
-from .scheme_gdd import (
-    GddCachingScheme,
-    GddSchemeParams,
-    build_gdd_node_placement,
-    build_gdd_scheme,
-    build_gdd_user_delivery,
-    build_gdd_user_retrieve,
-    crs_comparison,
-    gdd_tradeoff,
-    shared_link_gdd_tradeoff,
-)
+from .scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_tradeoff
 from .simulate import (
+    ArrayScheme,
     Library,
     deliver_mds,
     deliver_plain,

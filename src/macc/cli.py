@@ -13,7 +13,6 @@ import contextlib
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import designs, render, serialize, simulate, tables
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .pda import mn_pda, pda_stats, verify_pda
-from .scheme_design import DesignSchemeParams, achievable_load, build_scheme
+from .scheme_design import build_scheme
 from .scheme_gdd import build_gdd_scheme
 
 EXIT_OK = 0
@@ -168,11 +167,6 @@ def _cmd_scheme(args) -> int:
         if args.mu_gamma is None:
             raise InvalidParametersError("design schemes need --mu-gamma")
         scheme = build_scheme(design, args.mu_gamma, args.files)
-        p = scheme.params
-        summary = (
-            f"({p.num_users},{p.subpacketization},{p.stars_per_user},"
-            f"{scheme.counted_messages}), R={serialize.fraction_str(achievable_load(p))}"
-        )
     elif args.gdd_transversal or args.gdd_file:
         if args.gdd_file:
             gdd = serialize.load_object(args.gdd_file)
@@ -189,22 +183,19 @@ def _cmd_scheme(args) -> int:
             s = args.s if args.s is not None else gdd.num_groups
             oa = _resolve_oa(args.oa, gdd.num_groups, gdd.group_size, s)
         scheme = build_gdd_scheme(gdd, oa, args.files)
-        p = scheme.params
-        summary = (
-            f"({p.num_users},{p.subpacketization},{p.stars_per_user},"
-            f"{scheme.counted_messages}), "
-            f"R={serialize.fraction_str(Fraction(scheme.counted_messages, p.subpacketization))}"
-        )
     else:
         raise InvalidParametersError(
             "pass --design NAME|complete:G,L|@file or --gdd-transversal m,q,t/--gdd-file"
         )
+    bundle = serialize.scheme_to_obj(scheme)
     if args.out:
         with _writing(args.out):
-            serialize.dump_json(serialize.scheme_to_obj(scheme), args.out)
+            serialize.dump_json(bundle, args.out)
     if args.format == "table":
         _emit(render.render_scheme_delivery(scheme), None)
-    print(summary)
+    s = bundle["summary"]
+    load = s.get("load_reduced", s["load_plain"])  # a GDD scheme has no reduced load
+    print(f"({s['K']},{s['F']},{s['Z']},{s['S_counted']}), R={load}")
     return EXIT_OK
 
 

@@ -586,9 +586,13 @@ class OrthogonalArray:
                 if not 1 <= x <= self.num_symbols:
                     raise InvalidInputError(f"entry {x} outside [{self.num_symbols}]")
         q, s, lam = self.num_symbols, self.strength, self.index
+        if s < 0:
+            raise InvalidInputError(f"OA strength {s} is negative")
+        if lam < 1:
+            raise InvalidInputError(f"OA index {lam} is not positive")
         # Past 2^14 bits q^s has over 4300 digits and dwarfs any row count,
         # so it is named by its factors, not formed.
-        if lam and s * (q.bit_length() - 1) > 1 << 14:
+        if s * (q.bit_length() - 1) > 1 << 14:
             raise InvalidInputError(f"row count {len(rows)} != index*q^strength = {lam}*{q}^{s}")
         if len(rows) != lam * q**s:
             raise InvalidInputError(

@@ -65,27 +65,14 @@ def render_pda(pda: Pda, row_labels=None, col_labels=None, corner: str = "") -> 
     return render_table(col_labels, row_labels, cells, corner)
 
 
-def render_design_scheme_delivery(scheme) -> str:
-    return render_pda(
-        scheme.user_delivery,
-        row_labels=[design_row_label(l) for l in scheme.row_labels],
-        col_labels=[point_block_label(b) for b in scheme.user_blocks],
-        corner="D,T",
-    )
-
-
-def render_gdd_scheme_delivery(scheme) -> str:
-    return render_pda(
-        scheme.user_delivery,
-        row_labels=[oa_row_label(l) for l in scheme.row_labels],
-        col_labels=[group_block_label(b) for b in scheme.user_blocks],
-        corner="j,T",
-    )
-
-
 def render_scheme_delivery(scheme) -> str:
-    from .scheme_design import DesignCachingScheme
-
-    if isinstance(scheme, DesignCachingScheme):
-        return render_design_scheme_delivery(scheme)
-    return render_gdd_scheme_delivery(scheme)
+    if "design" in scheme.topology:
+        row_label, col_label, corner = design_row_label, point_block_label, "D,T"
+    else:
+        row_label, col_label, corner = oa_row_label, group_block_label, "j,T"
+    return render_pda(
+        scheme.user_delivery,
+        row_labels=[row_label(l) for l in scheme.row_labels],
+        col_labels=[col_label(b) for b in scheme.user_blocks],
+        corner=corner,
+    )

@@ -18,7 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .designs import Design, require_match, verify_t_design
 from .errors import InvalidInputError, InvalidParametersError
 from .pda import CountedSubsetId, Pda, SubsetId
-from .simulate import ArrayScheme, _user_index, coordinate_arrays, reach, tiled_labels
+from .simulate import ArrayScheme, coordinate_arrays, reach, tiled_labels
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,7 @@ def _arrays(params: DesignSchemeParams, blocks, delivery: bool = True) -> tuple:
                              "base" if params.index > 1 else None)
 
 
+# Kept only because the benchmark tracer wraps the next three by name.
 def build_node_placement(params: DesignSchemeParams) -> np.ndarray:
     """F x nodes boolean grid; row (D, T) stars node g iff g is in D: the
     D-subset indicator, once per T."""
@@ -143,48 +143,25 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     return _arrays(DesignSchemeParams.from_design(design, cached_nodes), design.blocks)[2]
 
 
-@dataclass
-class DesignCachingScheme(ArrayScheme):
-    params: DesignSchemeParams
-    design: Design
-    row_labels: tuple
-    node_placement: np.ndarray
-    user_delivery: Pda
-
-    @property
-    def user_blocks(self) -> tuple:
-        return self.design.blocks
-
-    @cached_property
-    def user_nodes(self) -> np.ndarray:
-        return _arrays(self.params, self.design.blocks, delivery=False)[1]
-
-    @cached_property
-    def message_bound(self) -> int:
-        p = self.params
-        if p.cached_nodes == 0:
-            # Pure unicast: one message per (t-subset, copy) pair, exactly.
-            return p.index * math.comb(p.num_nodes, p.strength)
-        return p.index * math.comb(p.num_nodes, p.strength + p.cached_nodes) - (
-            p.num_users * math.comb(p.access_degree, p.strength + p.cached_nodes)
-        )
-
-    @property
-    def guaranteed_known(self) -> int:
-        """Multicast messages every user can rebuild from its own cache."""
-        return self.params.index * redundancy_count(self.params)
-
-
-def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> DesignCachingScheme:
+def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> ArrayScheme:
     params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
     require_match(verify_t_design(design, params.strength, params.index), "design")
-    placement, _, delivery = _arrays(params, design.blocks)
-    return DesignCachingScheme(
+    placement, user_nodes, delivery = _arrays(params, design.blocks)
+    g, l, t, mu = params.num_nodes, params.access_degree, params.strength, cached_nodes
+    if mu == 0:  # pure unicast: one message per (t-subset, copy) pair, exactly
+        bound = params.index * math.comb(g, t)
+    else:
+        bound = params.index * math.comb(g, t + mu) - params.num_users * math.comb(l, t + mu)
+    return ArrayScheme(
         params=params,
-        design=design,
+        topology={"design": design},
         row_labels=row_labels(params),
+        user_blocks=design.blocks,
         node_placement=placement,
+        user_nodes=user_nodes,
         user_delivery=delivery,
+        message_bound=bound,
+        guaranteed_known=params.index * redundancy_count(params),
     )
 
 
@@ -229,13 +206,3 @@ def shared_link_tradeoff(params: DesignSchemeParams):
     g, l, mu = params.num_nodes, params.access_degree, params.cached_nodes
     memory = 1 - Fraction(math.comb(g - l, mu), math.comb(g, mu))
     return memory, achievable_load(params)
-
-
-def known_messages(scheme: DesignCachingScheme, user) -> frozenset:
-    """Canonical ids of the multicast messages user ``user`` can rebuild from
-    cache alone: every cell of the id sits in a row starred for the user.
-
-    ``user`` is a 0-based column index or a block tuple.
-    """
-    known = scheme.decode_plan.known[_user_index(scheme, user)]
-    return frozenset((np.flatnonzero(known) + 1).tolist())

@@ -16,8 +16,8 @@ import numpy as np
 from .designs import Design, GroupDivisibleDesign, OrthogonalArray, int_text
 from .errors import InvalidInputError
 from .pda import Pda, STAR
-from .scheme_design import DesignCachingScheme, achievable_load, shared_link_tradeoff
-from .scheme_gdd import GddCachingScheme, gdd_tradeoff
+from .scheme_design import achievable_load, shared_link_tradeoff
+from .scheme_gdd import gdd_tradeoff
 
 
 def fraction_str(x: Fraction) -> str:
@@ -161,11 +161,11 @@ def pda_from_obj(obj: dict) -> Pda:
     return pda
 
 
+# The JSON writer of each topology input a scheme carries.
+_TOPOLOGY_WRITERS = {"design": design_to_obj, "gdd": gdd_to_obj, "oa": oa_to_obj}
+
+
 def scheme_to_obj(scheme) -> dict:
-    base = {
-        "C": placement_to_obj(scheme.node_placement),
-        "Q": pda_to_obj(scheme.user_delivery),
-    }
     p = scheme.params
     summary = {
         "K": p.num_users, "F": p.subpacketization, "Z": p.stars_per_user,
@@ -174,7 +174,7 @@ def scheme_to_obj(scheme) -> dict:
         "guaranteed_known": scheme.guaranteed_known,
         "load_plain": fraction_str(Fraction(scheme.counted_messages, p.subpacketization)),
     }
-    if isinstance(scheme, DesignCachingScheme):
+    if "design" in scheme.topology:
         summary["load_reduced"] = fraction_str(achievable_load(p))
         summary["shared_link_memory"] = fraction_str(shared_link_tradeoff(p)[0])
         params = {
@@ -182,8 +182,7 @@ def scheme_to_obj(scheme) -> dict:
             "t": p.strength, "lambda": p.index, "cached_nodes": p.cached_nodes,
             "files": p.num_files,
         }
-        base["design"] = design_to_obj(scheme.design)
-    elif isinstance(scheme, GddCachingScheme):
+    else:
         trade = gdd_tradeoff(p)
         summary["node_memory_ratio"] = fraction_str(trade.node_memory_ratio)
         summary["coverage_ratio"] = fraction_str(trade.coverage_ratio)
@@ -192,11 +191,11 @@ def scheme_to_obj(scheme) -> dict:
             "kind": "gdd", "m": p.num_groups, "q": p.group_size, "L": p.access_degree,
             "t": p.strength, "s": p.placement_strength, "files": p.num_files,
         }
-        base["gdd"] = gdd_to_obj(scheme.gdd)
-        base["oa"] = oa_to_obj(scheme.oa)
-    else:
-        raise InvalidInputError(f"unknown scheme type {type(scheme)!r}")
-    return {"type": "scheme", "params": params, "summary": summary, **base}
+    return {
+        "type": "scheme", "params": params, "summary": summary,
+        "C": placement_to_obj(scheme.node_placement), "Q": pda_to_obj(scheme.user_delivery),
+        **{key: _TOPOLOGY_WRITERS[key](obj) for key, obj in scheme.topology.items()},
+    }
 
 
 def report_to_obj(report) -> dict:

@@ -151,10 +151,20 @@ def tiled_labels(bases, access_degree: int, strength: int) -> tuple:
     return tuple((base, tt) for tt in tiles for base in bases)
 
 
+@dataclass(eq=False)
 class ArrayScheme:
-    """What every scheme reads off its arrays (``node_placement``,
-    ``user_delivery`` and ``user_nodes``, the K x L node columns each user
-    accesses), and its decode plan."""
+    """A multiaccess scheme over either topology, held as its arrays, with
+    the closed forms its builder computed from the parameters."""
+
+    params: object
+    topology: dict  # {"design": d} or {"gdd": g, "oa": a}, keyed as the bundle writes them
+    row_labels: tuple
+    user_blocks: tuple
+    node_placement: np.ndarray  # C, F x nodes
+    user_nodes: np.ndarray  # K x L, the node columns each user accesses
+    user_delivery: Pda  # Q
+    message_bound: int
+    guaranteed_known: int  # the messages every user is claimed to rebuild from cache
 
     @property
     def user_retrieve(self) -> np.ndarray:
@@ -456,11 +466,14 @@ def _user_index(scheme, user) -> int:
         if 0 <= user < scheme.num_users:
             return int(user)
     elif isinstance(user, (tuple, list, set, frozenset)):
-        block = tuple(sorted(tuple(p) if isinstance(p, (tuple, list)) else p for p in user))
-        try:
+        try:  # points that do not compare, such as 1 and "a", make no block
+            block = tuple(sorted(tuple(p) if isinstance(p, (tuple, list)) else p for p in user))
+        except TypeError:
+            pass
+        else:
+            if block not in scheme.user_blocks:
+                raise InvalidInputError(f"no user with block {block}")
             return scheme.user_blocks.index(block)
-        except ValueError:
-            raise InvalidInputError(f"no user with block {block}") from None
     raise InvalidInputError(f"user {user!r} is neither an index in 0..{scheme.num_users - 1} "
                             "nor a block")
 

@@ -30,12 +30,11 @@ from macc.designs import (
     verify_resolvable,
 )
 from macc.pda import mn_pda, pda_stats, STAR, verify_pda
-from macc.render import render_design_scheme_delivery, render_gdd_scheme_delivery
+from macc.render import render_scheme_delivery
 from macc.scheme_design import (
     DesignSchemeParams,
     achievable_load,
     build_scheme,
-    known_messages,
     redundancy_count,
     shared_link_tradeoff,
 )
@@ -48,7 +47,7 @@ from macc.simulate import (
 )
 from macc.tables import gdd_comparison_rows
 
-from shared_link import SharedLinkScheme
+from shared_link import shared_link_scheme
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -78,7 +77,7 @@ def test_criterion_1_mn_reproduction():
             (s, s, 1, 2), (s, 1, s, 3), (s, 2, 3, s),
             (1, s, s, 4), (2, s, 4, s), (3, 4, s, s),
         )
-        scheme = SharedLinkScheme(mn_pda(4, 2))
+        scheme = shared_link_scheme(mn_pda(4, 2))
         lib = make_library(4, 6, 16, seed=1)
         plan = deliver_plain(scheme, lib, (1, 2, 3, 4))
         messages = list(scheme.user_delivery.id_positions.values())
@@ -109,7 +108,7 @@ def test_criterion_2_fano_scheme():
         assert rep.ok
         assert (rep.num_users, rep.subpacketization, rep.stars_per_column,
                 rep.num_messages) == (7, 21, 9, 28)
-        rendered = render_design_scheme_delivery(scheme) + "\n"
+        rendered = render_scheme_delivery(scheme) + "\n"
         assert rendered == (GOLDEN / "fano_user_delivery.txt").read_text()
         assert achievable_load(scheme.params) == Fraction(4, 3)
         lib = make_library(7, 21, 16, seed=2)
@@ -126,7 +125,7 @@ def test_criterion_3_gdd_scheme():
         assert rep.ok
         assert (rep.num_users, rep.subpacketization, rep.stars_per_column,
                 rep.num_messages) == (12, 4, 3, 4)
-        rendered = render_gdd_scheme_delivery(scheme) + "\n"
+        rendered = render_scheme_delivery(scheme) + "\n"
         assert rendered == (GOLDEN / "gdd_user_delivery.txt").read_text()
         lib = make_library(12, 4, 16, seed=3)
         report = measure_worst_case(scheme, lib)
@@ -238,8 +237,6 @@ def _gdd_instances():
 
 
 def test_criterion_6_property_grid():
-    from macc.scheme_design import DesignCachingScheme
-
     with _Budget("6 property grid", 60.0):
         instances = list(_design_instances()) + list(_gdd_instances())
         assert len(instances) >= 30
@@ -259,7 +256,7 @@ def test_criterion_6_property_grid():
                 assert np.array_equal(scheme.user_retrieve[:, k], held), (label, k)
             per_row = (
                 scheme.params.cached_nodes
-                if isinstance(scheme, DesignCachingScheme)
+                if "design" in scheme.topology
                 else scheme.params.num_groups
             )
             assert (scheme.node_placement.sum(axis=1) == per_row).all(), label
@@ -289,7 +286,7 @@ def test_criterion_6_known_message_lower_bound():
             guarantee = scheme.guaranteed_known
             if not guarantee:
                 continue
-            worst = min(len(known_messages(scheme, k)) for k in range(scheme.num_users))
+            worst = int(scheme.decode_plan.known.sum(axis=1).min())
             if worst < guarantee:
                 violations.append(f"{label}: min known {worst} < {guarantee}")
         assert not violations, "; ".join(violations)

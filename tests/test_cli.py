@@ -129,6 +129,20 @@ class TestSchemeCommand:
         keys = list(json.loads(path.read_text()))
         assert keys == ["type", "params", "summary", "C", "Q", *topology]
 
+    @pytest.mark.parametrize("field, text", [
+        ("s", "OA strength -1 is negative"),
+        ("lambda", "OA index -1 is not positive"),
+    ], ids=["s", "lambda"])
+    def test_negative_oa_tag_is_parse_error(self, capsys, tmp_path, field, text):
+        path = tmp_path / "oa.json"
+        rows = [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]]
+        path.write_text(json.dumps({"type": "oa", "q": 2, "s": 2, "lambda": 1,
+                                    "rows": rows, field: -1}))
+        code, out, err = run(capsys, "scheme", "--gdd-transversal", "3,2,2",
+                             "--oa-file", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"parse error: {text}\n"
+
     def test_design_file_without_blocks_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({"type": "design", "points": 7}))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -12,7 +13,7 @@ from macc.designs import (
 )
 from macc.errors import InconsistentDesignError, InvalidParametersError
 from macc.pda import STAR, CountedSubsetId, Pda, SubsetId, verify_pda
-from macc.render import render_design_scheme_delivery
+from macc.render import render_scheme_delivery
 from macc.scheme_design import (
     DesignSchemeParams,
     achievable_load,
@@ -20,11 +21,11 @@ from macc.scheme_design import (
     build_scheme,
     build_user_delivery,
     build_user_retrieve,
-    known_messages,
     redundancy_count,
     row_labels,
     shared_link_tradeoff,
 )
+from macc.simulate import _user_index
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -101,7 +102,7 @@ class TestUserRetrieve:
 
 class TestUserDelivery:
     def test_fano_matches_reference_table(self):
-        text = render_design_scheme_delivery(fano_scheme()) + "\n"
+        text = render_scheme_delivery(fano_scheme()) + "\n"
         assert text == (GOLDEN / "fano_user_delivery.txt").read_text()
 
     def test_fano_is_7_21_9_28(self):
@@ -119,7 +120,7 @@ class TestUserDelivery:
 
     def test_biplane_matches_reference_table(self):
         scheme = build_scheme(catalog_design("biplane-7-4-2"), 1)
-        text = render_design_scheme_delivery(scheme) + "\n"
+        text = render_scheme_delivery(scheme) + "\n"
         assert text == (GOLDEN / "biplane_user_delivery.txt").read_text()
 
     def test_biplane_is_7_42_24_42(self):
@@ -219,19 +220,18 @@ class TestRedundancy:
 
 class TestKnownMessages:
     def test_fano_users_know_nothing(self):
-        scheme = fano_scheme()
-        for k in range(7):
-            assert known_messages(scheme, k) == frozenset()
+        known = fano_scheme().decode_plan.known
+        assert known.shape[0] == 7 and not known.any()
 
     def test_affine_users_know_at_least_reduction(self):
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
         assert scheme.guaranteed_known == 6
-        for k in range(scheme.num_users):
-            assert len(known_messages(scheme, k)) >= 6
+        assert (scheme.decode_plan.known.sum(axis=1) >= 6).all()
 
     def test_lookup_by_block(self):
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
-        assert known_messages(scheme, (1, 4, 7)) == known_messages(scheme, 0)
+        known = scheme.decode_plan.known
+        assert np.array_equal(known[_user_index(scheme, (1, 4, 7))], known[0])
 
     def test_index_two_deep_caching_falls_short_of_advertised_bound(self):
         # occurrences of one message subset can sit in distinct singleton
@@ -239,20 +239,15 @@ class TestKnownMessages:
         # with two cached nodes rebuild fewer messages than index * count
         scheme = build_scheme(catalog_design("biplane-7-4-2"), 2)
         assert scheme.guaranteed_known == 24
-        assert all(
-            len(known_messages(scheme, k)) == 17 for k in range(scheme.num_users)
-        )
+        assert (scheme.decode_plan.known.sum(axis=1) == 17).all()
 
     def test_all_ids_for_fully_starred_column(self):
         # a user whose column is entirely starred knows every message
-        from macc.pda import Pda, SubsetId
-        from macc.scheme_design import DesignCachingScheme
-
         pda = Pda(((STAR, SubsetId((1,))), (STAR, SubsetId((2,)))))
         scheme = build_scheme(catalog_design("fano-7-3-1"), 1)
-        fake = DesignCachingScheme(scheme.params, scheme.design, scheme.row_labels[:2],
-                                   scheme.node_placement[:2], pda)
-        assert known_messages(fake, 0) == frozenset({1, 2})
+        fake = dataclasses.replace(scheme, row_labels=scheme.row_labels[:2],
+                                   node_placement=scheme.node_placement[:2], user_delivery=pda)
+        assert (np.flatnonzero(fake.decode_plan.known[0]) + 1).tolist() == [1, 2]
 
 
 class TestRelabelingInvariance:

@@ -1,11 +1,13 @@
 import itertools
 import math
 import pathlib
+from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from macc.designs import (
     GroupDivisibleDesign,
@@ -18,24 +20,76 @@ from macc.designs import (
 )
 from macc.errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from macc.pda import CountedVectorId, Pda, STAR, verify_pda
-from macc.render import render_gdd_scheme_delivery
-from macc.scheme_gdd import (
-    GddSchemeParams,
-    build_gdd_node_placement,
-    build_gdd_scheme,
-    build_gdd_user_delivery,
-    build_gdd_user_retrieve,
-    crs_comparison,
-    gdd_row_labels,
-    gdd_tradeoff,
-    shared_link_gdd_tradeoff,
-)
+from macc.render import render_scheme_delivery
+from macc.scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_row_labels, gdd_tradeoff
+from macc.simulate import reach
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def small_scheme():
     return build_gdd_scheme(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2"))
+
+
+# Closed forms of the paper with no array behind them, kept here as oracles.
+
+@dataclass
+class SharedLinkGddPoint:
+    memory_ratio: Fraction
+    load: Fraction
+    load_is_bound: bool
+    num_messages: int
+    messages_exact: bool
+    case: str
+
+
+def shared_link_gdd_tradeoff(params: GddSchemeParams) -> SharedLinkGddPoint:
+    """Shared-link reading of the GDD scheme.  The message count S has a
+    closed form in two parameter families; elsewhere only the
+    (q-1)^t * q^m bound is asserted."""
+    m, q, l, t, s = (
+        params.num_groups, params.group_size, params.access_degree,
+        params.strength, params.placement_strength,
+    )
+    f = params.subpacketization
+    if l == t and s == m - 1:
+        messages = (q - 1) ** t * q ** (m - 1)
+        return SharedLinkGddPoint(
+            params.coverage_ratio, Fraction(messages, f), False, messages, True,
+            "L=t, s=m-1",
+        )
+    if l == t and s + t == m and s > t:
+        messages = (q**t - 1) * q ** (m - t)
+        return SharedLinkGddPoint(
+            params.coverage_ratio, Fraction(messages, f), False, messages, True,
+            "L=t, s+t=m, s>t",
+        )
+    bound = (q - 1) ** t * q**m
+    return SharedLinkGddPoint(
+        params.coverage_ratio, Fraction(bound, f), True, bound, False,
+        "s=m" if s == m else "general",
+    )
+
+
+@dataclass
+class CrsComparison:
+    load_crs: Fraction
+    load_gdd: Fraction
+    ratio: Fraction
+    favors_crs: bool
+
+
+def crs_comparison(num_groups: int, group_size: int, strength: int) -> CrsComparison:
+    """Load of the cross-resolvable-design scheme, C(m,t)((q-1)/2)^t, against
+    this construction at the same memory point (L = t, s = m-1), (q-1)^t.
+    The ratio dips below 1 exactly when t <= m/2; larger t is flagged."""
+    m, q, t = num_groups, group_size, strength
+    if not 1 <= t <= m:
+        raise InvalidParametersError(f"need 1 <= t <= m, got t={t}, m={m}")
+    load_crs = math.comb(m, t) * Fraction(q - 1, 2) ** t
+    load_gdd = Fraction((q - 1) ** t)
+    ratio = Fraction(2**t, math.comb(m, t))
+    return CrsComparison(load_crs, load_gdd, ratio, favors_crs=t > Fraction(m, 2))
 
 
 class TestParams:
@@ -56,7 +110,7 @@ class TestParams:
 
 class TestNodePlacement:
     def test_reference_pattern(self):
-        grid = build_gdd_node_placement(catalog_oa("oa-3-2-2"), 2, 2)
+        grid = small_scheme().node_placement
         assert grid.shape == (4, 6)
         # columns C_{1,1} C_{1,2} C_{2,1} C_{2,2} C_{3,1} C_{3,2}
         expected = [
@@ -68,22 +122,23 @@ class TestNodePlacement:
         assert grid.astype(int).tolist() == expected
 
     def test_column_star_counts(self):
-        grid = build_gdd_node_placement(catalog_oa("oa-3-2-2"), 2, 2)
+        grid = small_scheme().node_placement
         assert grid.sum(axis=0).tolist() == [2] * 6
 
     def test_row_star_counts_equal_groups(self):
-        oa = trivial_oa(4, 3)
-        grid = build_gdd_node_placement(oa, 2, 1)
+        # L = 2, t = 1: groups 1, 2 and groups 3, 4 paired by value
+        gdd = GroupDivisibleDesign(4, 3, tuple(
+            ((u, v), (u + 1, v)) for u in (1, 3) for v in (1, 2, 3)), strength=1, index=1)
+        grid = build_gdd_scheme(gdd, trivial_oa(4, 3)).node_placement
         assert set(grid.sum(axis=1).tolist()) == {4}
 
     def test_degenerate_single_symbol(self):
         oa = OrthogonalArray(1, 2, 1, ((1, 1, 1),))
-        grid = build_gdd_node_placement(oa, 2, 1)
+        grid = build_gdd_scheme(transversal_gdd(3, 1, 2), oa).node_placement
         assert grid.all()
 
     def test_group_columns_partition_rows(self):
-        oa = linear_oa(3, 3, 2)
-        grid = build_gdd_node_placement(oa, 2, 2)
+        grid = build_gdd_scheme(transversal_gdd(3, 3, 2), linear_oa(3, 3, 2)).node_placement
         q = 3
         for u in range(3):
             block = grid[:, u * q:(u + 1) * q]
@@ -92,7 +147,8 @@ class TestNodePlacement:
 
 class TestUserRetrieve:
     def test_reference_pattern(self):
-        grid = build_gdd_user_retrieve(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2"))
+        scheme = small_scheme()
+        grid = reach(scheme.node_placement, scheme.user_nodes)
         expected = [
             [1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0],
             [1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1],
@@ -109,7 +165,8 @@ class TestUserRetrieve:
             (catalog_gdd("gdd-3-2-3-1"), trivial_oa(3, 2)),
         ]
         for gdd, oa in cases:
-            grid = build_gdd_user_retrieve(gdd, oa)
+            scheme = build_gdd_scheme(gdd, oa)
+            grid = reach(scheme.node_placement, scheme.user_nodes)
             q, l, s = oa.num_symbols, gdd.block_size, oa.strength
             expected = (q**s - (q - 1) ** l * q ** (s - l)) * math.comb(l, gdd.strength)
             assert grid.sum(axis=0).tolist() == [expected] * gdd.num_blocks
@@ -117,9 +174,9 @@ class TestUserRetrieve:
     def test_single_node_access_matches_placement(self):
         gdd = transversal_gdd(3, 2, 1)
         oa = catalog_oa("oa-3-2-2")
-        retrieve = build_gdd_user_retrieve(gdd, oa)
-        placement = build_gdd_node_placement(oa, 1, 1)
         scheme = build_gdd_scheme(gdd, oa)
+        retrieve = reach(scheme.node_placement, scheme.user_nodes)
+        placement = scheme.node_placement
         # blocks of a 1-design are single points (u, v), column (u-1)*q + v-1
         for k, ((u, v),) in enumerate(gdd.blocks):
             assert scheme.user_nodes[k].tolist() == [(u - 1) * 2 + v - 1]
@@ -127,12 +184,12 @@ class TestUserRetrieve:
 
     def test_frame_mismatch(self):
         with pytest.raises(InvalidInputError):
-            build_gdd_user_retrieve(transversal_gdd(4, 2, 2), catalog_oa("oa-3-2-2"))
+            build_gdd_scheme(transversal_gdd(4, 2, 2), catalog_oa("oa-3-2-2"))
 
 
 class TestUserDelivery:
     def test_matches_reference_table(self):
-        text = render_gdd_scheme_delivery(small_scheme()) + "\n"
+        text = render_scheme_delivery(small_scheme()) + "\n"
         assert text == (GOLDEN / "gdd_user_delivery.txt").read_text()
 
     def test_is_12_4_3_4(self):
@@ -142,13 +199,14 @@ class TestUserDelivery:
                 rep.num_messages) == (12, 4, 3, 4)
 
     def test_index_two_gdd_rejected(self):
+        # every point lies in two of the four blocks
         gdd = GroupDivisibleDesign(
             2, 2,
-            (((1, 1), (2, 1)), ((1, 1), (2, 1))),
+            (((1, 1), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 1)), ((1, 2), (2, 2))),
             strength=1, index=2,
         )
         with pytest.raises(UnsupportedParametersError):
-            build_gdd_user_delivery(gdd, trivial_oa(2, 2))
+            build_gdd_scheme(gdd, trivial_oa(2, 2))
 
     def test_vector_occurrences_bounded_per_column(self):
         for gdd, oa in [
@@ -156,7 +214,7 @@ class TestUserDelivery:
             (transversal_gdd(4, 2, 2), trivial_oa(4, 2)),
             (catalog_gdd("gdd-3-2-3-1"), trivial_oa(3, 2)),
         ]:
-            pda = build_gdd_user_delivery(gdd, oa)
+            pda = build_gdd_scheme(gdd, oa).user_delivery
             q, t = oa.num_symbols, gdd.strength
             for k in range(pda.num_cols):
                 seen = {}
@@ -356,10 +414,15 @@ class TestReferenceEquivalence:
             st.sampled_from(list(itertools.combinations(range(1, m + 1), l))),
             st.tuples(*[st.integers(1, q)] * l),
         ), min_size=1, max_size=12))
+        assume(math.comb(m, t) * q**t % math.comb(l, t) == 0)  # an integer user count
         gdd = GroupDivisibleDesign(m, q, tuple(blocks), strength=t)
         oa = OrthogonalArray(q, s, 1, tuple(rows))
-        got = build_gdd_user_delivery(gdd, oa)
+        # The blocks and rows are arbitrary, so the builder runs without its
+        # topology checks.
+        with mock.patch("macc.scheme_gdd.require_match"):
+            scheme = build_gdd_scheme(gdd, oa)
+        got = scheme.user_delivery
         ref = reference_gdd_user_delivery(gdd, oa, t)
         assert np.array_equal(got.grid, ref.grid) and got.ids == ref.ids
-        assert np.array_equal(build_gdd_user_retrieve(gdd, oa),
+        assert np.array_equal(reach(scheme.node_placement, scheme.user_nodes),
                               reference_gdd_user_retrieve(gdd, oa))

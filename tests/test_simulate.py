@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import struct
 from fractions import Fraction
 from random import Random
@@ -27,7 +28,7 @@ from macc.errors import (
     UnsupportedParametersError,
 )
 from macc.pda import STAR, Pda, id_cells, mn_pda
-from macc.scheme_design import build_scheme, known_messages
+from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 from macc.simulate import (
     _BLOCK_ROWS,
@@ -50,7 +51,7 @@ from macc.simulate import (
     write_transcript,
 )
 
-from shared_link import SharedLinkScheme
+from shared_link import shared_link_scheme
 
 
 def held_rows(caches, node: int) -> set:
@@ -83,7 +84,7 @@ def assert_plain_symbols(scheme, lib, plan) -> list:
 
 @pytest.fixture
 def mn_scheme():
-    return SharedLinkScheme(mn_pda(4, 2))
+    return shared_link_scheme(mn_pda(4, 2))
 
 
 @pytest.fixture
@@ -203,7 +204,7 @@ class TestPlainDelivery:
         assert a.symbols_sent == b.symbols_sent == 28
 
     def test_unicast_pda(self):
-        scheme = SharedLinkScheme(mn_pda(3, 0))
+        scheme = shared_link_scheme(mn_pda(3, 0))
         lib = make_library(3, 1, 8)
         plan = deliver_plain(scheme, lib, (1, 2, 3))
         assert plan.symbols_sent == 3
@@ -245,19 +246,31 @@ class TestDecode:
         plan = deliver_plain(fano, lib, tuple(range(1, 8)))
         assert decode(fano, (1, 2, 4), plan, caches) == lib.file_bytes(1)
 
-    @pytest.mark.parametrize("user", [-1, 35, 2.0, True, None])
+    def test_decode_gdd_user_by_list_of_lists_block(self, gdd_scheme):
+        lib = make_library(12, 4, 8)
+        plan = deliver_plain(gdd_scheme, lib, tuple(range(1, 13)))
+        k = 5
+        block = [list(p) for p in reversed(gdd_scheme.user_blocks[k])]
+        assert decode(gdd_scheme, block, plan, place(lib, gdd_scheme)) == lib.file_bytes(k + 1)
+
+    def test_unknown_block_is_rejected(self, fano):
+        lib = make_library(7, 21, 8)
+        plan = deliver_plain(fano, lib, tuple(range(1, 8)))
+        with pytest.raises(InvalidInputError, match=re.escape("no user with block (1, 2, 3)")):
+            decode(fano, [3, 2, 1], plan, place(lib, fano))
+
+    @pytest.mark.parametrize("user", [-1, 35, 2.0, True, None, (1, "a"), (1, (1, 1))])
     def test_user_that_is_not_an_index_is_rejected(self, user):
         scheme = build_scheme(complete_design(7, 3), 1)
         assert scheme.num_users == 35
         lib = make_library(35, scheme.subpacketization, 8)
         caches = place(lib, scheme)
         plan = deliver_plain(scheme, lib, random_demands(scheme, lib, Random(2)))
-        with pytest.raises(InvalidInputError, match=f"user {user} is neither"):
+        neither = re.escape(f"user {user!r} is neither")
+        with pytest.raises(InvalidInputError, match=neither):
             decode(scheme, user, plan, caches)
-        with pytest.raises(InvalidInputError, match=f"user {user} is neither"):
+        with pytest.raises(InvalidInputError, match=neither):
             next(decode_all(scheme, plan, caches, [0, user]))
-        with pytest.raises(InvalidInputError, match=f"user {user} is neither"):
-            known_messages(scheme, user)
 
     def test_retrieve_grid_claiming_an_unheld_row_fails(self, fano):
         # user 0's first missing row travels in a message whose side packet
@@ -285,14 +298,14 @@ class TestDecode:
         # C3a fails: user 0 needs both packets of message 1
         from macc.pda import STAR, Pda
 
-        scheme = SharedLinkScheme(Pda(((1, STAR), (1, STAR))))
+        scheme = shared_link_scheme(Pda(((1, STAR), (1, STAR))))
         lib = make_library(2, 2, 8)
         plan = deliver_plain(scheme, lib, (1, 2))
         with pytest.raises(DecodeFailureError, match="row 1 not cached"):
             decode(scheme, 0, plan, place(lib, scheme))
 
     def test_all_star_decodes_from_cache(self, tmp_path):
-        scheme = SharedLinkScheme(mn_pda(3, 3))
+        scheme = shared_link_scheme(mn_pda(3, 3))
         lib = make_library(3, 1, 8)
         rep = measure_worst_case(scheme, lib)
         assert rep.all_ok and rep.symbols_sent == 0 and rep.measured_load == 0
@@ -333,7 +346,7 @@ class TestMdsDelivery:
             sim_known = reconstructible_messages(scheme, caches, k)
             assert len(sim_known) >= scheme.guaranteed_known
             # independent double-check against the array-level computation
-            array_known = {i - 1 for i in known_messages(scheme, k)}
+            array_known = set(np.flatnonzero(scheme.decode_plan.known[k]).tolist())
             assert sim_known == array_known
 
     def test_max_unknown_reported(self):
@@ -345,7 +358,7 @@ class TestMdsDelivery:
     def test_field_size_guard(self):
         from macc.pda import Pda
 
-        wide = SharedLinkScheme(Pda([list(range(1, 40001))]))
+        wide = shared_link_scheme(Pda([list(range(1, 40001))]))
         lib = make_library(40000, 1, 2)
         with pytest.raises(ConfigurationError) as exc:
             deliver_mds(wide, lib, tuple(range(1, 40001)))
@@ -834,7 +847,7 @@ class TestSharedPeel:
 
     @pytest.mark.parametrize("deliver", [deliver_plain, deliver_mds])
     def test_all_star_grid_has_no_cells(self, deliver):
-        scheme = SharedLinkScheme(mn_pda(3, 3))
+        scheme = shared_link_scheme(mn_pda(3, 3))
         lib = make_library(3, 1, 8)
         assert len(scheme.decode_plan.rows) == 0
         assert_peels(scheme, lib, deliver(scheme, lib, (1, 3, 3)))
@@ -844,7 +857,7 @@ class TestSharedPeel:
     def test_one_and_two_cell_messages(self, deliver):
         # message 1 has two cells; messages 2 and 3 one each, so user 2,
         # which caches nothing, reads both its rows straight off a payload
-        scheme = SharedLinkScheme(Pda(((1, STAR, 2), (STAR, 1, 3))))
+        scheme = shared_link_scheme(Pda(((1, STAR, 2), (STAR, 1, 3))))
         assert np.diff(scheme.decode_plan.ptr).tolist() == [2, 1, 1]
         lib = make_library(3, 2, 8, seed=4)
         for demands in ((1, 2, 3), (2, 2, 2)):
@@ -918,12 +931,12 @@ _CACHE_TEST_SCHEMES = {
     "affine": lambda: _scheme("affine-9-3-1", 2),
     "biplane": lambda: _scheme("biplane-7-4-2", 1),
     "gdd-3-2-2": lambda: _peel_scheme("gdd-3-2-2", None),
-    "mn": lambda: SharedLinkScheme(mn_pda(5, 2)),
+    "mn": lambda: shared_link_scheme(mn_pda(5, 2)),
     # C3b fails: message 1 at (0, 0) and (1, 1), but (0, 1) is no star, so
     # user 1's side packet lies in a row it neither stars nor caches
-    "no-c3b": lambda: SharedLinkScheme(Pda(((1, 2, STAR), (STAR, 1, 3), (4, STAR, 5)))),
+    "no-c3b": lambda: shared_link_scheme(Pda(((1, 2, STAR), (STAR, 1, 3), (4, STAR, 5)))),
     # C3a fails: message 1 twice in user 0's column
-    "no-c3a": lambda: SharedLinkScheme(Pda(((1, STAR), (1, 2)))),
+    "no-c3a": lambda: shared_link_scheme(Pda(((1, STAR), (1, 2)))),
 }
 
 

@@ -81,7 +81,7 @@ def test_transversal_gdd_is_yan_oa_pda(m, q):
     yan_rows, yan = yan_oa_pda(m, q)
     row_of = [tuple(x * y % q for x, y in zip(s, c)) for c in np.array(oa.rows) - 1]
     assert sorted(row_of) == sorted(yan_rows)
-    col_of = [(u - 1, s[u - 1] * (v - 1) % q) for ((u, v),) in scheme.gdd.blocks]
+    col_of = [(u - 1, s[u - 1] * (v - 1) % q) for ((u, v),) in scheme.user_blocks]
     ours, theirs = {}, {}
     grid = scheme.user_delivery.grid
     for j, k in itertools.product(range(len(row_of)), range(len(col_of))):
