@@ -9,7 +9,6 @@ raises, so the script exits non-zero.
 """
 
 import argparse
-from fractions import Fraction
 
 from macc.designs import catalog_design, catalog_oa, transversal_gdd
 from macc.scheme_design import build_scheme
@@ -21,7 +20,6 @@ def show(name, scheme, modes, seed):
     library = make_library(
         scheme.num_users, scheme.subpacketization, packet_bytes=64, seed=seed,
     )
-    p = scheme.params
     stats = f"K={scheme.num_users} F={scheme.subpacketization} S={scheme.counted_messages}"
     for mode in modes:
         report = measure_worst_case(scheme, library, mode)

@@ -33,11 +33,16 @@ EXIT_INVALID_PARAMS = 2
 EXIT_PARSE_ERROR = 3
 
 
-def _ints(text: str) -> tuple:
+def _ints(text: str, form: str | None = None) -> tuple:
+    """The comma-separated integers of ``text``: as many as the names in
+    ``form`` (such as "G,L"), when it is given."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        values = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InvalidParametersError(f"expected comma-separated integers, got {text!r}") from None
+    if form is not None and len(values) != form.count(",") + 1:
+        raise InvalidParametersError(f"expected {form}, got {text!r}")
+    return values
 
 
 @contextlib.contextmanager
@@ -70,7 +75,7 @@ def _cmd_design(args) -> int:
     if args.catalog:
         d = designs.catalog_design(args.catalog)
     elif args.complete:
-        g, l = _ints(args.complete)
+        g, l = _ints(args.complete, "G,L")
         d = designs.complete_design(g, l)
     else:
         raise InvalidParametersError("pass --catalog NAME or --complete G,L")
@@ -86,7 +91,7 @@ def _cmd_gdd(args) -> int:
     if args.catalog:
         g = designs.catalog_gdd(args.catalog)
     elif args.transversal:
-        m, q, t = _ints(args.transversal)
+        m, q, t = _ints(args.transversal, "m,q,t")
         g = designs.transversal_gdd(m, q, t)
     else:
         raise InvalidParametersError("pass --catalog NAME or --transversal m,q,t")
@@ -121,10 +126,10 @@ def _cmd_oa(args) -> int:
     if args.catalog:
         oa = designs.catalog_oa(args.catalog)
     elif args.trivial:
-        m, q = _ints(args.trivial)
+        m, q = _ints(args.trivial, "m,q")
         oa = designs.trivial_oa(m, q)
     elif args.linear:
-        m, q, s = _ints(args.linear)
+        m, q, s = _ints(args.linear, "m,q,s")
         oa = designs.linear_oa(m, q, s)
     else:
         raise InvalidParametersError("pass --catalog NAME, --trivial m,q or --linear m,q,s")
@@ -136,7 +141,7 @@ def _cmd_oa(args) -> int:
 def _cmd_pda(args) -> int:
     if not args.mn:
         raise InvalidParametersError("pass --mn K,t")
-    k, t = _ints(args.mn)
+    k, t = _ints(args.mn, "K,t")
     p = mn_pda(k, t)
     stats = pda_stats(p)
     text = render.render_pda(p)
@@ -151,7 +156,7 @@ def _cmd_pda(args) -> int:
 
 def _load_design_spec(spec: str):
     if spec.startswith("complete:"):
-        g, l = _ints(spec.split(":", 1)[1])
+        g, l = _ints(spec.split(":", 1)[1], "complete:G,L")
         return designs.complete_design(g, l)
     if spec.startswith("@"):
         obj = serialize.load_object(spec[1:])
@@ -173,7 +178,7 @@ def _cmd_scheme(args) -> int:
             if not isinstance(gdd, designs.GroupDivisibleDesign):
                 raise InvalidInputError(f"{args.gdd_file} does not hold a GDD")
         else:
-            m, q, t = _ints(args.gdd_transversal)
+            m, q, t = _ints(args.gdd_transversal, "m,q,t")
             gdd = designs.transversal_gdd(m, q, t)
         if args.oa_file:
             oa = serialize.load_object(args.oa_file)

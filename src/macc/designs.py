@@ -161,11 +161,6 @@ class Design:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def replication(self) -> Fraction:
-        """Average number of blocks through a point, K*L/v."""
-        return Fraction(self.num_blocks * self.block_size, self.num_points)
-
     def canonical(self) -> "Design":
         return Design(self.num_points, tuple(sorted(self.blocks)), self.strength, self.index)
 
@@ -454,10 +449,6 @@ class ResolvableDesign:
     @property
     def blocks_per_class(self) -> int:
         return len(self.parallel_classes[0])
-
-    @property
-    def num_blocks(self) -> int:
-        return sum(len(cls) for cls in self.parallel_classes)
 
     def canonical(self) -> "ResolvableDesign":
         classes = tuple(tuple(sorted(cls)) for cls in self.parallel_classes)

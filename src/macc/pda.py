@@ -310,7 +310,7 @@ def crossings(grid, rows, cols, ptr) -> tuple:
     return crossing, np.bitwise_count(bits).sum(axis=1)
 
 
-def _flag_c3(grid, rows, cols, ptr) -> np.ndarray:
+def flag_c3(grid, rows, cols, ptr) -> np.ndarray:
     """Per id, whether it breaks C3a or C3b.  An id keeps C3 exactly when it
     has as many distinct columns as cells and, for each of its cells (r, c),
     the only non-star cell of row r within its columns is c (see
@@ -327,10 +327,10 @@ def _first_c3_violations(grid) -> list:
     [j1, k1, j2, k2] or None.  Pairs run in id order, then in combination
     order over the id's row-major cells, scanned a step of first cells at a
     time (at most _PAIR_CHUNK pairs, unless one cell alone has more).  Only
-    the ids that :func:`_flag_c3` flags hold a violation, so only their
+    the ids that :func:`flag_c3` flags hold a violation, so only their
     cells are scanned, and a valid array scans no pairs."""
     rows, cols, ptr = id_cells(grid)
-    flagged = _flag_c3(grid, rows, cols, ptr)
+    flagged = flag_c3(grid, rows, cols, ptr)
     if not flagged.any():
         return [None, None]
     keep = np.repeat(flagged, np.diff(ptr))

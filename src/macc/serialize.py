@@ -7,6 +7,7 @@ cells as JSON null.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,52 +250,6 @@ def load_object(path):
     return object_from_obj(read_json(path), str(path))
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _key(key) -> str:
-    """A dict key as json.dumps writes it: a non-string scalar key becomes
-    its JSON text, then the key is quoted."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
-
-
-def _encode(obj, indent: str, parts: list) -> None:
-    """Append to ``parts`` the text ``json.dumps`` with ``indent=2`` gives
-    ``obj`` when it is nested at ``indent``."""
-    if isinstance(obj, CodeGrid):
-        _encode_grid(obj, indent, parts)
-        return
-    if not isinstance(obj, (list, tuple, dict)):
-        parts.append(json.dumps(obj))
-        return
-    if not obj:
-        parts.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        for n, (key, value) in enumerate(obj.items()):
-            parts.append(("{\n" + inner if n == 0 else sep) + _key(key) + ": ")
-            _encode(value, inner, parts)
-        parts.append("\n" + indent + "}")
-    elif _SCALARS.issuperset(map(type, obj)):
-        # A list of scalars, such as a design block, is one call to the C
-        # encoder, which json.dumps skips whenever an indent is set; its item
-        # separator carries the newline and the indent.
-        row = json.dumps(obj, separators=(sep, ": "))
-        parts.append("[\n" + inner + row[1:-1] + "\n" + indent + "]")
-    else:
-        for n, item in enumerate(obj):
-            parts.append("[\n" + inner if n == 0 else sep)
-            _encode(item, inner, parts)
-        parts.append("\n" + indent + "]")
-
-
 # Grid cells gathered per block of rows; a bundle's Q cell pads to 16 bytes.
 # Blocks of 2^16 cells wrote the complete:16,3 mu=5 bundle no faster and
 # raised its peak RSS by 2.3 MB.
@@ -335,15 +290,37 @@ def _encode_grid(grid: CodeGrid, indent: str, parts: list) -> None:
 # mu=5 bundle peaks at 145 MB RSS that way and at 114 MB in slices.
 _WRITE_CHARS = 1 << 20
 
+# The string json.dumps writes in place of a grid on the n-th try.
+_MARKER = "\0CodeGrid {}"
+
 
 def dump_json(obj, path=None) -> str:
-    """The text of ``json.dumps`` with ``indent=2``, byte for byte, without
-    its per-item chunk list; with ``path``, also write the text and a
-    newline there."""
-    parts = []
-    _encode(obj, "", parts)
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte, where a
+    ``CodeGrid`` writes as its list of rows; with ``path``, also write the
+    text and a newline there.  ``json.dumps`` writes each grid as a marker
+    string, which is then replaced by the grid's text at the indent of its
+    line.  A string in ``obj`` that writes as the marker shows as one marker
+    too many, and the text is written again with the next marker."""
+    for n in itertools.count():
+        marker, grids = _MARKER.format(n), []
+
+        def park(value):
+            if not isinstance(value, CodeGrid):
+                raise TypeError(f"Object of type {type(value).__name__} "
+                                f"is not JSON serializable")
+            grids.append(value)
+            return marker
+
+        pieces = json.dumps(obj, indent=2, default=park).split(json.dumps(marker))
+        if len(pieces) == len(grids) + 1:
+            break
+    parts = [pieces[0]]
+    for grid, piece in zip(grids, pieces[1:]):
+        line = parts[-1][parts[-1].rfind("\n") + 1:]
+        _encode_grid(grid, line[:len(line) - len(line.lstrip(" "))], parts)
+        parts.append(piece)
     text = "".join(parts)
-    del parts
+    del parts, pieces
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             for start in range(0, len(text), _WRITE_CHARS):

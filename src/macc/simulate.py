@@ -28,7 +28,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedParametersError,
 )
-from .pda import Pda, crossings, id_cells, occurrences, pack_rows, row_keys
+from .pda import Pda, flag_c3, id_cells, occurrences, pack_rows, row_keys
 
 
 @dataclass
@@ -226,7 +226,7 @@ _SCAN_CELLS = 1 << 12
 # bounds its scratch arrays to a few of this many packets.  2^14 rows beat
 # 2^12; 2^16 rows are slower, as every fresh buffer page-faults.
 _BLOCK_ROWS = 1 << 14
-# 64-bit words of packed rows that ``DecodePlan._cover`` ORs at once: as many
+# 64-bit words of packed rows that ``DecodePlan.known`` ORs at once: as many
 # bytes as _SCAN_CELLS packets of 64 bytes.
 _COVER_WORDS = 8 * _SCAN_CELLS
 
@@ -253,21 +253,11 @@ class DecodePlan:
         cell_at.flags.writeable = False
         return cell_at
 
-    @property
+    @cached_property
     def known(self) -> np.ndarray:
         """users x S bitmap: user k rebuilds message s from cache alone when
         the grid stars k in every row of the message's cells."""
-        return self._cover[0]
-
-    @property
-    def side_starred(self) -> np.ndarray:
-        """Per-user flag: every other cell of every message the user needs
-        lies in a row that the user's column stars."""
-        return self._cover[1]
-
-    @cached_property
-    def _cover(self) -> tuple:
-        grid, rows, cols, ptr = self.grid, self.rows, self.cols, self.ptr
+        grid, rows, ptr = self.grid, self.rows, self.ptr
         # A user knows a message when its bit is clear in the OR of the
         # message's rows, packed 64 users to a word; ORed over a block of
         # words at a time.
@@ -279,18 +269,14 @@ class DecodePlan:
                                           ptr[:-1], axis=0)
             users = known[64 * w:64 * (w + step)]
             users[:] = np.unpackbits(~some.view(np.uint8), axis=1, count=len(users)).T
-        # A user is side-starred when, at each of its cells (r, k), the only
-        # non-star cell of column k within the rows of the cell's message is
-        # its own, and no other cell of that message lies in row r.
-        crossing, _ = crossings(grid.T, cols, rows, ptr)
-        shared = rows[1:] == rows[:-1]
-        shared[ptr[1:-1] - 1] = False  # pairs across two messages
-        off = crossing != 1
-        off[1:] |= shared
-        off[:-1] |= shared
-        side_starred = np.ones(grid.shape[1], dtype=bool)
-        side_starred[cols[off]] = False
-        return known, side_starred
+        return known
+
+    @cached_property
+    def keeps_c3(self) -> bool:
+        """Whether no id breaks C3 (see :func:`macc.pda.flag_c3`).  Then every
+        other cell of a message a user needs lies in a row that the user's
+        column stars, so each user reads its starred rows only."""
+        return not flag_c3(self.grid, self.rows, self.cols, self.ptr).any()
 
     def gather(self, data: np.ndarray, demands, pos) -> np.ndarray:
         """The demanded packets at message cells ``pos``: one ``np.take`` on
@@ -558,10 +544,10 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     where[pos] = np.arange(len(pos))
     others = _wide(dplan.others(data, demands, pos, seg))
     reached = reach(caches.grid, scheme.user_nodes[users])
-    # Every row a side-starred user reads is a starred row, so one F x users
-    # test clears each such user whose starred rows are cached; only the
-    # rest take the per-user check.
-    checked = dplan.side_starred[users] & ~((ids < 0) & ~reached).any(axis=0)
+    # On a grid that keeps C3 every row a user reads is a starred row, so one
+    # F x users test clears each user whose starred rows are cached; only the
+    # rest, and every user of a grid that breaks C3, take the per-user check.
+    checked = dplan.keeps_c3 & ~((ids < 0) & ~reached).any(axis=0)
     f, words = data.shape[1:]
     step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
     for a in range(0, len(users), step):

@@ -12,6 +12,7 @@ import csv
 import math
 from fractions import Fraction
 
+from .designs import int_text
 from .errors import InvalidParametersError
 from .scheme_design import DesignSchemeParams, shared_link_tradeoff
 from .scheme_gdd import GddSchemeParams, gdd_tradeoff
@@ -36,7 +37,10 @@ def sci2(n: int) -> str:
     """Two-significant-digit scientific notation for large counts."""
     if n < 10**6:
         return str(n)
-    exponent = len(str(n)) - 1
+    # floor(log10(n)) without writing n in decimal, which str() refuses
+    # past 4300 digits; the float logarithm can be one off near 10^k
+    exponent = math.floor(math.log10(n))
+    exponent += (n >= 10**(exponent + 1)) - (n < 10**exponent)
     mantissa = round(n / 10**exponent, 1)
     if mantissa >= 10:
         mantissa /= 10
@@ -49,7 +53,7 @@ def _row(scheme: str, params: str, k: int, memory: Fraction, load: Fraction, f: 
     return {
         "scheme": scheme, "params": params, "K": str(k),
         "M_over_N": sig3(memory), "M_over_N_exact": fraction_str(memory),
-        "R": sig3(load), "R_exact": fraction_str(load), "F": str(f), "F_sci": sci2(f),
+        "R": sig3(load), "R_exact": fraction_str(load), "F": int_text(f), "F_sci": sci2(f),
         "note": "",
     }
 

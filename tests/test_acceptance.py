@@ -6,13 +6,11 @@ lines as they complete.
 """
 
 import itertools
-import math
 import pathlib
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from macc.designs import (
     catalog_design,
@@ -32,7 +30,6 @@ from macc.designs import (
 from macc.pda import mn_pda, pda_stats, STAR, verify_pda
 from macc.render import render_scheme_delivery
 from macc.scheme_design import (
-    DesignSchemeParams,
     achievable_load,
     build_scheme,
     redundancy_count,

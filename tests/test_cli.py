@@ -199,6 +199,20 @@ class TestObjectCommands:
         code, _, err = run(capsys, "design", "--catalog", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, form", [
+        (["pda", "--mn", "3"], "K,t"),
+        (["design", "--complete", "5"], "G,L"),
+        (["gdd", "--transversal", "3,2"], "m,q,t"),
+        (["oa", "--linear", "3,3"], "m,q,s"),
+        (["oa", "--trivial", "2,2,2"], "m,q"),
+        (["scheme", "--design", "complete:5", "--mu-gamma", "1"], "complete:G,L"),
+        (["scheme", "--gdd-transversal", "3,2"], "m,q,t"),
+    ])
+    def test_wrong_integer_count_is_param_error(self, capsys, argv, form):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err == f"error: expected {form}, got {argv[2].split(':')[-1]!r}\n"
+
 
 class TestVerifyCommand:
     def test_tagged_design_passes(self, capsys, tmp_path):

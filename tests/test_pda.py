@@ -20,7 +20,7 @@ from macc.pda import (
     STAR,
     SubsetId,
     _first_c3_violations,
-    _flag_c3,
+    flag_c3,
     _narrow,
     id_cells,
     mn_pda,
@@ -297,7 +297,7 @@ class TestC3Screen:
     def test_verify_matches_the_full_pair_scan(self, width, data):
         pda = data.draw(damaged_pdas(width))
         ids, _, same, uncrossed = all_pairs(pda.grid)
-        flagged = _flag_c3(pda.grid, *id_cells(pda.grid))
+        flagged = flag_c3(pda.grid, *id_cells(pda.grid))
         assert set(np.flatnonzero(flagged).tolist()) == set(ids[same | uncrossed].tolist())
         assert _first_c3_violations(pda.grid) == full_pair_scan(pda.grid)
         with mock.patch.object(pda_module, "_first_c3_violations", full_pair_scan):
@@ -330,7 +330,7 @@ class TestC3Screen:
     @pytest.mark.parametrize("name", SCHEME_GRIDS)
     def test_a_valid_array_flags_no_id(self, name):
         grid = scheme_grid(name)
-        assert not _flag_c3(grid, *id_cells(grid)).any()
+        assert not flag_c3(grid, *id_cells(grid)).any()
 
 
 class TestStats:

@@ -99,6 +99,22 @@ class TestCodeGrid:
                                     cols * (1 if block == "row" else (rows + 1) // 2))
             assert dump_json(value) == json.dumps(listed, indent=2)
 
+    @pytest.mark.parametrize("place", [
+        lambda m, g: {"C": g, "s": m},
+        lambda m, g: {m: g, "Q": [g, m]},
+        lambda m, g: [m, {"x": [m, g]}],
+        lambda m, g: [g, 'a"' + m, m + '"'],
+        lambda m, g: [m, serialize._MARKER.format(1), g, {m: serialize._MARKER.format(2)}],
+        lambda m, g: {"only": m},
+    ], ids=["value", "key", "nested", "quote-adjacent", "next-markers", "no-grid"])
+    def test_marker_strings_write_as_json_dumps(self, place):
+        # a string equal to the splice marker, or holding its JSON text, is
+        # written as itself and never replaced by a grid
+        grid = CodeGrid(np.array([[0, 1], [1, 0]], np.int8), ("null", '"*"'))
+        value = place(serialize._MARKER.format(0), grid)
+        listed = place(serialize._MARKER.format(0), [[None, "*"], ["*", None]])
+        assert dump_json(value) == json.dumps(listed, indent=2)
+
 
 class TestLoaderValidation:
     @pytest.mark.parametrize("blocks, where", [

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import math
 import re
 import struct
 from fractions import Fraction
@@ -941,37 +940,37 @@ _CACHE_TEST_SCHEMES = {
 
 
 def cover_oracle(grid) -> tuple:
-    """``known`` and ``side_starred`` one user at a time, from one count per
-    (user, message) of the message's cells in rows that the user's column
-    does not star: 0 for a known message, and 1 (the user's own cell) at
-    every needed message of a side-starred user."""
+    """``known`` one user at a time, from one count per (user, message) of
+    the message's cells in rows that the user's column does not star: 0 for
+    a known message.  The grid keeps C3 exactly when that count is 1 (the
+    user's own cell) at every message every user needs."""
     rows, _, ptr = id_cells(grid)
     known = np.zeros((grid.shape[1], len(ptr) - 1), dtype=bool)
-    side_starred = np.zeros(grid.shape[1], dtype=bool)
+    keeps_c3 = True
     for k, column in enumerate((grid >= 0).T):
         unstarred = np.add.reduceat(column.view(np.uint8)[rows], ptr[:-1], dtype=np.int32)
         known[k] = unstarred == 0
-        side_starred[k] = (unstarred[grid[column, k]] == 1).all()
-    return known, side_starred
+        keeps_c3 &= bool((unstarred[grid[column, k]] == 1).all())
+    return known, keeps_c3
 
 
 class TestCover:
     @pytest.mark.parametrize("name", sorted(_CACHE_TEST_SCHEMES))
     def test_matches_the_per_user_count(self, name):
         dplan = _CACHE_TEST_SCHEMES[name]().decode_plan
-        known, side_starred = cover_oracle(dplan.grid)
+        known, keeps_c3 = cover_oracle(dplan.grid)
         assert np.array_equal(dplan.known, known)
-        assert np.array_equal(dplan.side_starred, side_starred)
+        assert dplan.keeps_c3 == keeps_c3
 
     @pytest.mark.parametrize("cover_words", [1, _COVER_WORDS])
     def test_matches_the_per_user_count_on_complete_13_3(self, cover_words):
         grid = build_scheme(complete_design(13, 3), 4).user_delivery.grid  # K = 286
         with mock.patch.object(simulate, "_COVER_WORDS", cover_words):
             dplan = DecodePlan(grid)
-            known, side_starred = dplan.known, dplan.side_starred
-        want_known, want_side = cover_oracle(grid)
+            known, keeps_c3 = dplan.known, dplan.keeps_c3
+        want_known, want_c3 = cover_oracle(grid)
         assert np.array_equal(known, want_known)
-        assert np.array_equal(side_starred, want_side)
+        assert keeps_c3 == want_c3
 
     @settings(max_examples=150, deadline=None)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 70)), ids=st.integers(1, 9),
@@ -983,18 +982,17 @@ class TestCover:
         grid = Pda.from_keys(keys, lambda first: range(len(first))).grid
         with mock.patch.object(simulate, "_COVER_WORDS", cover_words):
             dplan = DecodePlan(grid)
-            known, side_starred = dplan.known, dplan.side_starred
-        want_known, want_side = cover_oracle(grid)
+            known, keeps_c3 = dplan.known, dplan.keeps_c3
+        want_known, want_c3 = cover_oracle(grid)
         assert np.array_equal(known, want_known)
-        assert np.array_equal(side_starred, want_side)
+        assert keeps_c3 == want_c3
 
 
 class TestCacheTest:
-    def test_side_starred_marks_the_users_c3_covers(self, fano):
-        assert fano.decode_plan.side_starred.all()
-        assert _CACHE_TEST_SCHEMES["no-c3b"]().decode_plan.side_starred.tolist() == [
-            True, False, True]
-        assert _CACHE_TEST_SCHEMES["no-c3a"]().decode_plan.side_starred.tolist() == [False, True]
+    def test_keeps_c3_only_where_no_pair_breaks_it(self, fano):
+        assert fano.decode_plan.keeps_c3
+        assert not _CACHE_TEST_SCHEMES["no-c3b"]().decode_plan.keeps_c3
+        assert not _CACHE_TEST_SCHEMES["no-c3a"]().decode_plan.keeps_c3
 
     def test_cell_at_is_the_place_of_each_cell(self, fano):
         dplan = fano.decode_plan

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from macc import tables
 from macc.errors import InvalidParametersError
 from macc.tables import (
     design_comparison_rows,
@@ -91,6 +92,25 @@ class TestFormatting:
     def test_sci2(self):
         assert sci2(91552734375) == "9.2e10"
         assert sci2(12288) == "12288"
+
+    def test_sci2_matches_the_decimal_length_near_powers_of_ten(self):
+        # the float logarithm rounds across 10^k; the decimal text does not
+        for k in range(7, 320):
+            for n in (10**k - 1, 10**k, 10**k + 1, 96 * 10**(k - 2) - 1):
+                exponent = len(str(n)) - 1
+                mantissa = round(n / 10**exponent, 1)
+                if mantissa >= 10:
+                    mantissa, exponent = mantissa / 10, exponent + 1
+                assert sci2(n) == f"{mantissa}e{exponent}", n
+
+    def test_row_past_the_int_digit_limit(self):
+        # the MN baseline's F at nodes=300 is C(14950, i), past the 4300
+        # digits that str() writes
+        assert sci2(10**5000) == "1.0e5000"
+        assert sci2(10**5000 - 1) == "1.0e5000"
+        row = tables._row("mn", "K=1", 1, Fraction(1), Fraction(0), 10**5000)
+        assert row["F"] == f"<{(10**5000).bit_length()}-bit integer>"
+        assert row["F_sci"] == "1.0e5000"
 
 
 class TestEmit:
