@@ -29,14 +29,10 @@ from .errors import (
     NotFoundError,
     UnsupportedParametersError,
 )
-from .pda import subset_ranks
+from .pda import MAX_COUNT_BYTES, subset_ranks
 
 # Largest array trivial_oa enumerates.
 MAX_OA_CELLS = 1 << 20
-# Largest peak the counting kernel may reach: it measures at up to 48 bytes
-# per counted key plus 24 per point gathered with it (t per key of a design
-# or GDD, none for an OA, whose column sets are ranked by position).
-MAX_COUNT_BYTES = 1 << 30
 
 
 def int_text(x) -> str:
@@ -74,7 +70,10 @@ def _sorted_block(block, num_points: int) -> tuple:
 
 def _check_countable(keys: int, gathered: int, key_space: int, what: str) -> None:
     """Refuse, before any array is made, a count whose keys pass int64 or
-    whose arrays would pass MAX_COUNT_BYTES."""
+    whose arrays would pass MAX_COUNT_BYTES: the counting kernel measures
+    at up to 48 bytes per counted key plus 24 per point gathered with it (t
+    per key of a design or GDD, none for an OA, whose column sets are
+    ranked by position)."""
     if key_space > np.iinfo(np.int64).max:
         raise UnsupportedParametersError(f"{what} exceed the int64 key range")
     if keys * (48 + 24 * gathered) > MAX_COUNT_BYTES:
@@ -161,9 +160,6 @@ class Design:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def canonical(self) -> "Design":
-        return Design(self.num_points, tuple(sorted(self.blocks)), self.strength, self.index)
-
 
 def complete_design(num_points: int, block_size: int) -> Design:
     """All ``block_size``-subsets of the point set, in lexicographic order."""
@@ -171,6 +167,11 @@ def complete_design(num_points: int, block_size: int) -> Design:
         raise InvalidParametersError(
             f"block size must satisfy 1 <= L <= {num_points}, got {block_size}"
         )
+    # `macc design --complete` peaks at about 250 bytes per block plus 100
+    # per point
+    if math.comb(num_points, block_size) * (256 + 128 * block_size) > MAX_COUNT_BYTES:
+        raise UnsupportedParametersError(
+            f"the {block_size}-subsets of {num_points} points need over {MAX_COUNT_BYTES} bytes")
     blocks = tuple(itertools.combinations(range(1, num_points + 1), block_size))
     return Design(num_points, blocks, strength=block_size, index=1)
 
@@ -325,12 +326,6 @@ class GroupDivisibleDesign:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def canonical(self) -> "GroupDivisibleDesign":
-        return GroupDivisibleDesign(
-            self.num_groups, self.group_size, tuple(sorted(self.blocks)),
-            self.strength, self.index,
-        )
-
 
 def transversal_gdd(num_groups: int, group_size: int, strength: int) -> GroupDivisibleDesign:
     """The t-(m, q, t, 1) GDD whose blocks are all value assignments on all
@@ -449,10 +444,6 @@ class ResolvableDesign:
     @property
     def blocks_per_class(self) -> int:
         return len(self.parallel_classes[0])
-
-    def canonical(self) -> "ResolvableDesign":
-        classes = tuple(tuple(sorted(cls)) for cls in self.parallel_classes)
-        return ResolvableDesign(self.num_points, classes, self.strength, self.cross_number)
 
 
 @dataclass
@@ -597,9 +588,6 @@ class OrthogonalArray:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    def canonical(self) -> "OrthogonalArray":
-        return OrthogonalArray(self.num_symbols, self.strength, self.index, tuple(sorted(self.rows)))
 
 
 @dataclass

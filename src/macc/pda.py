@@ -29,11 +29,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParametersError, NotAPdaError
+from .errors import InvalidParametersError, NotAPdaError, UnsupportedParametersError
+
+# Largest peak, in bytes, that one build or count may reach: each caller
+# refuses, before it allocates, an input whose measured bytes per key, cell
+# or block would pass it.
+MAX_COUNT_BYTES = 1 << 30
 
 
 class _Star:
@@ -96,8 +102,9 @@ class Pda:
 
     ``grid`` is one int32 F x K array: -1 is a star and 0..S-1 is the
     canonical id, numbered in row-major first-occurrence order.  ``ids``
-    holds the id objects in that order and labels the grid; ``cells``,
-    ``id_positions`` and the other views are derived from the two.
+    holds the id objects in that order and labels the grid.  The other
+    views are derived from the two, each cached read-only at first use, so
+    the verifier, the delivery and the decoder share one copy of each.
     """
 
     def __init__(self, cells):
@@ -130,8 +137,7 @@ class Pda:
         order = np.argsort(first)
         grid = np.full(keys.shape, -1, dtype=np.int32)
         grid.ravel()[cells] = np.argsort(order)[inverse]  # key -> canonical id
-        grid.flags.writeable = False
-        self.grid = grid
+        self.grid = _frozen(grid)
         self.ids = tuple(label(first[order]))
 
     def relabel(self, labels: list) -> list:
@@ -160,17 +166,67 @@ class Pda:
         return len(self.ids)
 
     @cached_property
+    def stars(self) -> np.ndarray:
+        """F x K boolean grid of the stars: the rows each user retrieves."""
+        return _frozen(self.grid < 0)
+
+    @cached_property
+    def csr(self) -> tuple:
+        """``(rows, cols, ptr)``: the non-star cells grouped by id (see
+        :func:`id_cells`)."""
+        return tuple(map(_frozen, id_cells(self.grid)))
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The non-star cells of each row as a bitset (see :func:`pack_rows`)."""
+        return _frozen(pack_rows(~self.stars))
+
+    @cached_property
+    def c3_flags(self) -> np.ndarray:
+        """Per id, whether it breaks C3 (see :func:`flag_c3`).  With none set,
+        every other cell of a message a user needs lies in a row that the
+        user's column stars."""
+        return _frozen(flag_c3(self))
+
+    @cached_property
+    def cell_at(self) -> np.ndarray:
+        """F x K map from each non-star cell to its place in the CSR; -1 at
+        stars."""
+        rows, cols, _ = self.csr
+        cell_at = np.full(self.grid.shape, -1, dtype=np.int32)
+        cell_at[rows, cols] = np.arange(len(rows))
+        return _frozen(cell_at)
+
+    @cached_property
+    def known(self) -> np.ndarray:
+        """K x S bitmap: user k rebuilds message s from cache alone when the
+        grid stars k in every row of the message's cells, that is when its
+        bit is clear in the OR of the message's packed rows; ORed over a
+        block of words at a time."""
+        rows, _, ptr = self.csr
+        known = np.empty((self.num_cols, self.num_ids), dtype=bool)
+        step = max(_SCREEN_BYTES // 8 // max(len(rows), 1), 1)
+        for w in range(0, self.packed.shape[1], step):
+            some = np.bitwise_or.reduceat(np.ascontiguousarray(self.packed[:, w:w + step])[rows],
+                                          ptr[:-1], axis=0)
+            users = known[64 * w:64 * (w + step)]
+            users[:] = np.unpackbits(~some.view(np.uint8), axis=1, count=len(users)).T
+        return _frozen(known)
+
+    @cached_property
     def id_positions(self) -> dict:
-        rows, cols, ptr = id_cells(self.grid)
+        rows, cols, ptr = self.csr
         cells = list(zip(rows.tolist(), cols.tolist()))
-        return {i: tuple(cells[a:b]) for i, a, b in zip(self.ids, ptr[:-1], ptr[1:])}
+        return MappingProxyType({i: tuple(cells[a:b]) for i, a, b in zip(self.ids, ptr[:-1], ptr[1:])})
 
     @cached_property
     def column_star_counts(self) -> tuple:
-        return tuple((self.grid < 0).sum(axis=0).tolist())
+        return tuple(self.stars.sum(axis=0).tolist())
 
-    def stars_uniform(self) -> bool:
-        return len(set(self.column_star_counts)) == 1
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _narrow(keys) -> np.ndarray:
@@ -248,7 +304,7 @@ class PdaStats:
 
 def pda_stats(pda: Pda) -> PdaStats:
     """Exact (K, F, Z, S) plus load S/F and gain K(F-Z)/S."""
-    if not pda.stars_uniform():
+    if len(set(pda.column_star_counts)) != 1:
         raise NotAPdaError(f"column star counts are not uniform: {pda.column_star_counts}")
     k, f = pda.num_cols, pda.num_rows
     z = pda.column_star_counts[0]
@@ -275,8 +331,8 @@ class PdaVerification:
 
 # Cell pairs examined per step of the C3 pair scan; bounds its scratch memory.
 _PAIR_CHUNK = 1 << 18
-# Bytes of packed row bits that ``crossings`` tests per step; bounds its
-# scratch memory.
+# Bytes of packed row words that ``flag_c3`` and ``Pda.known`` gather per
+# step; bounds their scratch memory.
 _SCREEN_BYTES = 1 << 20
 
 
@@ -289,14 +345,16 @@ def pack_rows(mask) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def crossings(grid, rows, cols, ptr) -> tuple:
-    """For the non-star cells of a grid grouped by id (the CSR of
-    :func:`id_cells`): per cell (r, c), the number of non-star cells of row
-    r within the columns of its id, and per id, its number of distinct
-    columns.  Both come from rows and column sets packed into bitsets, the
-    per-cell count a step of cells at a time (at most _SCREEN_BYTES of row
-    bits)."""
-    packed = pack_rows(grid >= 0)
+def flag_c3(pda: Pda) -> np.ndarray:
+    """Per id, whether it breaks C3a or C3b.  An id keeps C3 exactly when it
+    has as many distinct columns as cells and, for each of its cells (r, c),
+    the only non-star cell of row r within its columns is c: a second one
+    would lie in the row or, at a crossing, in the column of another of its
+    cells.  The per-cell count comes from the packed rows and the id's
+    column set packed the same way, a step of cells at a time (at most
+    _SCREEN_BYTES of row bits)."""
+    rows, cols, ptr = pda.csr
+    packed = pda.packed
     counts = np.diff(ptr)
     ids = np.repeat(np.arange(len(counts)), counts)
     bits = np.zeros((len(counts), packed.shape[1] * 8), dtype=np.uint8)
@@ -307,32 +365,22 @@ def crossings(grid, rows, cols, ptr) -> tuple:
     for start in range(0, len(rows), step):
         cells = slice(start, start + step)
         crossing[cells] = np.bitwise_count(packed[rows[cells]] & bits[ids[cells]]).sum(axis=1)
-    return crossing, np.bitwise_count(bits).sum(axis=1)
-
-
-def flag_c3(grid, rows, cols, ptr) -> np.ndarray:
-    """Per id, whether it breaks C3a or C3b.  An id keeps C3 exactly when it
-    has as many distinct columns as cells and, for each of its cells (r, c),
-    the only non-star cell of row r within its columns is c (see
-    :func:`crossings`): a second one would lie in the row or, at a
-    crossing, in the column of another of its cells."""
-    crossing, spans = crossings(grid, rows, cols, ptr)
-    flagged = spans != np.diff(ptr)
+    flagged = np.bitwise_count(bits).sum(axis=1) != counts
     flagged[np.searchsorted(ptr, np.flatnonzero(crossing != 1), side="right") - 1] = True
     return flagged
 
 
-def _first_c3_violations(grid) -> list:
+def _first_c3_violations(pda: Pda) -> list:
     """The first cell pair breaking C3a and the first breaking C3b, each as
     [j1, k1, j2, k2] or None.  Pairs run in id order, then in combination
     order over the id's row-major cells, scanned a step of first cells at a
     time (at most _PAIR_CHUNK pairs, unless one cell alone has more).  Only
-    the ids that :func:`flag_c3` flags hold a violation, so only their
+    the ids that ``pda.c3_flags`` flags hold a violation, so only their
     cells are scanned, and a valid array scans no pairs."""
-    rows, cols, ptr = id_cells(grid)
-    flagged = flag_c3(grid, rows, cols, ptr)
+    flagged = pda.c3_flags
     if not flagged.any():
         return [None, None]
+    grid, (rows, cols, ptr) = pda.grid, pda.csr
     keep = np.repeat(flagged, np.diff(ptr))
     rows, cols = rows[keep], cols[keep]
     ptr = np.concatenate([[0], np.cumsum(np.diff(ptr)[flagged])])
@@ -379,7 +427,7 @@ def verify_pda(pda: Pda) -> PdaVerification:
     scan names the first violation among the rest."""
     violations = []
 
-    c1 = pda.stars_uniform()
+    c1 = len(set(pda.column_star_counts)) == 1
     if not c1:
         violations.append(f"C1: column star counts {pda.column_star_counts}")
     z = pda.column_star_counts[0] if c1 else None
@@ -394,7 +442,7 @@ def verify_pda(pda: Pda) -> PdaVerification:
             c2 = False
             violations.append(f"C2: integer ids missing {missing}")
 
-    first_a, first_b = _first_c3_violations(pda.grid)
+    first_a, first_b = _first_c3_violations(pda)
     if first_a:
         j1, k1, j2, k2 = first_a
         violations.append(
@@ -431,6 +479,10 @@ def mn_pda(num_users: int, cached_fraction: int) -> Pda:
     k_users, t = num_users, cached_fraction
     if not 0 <= t <= k_users:
         raise InvalidParametersError(f"need 0 <= t <= K, got t={t}, K={k_users}")
+    # `macc pda --mn` peaks at up to about 120 bytes per cell
+    if math.comb(k_users, t) * k_users * 128 > MAX_COUNT_BYTES:
+        raise UnsupportedParametersError(
+            f"the MN PDA with K={k_users}, t={t} needs over {MAX_COUNT_BYTES} bytes")
     subsets = np.array(list(itertools.combinations(range(1, k_users + 1), t)), dtype=np.int64)
     users = np.arange(1, k_users + 1)
     rows, cols = np.nonzero((subsets[:, :, None] != users).all(axis=1))

@@ -23,7 +23,7 @@ from .designs import (
 )
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from .pda import CountedVectorId
-from .simulate import ArrayScheme, coordinate_arrays, tiled_labels
+from .simulate import ArrayScheme, coordinate_arrays, require_room, tiled_labels
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
     require_match(verify_oa(oa, oa.strength, oa.index), "OA")
     if gdd.index not in (None, 1):
         raise UnsupportedParametersError("delivery construction requires a GDD of index 1")
+    require_room(params)
     q = oa.num_symbols
 
     def ids(digits, copy):

@@ -15,12 +15,12 @@ import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 
 import numpy as np
 
 from . import gf16
+from .designs import int_text
 from .errors import (
     ConfigurationError,
     DecodeFailureError,
@@ -28,7 +28,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedParametersError,
 )
-from .pda import Pda, flag_c3, id_cells, occurrences, pack_rows, row_keys
+from .pda import MAX_COUNT_BYTES, Pda, occurrences, row_keys
 
 
 @dataclass
@@ -144,6 +144,16 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     return placement, user_nodes, Pda.from_keys(keys, label)
 
 
+def require_room(params) -> None:
+    """Refuse, before any array is made, a scheme whose F x K cells would
+    pass MAX_COUNT_BYTES: building its arrays, writing its bundle and
+    rendering its delivery table peak at up to about 90 bytes per cell."""
+    f, k = params.subpacketization, params.num_users
+    if f * k * 128 > MAX_COUNT_BYTES:
+        raise UnsupportedParametersError(
+            f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")
+
+
 def tiled_labels(bases, access_degree: int, strength: int) -> tuple:
     """(base, T) row labels in the order ``coordinate_arrays`` tiles the
     rows: T-major, then the ``bases`` in order."""
@@ -169,13 +179,7 @@ class ArrayScheme:
     @property
     def user_retrieve(self) -> np.ndarray:
         """U, read-only: user k retrieves row j where Q stars it."""
-        return self._stars
-
-    @cached_property
-    def _stars(self) -> np.ndarray:
-        stars = self.user_delivery.grid < 0
-        stars.flags.writeable = False
-        return stars
+        return self.user_delivery.stars
 
     @property
     def num_users(self) -> int:
@@ -188,10 +192,6 @@ class ArrayScheme:
     @property
     def counted_messages(self) -> int:
         return self.user_delivery.num_ids
-
-    @cached_property
-    def decode_plan(self) -> "DecodePlan":
-        return DecodePlan(self.user_delivery.grid)
 
 
 def _segments(ptr, sel) -> tuple:
@@ -219,125 +219,81 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
     return out
 
 
-# Cells of whole messages that ``DecodePlan.others`` scans at once, which
-# bounds its scratch arrays to a few of this many packets.
+# Cells of whole messages that ``_others`` scans at once, which bounds its
+# scratch arrays to a few of this many packets.
 _SCAN_CELLS = 1 << 12
 # Packet rows of the files that ``decode_all`` assembles at once, which
 # bounds its scratch arrays to a few of this many packets.  2^14 rows beat
 # 2^12; 2^16 rows are slower, as every fresh buffer page-faults.
 _BLOCK_ROWS = 1 << 14
-# 64-bit words of packed rows that ``DecodePlan.known`` ORs at once: as many
-# bytes as _SCAN_CELLS packets of 64 bytes.
-_COVER_WORDS = 8 * _SCAN_CELLS
 
 
-class DecodePlan:
-    """Demand-independent delivery and decode structure of one scheme,
-    compiled from its delivery grid alone: a star is a row the user
-    retrieves from its nodes.
+def _gather(q: Pda, data: np.ndarray, demands, pos) -> np.ndarray:
+    """The demanded packets at message cells ``pos``: one ``np.take`` on
+    the flat (files·F, words) view of the library."""
+    rows, cols, _ = q.csr
+    f, words = data.shape[1:]
+    flat = (np.asarray(demands, dtype=np.intp)[cols[pos]] - 1) * f + rows[pos]
+    return np.take(data.reshape(-1, words), flat, axis=0)
 
-    ``rows``/``cols``/``ptr`` list the cells of each message (canonical id
-    order; see :func:`macc.pda.id_cells`).
-    """
 
-    def __init__(self, grid: np.ndarray):
-        self.grid = grid
-        self.rows, self.cols, self.ptr = id_cells(grid)
+def _payloads(q: Pda, data: np.ndarray, demands) -> np.ndarray:
+    """The S multicast payloads, one XOR over each message's cells."""
+    return _xor_segments(_gather(q, data, demands, slice(None)), q.csr[2])
 
-    @cached_property
-    def cell_at(self) -> np.ndarray:
-        """F x K map from each non-star cell to its place in ``rows``/``cols``;
-        -1 at stars."""
-        cell_at = np.full(self.grid.shape, -1, dtype=np.int32)
-        cell_at[self.rows, self.cols] = np.arange(len(self.rows))
-        cell_at.flags.writeable = False
-        return cell_at
 
-    @cached_property
-    def known(self) -> np.ndarray:
-        """users x S bitmap: user k rebuilds message s from cache alone when
-        the grid stars k in every row of the message's cells."""
-        grid, rows, ptr = self.grid, self.rows, self.ptr
-        # A user knows a message when its bit is clear in the OR of the
-        # message's rows, packed 64 users to a word; ORed over a block of
-        # words at a time.
-        held = pack_rows(grid >= 0)
-        known = np.empty((grid.shape[1], len(ptr) - 1), dtype=bool)
-        step = max(_COVER_WORDS // max(len(rows), 1), 1)
-        for w in range(0, held.shape[1], step):
-            some = np.bitwise_or.reduceat(np.ascontiguousarray(held[:, w:w + step])[rows],
-                                          ptr[:-1], axis=0)
-            users = known[64 * w:64 * (w + step)]
-            users[:] = np.unpackbits(~some.view(np.uint8), axis=1, count=len(users)).T
-        return known
+def _others(q: Pda, data: np.ndarray, demands, pos, seg) -> np.ndarray:
+    """For each message cell ``pos`` (one segment ``seg`` per message),
+    the XOR of the demanded packets at the other cells of its message:
+    exclusive forward and backward scans over chunks of whole messages
+    (at most ``_SCAN_CELLS`` cells unless one message is larger), with
+    what lies outside each message XORed back out.  So a cell's own
+    packet never enters its value."""
+    out = _gather(q, data, demands, pos)
+    wide = _wide(out)
+    first = 0
+    while first < len(seg) - 1:
+        last = max(first + 1, int(np.searchsorted(seg, seg[first] + _SCAN_CELLS, "right")) - 1)
+        cells = wide[seg[first]:seg[last]]
+        before, after = np.empty((2, len(cells) + 1, cells.shape[1]), dtype=cells.dtype)
+        before[0] = after[-1] = 0
+        np.bitwise_xor.accumulate(cells, axis=0, out=before[1:])  # cells before i
+        np.bitwise_xor.accumulate(cells[::-1], axis=0, out=after[-2::-1])  # cells from i on
+        starts = seg[first:last + 1] - seg[first]
+        outside = before[starts[:-1]] ^ after[starts[1:]]
+        np.bitwise_xor(before[:-1], after[1:], out=cells)
+        cells ^= np.repeat(outside, np.diff(starts), axis=0)
+        first = last
+    return out
 
-    @cached_property
-    def keeps_c3(self) -> bool:
-        """Whether no id breaks C3 (see :func:`macc.pda.flag_c3`).  Then every
-        other cell of a message a user needs lies in a row that the user's
-        column stars, so each user reads its starred rows only."""
-        return not flag_c3(self.grid, self.rows, self.cols, self.ptr).any()
 
-    def gather(self, data: np.ndarray, demands, pos) -> np.ndarray:
-        """The demanded packets at message cells ``pos``: one ``np.take`` on
-        the flat (files·F, words) view of the library."""
-        f, words = data.shape[1:]
-        flat = (np.asarray(demands, dtype=np.intp)[self.cols[pos]] - 1) * f + self.rows[pos]
-        return np.take(data.reshape(-1, words), flat, axis=0)
+def _require_cached(q: Pda, user: int, cached: np.ndarray, pos, ptr, msgs) -> None:
+    """Raise unless every cell ``pos`` lies in a row that ``cached``, a
+    per-row mask of the placed caches, marks; the error names the message
+    (``msgs``, one per segment ``ptr``) of the first that does not."""
+    rows = q.csr[0]
+    missing = np.flatnonzero(~cached[rows[pos]])
+    if len(missing):
+        p = missing[0]
+        s = int(msgs[np.searchsorted(ptr, p, side="right") - 1])
+        raise DecodeFailureError(user, s + 1, f"packet row {rows[pos[p]]} not cached")
 
-    def payloads(self, data: np.ndarray, demands) -> np.ndarray:
-        """The S multicast payloads, one XOR over each message's cells."""
-        return _xor_segments(self.gather(data, demands, slice(None)), self.ptr)
 
-    def others(self, data: np.ndarray, demands, pos, seg) -> np.ndarray:
-        """For each message cell ``pos`` (one segment ``seg`` per message),
-        the XOR of the demanded packets at the other cells of its message:
-        exclusive forward and backward scans over chunks of whole messages
-        (at most ``_SCAN_CELLS`` cells unless one message is larger), with
-        what lies outside each message XORed back out.  So a cell's own
-        packet never enters its value."""
-        out = self.gather(data, demands, pos)
-        wide = _wide(out)
-        first = 0
-        while first < len(seg) - 1:
-            last = max(first + 1, int(np.searchsorted(seg, seg[first] + _SCAN_CELLS, "right")) - 1)
-            cells = wide[seg[first]:seg[last]]
-            before, after = np.empty((2, len(cells) + 1, cells.shape[1]), dtype=cells.dtype)
-            before[0] = after[-1] = 0
-            np.bitwise_xor.accumulate(cells, axis=0, out=before[1:])  # cells before i
-            np.bitwise_xor.accumulate(cells[::-1], axis=0, out=after[-2::-1])  # cells from i on
-            starts = seg[first:last + 1] - seg[first]
-            outside = before[starts[:-1]] ^ after[starts[1:]]
-            np.bitwise_xor(before[:-1], after[1:], out=cells)
-            cells ^= np.repeat(outside, np.diff(starts), axis=0)
-            first = last
-        return out
-
-    def require_cached(self, user: int, cached: np.ndarray, pos, ptr, msgs) -> None:
-        """Raise unless every cell ``pos`` lies in a row that ``cached``, a
-        per-row mask of the placed caches, marks; the error names the
-        message (``msgs``, one per segment ``ptr``) of the first that does
-        not."""
-        missing = np.flatnonzero(~cached[self.rows[pos]])
-        if len(missing):
-            p = missing[0]
-            s = int(msgs[np.searchsorted(ptr, p, side="right") - 1])
-            raise DecodeFailureError(user, s + 1, f"packet row {self.rows[pos[p]]} not cached")
-
-    def require_user(self, user: int, cached: np.ndarray) -> None:
-        """Raise unless ``cached``, a per-row mask of the placed caches, marks
-        every row the user reads: the other cells (the side packets) of each
-        message at a row its column does not star, then its starred rows."""
-        column = self.grid[:, user]
-        needed = np.flatnonzero(column >= 0)
-        msgs = column[needed]
-        pos, seg = _segments(self.ptr, msgs)
-        own = (self.cols[pos] == user) & (self.rows[pos] == np.repeat(needed, np.diff(seg)))
-        self.require_cached(user, cached, pos[~own], seg - np.arange(len(seg)), msgs)
-        stars = np.flatnonzero(column < 0)
-        if not cached[stars].all():
-            j = int(stars[np.argmin(cached[stars])])
-            raise DecodeFailureError(user, None, f"row {j} not cached")
+def _require_user(q: Pda, user: int, cached: np.ndarray) -> None:
+    """Raise unless ``cached``, a per-row mask of the placed caches, marks
+    every row the user reads: the other cells (the side packets) of each
+    message at a row its column does not star, then its starred rows."""
+    rows, cols, ptr = q.csr
+    column = q.grid[:, user]
+    needed = np.flatnonzero(column >= 0)
+    msgs = column[needed]
+    pos, seg = _segments(ptr, msgs)
+    own = (cols[pos] == user) & (rows[pos] == np.repeat(needed, np.diff(seg)))
+    _require_cached(q, user, cached, pos[~own], seg - np.arange(len(seg)), msgs)
+    stars = np.flatnonzero(column < 0)
+    if not cached[stars].all():
+        j = int(stars[np.argmin(cached[stars])])
+        raise DecodeFailureError(user, None, f"row {j} not cached")
 
 
 @dataclass
@@ -408,7 +364,7 @@ class TransmissionPlan:
 def deliver_plain(scheme, library: Library, demands) -> TransmissionPlan:
     """One XOR multicast per delivery-array id, in canonical id order."""
     demands = validate_demands(scheme, library, demands)
-    payloads = scheme.decode_plan.payloads(library.data, demands)
+    payloads = _payloads(scheme.user_delivery, library.data, demands)
     return TransmissionPlan("plain", demands, scheme.counted_messages, payloads)
 
 
@@ -426,7 +382,7 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
     s = scheme.counted_messages
     reduced = scheme.guaranteed_known
     if reduced:
-        short = int(scheme.decode_plan.known.sum(axis=1).min())
+        short = int(scheme.user_delivery.known.sum(axis=1).min())
         if short < reduced:
             raise UnsupportedParametersError(
                 f"advertised reduction {reduced} exceeds what some user can "
@@ -439,7 +395,7 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
             f"coded delivery needs a field with at least "
             f"{s + num_out + 1} elements; GF(2^16) is too small"
         )
-    symbols = scheme.decode_plan.payloads(library.data, demands)
+    symbols = _payloads(scheme.user_delivery, library.data, demands)
     if num_out < s:
         symbols = gf16.matvec(gf16.cauchy_matrix(num_out, s), symbols)
     return TransmissionPlan("mds", demands, s, symbols)
@@ -487,16 +443,16 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
     return demands
 
 
-def _all_messages(dplan: DecodePlan, plan: TransmissionPlan, coeff, data: np.ndarray,
+def _all_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
                   user: int, cached: np.ndarray) -> np.ndarray:
     """Recover all S multicast payloads at one user from the plan's coded
     symbols; ``coeff`` is the plan's Cauchy matrix."""
-    known = np.flatnonzero(dplan.known[user])
-    unknown = np.flatnonzero(~dplan.known[user])
+    known = np.flatnonzero(q.known[user])
+    unknown = np.flatnonzero(~q.known[user])
     messages = np.zeros((plan.num_messages, data.shape[2]), dtype=np.uint16)
-    pos, seg = _segments(dplan.ptr, known)
-    dplan.require_cached(user, cached, pos, seg, known)
-    messages[known] = _xor_segments(dplan.gather(data, plan.demands, pos), seg)
+    pos, seg = _segments(q.csr[2], known)
+    _require_cached(q, user, cached, pos, seg, known)
+    messages[known] = _xor_segments(_gather(q, data, plan.demands, pos), seg)
     if len(unknown):
         if len(unknown) > len(plan.symbols):
             raise DecodeFailureError(
@@ -524,7 +480,7 @@ def decode_all(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
 def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
     """:func:`decode_all` a block of users at a time: yield ``(block,
     files)``, the users' files as one len(block) x F x words array.  The
-    scheme's decode plan says which rows to read from cache; every row read
+    scheme's delivery array says which rows to read from cache; every row read
     is checked against the placed caches, and a failing user ends the run
     after the block of the users before it.  The leave-one-out XOR is
     computed once, over the messages the users need, and every user peels
@@ -534,20 +490,20 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     # With no reduction the coded batch is the identity code: the symbols
     # are the multicast payloads verbatim.
     coeff = gf16.cauchy_matrix(plan.symbols_sent, plan.num_messages) if plan.reduced_by else None
-    dplan = scheme.decode_plan
+    q = scheme.user_delivery
     users = (list(range(scheme.num_users)) if users is None
              else [_user_index(scheme, k) for k in users])
-    ids = dplan.grid[:, users]
-    wanted = np.bincount(ids[ids >= 0], minlength=len(dplan.ptr) - 1) > 0  # by some user
-    pos, seg = _segments(dplan.ptr, np.flatnonzero(wanted))
-    where = np.empty(len(dplan.rows), dtype=np.intp)  # a cell's place in others
+    ids = q.grid[:, users]
+    wanted = np.bincount(ids[ids >= 0], minlength=q.num_ids) > 0  # by some user
+    pos, seg = _segments(q.csr[2], np.flatnonzero(wanted))
+    where = np.empty(len(q.csr[0]), dtype=np.intp)  # a cell's place in others
     where[pos] = np.arange(len(pos))
-    others = _wide(dplan.others(data, demands, pos, seg))
+    others = _wide(_others(q, data, demands, pos, seg))
     reached = reach(caches.grid, scheme.user_nodes[users])
     # On a grid that keeps C3 every row a user reads is a starred row, so one
     # F x users test clears each user whose starred rows are cached; only the
     # rest, and every user of a grid that breaks C3, take the per-user check.
-    checked = dplan.keeps_c3 & ~((ids < 0) & ~reached).any(axis=0)
+    checked = (not q.c3_flags.any()) & ~((ids < 0) & ~reached).any(axis=0)
     f, words = data.shape[1:]
     step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
     for a in range(0, len(users), step):
@@ -558,17 +514,17 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
         for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
             try:
                 if coeff is not None:
-                    recovered.append(_all_messages(dplan, plan, coeff, data, block[i],
+                    recovered.append(_all_messages(q, plan, coeff, data, block[i],
                                                    reached[:, a + i]))
                 if not checked[a + i]:
-                    dplan.require_user(block[i], reached[:, a + i])
+                    _require_user(q, block[i], reached[:, a + i])
             except DecodeFailureError as exc:  # raised after the users before it
                 failure, block = exc, block[:i]
                 break
         if block:
             grid = ids[:, a:a + len(block)].T.ravel()  # the block's columns, user after user
             need = np.flatnonzero(grid >= 0)
-            at = where[dplan.cell_at[:, block].T.ravel()[need]]
+            at = where[q.cell_at[:, block].T.ravel()[need]]
             # The demanded files hold the cached packets at the starred rows;
             # each other row is its message (plain: the symbol; mds: the
             # user's recovered payload) XOR the leave-one-out value at the
@@ -625,7 +581,7 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
     for block, files in _decode_blocks(scheme, plan, caches):
         truth = np.take(library.data, np.asarray(plan.demands)[block] - 1, axis=0)
         verdicts += (_wide(files) == _wide(truth)).reshape(len(block), -1).all(axis=1).tolist()
-    max_unknown = plan.num_messages - int(scheme.decode_plan.known.sum(axis=1).min())
+    max_unknown = plan.num_messages - int(scheme.user_delivery.known.sum(axis=1).min())
     f = scheme.subpacketization
     s = scheme.counted_messages
     theoretical = Fraction(s - (scheme.guaranteed_known if mode == "mds" else 0), f)
@@ -661,20 +617,20 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
             f"trial count must be a non-negative integer, got {num_trials!r}"
         )
     caches = place(library, scheme)
-    dplan = scheme.decode_plan
+    q = scheme.user_delivery
     data = library.data
     rng = Random(seed)
     for _ in range(num_trials):
         demands = random_demands(scheme, library, rng)
         plan = TransmissionPlan("plain", demands, scheme.counted_messages,
-                                dplan.payloads(data, demands))
+                                _payloads(q, data, demands))
         for block, decoded in _decode_blocks(scheme, plan, caches):
             truth = np.take(data, np.asarray(demands)[block] - 1, axis=0)
             wrong = (_wide(decoded) != _wide(truth)).any(axis=2)  # block x F
             if wrong.any():
                 i, j = np.argwhere(wrong)[0].tolist()
                 k = block[i]
-                raise DecodeFailureError(k, int(dplan.grid[j, k]) + 1,
+                raise DecodeFailureError(k, int(q.grid[j, k]) + 1,
                                          f"row {j} payload mismatch")
     return num_trials
 
@@ -715,7 +671,7 @@ def _read(fh, size: int) -> bytes:
 
 def read_transcript(path) -> TransmissionPlan:
     """Inverse of :func:`write_transcript`.  Message cells are not stored:
-    :func:`decode` reads them from the scheme's decode plan."""
+    :func:`decode` reads them from the scheme's delivery array."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInputError("not a transcript file")

@@ -106,9 +106,10 @@ def design_comparison_rows(num_nodes: int = 15, access_degree: int = 3, strength
         memory, load = shared_link_tradeoff(params)
         out.append(_row("design", f"nodes={g},L={l},t={t},cached={mu}", k, memory, load,
                         params.subpacketization))
+    f = 1  # C(k, i), each from the one before
     for i in range(0, k + 1):
-        out.append(_row("mn", f"K={k},cached={i}", k, Fraction(i, k), mn_load(k, i),
-                        math.comb(k, i)))
+        out.append(_row("mn", f"K={k},cached={i}", k, Fraction(i, k), mn_load(k, i), f))
+        f = f * (k - i) // (i + 1)
     return out
 
 

@@ -1,0 +1,14 @@
+"""Topology objects in an order-free form, for tests that compare two
+constructions up to the order of their blocks or classes."""
+
+from dataclasses import replace
+
+from macc.designs import ResolvableDesign
+
+
+def canonical(obj):
+    """A design or GDD with its blocks sorted, or a resolvable design with
+    the blocks of each class sorted."""
+    if isinstance(obj, ResolvableDesign):
+        return replace(obj, parallel_classes=tuple(tuple(sorted(c)) for c in obj.parallel_classes))
+    return replace(obj, blocks=tuple(sorted(obj.blocks)))

@@ -6,10 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macc import designs, pda, scheme_design, scheme_gdd
 from macc.cli import main
 from macc.pda import mn_pda
 from macc.serialize import load_object
@@ -581,6 +583,30 @@ class TestLargeIntegers:
             assert report["first_violation"] == (
                 f"subset {{1, 2}} lies in 1 blocks, expected {_NINES}"
             )
+
+
+class TestOversizedInputs:
+    """Inputs whose build would pass MAX_COUNT_BYTES exit 2 before the
+    enumeration or the scheme arrays are made: each case blanks the
+    function that would make them, so reaching it fails the test instead of
+    allocating."""
+
+    @pytest.mark.parametrize("argv, guard, text", [
+        (("design", "--complete", "40,20"), (designs, "itertools"),
+         "the 20-subsets of 40 points need over 1073741824 bytes"),
+        (("pda", "--mn", "30,15"), (pda, "itertools"),
+         "the MN PDA with K=30, t=15 needs over 1073741824 bytes"),
+        (("scheme", "--design", "complete:40,2", "--mu-gamma", "10"), (scheme_design, "_arrays"),
+         "F x K = 847660528 x 780 cells need over 1073741824 bytes"),
+        (("scheme", "--gdd-transversal", "8,4,2"), (scheme_gdd, "coordinate_arrays"),
+         "F x K = 65536 x 448 cells need over 1073741824 bytes"),
+    ], ids=["design-complete-40-20", "pda-mn-30-15", "scheme-complete-40-2-mu10",
+            "scheme-gdd-8-4-2"])
+    def test_is_refused_before_allocating(self, capsys, argv, guard, text):
+        with mock.patch.object(*guard, None):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {text}\n"
 
 
 class TestUnwritableOutput:

@@ -248,14 +248,14 @@ def full_pair_scan(grid) -> list:
 
 
 @functools.cache
-def scheme_grid(name: str) -> np.ndarray:
-    """The user-delivery grid of a small complete-design or GDD scheme."""
+def scheme_pda(name: str) -> Pda:
+    """The user-delivery array of a small complete-design or GDD scheme."""
     if name == "gdd-3-2-2":
-        return build_gdd_scheme(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2")).user_delivery.grid
+        return build_gdd_scheme(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2")).user_delivery
     if name == "gdd-3-3-2":
-        return build_gdd_scheme(transversal_gdd(3, 3, 2), linear_oa(3, 3, 2)).user_delivery.grid
+        return build_gdd_scheme(transversal_gdd(3, 3, 2), linear_oa(3, 3, 2)).user_delivery
     v, k, mu = map(int, name.split("-")[1:])
-    return build_scheme(complete_design(v, k), mu).user_delivery.grid
+    return build_scheme(complete_design(v, k), mu).user_delivery
 
 
 SCHEME_GRIDS = ["complete-6-3-1", "complete-6-3-2", "complete-7-3-2", "complete-7-3-3",
@@ -271,10 +271,10 @@ def damaged_pdas(draw, width: int):
     one random cell damaged: a star becomes an id, an id a star, or an id
     another id (new or present).  Ids are the integers 1..S."""
     source = draw(st.sampled_from(["mn", *SCHEME_GRIDS]))
-    if source == "mn" or scheme_grid(source).shape[1] < width:
+    if source == "mn" or scheme_pda(source).num_cols < width:
         keys = mn_pda(width, draw(st.integers(0, min(width, 3)))).grid
     else:
-        grid = scheme_grid(source)
+        grid = scheme_pda(source).grid
         keys = grid[:, draw(st.permutations(range(grid.shape[1])))[:width]]
     keys = keys.astype(np.int64)
     damage = draw(st.sampled_from(["none", "star->id", "id->star", "id->id"]))
@@ -297,10 +297,11 @@ class TestC3Screen:
     def test_verify_matches_the_full_pair_scan(self, width, data):
         pda = data.draw(damaged_pdas(width))
         ids, _, same, uncrossed = all_pairs(pda.grid)
-        flagged = flag_c3(pda.grid, *id_cells(pda.grid))
+        flagged = flag_c3(pda)
         assert set(np.flatnonzero(flagged).tolist()) == set(ids[same | uncrossed].tolist())
-        assert _first_c3_violations(pda.grid) == full_pair_scan(pda.grid)
-        with mock.patch.object(pda_module, "_first_c3_violations", full_pair_scan):
+        assert _first_c3_violations(pda) == full_pair_scan(pda.grid)
+        with mock.patch.object(pda_module, "_first_c3_violations",
+                               lambda p: full_pair_scan(p.grid)):
             expected = verify_pda(pda)
         assert verify_pda(pda) == expected
 
@@ -324,13 +325,12 @@ class TestC3Screen:
         keys = pda.grid.astype(np.int64)
         keys[0, 0] = keys[0, -1]
         damaged = Pda.from_keys(keys, lambda first: list(range(1, len(first) + 1)))
-        assert _first_c3_violations(damaged.grid) == full_pair_scan(damaged.grid)
+        assert _first_c3_violations(damaged) == full_pair_scan(damaged.grid)
         assert verify_pda(damaged).c3a_distinct_rows_cols == (width == 1)
 
     @pytest.mark.parametrize("name", SCHEME_GRIDS)
     def test_a_valid_array_flags_no_id(self, name):
-        grid = scheme_grid(name)
-        assert not flag_c3(grid, *id_cells(grid)).any()
+        assert not flag_c3(scheme_pda(name)).any()
 
 
 class TestStats:

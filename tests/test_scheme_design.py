@@ -220,17 +220,17 @@ class TestRedundancy:
 
 class TestKnownMessages:
     def test_fano_users_know_nothing(self):
-        known = fano_scheme().decode_plan.known
+        known = fano_scheme().user_delivery.known
         assert known.shape[0] == 7 and not known.any()
 
     def test_affine_users_know_at_least_reduction(self):
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
         assert scheme.guaranteed_known == 6
-        assert (scheme.decode_plan.known.sum(axis=1) >= 6).all()
+        assert (scheme.user_delivery.known.sum(axis=1) >= 6).all()
 
     def test_lookup_by_block(self):
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
-        known = scheme.decode_plan.known
+        known = scheme.user_delivery.known
         assert np.array_equal(known[_user_index(scheme, (1, 4, 7))], known[0])
 
     def test_index_two_deep_caching_falls_short_of_advertised_bound(self):
@@ -239,7 +239,7 @@ class TestKnownMessages:
         # with two cached nodes rebuild fewer messages than index * count
         scheme = build_scheme(catalog_design("biplane-7-4-2"), 2)
         assert scheme.guaranteed_known == 24
-        assert (scheme.decode_plan.known.sum(axis=1) == 17).all()
+        assert (scheme.user_delivery.known.sum(axis=1) == 17).all()
 
     def test_all_ids_for_fully_starred_column(self):
         # a user whose column is entirely starred knows every message
@@ -247,7 +247,7 @@ class TestKnownMessages:
         scheme = build_scheme(catalog_design("fano-7-3-1"), 1)
         fake = dataclasses.replace(scheme, row_labels=scheme.row_labels[:2],
                                    node_placement=scheme.node_placement[:2], user_delivery=pda)
-        assert (np.flatnonzero(fake.decode_plan.known[0]) + 1).tolist() == [1, 2]
+        assert (np.flatnonzero(fake.user_delivery.known[0]) + 1).tolist() == [1, 2]
 
 
 class TestRelabelingInvariance:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from macc import gf16, simulate
+from macc import gf16, pda as pda_module, simulate
 from macc.designs import (
     catalog_design,
     catalog_design_names,
@@ -26,14 +26,12 @@ from macc.errors import (
     MaccError,
     UnsupportedParametersError,
 )
-from macc.pda import STAR, Pda, id_cells, mn_pda
+from macc.pda import _SCREEN_BYTES, STAR, Pda, id_cells, mn_pda, verify_pda
 from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 from macc.simulate import (
     _BLOCK_ROWS,
-    _COVER_WORDS,
     _SCAN_CELLS,
-    DecodePlan,
     _wide,
     decode,
     decode_all,
@@ -62,7 +60,7 @@ def reconstructible_messages(scheme, caches, user: int) -> frozenset:
     """Message indices (0-based) the user can rebuild purely from its cache:
     every row of the message's cells is held by one of its nodes.  Read from
     the placed caches and the delivery array's cells, independent of the
-    retrieve grid and of the decode plan."""
+    retrieve grid and of the delivery array's cached views."""
     rows = set().union(*(held_rows(caches, g) for g in scheme.user_nodes[user]))
     cells = scheme.user_delivery.id_positions.values()
     return frozenset(s for s, msg in enumerate(cells) if all(j in rows for j, _ in msg))
@@ -131,6 +129,38 @@ class TestUserRetrieve:
         assert scheme.user_retrieve is u and not u.flags.writeable
         with pytest.raises(AttributeError):
             scheme.user_retrieve = ~u
+
+
+class TestPdaViews:
+    def test_verify_and_decode_build_the_csr_and_the_c3_flags_once(self):
+        scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
+        lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
+        with mock.patch.object(pda_module, "id_cells", wraps=pda_module.id_cells) as csr, \
+                mock.patch.object(pda_module, "flag_c3", wraps=pda_module.flag_c3) as c3:
+            assert verify_pda(scheme.user_delivery).ok
+            for mode in ("plain", "mds"):
+                assert measure_worst_case(scheme, lib, mode).all_ok
+            assert run_demand_trials(scheme, lib, 2, seed=1) == 2
+            assert len(scheme.user_delivery.id_positions) == scheme.counted_messages
+        assert (csr.call_count, c3.call_count) == (1, 1)
+
+    @pytest.mark.parametrize("view", ["grid", "stars", "csr", "packed", "c3_flags", "cell_at",
+                                      "known"])
+    def test_cached_views_are_read_only(self, fano, view):
+        q = fano.user_delivery
+        value = getattr(q, view)
+        assert getattr(q, view) is value
+        for array in value if isinstance(value, tuple) else (value,):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert fano.user_retrieve is q.stars
+
+    def test_cell_lists_are_read_only(self, fano):
+        positions = fano.user_delivery.id_positions
+        ident = fano.user_delivery.ids[0]
+        with pytest.raises(TypeError):
+            positions[ident] = ()
+        assert fano.user_delivery.id_positions is positions
 
 
 class TestPlacement:
@@ -345,7 +375,7 @@ class TestMdsDelivery:
             sim_known = reconstructible_messages(scheme, caches, k)
             assert len(sim_known) >= scheme.guaranteed_known
             # independent double-check against the array-level computation
-            array_known = set(np.flatnonzero(scheme.decode_plan.known[k]).tolist())
+            array_known = set(np.flatnonzero(scheme.user_delivery.known[k]).tolist())
             assert sim_known == array_known
 
     def test_max_unknown_reported(self):
@@ -688,19 +718,19 @@ class TestDecodeAll:
     @pytest.mark.parametrize("packet_bytes, word", [(8, 0), (64, -1)])
     def test_trials_name_the_user_message_and_row_of_a_wrong_packet(self, fano, monkeypatch,
                                                                     packet_bytes, word):
-        gather = DecodePlan.payloads
+        gather = simulate._payloads
 
-        def damaged(self, data, demands):
-            out = gather(self, data, demands)
+        def damaged(q, data, demands):
+            out = gather(q, data, demands)
             out[5, word] ^= 1  # message 6
             return out
 
-        monkeypatch.setattr(DecodePlan, "payloads", damaged)
+        monkeypatch.setattr(simulate, "_payloads", damaged)
         lib = make_library(7, 21, packet_bytes)
         with pytest.raises(DecodeFailureError) as exc:
             run_demand_trials(fano, lib, 4, seed=3)
         # the first user that peels message 6, at the row where it does
-        grid = fano.decode_plan.grid
+        grid = fano.user_delivery.grid
         k = int(np.flatnonzero((grid == 5).any(axis=0))[0])
         j = int(np.flatnonzero(grid[:, k] == 5)[0])
         assert (exc.value.user, exc.value.message_id) == (k, 6)
@@ -714,16 +744,16 @@ class TestDecodeAll:
         # files are compared a block of users at a time (block_rows // F
         # users, at least one); the error still names the first user in user
         # order that peels a damaged message, at its first damaged row
-        gather = DecodePlan.payloads
+        gather = simulate._payloads
 
-        def damaged(self, data, demands):
-            out = gather(self, data, demands)
+        def damaged(q, data, demands):
+            out = gather(q, data, demands)
             out[[12, 5], 0] ^= 1  # messages 13 and 6
             return out
 
-        monkeypatch.setattr(DecodePlan, "payloads", damaged)
+        monkeypatch.setattr(simulate, "_payloads", damaged)
         monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
-        grid = fano.decode_plan.grid
+        grid = fano.user_delivery.grid
         bad = (grid == 12) | (grid == 5)
         k = int(np.flatnonzero(bad.any(axis=0))[0])
         j = int(np.flatnonzero(bad[:, k])[0])
@@ -779,20 +809,21 @@ def peel_oracle(scheme, caches, payloads, demands, user: int) -> np.ndarray:
     user's starred rows come from cache, and each needed row is its
     message's payload XOR the demanded packets at the other cells of that
     message (the side packets), gathered for this user alone."""
-    dplan = scheme.decode_plan
+    q = scheme.user_delivery
+    rows, cols, ptr = q.csr
     data = caches.library.data
     demands = np.asarray(demands)
-    column = dplan.grid[:, user]
+    column = q.grid[:, user]
     out = np.empty((len(column), data.shape[2]), dtype=np.uint16)
     own = np.flatnonzero(column < 0)
     out[own] = data[demands[user] - 1, own]
     needed = np.flatnonzero(column >= 0)
     if len(needed):
         msgs = column[needed]
-        sizes = dplan.ptr[msgs + 1] - dplan.ptr[msgs]
+        sizes = ptr[msgs + 1] - ptr[msgs]
         starts = np.cumsum(sizes) - sizes
-        cells = np.arange(sizes.sum()) + np.repeat(dplan.ptr[msgs] - starts, sizes)
-        rows, cols = dplan.rows[cells], dplan.cols[cells]
+        cells = np.arange(sizes.sum()) + np.repeat(ptr[msgs] - starts, sizes)
+        rows, cols = rows[cells], cols[cells]
         packets = data[demands[cols] - 1, rows]
         packets[(rows == np.repeat(needed, sizes)) & (cols == user)] = 0  # the user's own cell
         out[needed] = payloads[msgs] ^ np.bitwise_xor.reduceat(packets, starts, axis=0)
@@ -848,7 +879,7 @@ class TestSharedPeel:
     def test_all_star_grid_has_no_cells(self, deliver):
         scheme = shared_link_scheme(mn_pda(3, 3))
         lib = make_library(3, 1, 8)
-        assert len(scheme.decode_plan.rows) == 0
+        assert len(scheme.user_delivery.csr[0]) == 0
         assert_peels(scheme, lib, deliver(scheme, lib, (1, 3, 3)))
         assert_peels(scheme, lib, deliver(scheme, lib, (1, 3, 3)), [2])
 
@@ -857,7 +888,7 @@ class TestSharedPeel:
         # message 1 has two cells; messages 2 and 3 one each, so user 2,
         # which caches nothing, reads both its rows straight off a payload
         scheme = shared_link_scheme(Pda(((1, STAR, 2), (STAR, 1, 3))))
-        assert np.diff(scheme.decode_plan.ptr).tolist() == [2, 1, 1]
+        assert np.diff(scheme.user_delivery.csr[2]).tolist() == [2, 1, 1]
         lib = make_library(3, 2, 8, seed=4)
         for demands in ((1, 2, 3), (2, 2, 2)):
             assert_peels(scheme, lib, deliver(scheme, lib, demands))
@@ -865,7 +896,7 @@ class TestSharedPeel:
 
     def test_complete_13_3_spans_several_scan_chunks(self):
         scheme = build_scheme(complete_design(13, 3), 4)
-        assert len(scheme.decode_plan.rows) > 4 * _SCAN_CELLS
+        assert len(scheme.user_delivery.csr[0]) > 4 * _SCAN_CELLS
         lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
         plan = deliver_plain(scheme, lib, random_demands(scheme, lib, Random(1)))
         assert_peels(scheme, lib, plan)
@@ -893,13 +924,13 @@ def reference_failure(scheme, plan, caches, user: int):
     In order: for a coded plan, every cell of each message the user
     rebuilds from its stars alone, then the side packets of each needed row,
     then the starred rows."""
-    dplan = scheme.decode_plan
+    q = scheme.user_delivery
+    rows, cols, ptr = q.csr
     cached = caches.grid[:, scheme.user_nodes[user]].any(axis=1)
-    column = dplan.grid[:, user]
+    column = q.grid[:, user]
 
     def cells(s):
-        return zip(dplan.rows[dplan.ptr[s]:dplan.ptr[s + 1]].tolist(),
-                   dplan.cols[dplan.ptr[s]:dplan.ptr[s + 1]].tolist())
+        return zip(rows[ptr[s]:ptr[s + 1]].tolist(), cols[ptr[s]:ptr[s + 1]].tolist())
 
     def first_uncached(messages):  # (message, the user's own row of it or None)
         for s, own in messages:
@@ -909,7 +940,7 @@ def reference_failure(scheme, plan, caches, user: int):
         return None
 
     if plan.reduced_by:
-        known = [s for s in range(len(dplan.ptr) - 1)
+        known = [s for s in range(q.num_ids)
                  if all(column[r] < 0 for r, _ in cells(s))]
         fail = first_uncached((s, None) for s in known)
         if fail:
@@ -957,48 +988,47 @@ def cover_oracle(grid) -> tuple:
 class TestCover:
     @pytest.mark.parametrize("name", sorted(_CACHE_TEST_SCHEMES))
     def test_matches_the_per_user_count(self, name):
-        dplan = _CACHE_TEST_SCHEMES[name]().decode_plan
-        known, keeps_c3 = cover_oracle(dplan.grid)
-        assert np.array_equal(dplan.known, known)
-        assert dplan.keeps_c3 == keeps_c3
+        q = _CACHE_TEST_SCHEMES[name]().user_delivery
+        known, keeps_c3 = cover_oracle(q.grid)
+        assert np.array_equal(q.known, known)
+        assert (not q.c3_flags.any()) == keeps_c3
 
-    @pytest.mark.parametrize("cover_words", [1, _COVER_WORDS])
-    def test_matches_the_per_user_count_on_complete_13_3(self, cover_words):
-        grid = build_scheme(complete_design(13, 3), 4).user_delivery.grid  # K = 286
-        with mock.patch.object(simulate, "_COVER_WORDS", cover_words):
-            dplan = DecodePlan(grid)
-            known, keeps_c3 = dplan.known, dplan.keeps_c3
-        want_known, want_c3 = cover_oracle(grid)
+    @pytest.mark.parametrize("screen_bytes", [8, _SCREEN_BYTES])
+    def test_matches_the_per_user_count_on_complete_13_3(self, screen_bytes):
+        q = build_scheme(complete_design(13, 3), 4).user_delivery  # K = 286
+        keeps_c3 = not q.c3_flags.any()
+        with mock.patch.object(pda_module, "_SCREEN_BYTES", screen_bytes):
+            known = q.known
+        want_known, want_c3 = cover_oracle(q.grid)
         assert np.array_equal(known, want_known)
         assert keeps_c3 == want_c3
 
     @settings(max_examples=150, deadline=None)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 70)), ids=st.integers(1, 9),
-           seed=st.integers(0, 2**32 - 1), cover_words=st.sampled_from([1, 2]))
-    def test_matches_the_per_user_count_on_any_grid(self, shape, ids, seed, cover_words):
+           seed=st.integers(0, 2**32 - 1), screen_bytes=st.sampled_from([8, 16]))
+    def test_matches_the_per_user_count_on_any_grid(self, shape, ids, seed, screen_bytes):
         # random cells (key 0 a star) break C3 in every way, ids repeat
         # within rows and columns, and more than 64 users span two words
         keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
-        grid = Pda.from_keys(keys, lambda first: range(len(first))).grid
-        with mock.patch.object(simulate, "_COVER_WORDS", cover_words):
-            dplan = DecodePlan(grid)
-            known, keeps_c3 = dplan.known, dplan.keeps_c3
-        want_known, want_c3 = cover_oracle(grid)
+        q = Pda.from_keys(keys, lambda first: range(len(first)))
+        with mock.patch.object(pda_module, "_SCREEN_BYTES", screen_bytes):
+            known, keeps_c3 = q.known, not q.c3_flags.any()
+        want_known, want_c3 = cover_oracle(q.grid)
         assert np.array_equal(known, want_known)
         assert keeps_c3 == want_c3
 
 
 class TestCacheTest:
     def test_keeps_c3_only_where_no_pair_breaks_it(self, fano):
-        assert fano.decode_plan.keeps_c3
-        assert not _CACHE_TEST_SCHEMES["no-c3b"]().decode_plan.keeps_c3
-        assert not _CACHE_TEST_SCHEMES["no-c3a"]().decode_plan.keeps_c3
+        assert not fano.user_delivery.c3_flags.any()
+        assert _CACHE_TEST_SCHEMES["no-c3b"]().user_delivery.c3_flags.any()
+        assert _CACHE_TEST_SCHEMES["no-c3a"]().user_delivery.c3_flags.any()
 
     def test_cell_at_is_the_place_of_each_cell(self, fano):
-        dplan = fano.decode_plan
-        cell_at = dplan.cell_at
+        rows, cols, _ = fano.user_delivery.csr
+        cell_at = fano.user_delivery.cell_at
         assert np.array_equal(cell_at < 0, fano.user_retrieve)
-        assert np.array_equal(cell_at[dplan.rows, dplan.cols], np.arange(len(dplan.rows)))
+        assert np.array_equal(cell_at[rows, cols], np.arange(len(rows)))
 
     def test_c3b_break_fails_or_decodes_as_the_caches_allow(self):
         scheme = _CACHE_TEST_SCHEMES["no-c3b"]()

@@ -1,10 +1,12 @@
 import csv
 import io
+import math
 from fractions import Fraction
 
 import pytest
 
 from macc import tables
+from macc.designs import int_text
 from macc.errors import InvalidParametersError
 from macc.tables import (
     design_comparison_rows,
@@ -80,6 +82,13 @@ class TestDesignComparisonRows:
         rows = {r["params"]: r for r in design_comparison_rows()}
         assert int(rows["nodes=15,L=3,t=2,cached=1"]["F"]) == 45
         assert int(rows["K=35,cached=15"]["F"]) == 3247943160
+
+    @pytest.mark.parametrize("nodes", [4, 15, 31, 61])
+    def test_mn_subpacketizations_are_the_binomials(self, nodes):
+        rows = [r for r in design_comparison_rows(nodes) if r["scheme"] == "mn"]
+        k = len(rows) - 1
+        assert [(r["F"], r["F_sci"]) for r in rows] == [
+            (int_text(math.comb(k, i)), sci2(math.comb(k, i))) for i in range(k + 1)]
 
 
 class TestFormatting:
