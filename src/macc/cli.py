@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import os
 import sys
 
@@ -228,7 +229,7 @@ def _writes_as(value, obj) -> bool:
     if isinstance(obj, dict):
         return (isinstance(value, dict) and value.keys() == obj.keys()
                 and all(_writes_as(value[key], item) for key, item in obj.items()))
-    return serialize.dump_json(value) == serialize.dump_json(obj)
+    return json.dumps(value) == json.dumps(json.loads(serialize.dump_json(obj)))
 
 
 def _cmd_simulate(args) -> int:

@@ -99,15 +99,17 @@ def _log_prod_others(v: np.ndarray) -> np.ndarray:
     return logs.sum(axis=1, dtype=np.int64)
 
 
-def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve(matrix: np.ndarray, rhs: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Solve A X = B over GF(2^16); A is n x n Cauchy, B holds n payload rows.
+    Returns the ``rows`` of X (all of them by default).
 
     A[i, j] = 1 / (x_i ^ y_j) has the closed-form inverse (Schechter 1959)
     diag(b) A^T diag(a), a_j = prod_k (x_j ^ y_k) / prod_{k!=j} (x_j ^ x_k),
     b_i = prod_k (x_k ^ y_i) / prod_{k!=i} (y_i ^ y_k).  With D = 1 / A,
-    x = D[:, 0] and y = D[0] ^ D[0, 0]: both shifted by y_0, which cancels."""
+    x = D[:, 0] and y = D[0] ^ D[0, 0]: both shifted by y_0, which cancels.
+    A row of X needs only its row of A^T, so the matvec takes those alone."""
     if not len(matrix):
-        return np.zeros(rhs.shape, dtype=np.uint16)
+        return np.zeros(rhs.shape, dtype=np.uint16)[rows]
     log_d = ORDER - LOG[matrix]  # negative where A is 0; those raise below
     d = EXP[log_d]
     x, y = d[:, 0], d[0] ^ d[0, 0]
@@ -116,5 +118,5 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # One row scale, one matvec, one more row scale; log sums in int64.
     log_a = (log_d.sum(axis=1, dtype=np.int64) - _log_prod_others(x)) % ORDER
     log_b = (log_d.sum(axis=0, dtype=np.int64) - _log_prod_others(y)) % ORDER
-    inner = matvec(matrix.T, EXP[log_a[:, None] + LOG[rhs]])
-    return EXP[log_b[:, None] + LOG[inner]]
+    inner = matvec(matrix.T[rows], EXP[log_a[:, None] + LOG[rhs]])
+    return EXP[log_b[rows, None] + LOG[inner]]

@@ -189,13 +189,19 @@ class Pda:
         return _frozen(flag_c3(self))
 
     @cached_property
-    def cell_at(self) -> np.ndarray:
-        """F x K map from each non-star cell to its place in the CSR; -1 at
-        stars."""
+    def by_user(self) -> tuple:
+        """``(ptr, rows, places, ids)``: the non-star cells user by user, the
+        cells of user k at ``ptr[k]:ptr[k + 1]`` in row order, each with its
+        row, its place in the CSR and its id."""
         rows, cols, _ = self.csr
-        cell_at = np.full(self.grid.shape, -1, dtype=np.int32)
-        cell_at[rows, cols] = np.arange(len(rows))
-        return _frozen(cell_at)
+        f, k = self.grid.shape
+        at = np.empty((k, f), dtype=np.int32)
+        at[cols, rows] = np.arange(len(rows))
+        grid = np.ascontiguousarray(self.grid.T).ravel()
+        cells = np.flatnonzero(grid >= 0)
+        ptr = np.searchsorted(cells, np.arange(0, (k + 1) * f, f))
+        return tuple(map(_frozen, (ptr, (cells % f).astype(np.int32), at.ravel()[cells],
+                                   grid[cells])))
 
     @cached_property
     def known(self) -> np.ndarray:

@@ -73,6 +73,11 @@ def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
     return placement[:, user_nodes].any(axis=2)
 
 
+# Digits that ``coordinate_arrays`` unpacks per step when it labels the ids,
+# which bounds its scratch arrays to a few of this many int64 words.
+_LABEL_DIGITS = 1 << 16
+
+
 def coordinate_arrays(base, q: int, node_values, users, strength: int,
                       ids=None, copies_by=None) -> tuple:
     """C, user nodes and Q of a scheme whose cache nodes are (coordinate,
@@ -136,20 +141,27 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
         keys[missed] = row_keys(np.column_stack([keys[missed], copy[missed]]))
 
     def label(first):
+        # the m digits of each id's first cell, a step of ids at a time
         r, col = np.divmod(np.flatnonzero(missed)[first], k)
-        words = (base[r % rows] & keep[r // rows, col]) | values[r // rows, col]
-        digits = (words[:, :, None] >> shifts) & ((1 << b) - 1)
-        return ids(digits.reshape(-1, slots)[:, :m], None if copy is None else copy[r, col])
+        word, shift = np.divmod(np.arange(m), len(shifts))
+        digits = np.empty((len(first), m), dtype=np.min_scalar_type(q))
+        step = max(1, _LABEL_DIGITS // m)
+        for a in range(0, len(first), step):
+            j, t, c = r[a:a + step] % rows, r[a:a + step] // rows, col[a:a + step]
+            words = (base[j] & keep[t, c]) | values[t, c]
+            digits[a:a + step] = (words[:, word] >> b * shift) & ((1 << b) - 1)
+        return ids(digits, None if copy is None else copy[r, col])
 
     return placement, user_nodes, Pda.from_keys(keys, label)
 
 
 def require_room(params) -> None:
     """Refuse, before any array is made, a scheme whose F x K cells would
-    pass MAX_COUNT_BYTES: building its arrays, writing its bundle and
-    rendering its delivery table peak at up to about 90 bytes per cell."""
+    pass MAX_COUNT_BYTES: ``macc scheme --out`` peaks at about 35 bytes per
+    cell above the interpreter when an id vector fits one int64 word, and at
+    about 190 when it takes two or more (``complete:Γ,2`` from Γ = 64)."""
     f, k = params.subpacketization, params.num_users
-    if f * k * 128 > MAX_COUNT_BYTES:
+    if f * k * 256 > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")
 
@@ -283,14 +295,12 @@ def _require_user(q: Pda, user: int, cached: np.ndarray) -> None:
     """Raise unless ``cached``, a per-row mask of the placed caches, marks
     every row the user reads: the other cells (the side packets) of each
     message at a row its column does not star, then its starred rows."""
-    rows, cols, ptr = q.csr
-    column = q.grid[:, user]
-    needed = np.flatnonzero(column >= 0)
-    msgs = column[needed]
-    pos, seg = _segments(ptr, msgs)
-    own = (cols[pos] == user) & (rows[pos] == np.repeat(needed, np.diff(seg)))
-    _require_cached(q, user, cached, pos[~own], seg - np.arange(len(seg)), msgs)
-    stars = np.flatnonzero(column < 0)
+    ptr, _, places, msgs = q.by_user
+    cells = slice(ptr[user], ptr[user + 1])
+    pos, seg = _segments(q.csr[2], msgs[cells])
+    own = pos == np.repeat(places[cells], np.diff(seg))
+    _require_cached(q, user, cached, pos[~own], seg - np.arange(len(seg)), msgs[cells])
+    stars = np.flatnonzero(q.stars[:, user])
     if not cached[stars].all():
         j = int(stars[np.argmin(cached[stars])])
         raise DecodeFailureError(user, None, f"row {j} not cached")
@@ -443,10 +453,12 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
     return demands
 
 
-def _all_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
-                  user: int, cached: np.ndarray) -> np.ndarray:
-    """Recover all S multicast payloads at one user from the plan's coded
-    symbols; ``coeff`` is the plan's Cauchy matrix."""
+def _user_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
+                   user: int, cached: np.ndarray) -> np.ndarray:
+    """The S multicast payloads as one user recovers them from the plan's
+    coded symbols (``coeff`` is the plan's Cauchy matrix): those it rebuilds
+    from cache, and of the rest only the messages its own column needs;
+    the others stay zero."""
     known = np.flatnonzero(q.known[user])
     unknown = np.flatnonzero(~q.known[user])
     messages = np.zeros((plan.num_messages, data.shape[2]), dtype=np.uint16)
@@ -459,11 +471,14 @@ def _all_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
                 user, None,
                 f"{len(unknown)} unknown messages but only {len(plan.symbols)} symbols",
             )
+        ptr, _, _, ids = q.by_user
+        own = np.zeros(plan.num_messages, dtype=bool)  # the ids of the user's column
+        own[ids[ptr[user]:ptr[user + 1]]] = True
         # The first rows suffice: every square submatrix of a Cauchy matrix
         # is Cauchy, so invertible.
         coeff = coeff[:len(unknown)]
         rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(coeff[:, known], messages[known])
-        messages[unknown] = gf16.solve(coeff[:, unknown], rhs)
+        messages[unknown[own[unknown]]] = gf16.solve(coeff[:, unknown], rhs, own[unknown])
     return messages
 
 
@@ -493,17 +508,25 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     q = scheme.user_delivery
     users = (list(range(scheme.num_users)) if users is None
              else [_user_index(scheme, k) for k in users])
-    ids = q.grid[:, users]
-    wanted = np.bincount(ids[ids >= 0], minlength=q.num_ids) > 0  # by some user
-    pos, seg = _segments(q.csr[2], np.flatnonzero(wanted))
-    where = np.empty(len(q.csr[0]), dtype=np.intp)  # a cell's place in others
-    where[pos] = np.arange(len(pos))
+    sel = np.asarray(users, dtype=np.intp)
+    ptr, rows, places, msgs = q.by_user
+    listed = np.zeros(scheme.num_users, dtype=bool)
+    listed[sel] = True
+    if listed.all():  # every id has a cell, so all users want every id
+        pos, seg = slice(None), q.csr[2]
+    else:
+        wanted = np.zeros(q.num_ids, dtype=bool)  # by some user
+        wanted[msgs[_segments(ptr, sel)[0]]] = True
+        pos, seg = _segments(q.csr[2], np.flatnonzero(wanted))
+        where = np.zeros(len(q.csr[0]), dtype=np.intp)  # a cell's place in others
+        where[pos] = np.arange(len(pos))
+        places = where[places]
     others = _wide(_others(q, data, demands, pos, seg))
-    reached = reach(caches.grid, scheme.user_nodes[users])
+    reached = reach(caches.grid, scheme.user_nodes[sel])
     # On a grid that keeps C3 every row a user reads is a starred row, so one
     # F x users test clears each user whose starred rows are cached; only the
     # rest, and every user of a grid that breaks C3, take the per-user check.
-    checked = (not q.c3_flags.any()) & ~((ids < 0) & ~reached).any(axis=0)
+    checked = (not q.c3_flags.any()) & ~(q.stars[:, sel] & ~reached).any(axis=0)
     f, words = data.shape[1:]
     step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
     for a in range(0, len(users), step):
@@ -514,28 +537,28 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
         for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
             try:
                 if coeff is not None:
-                    recovered.append(_all_messages(q, plan, coeff, data, block[i],
-                                                   reached[:, a + i]))
+                    recovered.append(_user_messages(q, plan, coeff, data, block[i],
+                                                    reached[:, a + i]))
                 if not checked[a + i]:
                     _require_user(q, block[i], reached[:, a + i])
             except DecodeFailureError as exc:  # raised after the users before it
                 failure, block = exc, block[:i]
                 break
         if block:
-            grid = ids[:, a:a + len(block)].T.ravel()  # the block's columns, user after user
-            need = np.flatnonzero(grid >= 0)
-            at = where[q.cell_at[:, block].T.ravel()[need]]
+            # the block's cells, user after user: rows of its files, and ids
+            cells, lens = _segments(ptr, sel[a:a + len(block)])
+            need = np.repeat(np.arange(0, len(block) * f, f), np.diff(lens)) + rows[cells]
             # The demanded files hold the cached packets at the starred rows;
             # each other row is its message (plain: the symbol; mds: the
             # user's recovered payload) XOR the leave-one-out value at the
             # user's own cell.
             files = np.take(data, demands[block] - 1, axis=0)
             if coeff is None:
-                sent = np.take(plan.symbols, grid[need], axis=0)
+                sent = np.take(plan.symbols, msgs[cells], axis=0)
             else:
                 sent = np.take(np.concatenate(recovered[:len(block)]),
-                               need // f * plan.num_messages + grid[need], axis=0)
-            _wide(files.reshape(-1, words))[need] = _wide(sent) ^ np.take(others, at, axis=0)
+                               need // f * plan.num_messages + msgs[cells], axis=0)
+            _wide(files.reshape(-1, words))[need] = _wide(sent) ^ np.take(others, places[cells], axis=0)
             yield block, files
         if failure is not None:
             raise failure
@@ -626,8 +649,8 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
                                 _payloads(q, data, demands))
         for block, decoded in _decode_blocks(scheme, plan, caches):
             truth = np.take(data, np.asarray(demands)[block] - 1, axis=0)
-            wrong = (_wide(decoded) != _wide(truth)).any(axis=2)  # block x F
-            if wrong.any():
+            if not np.array_equal(_wide(decoded), _wide(truth)):
+                wrong = (_wide(decoded) != _wide(truth)).any(axis=2)  # block x F
                 i, j = np.argwhere(wrong)[0].tolist()
                 k = block[i]
                 raise DecodeFailureError(k, int(q.grid[j, k]) + 1,

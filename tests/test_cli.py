@@ -600,8 +600,11 @@ class TestOversizedInputs:
          "F x K = 847660528 x 780 cells need over 1073741824 bytes"),
         (("scheme", "--gdd-transversal", "8,4,2"), (scheme_gdd, "coordinate_arrays"),
          "F x K = 65536 x 448 cells need over 1073741824 bytes"),
+        # ids of two or more int64 words peak at about 190 bytes per cell
+        (("scheme", "--design", "complete:250,2", "--mu-gamma", "1"), (scheme_design, "_arrays"),
+         "F x K = 250 x 31125 cells need over 1073741824 bytes"),
     ], ids=["design-complete-40-20", "pda-mn-30-15", "scheme-complete-40-2-mu10",
-            "scheme-gdd-8-4-2"])
+            "scheme-gdd-8-4-2", "scheme-complete-250-2-mu1"])
     def test_is_refused_before_allocating(self, capsys, argv, guard, text):
         with mock.patch.object(*guard, None):
             code, out, err = run(capsys, *argv)

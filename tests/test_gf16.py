@@ -154,6 +154,31 @@ def test_solve_matches_reference_on_cauchy_submatrices(system):
     assert np.array_equal(x, ref_solve(a, b))
 
 
+@given(cauchy_systems(40), st.data())
+def test_solve_selected_rows_are_those_rows_of_the_solution(system, data):
+    a, b = system
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a))),
+                    dtype=bool)
+    picks = np.array(data.draw(st.lists(st.integers(0, max(len(a) - 1, 0)),
+                                        max_size=len(a) and 5)), dtype=np.intp)
+    full = gf16.solve(a, b)
+    for rows in (mask, picks):
+        x = gf16.solve(a, b, rows)
+        assert x.dtype == np.uint16 and np.array_equal(x, full[rows])
+
+
+def test_solve_selected_rows_keep_the_checks():
+    a = gf16.cauchy_matrix(6, 6)
+    rows = np.zeros(6, dtype=bool)
+    rows[0] = True
+    a[5] = a[4]  # a repeated x, off the selected row
+    with pytest.raises(ConfigurationError, match="singular"):
+        gf16.solve(a, np.ones((6, 2), dtype=np.uint16), rows)
+    a[5, 0] ^= 1
+    with pytest.raises(ConfigurationError, match="not a Cauchy matrix"):
+        gf16.solve(a, np.ones((6, 2), dtype=np.uint16), rows)
+
+
 def test_solve_matches_reference_at_n_300():
     # 300 logs of up to ORDER each: the sums need more than 16 bits.
     rng = np.random.default_rng(7)

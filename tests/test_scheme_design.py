@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,32 @@ def test_complete_design_scheme_matches_subset_pda_shape():
     rep = verify_pda(scheme.user_delivery)
     assert rep.ok
     assert rep.num_messages == math.comb(5, 3) - math.comb(5, 2) * math.comb(2, 3)
+
+
+def test_id_labels_peak_within_a_bound_per_cell(monkeypatch):
+    # complete:70,2 ids span two int64 words; labelling them once unpacked
+    # 63 digits per word for every id, about 370 bytes per F x K cell
+    from_keys = Pda.from_keys.__func__
+    peaks = []
+
+    def traced(cls, keys, label):
+        def measured(first):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = label(first)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        return from_keys(cls, keys, measured)
+
+    monkeypatch.setattr(Pda, "from_keys", classmethod(traced))
+    tracemalloc.start()
+    try:
+        scheme = build_scheme(complete_design(70, 2), 1)
+    finally:
+        tracemalloc.stop()
+    cells = scheme.num_users * scheme.subpacketization
+    assert cells == 169_050 and len(peaks) == 1
+    assert peaks[0] / cells < 100
 
 
 def reference_user_retrieve(design, cached_nodes):

@@ -29,6 +29,7 @@ from macc.errors import (
 from macc.pda import _SCREEN_BYTES, STAR, Pda, id_cells, mn_pda, verify_pda
 from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
+from macc.serialize import dump_json, scheme_to_obj
 from macc.simulate import (
     _BLOCK_ROWS,
     _SCAN_CELLS,
@@ -131,6 +132,19 @@ class TestUserRetrieve:
             scheme.user_retrieve = ~u
 
 
+def by_user_oracle(q) -> tuple:
+    """``Pda.by_user`` cell by cell: per user, its non-star rows in order,
+    each with the place of that cell in the CSR and its id."""
+    rows, cols, _ = q.csr
+    place = {cell: p for p, cell in enumerate(zip(rows.tolist(), cols.tolist()))}
+    ptr, cells = [0], []
+    for k in range(q.num_cols):
+        cells += [(j, place[j, k], int(q.grid[j, k])) for j in range(q.num_rows)
+                  if q.grid[j, k] >= 0]
+        ptr.append(len(cells))
+    return (ptr, *map(list, zip(*cells))) if cells else (ptr, [], [], [])
+
+
 class TestPdaViews:
     def test_verify_and_decode_build_the_csr_and_the_c3_flags_once(self):
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
@@ -144,7 +158,7 @@ class TestPdaViews:
             assert len(scheme.user_delivery.id_positions) == scheme.counted_messages
         assert (csr.call_count, c3.call_count) == (1, 1)
 
-    @pytest.mark.parametrize("view", ["grid", "stars", "csr", "packed", "c3_flags", "cell_at",
+    @pytest.mark.parametrize("view", ["grid", "stars", "csr", "packed", "c3_flags", "by_user",
                                       "known"])
     def test_cached_views_are_read_only(self, fano, view):
         q = fano.user_delivery
@@ -154,6 +168,25 @@ class TestPdaViews:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         assert fano.user_retrieve is q.stars
+
+    @pytest.mark.parametrize("name", ["mn_scheme", "fano", "gdd_scheme"])
+    def test_by_user_lists_each_users_cells_in_row_order(self, request, name):
+        q = request.getfixturevalue(name).user_delivery
+        assert tuple(map(np.ndarray.tolist, q.by_user)) == by_user_oracle(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 9)), ids=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_by_user_matches_the_oracle_on_any_grid(self, shape, ids, seed):
+        keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
+        q = Pda.from_keys(keys, lambda first: range(len(first)))
+        assert tuple(map(np.ndarray.tolist, q.by_user)) == by_user_oracle(q)
+
+    def test_verify_and_the_bundle_write_leave_by_user_unbuilt(self):
+        scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
+        assert verify_pda(scheme.user_delivery).ok
+        dump_json(scheme_to_obj(scheme))
+        assert "by_user" not in vars(scheme.user_delivery)
 
     def test_cell_lists_are_read_only(self, fano):
         positions = fano.user_delivery.id_positions
@@ -687,6 +720,45 @@ class TestDecodeAll:
                 assert out.tobytes() == lib.file_bytes(back.demands[k])
             assert users == [5, 0]
 
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(("plain", "mds")),
+           block_rows=st.sampled_from([1, 36, 100, _BLOCK_ROWS]), data=st.data())
+    def test_any_user_list_decodes_as_the_full_decode(self, mode, block_rows, data):
+        # reordered, non-contiguous, single and repeated users, across blocks
+        scheme, lib, plan = _written("affine-9-3-1", 2, mode)
+        caches = place(lib, scheme)
+        full = {k: out.tobytes() for k, out in decode_all(scheme, plan, caches)}
+        users = data.draw(st.lists(st.integers(0, scheme.num_users - 1), min_size=1,
+                                   max_size=scheme.num_users))
+        with mock.patch.object(simulate, "_BLOCK_ROWS", block_rows):
+            got = [(k, out.tobytes()) for k, out in decode_all(scheme, plan, caches, users)]
+        assert got == [(k, full[k]) for k in users]
+
+    @pytest.mark.parametrize("block_rows", [21, 42, 63])
+    def test_damage_in_a_later_block_names_its_first_user(self, fano, monkeypatch, block_rows):
+        # a message that no user of the first block peels: the blocks before
+        # the damaged one pass their one comparison, and the error still
+        # names the first user, message and row
+        grid = fano.user_delivery.grid
+        first_block = max(1, block_rows // fano.subpacketization)
+        s = int(np.setdiff1d(np.arange(fano.counted_messages), grid[:, :first_block])[0])
+        gather = simulate._payloads
+
+        def damaged(q, data, demands):
+            out = gather(q, data, demands)
+            out[s, -1] ^= 1
+            return out
+
+        monkeypatch.setattr(simulate, "_payloads", damaged)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        k = int(np.flatnonzero((grid == s).any(axis=0))[0])
+        j = int(np.flatnonzero(grid[:, k] == s)[0])
+        assert k >= first_block
+        with pytest.raises(DecodeFailureError) as exc:
+            run_demand_trials(fano, make_library(7, 21, 64), 4, seed=3)
+        assert (exc.value.user, exc.value.message_id) == (k, s + 1)
+        assert f"row {j} payload mismatch" in str(exc.value)
+
     def test_cauchy_matrix_is_built_once_per_plan(self, monkeypatch):
         scheme = _scheme("affine-9-3-1", 2)
         lib = make_library(scheme.num_users, scheme.subpacketization, 16, seed=2)
@@ -1024,11 +1096,14 @@ class TestCacheTest:
         assert _CACHE_TEST_SCHEMES["no-c3b"]().user_delivery.c3_flags.any()
         assert _CACHE_TEST_SCHEMES["no-c3a"]().user_delivery.c3_flags.any()
 
-    def test_cell_at_is_the_place_of_each_cell(self, fano):
+    def test_by_user_places_each_cell_in_the_csr(self, fano):
         rows, cols, _ = fano.user_delivery.csr
-        cell_at = fano.user_delivery.cell_at
-        assert np.array_equal(cell_at < 0, fano.user_retrieve)
-        assert np.array_equal(cell_at[rows, cols], np.arange(len(rows)))
+        ptr, by_rows, places, ids = fano.user_delivery.by_user
+        assert np.array_equal(np.diff(ptr), (~fano.user_retrieve).sum(axis=0))
+        assert np.array_equal(rows[places], by_rows)
+        assert np.array_equal(cols[places], np.repeat(np.arange(fano.num_users), np.diff(ptr)))
+        assert np.array_equal(fano.user_delivery.grid[by_rows, cols[places]], ids)
+        assert sorted(places.tolist()) == list(range(len(rows)))
 
     def test_c3b_break_fails_or_decodes_as_the_caches_allow(self):
         scheme = _CACHE_TEST_SCHEMES["no-c3b"]()
