@@ -167,7 +167,7 @@ def complete_design(num_points: int, block_size: int) -> Design:
         raise InvalidParametersError(
             f"block size must satisfy 1 <= L <= {num_points}, got {block_size}"
         )
-    # `macc design --complete` peaks at about 250 bytes per block plus 100
+    # `macc design --complete` peaks at about 150 bytes per block plus 40
     # per point
     if math.comb(num_points, block_size) * (256 + 128 * block_size) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(

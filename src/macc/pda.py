@@ -146,10 +146,6 @@ class Pda:
         return [[labels[g] for g in row.tolist()] for row in self.grid]
 
     @property
-    def cells(self) -> tuple:
-        return tuple(map(tuple, self.relabel([*self.ids, STAR])))
-
-    @property
     def num_rows(self) -> int:
         return self.grid.shape[0]
 

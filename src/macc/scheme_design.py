@@ -146,7 +146,7 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
 def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> ArrayScheme:
     params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
     require_match(verify_t_design(design, params.strength, params.index), "design")
-    require_room(params)
+    require_room(params, params.num_nodes, 2)
     placement, user_nodes, delivery = _arrays(params, design.blocks)
     g, l, t, mu = params.num_nodes, params.access_degree, params.strength, cached_nodes
     if mu == 0:  # pure unicast: one message per (t-subset, copy) pair, exactly

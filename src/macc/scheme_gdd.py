@@ -119,7 +119,7 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
     require_match(verify_oa(oa, oa.strength, oa.index), "OA")
     if gdd.index not in (None, 1):
         raise UnsupportedParametersError("delivery construction requires a GDD of index 1")
-    require_room(params)
+    require_room(params, params.num_groups, params.group_size)
     q = oa.num_symbols
 
     def ids(digits, copy):

@@ -28,7 +28,7 @@ def fraction_str(x: Fraction) -> str:
 
 def design_to_obj(design: Design) -> dict:
     obj = {"type": "design", "points": design.num_points,
-           "blocks": [list(b) for b in design.blocks]}
+           "blocks": _symbol_grid(design.blocks, design.num_points)}
     if design.strength is not None:
         obj["t"] = design.strength
     if design.index is not None:
@@ -109,7 +109,7 @@ def gdd_from_obj(obj: dict) -> GroupDivisibleDesign:
 
 def oa_to_obj(oa: OrthogonalArray) -> dict:
     return {"type": "oa", "q": oa.num_symbols, "s": oa.strength,
-            "lambda": oa.index, "rows": [list(r) for r in oa.rows]}
+            "lambda": oa.index, "rows": _symbol_grid(oa.rows, oa.num_symbols)}
 
 
 def oa_from_obj(obj: dict) -> OrthogonalArray:
@@ -130,6 +130,16 @@ class CodeGrid:
 
     codes: np.ndarray
     texts: tuple
+
+
+def _symbol_grid(rows: tuple, count: int):
+    """Equal-length rows of symbols 1..count as a CodeGrid, symbol x held
+    as code x - 1.  Rows with fewer cells than symbols (rows of no symbols
+    among them) stay lists, so the table of texts never outgrows the grid."""
+    if len(rows) * len(rows[0]) < count:
+        return [list(r) for r in rows]
+    return CodeGrid(np.array(rows, dtype=np.min_scalar_type(count)) - 1,
+                    tuple(map(str, range(1, count + 1))))
 
 
 def placement_to_obj(placement: np.ndarray) -> CodeGrid:

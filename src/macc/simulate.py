@@ -73,6 +73,12 @@ def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
     return placement[:, user_nodes].any(axis=2)
 
 
+def _digit_bits(q: int) -> int:
+    """Bits of each digit in 0..q-1 that ``coordinate_arrays`` packs into
+    id words, 63 // bits digits to an int64 word."""
+    return max(1, (q - 1).bit_length())
+
+
 # Digits that ``coordinate_arrays`` unpacks per step when it labels the ids,
 # which bounds its scratch arrays to a few of this many int64 words.
 _LABEL_DIGITS = 1 << 16
@@ -106,7 +112,7 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     user_nodes = users[:, :, 0] * len(node_values) + np.searchsorted(node_values, users[:, :, 1])
     if ids is None:
         return placement, user_nodes, None
-    b = max(1, (q - 1).bit_length())
+    b = _digit_bits(q)
     shifts = b * np.arange(63 // b, dtype=np.int64)
     width = -(-m // len(shifts))
     slots = width * len(shifts)
@@ -155,13 +161,15 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     return placement, user_nodes, Pda.from_keys(keys, label)
 
 
-def require_room(params) -> None:
+def require_room(params, digits: int, q: int) -> None:
     """Refuse, before any array is made, a scheme whose F x K cells would
-    pass MAX_COUNT_BYTES: ``macc scheme --out`` peaks at about 35 bytes per
-    cell above the interpreter when an id vector fits one int64 word, and at
-    about 190 when it takes two or more (``complete:Γ,2`` from Γ = 64)."""
+    pass MAX_COUNT_BYTES.  Its ids are vectors of ``digits`` digits in
+    0..q-1, packed as in ``coordinate_arrays``.  ``macc scheme --out`` peaks
+    at about 35 bytes per cell above the interpreter when an id fits one
+    int64 word, so 128 are budgeted, and at about 190 when it takes two or
+    more (``complete:Γ,2`` from Γ = 64), so 256 are."""
     f, k = params.subpacketization, params.num_users
-    if f * k * 256 > MAX_COUNT_BYTES:
+    if f * k * (128 if digits <= 63 // _digit_bits(q) else 256) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")
 
@@ -254,14 +262,14 @@ def _payloads(q: Pda, data: np.ndarray, demands) -> np.ndarray:
     return _xor_segments(_gather(q, data, demands, slice(None)), q.csr[2])
 
 
-def _others(q: Pda, data: np.ndarray, demands, pos, seg) -> np.ndarray:
-    """For each message cell ``pos`` (one segment ``seg`` per message),
-    the XOR of the demanded packets at the other cells of its message:
-    exclusive forward and backward scans over chunks of whole messages
-    (at most ``_SCAN_CELLS`` cells unless one message is larger), with
-    what lies outside each message XORed back out.  So a cell's own
-    packet never enters its value."""
-    out = _gather(q, data, demands, pos)
+def _others(q: Pda, data: np.ndarray, demands) -> np.ndarray:
+    """For each message cell, in CSR order, the XOR of the demanded packets
+    at the other cells of its message: exclusive forward and backward scans
+    over chunks of whole messages (at most ``_SCAN_CELLS`` cells unless one
+    message is larger), with what lies outside each message XORed back out.
+    So a cell's own packet never enters its value."""
+    seg = q.csr[2]
+    out = _gather(q, data, demands, slice(None))
     wide = _wide(out)
     first = 0
     while first < len(seg) - 1:
@@ -455,31 +463,26 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
 
 def _user_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
                    user: int, cached: np.ndarray) -> np.ndarray:
-    """The S multicast payloads as one user recovers them from the plan's
-    coded symbols (``coeff`` is the plan's Cauchy matrix): those it rebuilds
-    from cache, and of the rest only the messages its own column needs;
-    the others stay zero."""
+    """The multicast payloads at the user's own cells, in ``by_user`` order,
+    as the user recovers them from the plan's coded symbols (``coeff`` is
+    the plan's Cauchy matrix) and the messages it rebuilds from cache.  A
+    message at one of its cells lies in a row it does not star, so it is
+    never a known message: the solve returns it."""
     known = np.flatnonzero(q.known[user])
     unknown = np.flatnonzero(~q.known[user])
-    messages = np.zeros((plan.num_messages, data.shape[2]), dtype=np.uint16)
     pos, seg = _segments(q.csr[2], known)
     _require_cached(q, user, cached, pos, seg, known)
-    messages[known] = _xor_segments(_gather(q, data, plan.demands, pos), seg)
-    if len(unknown):
-        if len(unknown) > len(plan.symbols):
-            raise DecodeFailureError(
-                user, None,
-                f"{len(unknown)} unknown messages but only {len(plan.symbols)} symbols",
-            )
-        ptr, _, _, ids = q.by_user
-        own = np.zeros(plan.num_messages, dtype=bool)  # the ids of the user's column
-        own[ids[ptr[user]:ptr[user + 1]]] = True
-        # The first rows suffice: every square submatrix of a Cauchy matrix
-        # is Cauchy, so invertible.
-        coeff = coeff[:len(unknown)]
-        rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(coeff[:, known], messages[known])
-        messages[unknown[own[unknown]]] = gf16.solve(coeff[:, unknown], rhs, own[unknown])
-    return messages
+    if len(unknown) > len(plan.symbols):
+        raise DecodeFailureError(
+            user, None, f"{len(unknown)} unknown messages but only {len(plan.symbols)} symbols")
+    ptr, _, _, ids = q.by_user
+    own = np.searchsorted(unknown, ids[ptr[user]:ptr[user + 1]])  # places among the unknown
+    # The first rows suffice: every square submatrix of a Cauchy matrix is
+    # Cauchy, so invertible.
+    coeff = coeff[:len(unknown)]
+    rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(
+        coeff[:, known], _xor_segments(_gather(q, data, plan.demands, pos), seg))
+    return gf16.solve(coeff[:, unknown], rhs, own)
 
 
 def decode_all(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
@@ -498,8 +501,8 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     scheme's delivery array says which rows to read from cache; every row read
     is checked against the placed caches, and a failing user ends the run
     after the block of the users before it.  The leave-one-out XOR is
-    computed once, over the messages the users need, and every user peels
-    its rows from it."""
+    computed once, over every message, and every user peels its rows from
+    it."""
     data = caches.library.data
     demands = _check_plan(scheme, caches.library, plan)
     # With no reduction the coded batch is the identity code: the symbols
@@ -510,18 +513,7 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
              else [_user_index(scheme, k) for k in users])
     sel = np.asarray(users, dtype=np.intp)
     ptr, rows, places, msgs = q.by_user
-    listed = np.zeros(scheme.num_users, dtype=bool)
-    listed[sel] = True
-    if listed.all():  # every id has a cell, so all users want every id
-        pos, seg = slice(None), q.csr[2]
-    else:
-        wanted = np.zeros(q.num_ids, dtype=bool)  # by some user
-        wanted[msgs[_segments(ptr, sel)[0]]] = True
-        pos, seg = _segments(q.csr[2], np.flatnonzero(wanted))
-        where = np.zeros(len(q.csr[0]), dtype=np.intp)  # a cell's place in others
-        where[pos] = np.arange(len(pos))
-        places = where[places]
-    others = _wide(_others(q, data, demands, pos, seg))
+    others = _wide(_others(q, data, demands))
     reached = reach(caches.grid, scheme.user_nodes[sel])
     # On a grid that keeps C3 every row a user reads is a starred row, so one
     # F x users test clears each user whose starred rows are cached; only the
@@ -531,7 +523,7 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
     for a in range(0, len(users), step):
         block = users[a:a + step]
-        recovered = []  # the coded plan's payloads, per user
+        recovered = []  # the coded plan's payloads at each user's cells
         failure = None
         # per-user work: the coded plan's solves, and the users not cleared
         for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
@@ -553,11 +545,8 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
             # user's recovered payload) XOR the leave-one-out value at the
             # user's own cell.
             files = np.take(data, demands[block] - 1, axis=0)
-            if coeff is None:
-                sent = np.take(plan.symbols, msgs[cells], axis=0)
-            else:
-                sent = np.take(np.concatenate(recovered[:len(block)]),
-                               need // f * plan.num_messages + msgs[cells], axis=0)
+            sent = (np.take(plan.symbols, msgs[cells], axis=0) if coeff is None
+                    else np.concatenate(recovered[:len(block)]))
             _wide(files.reshape(-1, words))[need] = _wide(sent) ^ np.take(others, places[cells], axis=0)
             yield block, files
         if failure is not None:

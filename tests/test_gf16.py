@@ -161,8 +161,11 @@ def test_solve_selected_rows_are_those_rows_of_the_solution(system, data):
                     dtype=bool)
     picks = np.array(data.draw(st.lists(st.integers(0, max(len(a) - 1, 0)),
                                         max_size=len(a) and 5)), dtype=np.intp)
+    # A column that breaks C3a holds an id twice, so the decoder asks for
+    # its row twice: each pick repeated, in reverse order.
+    repeats = np.repeat(picks, data.draw(st.integers(2, 3)))[::-1]
     full = gf16.solve(a, b)
-    for rows in (mask, picks):
+    for rows in (mask, picks, repeats):
         x = gf16.solve(a, b, rows)
         assert x.dtype == np.uint16 and np.array_equal(x, full[rows])
 

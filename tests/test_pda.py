@@ -32,6 +32,8 @@ from macc.pda import (
 from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 
+from canonical import pda_cells
+
 S = STAR
 REFERENCE_6x4 = (
     (S, S, 1, 2),
@@ -55,18 +57,18 @@ def to_canonical(pda) -> Pda:
 
 class TestMnPda:
     def test_reference_array(self):
-        assert mn_pda(4, 2).cells == REFERENCE_6x4
+        assert pda_cells(mn_pda(4, 2)) == REFERENCE_6x4
 
     def test_zero_cache_unicasts(self):
         p = mn_pda(5, 0)
         assert p.num_rows == 1
-        assert p.cells[0] == (1, 2, 3, 4, 5)
+        assert pda_cells(p)[0] == (1, 2, 3, 4, 5)
         stats = pda_stats(p)
         assert (stats.stars_per_column, stats.num_messages) == (0, 5)
 
     def test_full_cache_all_star(self):
         p = mn_pda(3, 3)
-        assert p.cells == ((S, S, S),)
+        assert pda_cells(p) == ((S, S, S),)
         rep = verify_pda(p)
         assert rep.ok and rep.degenerate and rep.num_messages == 0
 
@@ -190,7 +192,7 @@ def small_arrays(draw):
         rows = draw(st.permutations(range(base.num_rows)))
         cols = draw(st.permutations(range(k)))
         relabel = draw(st.permutations(range(1, base.num_ids + 1)))
-        base = base.cells
+        base = pda_cells(base)
         cells = [[base[j][c] if base[j][c] is S else relabel[base[j][c] - 1]
                   for c in cols] for j in rows]
     else:
@@ -212,14 +214,14 @@ class TestGrid:
         p = Pda(cells)
         ids = tuple(dict.fromkeys(c for row in cells for c in row if c is not S))
         canon = {i: n for n, i in enumerate(ids, start=1)}
-        assert p.cells == tuple(tuple(row) for row in cells)
+        assert pda_cells(p) == tuple(tuple(row) for row in cells)
         assert p.ids == ids
         assert canonical_index(p) == canon
         assert p.id_positions == {
             i: tuple((j, k) for j, row in enumerate(cells) for k, c in enumerate(row) if c == i)
             for i in ids
         }
-        assert to_canonical(p).cells == tuple(
+        assert pda_cells(to_canonical(p)) == tuple(
             tuple(S if c is S else canon[c] for c in row) for row in cells
         )
         assert p.grid.tolist() == [[-1 if c is S else canon[c] - 1 for c in row] for row in cells]
@@ -358,7 +360,7 @@ class TestCanonicalIds:
     def test_first_occurrence_order(self):
         p = Pda(((SubsetId((2, 3)), S), (S, SubsetId((1, 2)))))
         assert canonical_index(p) == {SubsetId((2, 3)): 1, SubsetId((1, 2)): 2}
-        assert to_canonical(p).cells == ((1, S), (S, 2))
+        assert pda_cells(to_canonical(p)) == ((1, S), (S, 2))
 
     def test_structured_id_display(self):
         assert str(SubsetId((1, 2, 3))) == "123"
@@ -369,7 +371,7 @@ class TestCanonicalIds:
 
     def test_mn_canonical_is_identity(self):
         p = mn_pda(5, 2)
-        assert to_canonical(p).cells == p.cells
+        assert pda_cells(to_canonical(p)) == pda_cells(p)
 
 
 class TestSubsetRank:

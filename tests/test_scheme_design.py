@@ -28,6 +28,8 @@ from macc.scheme_design import (
 )
 from macc.simulate import _user_index
 
+from canonical import pda_cells
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -135,7 +137,7 @@ class TestUserDelivery:
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
         bound = math.comb(9, 4) - 12 * math.comb(3, 4)
         assert bound == 126
-        counted = len({c for row in scheme.user_delivery.cells for c in row if c is not STAR})
+        counted = len({c for row in pda_cells(scheme.user_delivery) for c in row if c is not STAR})
         assert counted == scheme.counted_messages <= bound
 
     def test_duplicate_t_subset_rejected(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from macc.designs import catalog_design, catalog_gdd, linear_oa
+from macc.designs import Design, OrthogonalArray, catalog_design, catalog_gdd, linear_oa
 from macc import serialize
 from macc.errors import InvalidInputError
 from macc.scheme_design import build_scheme
@@ -160,6 +160,22 @@ class TestLoaderValidation:
         (design_to_obj, catalog_design("fano-7-3-1")),
         (gdd_to_obj, catalog_gdd("gdd-3-2-3-1")),
         (oa_to_obj, linear_oa(3, 3, 2)),
-    ], ids=["design", "gdd", "oa"])
+        (oa_to_obj, OrthogonalArray(2, 0, 1, ((),))),
+        (design_to_obj, Design(10**30, ((1, 10**30),))),
+    ], ids=["design", "gdd", "oa", "oa-no-columns", "design-sparse-points"])
     def test_round_trip(self, to_obj, value):
-        assert object_from_obj(to_obj(value)) == value
+        # the design and OA writers hold their rows as a CodeGrid, which
+        # only dump_json turns into lists
+        assert object_from_obj(json.loads(dump_json(to_obj(value)))) == value
+
+    @pytest.mark.parametrize("to_obj, value, key", [
+        (design_to_obj, catalog_design("fano-7-3-1"), "blocks"),
+        (oa_to_obj, linear_oa(3, 3, 2), "rows"),
+        (oa_to_obj, OrthogonalArray(2, 0, 1, ((),)), "rows"),
+        # more points than cells: written as lists, with no table of 10^30 texts
+        (design_to_obj, Design(10**30, ((1, 10**30),)), "blocks"),
+    ], ids=["design", "oa", "oa-no-columns", "design-sparse-points"])
+    def test_rows_write_as_json_dumps_of_lists(self, to_obj, value, key):
+        obj = to_obj(value)
+        lists = [list(r) for r in getattr(value, key)]
+        assert dump_json(obj) == json.dumps({**obj, key: lists}, indent=2)

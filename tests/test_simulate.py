@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from macc import gf16, pda as pda_module, simulate
+from macc import gf16, pda as pda_module, scheme_design, simulate
 from macc.designs import (
     catalog_design,
     catalog_design_names,
@@ -27,7 +27,7 @@ from macc.errors import (
     UnsupportedParametersError,
 )
 from macc.pda import _SCREEN_BYTES, STAR, Pda, id_cells, mn_pda, verify_pda
-from macc.scheme_design import build_scheme
+from macc.scheme_design import DesignSchemeParams, build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 from macc.serialize import dump_json, scheme_to_obj
 from macc.simulate import (
@@ -44,6 +44,7 @@ from macc.simulate import (
     place,
     random_demands,
     read_transcript,
+    require_room,
     run_demand_trials,
     run_simulation,
     write_transcript,
@@ -119,6 +120,35 @@ class TestLibrary:
         # numpy refuses this shape before it allocates anything
         with pytest.raises(ConfigurationError, match="cannot allocate"):
             make_library(10**22, 21, 64)
+
+
+class TestRequireRoom:
+    """The cell budget on scheme parameters alone: 128 bytes per F x K cell
+    when an id fits one int64 word, 256 when it takes two or more."""
+
+    # complete:16,3 mu=6, 8008 x 560 = 4,484,480 cells: 574 MB at 128 bytes
+    # a cell, 1.15 GB at 256
+    PARAMS = DesignSchemeParams(num_nodes=16, access_degree=3, strength=3, index=1,
+                                cached_nodes=6, num_files=1)
+
+    def test_one_word_ids_are_accepted(self):
+        require_room(self.PARAMS, self.PARAMS.num_nodes, 2)
+
+    @pytest.mark.parametrize("digits, q", [(64, 2), (32, 3), (22, 5)],
+                             ids=["64-bits", "32-pairs", "22-triples"])
+    def test_ids_past_one_word_are_refused(self, digits, q):
+        with pytest.raises(UnsupportedParametersError, match=re.escape(
+                "F x K = 8008 x 560 cells need over 1073741824 bytes")):
+            require_room(self.PARAMS, digits, q)
+
+    @pytest.mark.parametrize("digits, q", [(63, 2), (31, 3), (21, 5)])
+    def test_a_full_word_is_one_word(self, digits, q):
+        require_room(self.PARAMS, digits, q)
+
+    def test_complete_16_3_mu_6_reaches_the_array_build(self):
+        with mock.patch.object(scheme_design, "_arrays", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                build_scheme(complete_design(16, 3), 6)
 
 
 class TestUserRetrieve:
@@ -758,6 +788,24 @@ class TestDecodeAll:
             run_demand_trials(fano, make_library(7, 21, 64), 4, seed=3)
         assert (exc.value.user, exc.value.message_id) == (k, s + 1)
         assert f"row {j} payload mismatch" in str(exc.value)
+
+    def test_coded_column_that_repeats_an_id_gets_its_payload_twice(self):
+        # user 1's column holds message 1 at rows 0 and 1 (C3a fails), and
+        # each user rebuilds one message from cache, so one symbol is saved
+        scheme = dataclasses.replace(shared_link_scheme(Pda(
+            ((STAR, 1), (STAR, 1), (2, STAR), (3, STAR)))), guaranteed_known=1)
+        lib = make_library(2, 4, 8, seed=4)
+        plan = deliver_mds(scheme, lib, (2, 1))
+        assert plan.symbols_sent == 2
+        caches = place(lib, scheme)
+        with pytest.raises(DecodeFailureError, match="user 1 failed on message 1: packet row 1"):
+            list(decode_all(scheme, plan, caches))
+        grid = caches.grid.copy()
+        grid[:2, 1] = True  # the side rows user 1 lacks
+        full = dataclasses.replace(caches, grid=grid)
+        for users in (None, [1], [1, 0, 1]):
+            assert [(k, out.tobytes()) for k, out in decode_all(scheme, plan, full, users)] == [
+                (k, lib.file_bytes((2, 1)[k])) for k in (users or (0, 1))]
 
     def test_cauchy_matrix_is_built_once_per_plan(self, monkeypatch):
         scheme = _scheme("affine-9-3-1", 2)
