@@ -167,9 +167,10 @@ def complete_design(num_points: int, block_size: int) -> Design:
         raise InvalidParametersError(
             f"block size must satisfy 1 <= L <= {num_points}, got {block_size}"
         )
-    # `macc design --complete` peaks at about 150 bytes per block plus 40
-    # per point
-    if math.comb(num_points, block_size) * (256 + 128 * block_size) > MAX_COUNT_BYTES:
+    # `macc design --complete` peaks at about 200 + 36 L bytes per block
+    # above the interpreter (20,10: 131 MB; 22,10: 372 MB; 30,6: 268 MB), so
+    # 300 + 60 L, at least 1.5 times that, are budgeted.
+    if math.comb(num_points, block_size) * (300 + 60 * block_size) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"the {block_size}-subsets of {num_points} points need over {MAX_COUNT_BYTES} bytes")
     blocks = tuple(itertools.combinations(range(1, num_points + 1), block_size))

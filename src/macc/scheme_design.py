@@ -68,15 +68,6 @@ class DesignSchemeParams:
             self.access_degree, self.strength
         )
 
-    @property
-    def stars_per_user(self) -> int:
-        g, l, mu = self.num_nodes, self.access_degree, self.cached_nodes
-        return (math.comb(g, mu) - math.comb(g - l, mu)) * math.comb(l, self.strength)
-
-    @property
-    def memory_ratio(self) -> Fraction:
-        return Fraction(self.cached_nodes, self.num_nodes)
-
     @classmethod
     def from_design(cls, design: Design, cached_nodes: int, num_files: Optional[int] = None):
         if design.strength is None or design.index is None:
@@ -146,9 +137,9 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
 def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> ArrayScheme:
     params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
     require_match(verify_t_design(design, params.strength, params.index), "design")
-    require_room(params, params.num_nodes, 2)
-    placement, user_nodes, delivery = _arrays(params, design.blocks)
     g, l, t, mu = params.num_nodes, params.access_degree, params.strength, cached_nodes
+    require_room(math.comb(g, mu) * math.comb(l, t), design.num_blocks, g, 2)
+    placement, user_nodes, delivery = _arrays(params, design.blocks)
     if mu == 0:  # pure unicast: one message per (t-subset, copy) pair, exactly
         bound = params.index * math.comb(g, t)
     else:

@@ -68,15 +68,6 @@ class GddSchemeParams:
         )
 
     @property
-    def stars_per_user(self) -> int:
-        q, l, s = self.group_size, self.access_degree, self.placement_strength
-        return (q**s - (q - 1) ** l * q ** (s - l)) * math.comb(l, self.strength)
-
-    @property
-    def node_memory_ratio(self) -> Fraction:
-        return Fraction(1, self.group_size)
-
-    @property
     def coverage_ratio(self) -> Fraction:
         """Fraction of the library a user can retrieve across its L nodes."""
         q, l = self.group_size, self.access_degree
@@ -119,8 +110,9 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
     require_match(verify_oa(oa, oa.strength, oa.index), "OA")
     if gdd.index not in (None, 1):
         raise UnsupportedParametersError("delivery construction requires a GDD of index 1")
-    require_room(params, params.num_groups, params.group_size)
     q = oa.num_symbols
+    require_room(oa.num_rows * math.comb(gdd.block_size, gdd.strength), gdd.num_blocks,
+                 gdd.num_groups, q)
 
     def ids(digits, copy):
         return map(CountedVectorId, map(tuple, (digits + 1).tolist()), copy.tolist())
@@ -145,17 +137,16 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
 
 @dataclass
 class GddTradeoff:
-    node_memory_ratio: Fraction
     coverage_ratio: Fraction
     load: Fraction
 
 
 def gdd_tradeoff(params: GddSchemeParams) -> GddTradeoff:
-    """Formula-level tradeoff: node memory 1/q, user coverage
-    1 - (q-1)^L/q^L, and the load bound (q-1)^t q^(m-s) / C(L,t)."""
+    """Formula-level tradeoff: user coverage 1 - (q-1)^L/q^L and the load
+    bound (q-1)^t q^(m-s) / C(L,t)."""
     m, q, l, t, s = (
         params.num_groups, params.group_size, params.access_degree,
         params.strength, params.placement_strength,
     )
     load = Fraction((q - 1) ** t * q ** (m - s), math.comb(l, t))
-    return GddTradeoff(params.node_memory_ratio, params.coverage_ratio, load)
+    return GddTradeoff(params.coverage_ratio, load)

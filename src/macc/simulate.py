@@ -161,14 +161,13 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     return placement, user_nodes, Pda.from_keys(keys, label)
 
 
-def require_room(params, digits: int, q: int) -> None:
-    """Refuse, before any array is made, a scheme whose F x K cells would
-    pass MAX_COUNT_BYTES.  Its ids are vectors of ``digits`` digits in
+def require_room(f: int, k: int, digits: int, q: int) -> None:
+    """Refuse, before any array is made, a scheme whose ``f`` x ``k`` cells
+    would pass MAX_COUNT_BYTES.  Its ids are vectors of ``digits`` digits in
     0..q-1, packed as in ``coordinate_arrays``.  ``macc scheme --out`` peaks
     at about 35 bytes per cell above the interpreter when an id fits one
     int64 word, so 128 are budgeted, and at about 190 when it takes two or
     more (``complete:Γ,2`` from Γ = 64), so 256 are."""
-    f, k = params.subpacketization, params.num_users
     if f * k * (128 if digits <= 63 // _digit_bits(q) else 256) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")

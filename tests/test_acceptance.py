@@ -36,6 +36,7 @@ from macc.scheme_design import (
     shared_link_tradeoff,
 )
 from macc.scheme_gdd import build_gdd_scheme
+from macc.serialize import scheme_to_obj
 from macc.simulate import (
     deliver_plain,
     make_library,
@@ -45,6 +46,7 @@ from macc.simulate import (
 from macc.tables import gdd_comparison_rows
 
 from canonical import canonical, pda_cells
+from closed_forms import stars_per_user
 from shared_link import shared_link_scheme
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -258,7 +260,24 @@ def test_criterion_6_property_grid():
                 else scheme.params.num_groups
             )
             assert (scheme.node_placement.sum(axis=1) == per_row).all(), label
-            assert rep.stars_per_column == scheme.params.stars_per_user, label
+            assert rep.stars_per_column == stars_per_user(scheme.params), label
+            # the bundle summary states the arrays' own K, F, Z, S, plain
+            # load and memory ratios
+            summary = scheme_to_obj(scheme)["summary"]
+            f, k = scheme.user_retrieve.shape
+            z, s = rep.stars_per_column, rep.num_messages
+            assert (summary["K"], summary["F"], summary["Z"], summary["S_counted"]) == (
+                k, f, z, s), label
+            assert Fraction(summary["load_plain"]) == Fraction(s, f), label
+            if "design" in scheme.topology:
+                memory = {"shared_link_memory": Fraction(z, f)}
+            else:
+                # each node holds 1/q of the library
+                node_stars = set(scheme.node_placement.sum(axis=0).tolist())
+                assert node_stars == {f // scheme.params.group_size}, label
+                memory = {"node_memory_ratio": Fraction(node_stars.pop(), f),
+                          "coverage_ratio": Fraction(z, f)}
+            assert {key: Fraction(summary[key]) for key in memory} == memory, label
             lib = make_library(
                 scheme.num_users, scheme.subpacketization, packet_bytes=8, seed=42,
             )

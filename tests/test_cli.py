@@ -45,6 +45,22 @@ class TestSchemeCommand:
         assert "(12,4,3,4)" in out
         assert "R=1" in out
 
+    def test_index_two_oa_round_trip(self, capsys, tmp_path):
+        # F = 4 rows, not the q^s = 2 of an index-1 OA: the bundle states
+        # the arrays' figures, so simulate finds them in the rebuilt scheme
+        oa, bundle = tmp_path / "oa2.json", tmp_path / "b.json"
+        oa.write_text(json.dumps({"type": "oa", "q": 2, "s": 1, "lambda": 2,
+                                  "rows": [[1, 1, 1], [2, 2, 2], [1, 2, 1], [2, 1, 2]]}))
+        assert run(capsys, "verify", str(oa))[0] == 0
+        code, out, _ = run(capsys, "scheme", "--gdd-transversal", "3,2,1",
+                           "--oa-file", str(oa), "--out", str(bundle))
+        assert (code, out) == (0, "(6,4,2,8), R=2\n")
+        summary = json.loads(bundle.read_text())["summary"]
+        assert [summary[key] for key in ("K", "F", "Z", "S_counted", "load_plain")] == [
+            6, 4, 2, 8, "2"]
+        code, out, _ = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 0 and json.loads(out)["all_ok"] is True
+
     @pytest.mark.parametrize("kind", ["banana", "catalog", "Linear", ""])
     def test_unknown_oa_kind_is_param_error(self, capsys, kind):
         code, out, err = run(

@@ -1,10 +1,13 @@
 import itertools
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from macc import designs
 from macc.designs import (
     Design,
     DesignVerification,
@@ -72,6 +75,21 @@ class TestCompleteDesign:
     def test_oversized_block_rejected(self):
         with pytest.raises(InvalidParametersError):
             complete_design(3, 4)
+
+    def test_budget_is_300_plus_60_bytes_per_block_point(self):
+        # complete:7,3 is charged 35 x (300 + 60 x 3) = 16,800 bytes
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 16_800):
+            assert complete_design(7, 3).num_blocks == 35
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 16_799):
+            with pytest.raises(UnsupportedParametersError, match=re.escape(
+                    "the 3-subsets of 7 points need over 16799 bytes")):
+                complete_design(7, 3)
+
+    def test_complete_23_10_reaches_the_enumeration(self):
+        # 1,144,066 blocks x 900 bytes = 1,029,659,400, under 2^30
+        with mock.patch("macc.designs.itertools.combinations", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                complete_design(23, 10)
 
 
 class TestCatalog:

@@ -29,6 +29,7 @@ from macc.scheme_design import (
 from macc.simulate import _user_index
 
 from canonical import pda_cells
+from closed_forms import stars_per_user
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -40,8 +41,7 @@ def fano_scheme():
 class TestParams:
     def test_derived_counts(self):
         p = DesignSchemeParams(7, 3, 2, 1, 1, 7)
-        assert (p.num_users, p.subpacketization, p.stars_per_user) == (7, 21, 9)
-        assert p.memory_ratio == Fraction(1, 7)
+        assert (p.num_users, p.subpacketization, stars_per_user(p)) == (7, 21, 9)
 
     def test_cached_nodes_bound(self):
         with pytest.raises(InvalidParametersError):

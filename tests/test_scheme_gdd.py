@@ -22,7 +22,10 @@ from macc.errors import InvalidInputError, InvalidParametersError, UnsupportedPa
 from macc.pda import CountedVectorId, Pda, STAR, verify_pda
 from macc.render import render_scheme_delivery
 from macc.scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_row_labels, gdd_tradeoff
+from macc.serialize import scheme_to_obj
 from macc.simulate import reach
+
+from closed_forms import stars_per_user
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -95,8 +98,7 @@ def crs_comparison(num_groups: int, group_size: int, strength: int) -> CrsCompar
 class TestParams:
     def test_derived_counts(self):
         p = GddSchemeParams(3, 2, 2, 2, 2, 12)
-        assert (p.num_users, p.subpacketization, p.stars_per_user) == (12, 4, 3)
-        assert p.node_memory_ratio == Fraction(1, 2)
+        assert (p.num_users, p.subpacketization, stars_per_user(p)) == (12, 4, 3)
         assert p.coverage_ratio == Fraction(3, 4)
 
     def test_ordering_guard(self):
@@ -244,7 +246,6 @@ class TestUserDelivery:
 class TestLoads:
     def test_tradeoff_large_rows(self):
         t = gdd_tradeoff(GddSchemeParams(15, 5, 3, 2, 15, 875))
-        assert t.node_memory_ratio == Fraction(1, 5)
         assert t.coverage_ratio == Fraction(61, 125)
         assert t.load == Fraction(16, 3)
         p = GddSchemeParams(15, 5, 3, 2, 15, 875)
@@ -292,6 +293,29 @@ class TestLoads:
         assert shared_link_gdd_tradeoff(s2.params).num_messages == s2.counted_messages
         s3 = build_gdd_scheme(transversal_gdd(5, 5, 2), linear_oa(5, 5, 3))
         assert shared_link_gdd_tradeoff(s3.params).num_messages == s3.counted_messages == 3000
+
+
+# An OA of strength 1 and index 2: F = 4 rows, twice the q^s = 2 that the
+# closed forms of an index-1 OA count.
+OA_INDEX_2 = OrthogonalArray(2, 1, 2, ((1, 1, 1), (2, 2, 2), (1, 2, 1), (2, 1, 2)))
+
+
+class TestIndexTwoOa:
+    def test_is_budgeted_for_all_of_its_rows(self):
+        with mock.patch("macc.scheme_gdd.require_room", side_effect=StopIteration) as room:
+            with pytest.raises(StopIteration):
+                build_gdd_scheme(transversal_gdd(3, 2, 1), OA_INDEX_2)
+        room.assert_called_once_with(4, 6, 3, 2)
+
+    def test_summary_reads_the_arrays(self):
+        scheme = build_gdd_scheme(transversal_gdd(3, 2, 1), OA_INDEX_2)
+        assert verify_pda(scheme.user_delivery).ok
+        # S_bound and load_bound stay the paper's claims, made for index 1
+        assert scheme_to_obj(scheme)["summary"] == {
+            "K": 6, "F": 4, "Z": 2, "S_counted": 8, "S_bound": 8, "S_below_bound": False,
+            "guaranteed_known": 0, "load_plain": "2", "node_memory_ratio": "1/2",
+            "coverage_ratio": "1/2", "load_bound": "4",
+        }
 
 
 class TestCrsComparison:

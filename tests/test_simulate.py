@@ -27,7 +27,7 @@ from macc.errors import (
     UnsupportedParametersError,
 )
 from macc.pda import _SCREEN_BYTES, STAR, Pda, id_cells, mn_pda, verify_pda
-from macc.scheme_design import DesignSchemeParams, build_scheme
+from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 from macc.serialize import dump_json, scheme_to_obj
 from macc.simulate import (
@@ -123,32 +123,39 @@ class TestLibrary:
 
 
 class TestRequireRoom:
-    """The cell budget on scheme parameters alone: 128 bytes per F x K cell
+    """The cell budget on a scheme's F and K alone: 128 bytes per F x K cell
     when an id fits one int64 word, 256 when it takes two or more."""
 
     # complete:16,3 mu=6, 8008 x 560 = 4,484,480 cells: 574 MB at 128 bytes
     # a cell, 1.15 GB at 256
-    PARAMS = DesignSchemeParams(num_nodes=16, access_degree=3, strength=3, index=1,
-                                cached_nodes=6, num_files=1)
+    F, K = 8008, 560
 
     def test_one_word_ids_are_accepted(self):
-        require_room(self.PARAMS, self.PARAMS.num_nodes, 2)
+        require_room(self.F, self.K, 16, 2)
 
     @pytest.mark.parametrize("digits, q", [(64, 2), (32, 3), (22, 5)],
                              ids=["64-bits", "32-pairs", "22-triples"])
     def test_ids_past_one_word_are_refused(self, digits, q):
         with pytest.raises(UnsupportedParametersError, match=re.escape(
                 "F x K = 8008 x 560 cells need over 1073741824 bytes")):
-            require_room(self.PARAMS, digits, q)
+            require_room(self.F, self.K, digits, q)
 
     @pytest.mark.parametrize("digits, q", [(63, 2), (31, 3), (21, 5)])
     def test_a_full_word_is_one_word(self, digits, q):
-        require_room(self.PARAMS, digits, q)
+        require_room(self.F, self.K, digits, q)
 
     def test_complete_16_3_mu_6_reaches_the_array_build(self):
         with mock.patch.object(scheme_design, "_arrays", side_effect=StopIteration):
             with pytest.raises(StopIteration):
                 build_scheme(complete_design(16, 3), 6)
+
+    def test_a_design_is_budgeted_for_its_own_blocks(self):
+        # fano mu=2: F = C(7, 2) * C(3, 2) = 63 rows, K = its 7 blocks
+        with mock.patch.object(scheme_design, "require_room",
+                               side_effect=StopIteration) as room:
+            with pytest.raises(StopIteration):
+                build_scheme(catalog_design("fano-7-3-1"), 2)
+        room.assert_called_once_with(63, 7, 7, 2)
 
 
 class TestUserRetrieve:
