@@ -42,10 +42,6 @@ class Library:
     seed: int
     data: np.ndarray  # (files, packets, words) uint16
 
-    def file_bytes(self, file_id: int) -> bytes:
-        """Full content of file ``file_id`` (1-based)."""
-        return self.data[file_id - 1].tobytes()
-
 
 def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
                  seed: int = 0) -> Library:
@@ -238,52 +234,24 @@ def _xor_segments(packets: np.ndarray, ptr) -> np.ndarray:
     return out
 
 
-# Cells of whole messages that ``_others`` scans at once, which bounds its
-# scratch arrays to a few of this many packets.
-_SCAN_CELLS = 1 << 12
 # Packet rows of the files that ``decode_all`` assembles at once, which
 # bounds its scratch arrays to a few of this many packets.  2^14 rows beat
 # 2^12; 2^16 rows are slower, as every fresh buffer page-faults.
 _BLOCK_ROWS = 1 << 14
 
 
-def _gather(q: Pda, data: np.ndarray, demands, pos) -> np.ndarray:
-    """The demanded packets at message cells ``pos``: one ``np.take`` on
-    the flat (files·F, words) view of the library."""
+def _gather(q: Pda, data: np.ndarray, demands) -> np.ndarray:
+    """The demanded packets at every message cell, in CSR order: one
+    ``np.take`` on the flat (files·F, words) view of the library."""
     rows, cols, _ = q.csr
     f, words = data.shape[1:]
-    flat = (np.asarray(demands, dtype=np.intp)[cols[pos]] - 1) * f + rows[pos]
+    flat = (np.asarray(demands, dtype=np.intp)[cols] - 1) * f + rows
     return np.take(data.reshape(-1, words), flat, axis=0)
 
 
 def _payloads(q: Pda, data: np.ndarray, demands) -> np.ndarray:
     """The S multicast payloads, one XOR over each message's cells."""
-    return _xor_segments(_gather(q, data, demands, slice(None)), q.csr[2])
-
-
-def _others(q: Pda, data: np.ndarray, demands) -> np.ndarray:
-    """For each message cell, in CSR order, the XOR of the demanded packets
-    at the other cells of its message: exclusive forward and backward scans
-    over chunks of whole messages (at most ``_SCAN_CELLS`` cells unless one
-    message is larger), with what lies outside each message XORed back out.
-    So a cell's own packet never enters its value."""
-    seg = q.csr[2]
-    out = _gather(q, data, demands, slice(None))
-    wide = _wide(out)
-    first = 0
-    while first < len(seg) - 1:
-        last = max(first + 1, int(np.searchsorted(seg, seg[first] + _SCAN_CELLS, "right")) - 1)
-        cells = wide[seg[first]:seg[last]]
-        before, after = np.empty((2, len(cells) + 1, cells.shape[1]), dtype=cells.dtype)
-        before[0] = after[-1] = 0
-        np.bitwise_xor.accumulate(cells, axis=0, out=before[1:])  # cells before i
-        np.bitwise_xor.accumulate(cells[::-1], axis=0, out=after[-2::-1])  # cells from i on
-        starts = seg[first:last + 1] - seg[first]
-        outside = before[starts[:-1]] ^ after[starts[1:]]
-        np.bitwise_xor(before[:-1], after[1:], out=cells)
-        cells ^= np.repeat(outside, np.diff(starts), axis=0)
-        first = last
-    return out
+    return _xor_segments(_gather(q, data, demands), q.csr[2])
 
 
 def _require_cached(q: Pda, user: int, cached: np.ndarray, pos, ptr, msgs) -> None:
@@ -460,11 +428,12 @@ def _check_plan(scheme, library: Library, plan: TransmissionPlan) -> np.ndarray:
     return demands
 
 
-def _user_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
+def _user_messages(q: Pda, plan: TransmissionPlan, coeff, payloads: np.ndarray,
                    user: int, cached: np.ndarray) -> np.ndarray:
     """The multicast payloads at the user's own cells, in ``by_user`` order,
     as the user recovers them from the plan's coded symbols (``coeff`` is
-    the plan's Cauchy matrix) and the messages it rebuilds from cache.  A
+    the plan's Cauchy matrix) and the messages it rebuilds from cache, whose
+    cells it reads from ``payloads`` once they are checked cached.  A
     message at one of its cells lies in a row it does not star, so it is
     never a known message: the solve returns it."""
     known = np.flatnonzero(q.known[user])
@@ -479,14 +448,15 @@ def _user_messages(q: Pda, plan: TransmissionPlan, coeff, data: np.ndarray,
     # The first rows suffice: every square submatrix of a Cauchy matrix is
     # Cauchy, so invertible.
     coeff = coeff[:len(unknown)]
-    rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(
-        coeff[:, known], _xor_segments(_gather(q, data, plan.demands, pos), seg))
+    rhs = plan.symbols[:len(unknown)] ^ gf16.matvec(coeff[:, known], payloads[known])
     return gf16.solve(coeff[:, unknown], rhs, own)
 
 
 def decode_all(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
     """Rebuild each user's demanded file, byte-exact, from the user's
-    reachable caches plus the plan's symbols; yield ``(k, file)`` for each
+    reachable caches plus the plan's symbols, peeling each needed row off
+    its message with the side packets there, which XOR to the message's
+    payload XOR the user's own packet; yield ``(k, file)`` for each
     user k (all users by default; an index or a block each), ``file`` the
     F x words array.  The plan must fit the scheme and the library.  See
     :func:`_decode_blocks`."""
@@ -499,9 +469,11 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     files)``, the users' files as one len(block) x F x words array.  The
     scheme's delivery array says which rows to read from cache; every row read
     is checked against the placed caches, and a failing user ends the run
-    after the block of the users before it.  The leave-one-out XOR is
-    computed once, over every message, and every user peels its rows from
-    it."""
+    after the block of the users before it.  The demanded packets are
+    gathered once, at every cell of every message, and XORed into the
+    message payloads that every user peels with.  The gather is the
+    decoder's own, not the delivery's, so a wrong symbol or a wrong gather
+    shows as a wrong row."""
     data = caches.library.data
     demands = _check_plan(scheme, caches.library, plan)
     # With no reduction the coded batch is the identity code: the symbols
@@ -512,7 +484,8 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
              else [_user_index(scheme, k) for k in users])
     sel = np.asarray(users, dtype=np.intp)
     ptr, rows, places, msgs = q.by_user
-    others = _wide(_others(q, data, demands))
+    packets = _gather(q, data, demands)
+    payloads = _xor_segments(packets, q.csr[2])
     reached = reach(caches.grid, scheme.user_nodes[sel])
     # On a grid that keeps C3 every row a user reads is a starred row, so one
     # F x users test clears each user whose starred rows are cached; only the
@@ -528,7 +501,7 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
         for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
             try:
                 if coeff is not None:
-                    recovered.append(_user_messages(q, plan, coeff, data, block[i],
+                    recovered.append(_user_messages(q, plan, coeff, payloads, block[i],
                                                     reached[:, a + i]))
                 if not checked[a + i]:
                     _require_user(q, block[i], reached[:, a + i])
@@ -541,12 +514,14 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
             need = np.repeat(np.arange(0, len(block) * f, f), np.diff(lens)) + rows[cells]
             # The demanded files hold the cached packets at the starred rows;
             # each other row is its message (plain: the symbol; mds: the
-            # user's recovered payload) XOR the leave-one-out value at the
-            # user's own cell.
+            # user's recovered payload) XOR the message's payload XOR the
+            # user's own packet there.
             files = np.take(data, demands[block] - 1, axis=0)
             sent = (np.take(plan.symbols, msgs[cells], axis=0) if coeff is None
                     else np.concatenate(recovered[:len(block)]))
-            _wide(files.reshape(-1, words))[need] = _wide(sent) ^ np.take(others, places[cells], axis=0)
+            _wide(files.reshape(-1, words))[need] = (
+                _wide(sent) ^ _wide(np.take(payloads, msgs[cells], axis=0))
+                ^ _wide(np.take(packets, places[cells], axis=0)))
             yield block, files
         if failure is not None:
             raise failure

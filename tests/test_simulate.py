@@ -32,7 +32,6 @@ from macc.scheme_gdd import build_gdd_scheme
 from macc.serialize import dump_json, scheme_to_obj
 from macc.simulate import (
     _BLOCK_ROWS,
-    _SCAN_CELLS,
     _wide,
     decode,
     decode_all,
@@ -51,6 +50,11 @@ from macc.simulate import (
 )
 
 from shared_link import shared_link_scheme
+
+
+def file_bytes(lib, file_id: int) -> bytes:
+    """Full content of library file ``file_id`` (1-based)."""
+    return lib.data[file_id - 1].tobytes()
 
 
 def held_rows(caches, node: int) -> set:
@@ -101,7 +105,7 @@ class TestLibrary:
         a = make_library(3, 4, 16, seed=5)
         b = make_library(3, 4, 16, seed=5)
         assert np.array_equal(a.data, b.data)
-        assert a.file_bytes(2) == b.file_bytes(2)
+        assert file_bytes(a, 2) == file_bytes(b, 2)
 
     def test_seed_changes_content(self):
         a = make_library(3, 4, 16, seed=5)
@@ -323,7 +327,7 @@ class TestDecode:
         caches = place(lib, mn_scheme)
         plan = deliver_plain(mn_scheme, lib, (1, 2, 3, 4))
         for k in range(4):
-            assert decode(mn_scheme, k, plan, caches) == lib.file_bytes(k + 1)
+            assert decode(mn_scheme, k, plan, caches) == file_bytes(lib, k + 1)
 
     def test_fano_plain_and_mds(self, fano):
         lib = make_library(7, 21, 16)
@@ -343,14 +347,14 @@ class TestDecode:
         lib = make_library(7, 21, 8)
         caches = place(lib, fano)
         plan = deliver_plain(fano, lib, tuple(range(1, 8)))
-        assert decode(fano, (1, 2, 4), plan, caches) == lib.file_bytes(1)
+        assert decode(fano, (1, 2, 4), plan, caches) == file_bytes(lib, 1)
 
     def test_decode_gdd_user_by_list_of_lists_block(self, gdd_scheme):
         lib = make_library(12, 4, 8)
         plan = deliver_plain(gdd_scheme, lib, tuple(range(1, 13)))
         k = 5
         block = [list(p) for p in reversed(gdd_scheme.user_blocks[k])]
-        assert decode(gdd_scheme, block, plan, place(lib, gdd_scheme)) == lib.file_bytes(k + 1)
+        assert decode(gdd_scheme, block, plan, place(lib, gdd_scheme)) == file_bytes(lib, k + 1)
 
     def test_unknown_block_is_rejected(self, fano):
         lib = make_library(7, 21, 8)
@@ -411,7 +415,7 @@ class TestDecode:
         # an empty transcript read back carries no symbol width
         write_transcript(deliver_plain(scheme, lib, (1, 2, 3)), tmp_path / "t.bin")
         back = read_transcript(tmp_path / "t.bin")
-        assert decode(scheme, 2, back, place(lib, scheme)) == lib.file_bytes(3)
+        assert decode(scheme, 2, back, place(lib, scheme)) == file_bytes(lib, 3)
 
     def test_repeated_demands_decode(self, fano):
         lib = make_library(7, 21, 8)
@@ -555,7 +559,7 @@ class TestTranscript:
         back = read_transcript(path)
         caches = place(lib, scheme)
         for k in range(scheme.num_users):
-            assert decode(scheme, k, back, caches) == lib.file_bytes(k + 1)
+            assert decode(scheme, k, back, caches) == file_bytes(lib, k + 1)
 
     def test_truncated_file_is_invalid_input(self, tmp_path):
         scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
@@ -688,7 +692,7 @@ class TestTranscriptFormat:
         assert path.read_bytes() == first
         caches = place(lib, scheme)
         for k in range(scheme.num_users):
-            assert decode(scheme, k, back, caches) == lib.file_bytes(plan.demands[k])
+            assert decode(scheme, k, back, caches) == file_bytes(lib, plan.demands[k])
 
     @settings(max_examples=150, deadline=None)
     @given(instance=st.sampled_from(_FUZZED), data=st.data())
@@ -747,14 +751,14 @@ class TestDecodeAll:
         caches = place(lib, scheme)
         got = [(k, out.tobytes()) for k, out in decode_all(scheme, back, caches)]
         assert got == [(k, decode(scheme, k, back, caches)) for k in range(scheme.num_users)]
-        assert all(out == lib.file_bytes(back.demands[k]) for k, out in got)
+        assert all(out == file_bytes(lib, back.demands[k]) for k, out in got)
         # the coded and the plain plan of the same demands, for the users
         # asked for, in that order
         for plan in (back, deliver_plain(scheme, lib, back.demands)):
             users = []
             for k, out in decode_all(scheme, plan, caches, [5, 0]):
                 users.append(k)
-                assert out.tobytes() == lib.file_bytes(back.demands[k])
+                assert out.tobytes() == file_bytes(lib, back.demands[k])
             assert users == [5, 0]
 
     @settings(max_examples=40, deadline=None)
@@ -812,7 +816,7 @@ class TestDecodeAll:
         full = dataclasses.replace(caches, grid=grid)
         for users in (None, [1], [1, 0, 1]):
             assert [(k, out.tobytes()) for k, out in decode_all(scheme, plan, full, users)] == [
-                (k, lib.file_bytes((2, 1)[k])) for k in (users or (0, 1))]
+                (k, file_bytes(lib, (2, 1)[k])) for k in (users or (0, 1))]
 
     def test_cauchy_matrix_is_built_once_per_plan(self, monkeypatch):
         scheme = _scheme("affine-9-3-1", 2)
@@ -865,6 +869,29 @@ class TestDecodeAll:
         # the worst case marks every user that peels message 6
         rep = run_simulation(fano, lib, range(1, 8))
         assert rep.decode_ok == tuple(~(grid == 5).any(axis=0))
+
+    def test_a_wrong_gathered_packet_fails_the_user_at_its_cell(self, fano, monkeypatch):
+        # every gather flips one bit of the first cell's packet, so the sent
+        # message carries the flip: a user at another cell of the message
+        # peels that packet, flip and all, back out, but the cell's own user
+        # reads its row as the message without the other packets, and so
+        # keeps the flip
+        gather = simulate._gather
+
+        def damaged(*args):
+            out = gather(*args)
+            out[0, 0] ^= 1
+            return out
+
+        monkeypatch.setattr(simulate, "_gather", damaged)
+        rows, cols, _ = fano.user_delivery.csr
+        j, k = int(rows[0]), int(cols[0])
+        lib = make_library(7, 21, 8)
+        assert measure_worst_case(fano, lib).decode_ok == tuple(u != k for u in range(7))
+        with pytest.raises(DecodeFailureError) as exc:
+            run_demand_trials(fano, lib, 4, seed=3)
+        assert (exc.value.user, exc.value.message_id) == (k, 1)
+        assert f"row {j} payload mismatch" in str(exc.value)
 
     @pytest.mark.parametrize("block_rows", [1, 21, 42, 63, _BLOCK_ROWS])
     def test_blocks_of_users_keep_the_first_mismatch(self, fano, monkeypatch, block_rows):
@@ -925,7 +952,7 @@ class TestWideWords:
         assert back.symbols.tobytes() == plan.symbols.tobytes()
         caches = place(lib, scheme)
         got = [(k, out.tobytes()) for k, out in decode_all(scheme, back, caches)]
-        assert got == [(k, lib.file_bytes(d)) for k, d in enumerate(demands)]
+        assert got == [(k, file_bytes(lib, d)) for k, d in enumerate(demands)]
         if mode == "plain":
             assert_peels(scheme, lib, plan)
             assert run_demand_trials(scheme, lib, 2, seed=packet_bytes) == 2
@@ -966,7 +993,7 @@ def assert_peels(scheme, lib, plan, users=None) -> None:
     assert [k for k, _ in got] == list(range(scheme.num_users) if users is None else users)
     for k, out in got:
         assert out.tobytes() == peel_oracle(scheme, caches, payloads, plan.demands, k).tobytes()
-        assert out.tobytes() == lib.file_bytes(plan.demands[k])
+        assert out.tobytes() == file_bytes(lib, plan.demands[k])
 
 
 _PEEL_INSTANCES = [
@@ -1021,18 +1048,18 @@ class TestSharedPeel:
             assert_peels(scheme, lib, deliver(scheme, lib, demands))
             assert_peels(scheme, lib, deliver(scheme, lib, demands), [2, 0])
 
-    def test_complete_13_3_spans_several_scan_chunks(self):
+    def test_complete_13_3_peels_every_user_and_a_user_list(self):
         scheme = build_scheme(complete_design(13, 3), 4)
-        assert len(scheme.user_delivery.csr[0]) > 4 * _SCAN_CELLS
         lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
         plan = deliver_plain(scheme, lib, random_demands(scheme, lib, Random(1)))
         assert_peels(scheme, lib, plan)
         assert_peels(scheme, lib, plan, [285, 0, 143])
 
-    def test_own_packet_is_never_read(self, fano):
-        # By C3 the other cells of a message lie in other rows, so user k
-        # rebuilds needed row j without its own packet there: a library copy
-        # with that packet overwritten decodes the same under the plan.
+    def test_own_packet_cancels_out_of_its_row(self, fano):
+        # User k's own packet at needed row j enters the decode twice, once
+        # in its message's payload and once in the cancellation, and by C3
+        # no other cell user k peels reads it: a library copy with that
+        # packet overwritten decodes the same under the plan.
         lib = make_library(7, 21, 8)
         demands = (2, 2, 5, 5, 1, 1, 1)
         plan = deliver_plain(fano, lib, demands)
@@ -1041,7 +1068,7 @@ class TestSharedPeel:
                 data = lib.data.copy()
                 data[demands[k] - 1, j] = ~data[demands[k] - 1, j]
                 copy = dataclasses.replace(lib, data=data)
-                assert decode(fano, k, plan, place(copy, fano)) == lib.file_bytes(demands[k])
+                assert decode(fano, k, plan, place(copy, fano)) == file_bytes(lib, demands[k])
 
 
 def reference_failure(scheme, plan, caches, user: int):
@@ -1171,7 +1198,7 @@ class TestCacheTest:
         grid[0, 1] = True  # the side row user 1 lacks
         full = dataclasses.replace(caches, grid=grid)
         assert [out.tobytes() for _, out in decode_all(scheme, plan, full)] == [
-            lib.file_bytes(d) for d in (1, 2, 3)]
+            file_bytes(lib, d) for d in (1, 2, 3)]
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(_CACHE_TEST_SCHEMES)),
