@@ -63,9 +63,18 @@ def _emit(text: str, out) -> None:
         print(text)
 
 
+def _emit_json(obj, out) -> None:
+    """Write ``obj`` as JSON to ``out`` as it is made, or print it."""
+    if out:
+        with _writing(out):
+            serialize.dump_json(obj, out)
+    else:
+        print(serialize.dump_json(obj))
+
+
 def _object_output(obj_json: dict, table_text: str, fmt: str, out) -> None:
     if fmt == "json":
-        _emit(serialize.dump_json(obj_json), out)
+        _emit_json(obj_json, out)
     elif fmt == "table":
         _emit(table_text, out)
     else:
@@ -195,8 +204,7 @@ def _cmd_scheme(args) -> int:
         )
     bundle = serialize.scheme_to_obj(scheme)
     if args.out:
-        with _writing(args.out):
-            serialize.dump_json(bundle, args.out)
+        _emit_json(bundle, args.out)
     if args.format == "table":
         _emit(render.render_scheme_delivery(scheme), None)
     s = bundle["summary"]
@@ -266,7 +274,7 @@ def _cmd_simulate(args) -> int:
     if args.transcript:
         with _writing(args.transcript):
             simulate.write_transcript(plan, args.transcript)
-    _emit(serialize.dump_json(serialize.report_to_obj(report)), args.out)
+    _emit_json(serialize.report_to_obj(report), args.out)
     return EXIT_OK if report.all_ok else EXIT_VERIFY_FAILED
 
 

@@ -270,11 +270,11 @@ def load_object(path):
 _GRID_BLOCK_CELLS = 1 << 14
 
 
-def _encode_grid(grid: CodeGrid, indent: str, parts: list) -> None:
-    """Append the text of ``grid`` nested at ``indent``.  Each cell text is
-    stored with its leading separator in a zero-padded byte table; a block
-    of rows is one gather from it plus a closing piece per row, and the
-    padding is dropped on the way to the text."""
+def _encode_grid(grid: CodeGrid, indent: str):
+    """Yield the text of ``grid`` nested at ``indent`` as ASCII bytes.  Each
+    cell text is stored with its leading separator in a zero-padded byte
+    table; a block of rows is one gather from it plus a closing piece per
+    row, and the padding is dropped on the way to the text."""
     inner = indent + "  "
     pieces = [",\n" + inner + "  " + text for text in grid.texts]
     pieces += ["\n" + inner + "],\n" + inner, "\n" + inner + "]"]  # row ends: inner, last
@@ -285,7 +285,7 @@ def _encode_grid(grid: CodeGrid, indent: str, parts: list) -> None:
     table, (close, last) = table[:-2], table[-2:]
     rows, cols = grid.codes.shape
     step = max(1, _GRID_BLOCK_CELLS // cols)
-    parts.append("[\n" + inner)
+    yield ("[\n" + inner).encode("ascii")
     for start in range(0, rows, step):
         codes = grid.codes[start:start + step]
         cells = np.empty((len(codes), cols + 1, width), np.uint8)
@@ -295,26 +295,33 @@ def _encode_grid(grid: CodeGrid, indent: str, parts: list) -> None:
         cells[:, 0, 0] = ord("[")  # the first cell's separator opens the row
         if start + step >= rows:
             cells[-1, cols] = last
-        parts.append(cells[cells != 0].tobytes().decode("ascii"))
-    parts.append("\n" + indent + "]")
+        yield cells[cells != 0].tobytes()
+    yield ("\n" + indent + "]").encode("ascii")
 
-
-# Characters encoded per write.  One write of the whole text encodes a
-# second full copy: `macc scheme` writing the 33,586,463-byte complete:16,3
-# mu=5 bundle peaks at 145 MB RSS that way and at 114 MB in slices.
-_WRITE_CHARS = 1 << 20
 
 # The string json.dumps writes in place of a grid on the n-th try.
 _MARKER = "\0CodeGrid {}"
 
 
+def _chunks(pieces: list, grids: list):
+    """Yield the text as ASCII bytes (``json.dumps`` escapes to ASCII): the
+    pieces, and between them each grid's text at the indent of its line."""
+    yield pieces[0].encode("ascii")
+    for grid, before, piece in zip(grids, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from _encode_grid(grid, line[:len(line) - len(line.lstrip(" "))])
+        yield piece.encode("ascii")
+
+
 def dump_json(obj, path=None) -> str:
     """The text of ``json.dumps(obj, indent=2)``, byte for byte, where a
-    ``CodeGrid`` writes as its list of rows; with ``path``, also write the
-    text and a newline there.  ``json.dumps`` writes each grid as a marker
-    string, which is then replaced by the grid's text at the indent of its
-    line.  A string in ``obj`` that writes as the marker shows as one marker
-    too many, and the text is written again with the next marker."""
+    ``CodeGrid`` writes as its list of rows; with ``path``, write the text
+    and a newline there block by block, never holding the whole text, and
+    return "".  ``json.dumps`` writes each grid as a marker string, where
+    the grid's text then goes.  A string in ``obj`` that writes as the
+    marker shows as one marker too many, and the text is written again with
+    the next marker.  This runs before the file is opened, so an object
+    that cannot be written raises TypeError and leaves no file."""
     for n in itertools.count():
         marker, grids = _MARKER.format(n), []
 
@@ -328,16 +335,10 @@ def dump_json(obj, path=None) -> str:
         pieces = json.dumps(obj, indent=2, default=park).split(json.dumps(marker))
         if len(pieces) == len(grids) + 1:
             break
-    parts = [pieces[0]]
-    for grid, piece in zip(grids, pieces[1:]):
-        line = parts[-1][parts[-1].rfind("\n") + 1:]
-        _encode_grid(grid, line[:len(line) - len(line.lstrip(" "))], parts)
-        parts.append(piece)
-    text = "".join(parts)
-    del parts, pieces
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), _WRITE_CHARS):
-                fh.write(text[start:start + _WRITE_CHARS])
-            fh.write("\n")
-    return text
+    chunks = _chunks(pieces, grids)
+    if path is None:
+        return b"".join(chunks).decode("ascii")
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+        fh.write(b"\n")
+    return ""

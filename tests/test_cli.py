@@ -638,8 +638,12 @@ class TestUnwritableOutput:
         (("scheme", "--design", "fano-7-3-1", "--mu-gamma", "1", "--out", "{missing}"),
          "{missing}"),
         (("simulate", "--scheme", "{bundle}", "--transcript", "{dir}"), "{dir}"),
+        (("pda", "--mn", "4,2", "--out", "{dir}"), "{dir}"),
+        (("scheme", "--design", "fano-7-3-1", "--mu-gamma", "1", "--out", "{dir}"), "{dir}"),
+        (("simulate", "--scheme", "{bundle}", "--out", "{dir}"), "{dir}"),
     ], ids=["design-out-directory", "design-out-missing-parent",
-            "scheme-out-missing-parent", "simulate-transcript-directory"])
+            "scheme-out-missing-parent", "simulate-transcript-directory",
+            "pda-out-directory", "scheme-out-directory", "simulate-out-directory"])
     def test_is_param_error(self, capsys, tmp_path, fano_files, argv, target):
         names = {"dir": tmp_path, "missing": tmp_path / "missing" / "x.json",
                  "bundle": fano_files[0] / "bundle.json"}
@@ -707,6 +711,18 @@ class TestThinAdapter:
             "--out", str(path))
         expected = dump_json(scheme_to_obj(build_scheme(catalog_design("affine-9-3-1"), 2)))
         assert path.read_text().strip() == expected.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ("design", "--catalog", "fano-7-3-1"), ("gdd", "--transversal", "3,2,2"),
+        ("oa", "--trivial", "3,2"), ("pda", "--mn", "4,2"), ("simulate", "--scheme", "{bundle}"),
+    ], ids=["design", "gdd", "oa", "pda", "simulate"])
+    def test_out_file_is_stdout(self, capsys, tmp_path, fano_files, argv):
+        argv = [a.format(bundle=fano_files[0] / "bundle.json") for a in argv]
+        path = tmp_path / "out.json"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("}\n")
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == out.encode("ascii")
 
 
 @pytest.fixture(scope="module")

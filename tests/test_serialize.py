@@ -1,11 +1,14 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from macc.designs import Design, OrthogonalArray, catalog_design, catalog_gdd, linear_oa
+from macc.designs import (
+    Design, OrthogonalArray, catalog_design, catalog_gdd, complete_design, linear_oa,
+)
 from macc import serialize
 from macc.errors import InvalidInputError
 from macc.scheme_design import build_scheme
@@ -55,14 +58,35 @@ class TestDumpJson:
         with pytest.raises(TypeError):
             dump_json(value)
 
-    @pytest.mark.parametrize("write_chars", [None, 1, 7])
-    def test_file_is_returned_text_plus_newline(self, tmp_path, monkeypatch, write_chars):
-        # None keeps the library's slice size, one slice for this bundle
-        if write_chars is not None:
-            monkeypatch.setattr(serialize, "_WRITE_CHARS", write_chars)
-        path = tmp_path / "s.json"
-        text = dump_json(scheme_to_obj(build_scheme(catalog_design("fano-7-3-1"), 1)), path)
-        assert path.read_text(encoding="utf-8") == text + "\n"
+    @pytest.mark.parametrize("block", ["cell", "row", "default"])
+    def test_file_is_returned_text_plus_newline(self, tmp_path, monkeypatch, block):
+        # one cell per block makes each row a block; 7 cells is one row of
+        # the fano bundle's widest grid, Q
+        if block != "default":
+            monkeypatch.setattr(serialize, "_GRID_BLOCK_CELLS", 1 if block == "cell" else 7)
+        obj, path = scheme_to_obj(build_scheme(catalog_design("fano-7-3-1"), 1)), tmp_path / "s.json"
+        assert dump_json(obj, path) == ""
+        assert path.read_bytes() == (dump_json(obj) + "\n").encode("ascii")
+
+    def test_unserializable_leaves_no_file(self, tmp_path):
+        path = tmp_path / "a.json"
+        with pytest.raises(TypeError):
+            dump_json({"a": {1}}, path)
+        assert not path.exists()
+
+    def test_write_holds_no_full_copy_of_the_text(self, tmp_path):
+        # joining the whole text and encoding it again in slices traces a
+        # peak of twice the file's size
+        obj, path = scheme_to_obj(build_scheme(complete_design(13, 3), 4)), tmp_path / "b.json"
+        tracemalloc.start()
+        try:
+            dump_json(obj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == 2_823_279
+        assert peak < size / 2
 
 
 @st.composite
@@ -86,18 +110,28 @@ def code_grids(draw):
     return value, listed, rows, cols
 
 
+def assert_writes_as(value, text, path):
+    """``dump_json(value)`` is ``text``, and the file it writes at ``path``
+    is ``text`` and a newline."""
+    assert dump_json(value) == text
+    assert dump_json(value, path) == ""
+    assert path.read_bytes() == (text + "\n").encode("ascii")
+
+
 class TestCodeGrid:
     @pytest.mark.parametrize("block", ["row", "half", "default"])
     @settings(max_examples=150)
     @given(code_grids())
-    def test_matches_json_dumps_of_list_form(self, block, drawn):
+    def test_matches_json_dumps_of_list_form(self, tmp_path_factory, block, drawn):
         value, listed, rows, cols = drawn
         with pytest.MonkeyPatch.context() as monkeypatch:
             if block != "default":
                 # one row per block, or the first half of the rows in one block
                 monkeypatch.setattr(serialize, "_GRID_BLOCK_CELLS",
                                     cols * (1 if block == "row" else (rows + 1) // 2))
-            assert dump_json(value) == json.dumps(listed, indent=2)
+            # each example writes the same file afresh
+            path = tmp_path_factory.getbasetemp() / "grid.json"
+            assert_writes_as(value, json.dumps(listed, indent=2), path)
 
     @pytest.mark.parametrize("place", [
         lambda m, g: {"C": g, "s": m},
@@ -107,13 +141,13 @@ class TestCodeGrid:
         lambda m, g: [m, serialize._MARKER.format(1), g, {m: serialize._MARKER.format(2)}],
         lambda m, g: {"only": m},
     ], ids=["value", "key", "nested", "quote-adjacent", "next-markers", "no-grid"])
-    def test_marker_strings_write_as_json_dumps(self, place):
+    def test_marker_strings_write_as_json_dumps(self, tmp_path, place):
         # a string equal to the splice marker, or holding its JSON text, is
         # written as itself and never replaced by a grid
         grid = CodeGrid(np.array([[0, 1], [1, 0]], np.int8), ("null", '"*"'))
         value = place(serialize._MARKER.format(0), grid)
         listed = place(serialize._MARKER.format(0), [[None, "*"], ["*", None]])
-        assert dump_json(value) == json.dumps(listed, indent=2)
+        assert_writes_as(value, json.dumps(listed, indent=2), tmp_path / "m.json")
 
 
 class TestLoaderValidation:
