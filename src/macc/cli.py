@@ -72,13 +72,13 @@ def _emit_json(obj, out) -> None:
         print(serialize.dump_json(obj))
 
 
-def _object_output(obj_json: dict, table_text: str, fmt: str, out) -> None:
-    if fmt == "json":
-        _emit_json(obj_json, out)
-    elif fmt == "table":
-        _emit(table_text, out)
+def _object_output(args, to_obj, to_table) -> None:
+    """Write the JSON object ``to_obj()`` for ``--format json``, else the
+    table text ``to_table()``, making only the one written."""
+    if args.format == "json":
+        _emit_json(to_obj(), args.out)
     else:
-        raise InvalidParametersError(f"format {fmt!r} not supported for objects")
+        _emit(to_table(), args.out)
 
 
 def _cmd_design(args) -> int:
@@ -89,11 +89,9 @@ def _cmd_design(args) -> int:
         d = designs.complete_design(g, l)
     else:
         raise InvalidParametersError("pass --catalog NAME or --complete G,L")
-    text = render.render_table(
-        [render.point_block_label(b) for b in d.blocks],
-        [""], [[""] * d.num_blocks], corner="blocks",
-    )
-    _object_output(serialize.design_to_obj(d), text, args.format, args.out)
+    _object_output(args, lambda: serialize.design_to_obj(d), lambda: render.render_table(
+        [render.point_block_label(b) for b in d.blocks], [""], [[""] * d.num_blocks],
+        corner="blocks"))
     return EXIT_OK
 
 
@@ -105,8 +103,8 @@ def _cmd_gdd(args) -> int:
         g = designs.transversal_gdd(m, q, t)
     else:
         raise InvalidParametersError("pass --catalog NAME or --transversal m,q,t")
-    text = "\n".join(render.group_block_label(b) for b in g.blocks)
-    _object_output(serialize.gdd_to_obj(g), text, args.format, args.out)
+    _object_output(args, lambda: serialize.gdd_to_obj(g),
+                   lambda: "\n".join(map(render.group_block_label, g.blocks)))
     return EXIT_OK
 
 
@@ -143,8 +141,8 @@ def _cmd_oa(args) -> int:
         oa = designs.linear_oa(m, q, s)
     else:
         raise InvalidParametersError("pass --catalog NAME, --trivial m,q or --linear m,q,s")
-    text = "\n".join("".join(str(x) for x in row) for row in oa.rows)
-    _object_output(serialize.oa_to_obj(oa), text, args.format, args.out)
+    _object_output(args, lambda: serialize.oa_to_obj(oa),
+                   lambda: "\n".join("".join(map(str, row)) for row in oa.rows))
     return EXIT_OK
 
 
@@ -154,8 +152,7 @@ def _cmd_pda(args) -> int:
     k, t = _ints(args.mn, "K,t")
     p = mn_pda(k, t)
     stats = pda_stats(p)
-    text = render.render_pda(p)
-    _object_output(serialize.pda_to_obj(p), text, args.format, args.out)
+    _object_output(args, lambda: serialize.pda_to_obj(p), lambda: render.render_pda(p))
     print(
         f"({stats.num_users},{stats.subpacketization},{stats.stars_per_column},"
         f"{stats.num_messages}), R={serialize.fraction_str(stats.load)}",

@@ -334,6 +334,11 @@ def transversal_gdd(num_groups: int, group_size: int, strength: int) -> GroupDiv
     m, q, t = num_groups, group_size, strength
     if not 1 <= t <= m or q < 1:
         raise InvalidParametersError(f"need 1 <= t <= m and q >= 1, got {(m, q, t)}")
+    # `macc gdd --transversal --out` peaks at about 400 + 430 t bytes per block
+    # above the interpreter (10,10,3: 222 MB), so 600 + 650 t are budgeted.
+    if math.comb(m, t) * q**t * (600 + 650 * t) > MAX_COUNT_BYTES:
+        raise UnsupportedParametersError(
+            f"the {q}^{t} values on {t} of {m} groups need over {MAX_COUNT_BYTES} bytes")
     blocks = []
     for groups in itertools.combinations(range(1, m + 1), t):
         for values in itertools.product(range(1, q + 1), repeat=t):
@@ -656,6 +661,11 @@ def linear_oa(num_columns: int, num_symbols: int, strength: int) -> OrthogonalAr
             f"polynomial construction needs m <= q for s < m (got m={m}, q={q}); "
             "use trivial_oa or a catalog array"
         )
+    # `macc oa --linear --out` peaks at about 70 + 36 m bytes per row above
+    # the interpreter (3,1009,2: 203 MB), so 120 + 60 m are budgeted.
+    if q**s * (120 + 60 * m) > MAX_COUNT_BYTES:
+        raise UnsupportedParametersError(
+            f"the {q}^{s} rows over {m} columns need over {MAX_COUNT_BYTES} bytes")
     rows = []
     for coeffs in itertools.product(range(q), repeat=s):
         row = []

@@ -25,7 +25,7 @@ import numpy as np
 from .designs import Design, require_match, verify_t_design
 from .errors import InvalidInputError, InvalidParametersError
 from .pda import CountedSubsetId, Pda, SubsetId
-from .simulate import ArrayScheme, coordinate_arrays, reach, require_room, tiled_labels
+from .simulate import ArrayScheme, coordinate_arrays, require_room, tiled_labels
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,11 @@ class DesignSchemeParams:
         return params if num_files is not None else replace(params, num_files=params.num_users)
 
 
-def row_labels(params: DesignSchemeParams) -> tuple:
-    """(D, T) row labels, T-major then D lexicographic."""
-    subsets = list(itertools.combinations(range(1, params.num_nodes + 1), params.cached_nodes))
-    return tiled_labels(subsets, params.access_degree, params.strength)
-
-
-def _arrays(params: DesignSchemeParams, blocks, delivery: bool = True) -> tuple:
-    """C, user nodes and (with ``delivery``) Q: base row D is the indicator
-    of the subset D, node g is the pair (g, 1) and block B the pairs (b, 1),
-    so a missed cell's id vector is the indicator of D + B(T).  For index
-    > 1 the copies are counted per D, as D fixes the split (D, B(T))."""
+def _arrays(params: DesignSchemeParams, blocks) -> tuple:
+    """C, user nodes and Q: base row D is the indicator of the subset D,
+    node g is the pair (g, 1) and block B the pairs (b, 1), so a missed
+    cell's id vector is the indicator of D + B(T).  For index > 1 the copies
+    are counted per D, as D fixes the split (D, B(T))."""
     g, mu, t = params.num_nodes, params.cached_nodes, params.strength
     subsets = np.array(list(itertools.combinations(range(g), mu)), dtype=np.intp)
     base = (subsets[:, :, None] == np.arange(g)).any(axis=1)
@@ -104,41 +98,31 @@ def _arrays(params: DesignSchemeParams, blocks, delivery: bool = True) -> tuple:
         points = map(tuple, (np.nonzero(digits)[1].reshape(-1, mu + t) + 1).tolist())
         return map(SubsetId, points) if copy is None else map(CountedSubsetId, points, copy.tolist())
 
-    return coordinate_arrays(base, 2, [1], users, t, ids if delivery else None,
-                             "base" if params.index > 1 else None)
+    return coordinate_arrays(base, 2, [1], users, t, ids, "base" if params.index > 1 else None)
 
 
 # Kept only because the benchmark tracer wraps the next three by name.
-def build_node_placement(params: DesignSchemeParams) -> np.ndarray:
-    """F x nodes boolean grid; row (D, T) stars node g iff g is in D: the
-    D-subset indicator, once per T."""
-    return _arrays(params, (), delivery=False)[0]
+def build_node_placement(design: Design, cached_nodes: int) -> np.ndarray:
+    """C, F x nodes: row (D, T) stars node g iff g is in D."""
+    return build_scheme(design, cached_nodes).node_placement
 
 
 def build_user_retrieve(design: Design, cached_nodes: int) -> np.ndarray:
-    """F x users boolean grid U; row (D, T) stars user B iff B meets D.
-    These are the stars of the delivery array."""
-    params = DesignSchemeParams.from_design(design, cached_nodes)
-    return reach(*_arrays(params, design.blocks, delivery=False)[:2])
+    """U, F x users: row (D, T) stars user B iff B meets D, as Q does."""
+    return build_scheme(design, cached_nodes).user_retrieve
 
 
 def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
-    """Delivery array: the cell at row (D, T), column B is a star when B meets
-    D; otherwise it carries the subset D + B(T).
-
-    For index 1 the subset alone is the message id.  For index > 1 every id is
-    the pair (D + B(T), copy), where the copy number counts occurrences of the
-    split (D, B(T)) scanning columns left to right and each column top to
-    bottom.
-    """
-    return _arrays(DesignSchemeParams.from_design(design, cached_nodes), design.blocks)[2]
+    """Q: the cell at row (D, T), column B is a star when B meets D, else
+    the id D + B(T), with a copy number for index > 1 (see ``_arrays``)."""
+    return build_scheme(design, cached_nodes).user_delivery
 
 
 def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> ArrayScheme:
     params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
     require_match(verify_t_design(design, params.strength, params.index), "design")
     g, l, t, mu = params.num_nodes, params.access_degree, params.strength, cached_nodes
-    require_room(math.comb(g, mu) * math.comb(l, t), design.num_blocks, g, 2)
+    require_room(params.subpacketization, design.num_blocks, g, 2)
     placement, user_nodes, delivery = _arrays(params, design.blocks)
     if mu == 0:  # pure unicast: one message per (t-subset, copy) pair, exactly
         bound = params.index * math.comb(g, t)
@@ -147,7 +131,7 @@ def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = N
     return ArrayScheme(
         params=params,
         topology={"design": design},
-        row_labels=row_labels(params),
+        row_labels=tiled_labels(list(itertools.combinations(range(1, g + 1), mu)), l, t),
         user_blocks=design.blocks,
         node_placement=placement,
         user_nodes=user_nodes,

@@ -94,11 +94,6 @@ class GddSchemeParams:
         return params if num_files is not None else replace(params, num_files=params.num_users)
 
 
-def gdd_row_labels(oa: OrthogonalArray, access_degree: int, strength: int) -> tuple:
-    """(j, T) row labels, T-major then j = 1..rows."""
-    return tiled_labels(range(1, oa.num_rows + 1), access_degree, strength)
-
-
 def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
                      num_files: Optional[int] = None) -> ArrayScheme:
     """The scheme of an index-1 GDD topology under OA placement: base row j
@@ -123,7 +118,7 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
     return ArrayScheme(
         params=params,
         topology={"gdd": gdd, "oa": oa},
-        row_labels=gdd_row_labels(oa, gdd.block_size, params.strength),
+        row_labels=tiled_labels(range(1, oa.num_rows + 1), gdd.block_size, params.strength),
         user_blocks=gdd.blocks,
         node_placement=placement,
         user_nodes=user_nodes,

@@ -81,7 +81,7 @@ _LABEL_DIGITS = 1 << 16
 
 
 def coordinate_arrays(base, q: int, node_values, users, strength: int,
-                      ids=None, copies_by=None) -> tuple:
+                      ids, copies_by=None) -> tuple:
     """C, user nodes and Q of a scheme whose cache nodes are (coordinate,
     value) pairs over ``base``, R x m digits in 0..q-1, a row per subfile.
 
@@ -94,11 +94,10 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     b-bit field, b = max(1, ceil(log2 q)), of int64 word c // (63 // b), so
     a cell's words are ``(base[j] & ~mask[T, k]) | value[T, k]``.
 
-    Q, built only when ``ids`` is given, tells the cells apart by vector and,
-    if ``copies_by`` is "base" (copies with the same base row) or "column"
-    (copies in the same column), by a copy counter, counted column by column
-    and top to bottom.  ``ids(digits, copy)`` makes the id objects from the
-    vectors and copies (None without a copy rule) of the ids' first cells.
+    Q tells the cells apart by vector and, if ``copies_by`` is "base" (copies
+    with the same base row) or "column" (in the same column), by a copy
+    counter, counted column by column, top to bottom.  ``ids(digits, copy)``
+    makes the id objects of the ids' first cells (copy None without a rule).
     """
     base = np.asarray(base, dtype=np.int64)
     users = np.asarray(users, dtype=np.int64)
@@ -106,8 +105,6 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     tiles = np.array(list(itertools.combinations(range(l), strength)), dtype=np.intp).reshape(-1, strength)
     placement = np.tile((base[:, :, None] == np.asarray(node_values)).reshape(rows, -1), (len(tiles), 1))
     user_nodes = users[:, :, 0] * len(node_values) + np.searchsorted(node_values, users[:, :, 1])
-    if ids is None:
-        return placement, user_nodes, None
     b = _digit_bits(q)
     shifts = b * np.arange(63 // b, dtype=np.int64)
     width = -(-m // len(shifts))

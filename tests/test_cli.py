@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macc import designs, pda, scheme_design, scheme_gdd
+from macc import designs, pda, render, scheme_design, scheme_gdd, serialize
 from macc.cli import main
 from macc.pda import mn_pda
 from macc.serialize import load_object
@@ -230,6 +230,45 @@ class TestObjectCommands:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err == f"error: expected {form}, got {argv[2].split(':')[-1]!r}\n"
+
+
+_PDA_4_2_TABLE = ("   1  2  3  4\n1  *  *  1  2\n2  *  1  *  3\n3  *  2  3  *\n"
+                  "4  1  *  *  4\n5  2  *  4  *\n6  3  4  *  *\n")
+
+
+class TestTableFormat:
+    """``--format table`` output, pinned byte for byte; each command makes
+    only the format it writes."""
+
+    @pytest.mark.parametrize("argv, stdout, written", [
+        (("design", "--catalog", "fano-7-3-1"),
+         "blocks  U_124  U_235  U_346  U_457  U_156  U_267  U_137\n\n",
+         "blocks  U_124  U_235  U_346  U_457  U_156  U_267  U_137\n"),
+        (("gdd", "--transversal", "3,2,2"),
+         "U_11,21\nU_11,22\nU_11,31\nU_11,32\nU_12,21\nU_12,22\nU_12,31\nU_12,32\n"
+         "U_21,31\nU_21,32\nU_22,31\nU_22,32\n", None),
+        (("oa", "--catalog", "oa-3-2-2"), "111\n212\n122\n221\n", None),
+        (("pda", "--mn", "4,2"), _PDA_4_2_TABLE, None),
+    ], ids=["design", "gdd", "oa", "pda"])
+    def test_output_pinned(self, capsys, tmp_path, argv, stdout, written):
+        assert run(capsys, *argv, "--format", "table")[:2] == (0, stdout)
+        path = tmp_path / "table.txt"
+        assert run(capsys, *argv, "--format", "table", "--out", str(path))[:2] == (0, "")
+        assert path.read_text() == (written or stdout)
+
+    @pytest.mark.parametrize("argv, unused", [
+        (("design", "--catalog", "fano-7-3-1", "--format", "json"), (render, "render_table")),
+        (("gdd", "--transversal", "3,2,2", "--format", "json"), (render, "group_block_label")),
+        (("pda", "--mn", "4,2", "--format", "json"), (render, "render_pda")),
+        (("design", "--catalog", "fano-7-3-1", "--format", "table"), (serialize, "design_to_obj")),
+        (("gdd", "--transversal", "3,2,2", "--format", "table"), (serialize, "gdd_to_obj")),
+        (("oa", "--catalog", "oa-3-2-2", "--format", "table"), (serialize, "oa_to_obj")),
+        (("pda", "--mn", "4,2", "--format", "table"), (serialize, "pda_to_obj")),
+    ], ids=["design-json", "gdd-json", "pda-json", "design-table", "gdd-table", "oa-table",
+            "pda-table"])
+    def test_makes_only_the_written_format(self, capsys, argv, unused):
+        with mock.patch.object(*unused, None):
+            assert run(capsys, *argv)[0] == 0
 
 
 class TestVerifyCommand:
@@ -616,11 +655,16 @@ class TestOversizedInputs:
          "F x K = 847660528 x 780 cells need over 1073741824 bytes"),
         (("scheme", "--gdd-transversal", "8,4,2"), (scheme_gdd, "coordinate_arrays"),
          "F x K = 65536 x 448 cells need over 1073741824 bytes"),
+        (("gdd", "--transversal", "12,12,6"), (designs, "itertools"),
+         "the 12^6 values on 6 of 12 groups need over 1073741824 bytes"),
+        (("oa", "--linear", "4,1009,3"), (designs, "itertools"),
+         "the 1009^3 rows over 4 columns need over 1073741824 bytes"),
         # ids of two or more int64 words peak at about 190 bytes per cell
         (("scheme", "--design", "complete:250,2", "--mu-gamma", "1"), (scheme_design, "_arrays"),
          "F x K = 250 x 31125 cells need over 1073741824 bytes"),
     ], ids=["design-complete-40-20", "pda-mn-30-15", "scheme-complete-40-2-mu10",
-            "scheme-gdd-8-4-2", "scheme-complete-250-2-mu1"])
+            "scheme-gdd-8-4-2", "gdd-transversal-12-12-6", "oa-linear-4-1009-3",
+            "scheme-complete-250-2-mu1"])
     def test_is_refused_before_allocating(self, capsys, argv, guard, text):
         with mock.patch.object(*guard, None):
             code, out, err = run(capsys, *argv)

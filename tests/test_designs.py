@@ -225,6 +225,21 @@ class TestTransversalGdd:
         for m, q, t in [(3, 2, 2), (4, 3, 2), (5, 2, 3), (4, 2, 1)]:
             assert verify_gdd(transversal_gdd(m, q, t), t, 1).ok
 
+    def test_budget_is_600_plus_650_bytes_per_block_point(self):
+        # 3,2,2 is charged 12 x (600 + 650 x 2) = 22,800 bytes
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 22_800):
+            assert transversal_gdd(3, 2, 2).num_blocks == 12
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 22_799):
+            with pytest.raises(UnsupportedParametersError, match=re.escape(
+                    "the 2^2 values on 2 of 3 groups need over 22799 bytes")):
+                transversal_gdd(3, 2, 2)
+
+    def test_10_10_3_reaches_the_enumeration(self):
+        # 120,000 blocks x 2,550 bytes = 306,000,000, under 2^30
+        with mock.patch("macc.designs.itertools.combinations", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                transversal_gdd(10, 10, 3)
+
 
 class TestVerifyGdd:
     def test_catalog_gdd_passes(self):
@@ -284,6 +299,21 @@ class TestOrthogonalArrays:
     def test_linear_oa_rejects_wide_arrays(self):
         with pytest.raises(UnsupportedParametersError):
             linear_oa(4, 2, 3)
+
+    def test_linear_oa_budget_is_120_plus_60_bytes_per_row_column(self):
+        # 3,3,2 is charged 9 x (120 + 60 x 3) = 2,700 bytes
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 2_700):
+            assert linear_oa(3, 3, 2).num_rows == 9
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 2_699):
+            with pytest.raises(UnsupportedParametersError, match=re.escape(
+                    "the 3^2 rows over 3 columns need over 2699 bytes")):
+                linear_oa(3, 3, 2)
+
+    def test_linear_oa_3_1009_2_reaches_the_enumeration(self):
+        # 1,018,081 rows x 300 bytes = 305,424,300, under 2^30
+        with mock.patch("macc.designs.itertools.product", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                linear_oa(3, 1009, 2)
 
     def test_linear_oa_rejects_composite_alphabet(self):
         with pytest.raises(InvalidParametersError):

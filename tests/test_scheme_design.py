@@ -14,6 +14,7 @@ from macc.designs import (
 )
 from macc.errors import InconsistentDesignError, InvalidParametersError
 from macc.pda import STAR, CountedSubsetId, Pda, SubsetId, verify_pda
+from macc import scheme_design
 from macc.render import render_scheme_delivery
 from macc.scheme_design import (
     DesignSchemeParams,
@@ -23,10 +24,9 @@ from macc.scheme_design import (
     build_user_delivery,
     build_user_retrieve,
     redundancy_count,
-    row_labels,
     shared_link_tradeoff,
 )
-from macc.simulate import _user_index
+from macc.simulate import _user_index, reach, tiled_labels
 
 from canonical import pda_cells
 from closed_forms import stars_per_user
@@ -52,8 +52,8 @@ class TestParams:
             DesignSchemeParams(8, 3, 2, 1, 1, 8)
 
     def test_row_label_order_is_t_major(self):
-        p = DesignSchemeParams(4, 3, 2, 1, 1, 4)
-        labels = row_labels(p)
+        # the D-subsets of DesignSchemeParams(4, 3, 2, 1, 1, 4), which has no design
+        labels = tiled_labels([(1,), (2,), (3,), (4,)], 3, 2)
         assert labels[0] == ((1,), (1, 2))
         assert labels[4] == ((1,), (1, 3))
         assert len(labels) == 12
@@ -61,7 +61,7 @@ class TestParams:
 
 class TestNodePlacement:
     def test_fano_structure(self):
-        grid = build_node_placement(DesignSchemeParams(7, 3, 2, 1, 1, 7))
+        grid = build_node_placement(catalog_design("fano-7-3-1"), 1)
         assert grid.shape == (21, 7)
         # row (D={g}, T) stars only column g, three times per node
         assert grid.sum(axis=1).tolist() == [1] * 21
@@ -69,13 +69,14 @@ class TestNodePlacement:
         assert grid[0, 0] and not grid[0, 1]
 
     def test_zero_cache_all_null(self):
-        grid = build_node_placement(DesignSchemeParams(7, 3, 2, 1, 0, 7))
+        grid = build_node_placement(catalog_design("fano-7-3-1"), 0)
         assert not grid.any()
 
     def test_column_count_formula(self):
+        design = catalog_design("affine-9-3-1")
         for mu in (1, 2, 3):
-            p = DesignSchemeParams(9, 3, 2, 1, mu, 12)
-            grid = build_node_placement(p)
+            p = DesignSchemeParams.from_design(design, mu)
+            grid = build_node_placement(design, mu)
             expected = math.comb(8, mu - 1) * 3
             assert grid.sum(axis=0).tolist() == [expected] * 9
             assert grid.sum(axis=1).tolist() == [mu] * p.subpacketization
@@ -85,8 +86,7 @@ class TestUserRetrieve:
     def test_fano_star_rule(self):
         design = catalog_design("fano-7-3-1")
         grid = build_user_retrieve(design, 1)
-        labels = row_labels(DesignSchemeParams.from_design(design, 1))
-        for r, (d, _) in enumerate(labels):
+        for r, (d, _) in enumerate(fano_scheme().row_labels):
             for k, block in enumerate(design.blocks):
                 assert grid[r, k] == bool(set(d) & set(block))
 
@@ -104,6 +104,23 @@ class TestUserRetrieve:
 
 
 class TestUserDelivery:
+    def test_views_are_the_scheme_arrays(self):
+        design = catalog_design("biplane-7-4-2")
+        scheme = build_scheme(design, 2)
+        delivery = build_user_delivery(design, 2)
+        assert np.array_equal(delivery.grid, scheme.user_delivery.grid)
+        assert delivery.ids == scheme.user_delivery.ids
+        assert np.array_equal(build_user_retrieve(design, 2), scheme.user_retrieve)
+        assert np.array_equal(build_node_placement(design, 2), scheme.node_placement)
+
+    def test_views_verify_the_design(self):
+        blocks = list(catalog_design("fano-7-3-1").blocks)
+        blocks[-1] = (1, 2, 3)
+        bad = Design(7, tuple(blocks), strength=2, index=1)
+        for view in (build_node_placement, build_user_retrieve, build_user_delivery):
+            with pytest.raises(InconsistentDesignError):
+                view(bad, 1)
+
     def test_fano_matches_reference_table(self):
         text = render_scheme_delivery(fano_scheme()) + "\n"
         assert text == (GOLDEN / "fano_user_delivery.txt").read_text()
@@ -315,12 +332,18 @@ def test_id_labels_peak_within_a_bound_per_cell(monkeypatch):
     assert peaks[0] / cells < 100
 
 
+def reference_labels(params):
+    """(D, T) row labels, T-major then D lexicographic."""
+    subsets = list(itertools.combinations(range(1, params.num_nodes + 1), params.cached_nodes))
+    return tiled_labels(subsets, params.access_degree, params.strength)
+
+
 def reference_user_retrieve(design, cached_nodes):
     """U by the per-cell loop: row (D, T) stars block B iff B meets D."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
     grid = np.zeros((params.subpacketization, design.num_blocks), dtype=bool)
     block_sets = [frozenset(b) for b in design.blocks]
-    for r, (d, _) in enumerate(row_labels(params)):
+    for r, (d, _) in enumerate(reference_labels(params)):
         dset = frozenset(d)
         for k, b in enumerate(block_sets):
             if dset & b:
@@ -331,7 +354,7 @@ def reference_user_retrieve(design, cached_nodes):
 def reference_user_delivery(design, cached_nodes):
     """Q with one id object per cell, numbered by ``Pda(cells)``."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
-    labels = row_labels(params)
+    labels = reference_labels(params)
     cells = [[STAR] * design.num_blocks for _ in range(len(labels))]
     copies = {}
     for k, block in enumerate(design.blocks):
@@ -391,7 +414,9 @@ class TestReferenceEquivalence:
         design = Design(v, tuple(blocks), strength=t, index=lam)
         mu = data.draw(st.integers(0, v - l))
         ref = reference_user_delivery(design, mu)
-        got = build_user_delivery(design, mu)
+        # not t-designs, so the arrays come from the unverified builder
+        placement, user_nodes, got = scheme_design._arrays(
+            DesignSchemeParams.from_design(design, mu), design.blocks)
         assert np.array_equal(got.grid, ref.grid) and got.ids == ref.ids
-        assert np.array_equal(build_user_retrieve(design, mu),
+        assert np.array_equal(reach(placement, user_nodes),
                               reference_user_retrieve(design, mu))

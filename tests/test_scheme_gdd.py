@@ -21,9 +21,9 @@ from macc.designs import (
 from macc.errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from macc.pda import CountedVectorId, Pda, STAR, verify_pda
 from macc.render import render_scheme_delivery
-from macc.scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_row_labels, gdd_tradeoff
+from macc.scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_tradeoff
 from macc.serialize import scheme_to_obj
-from macc.simulate import reach
+from macc.simulate import reach, tiled_labels
 
 from closed_forms import stars_per_user
 
@@ -340,7 +340,7 @@ class TestCrsComparison:
 
 class TestRowLabels:
     def test_t_major_order(self):
-        labels = gdd_row_labels(catalog_oa("oa-3-2-2"), 3, 2)
+        labels = tiled_labels(range(1, catalog_oa("oa-3-2-2").num_rows + 1), 3, 2)
         assert labels[0] == (1, (1, 2))
         assert labels[3] == (4, (1, 2))
         assert labels[4] == (1, (1, 3))
@@ -354,7 +354,7 @@ def _reference_misses(oa_row, groups, values):
 def reference_gdd_user_retrieve(gdd, oa):
     """U by the per-cell loop: block B retrieves row j unless j misses B on
     all of its L coordinates."""
-    labels = gdd_row_labels(oa, gdd.block_size, gdd.strength)
+    labels = tiled_labels(range(1, oa.num_rows + 1), gdd.block_size, gdd.strength)
     grid = np.zeros((len(labels), gdd.num_blocks), dtype=bool)
     l = gdd.block_size
     meta = [tuple(zip(*block)) for block in gdd.blocks]
@@ -367,7 +367,7 @@ def reference_gdd_user_retrieve(gdd, oa):
 
 def reference_gdd_user_delivery(gdd, oa, t):
     """Q with one CountedVectorId per cell, numbered by ``Pda(cells)``."""
-    labels = gdd_row_labels(oa, gdd.block_size, t)
+    labels = tiled_labels(range(1, oa.num_rows + 1), gdd.block_size, t)
     l = gdd.block_size
     meta = [tuple(zip(*block)) for block in gdd.blocks]
     cells = [[STAR] * gdd.num_blocks for _ in range(len(labels))]
