@@ -12,14 +12,18 @@ message.  The defining conditions:
 Ids are opaque hashable objects.  Constructions use structured ids (subsets,
 symbol vectors with copy counters); the array stores them as dense integers
 in row-major first-occurrence order, and serialization writes those as
-1..S.  The scheme builders compute an integer key per cell with array
-arithmetic (``row_keys`` folds a tuple of coordinates into one key,
-``occurrences`` numbers repeat copies) and ``Pda.from_keys`` numbers the key
-grid, making an id object only for each of the S distinct keys; ``Pda(cells)``
-maps hashable cells to keys and numbers them the same way.  The numbering and
-``id_cells`` sort keys cast to the narrowest unsigned type that holds them
+1..S.  The scheme builders compute an integer key per non-star cell with
+array arithmetic (``row_keys`` folds a tuple of coordinates into one key,
+``occurrences`` numbers repeat copies) and ``Pda.from_keys`` numbers those
+keys, making an id object only for each of the S distinct keys; ``Pda(cells)``
+maps hashable cells to a key grid and numbers it the same way.  The
+numbering is one stable sort of the non-star keys in ``id_cells``: it groups
+the cells by key, and laying the groups out in order of their first cells
+gives both the canonical ids and the id CSR that the verifier, the delivery
+and the decoder read, so no F x K key grid and no second sort is needed.
+The keys are cast to the narrowest unsigned type that holds them
 (``_narrow``): numpy's stable sort of uint8 or uint16 keys is a radix sort,
-and the keys of the larger schemes, and their ids, are below 2^16.
+and the keys of the larger schemes are below 2^16.
 """
 
 from __future__ import annotations
@@ -102,9 +106,10 @@ class Pda:
 
     ``grid`` is one int32 F x K array: -1 is a star and 0..S-1 is the
     canonical id, numbered in row-major first-occurrence order.  ``ids``
-    holds the id objects in that order and labels the grid.  The other
-    views are derived from the two, each cached read-only at first use, so
-    the verifier, the delivery and the decoder share one copy of each.
+    holds the id objects in that order and labels the grid.  ``csr``, the
+    non-star cells grouped by id, comes with the numbering.  The other views
+    are derived from these, each cached read-only at first use, so the
+    verifier, the delivery and the decoder share one copy of each.
     """
 
     def __init__(self, cells):
@@ -119,26 +124,35 @@ class Pda:
 
     @classmethod
     def from_keys(cls, keys, label) -> "Pda":
-        """The PDA of an F x K integer key grid: -1 is a star and cells with
-        equal non-negative keys share an id.  ``label(first)`` gets, for each
-        distinct key in canonical order, the position of its first cell among
-        the non-star cells in row-major order, and returns the id objects."""
+        """The PDA of an F x K integer key grid, -1 a star, where cells with
+        equal non-negative keys share an id.  ``keys`` is the grid, or the
+        pair ``(missed, values)`` of its F x K boolean grid of non-star cells
+        and their keys in row-major order, which needs no key grid.
+        ``label(first)`` gets, for each distinct key in canonical order, the
+        row-major flat index of its first cell, and returns the id objects."""
         pda = cls.__new__(cls)
-        pda._number(np.asarray(keys), label)
+        pda._number(keys, label)
         return pda
 
     def _number(self, keys, label) -> None:
-        if keys.ndim != 2 or 0 in keys.shape:
+        if isinstance(keys, tuple):
+            missed, values = keys
+        else:
+            keys = np.asarray(keys)
+            missed = keys >= 0
+            values = keys[missed]
+        if missed.ndim != 2 or 0 in missed.shape:
             raise InvalidParametersError("PDA needs at least one row and one column")
-        flat = keys.ravel()
-        cells = np.flatnonzero(flat >= 0)
-        _, first, inverse = np.unique(_narrow(flat[cells]), return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        grid = np.full(keys.shape, -1, dtype=np.int32)
-        grid.ravel()[cells] = np.argsort(order)[inverse]  # key -> canonical id
+        rows, cols, ptr = id_cells(missed, values)
+        grid = np.full(missed.shape, -1, dtype=np.int32)
+        for run, ids in _id_runs(ptr, _STEP_CELLS):
+            cells = slice(ptr[run.start], ptr[run.stop])
+            grid[rows[cells], cols[cells]] = ids
         self.grid = _frozen(grid)
-        self.ids = tuple(label(first[order]))
+        # (rows, cols, ptr): the non-star cells grouped by id (see id_cells)
+        self.csr = tuple(map(_frozen, (rows, cols, ptr)))
+        first = ptr[:-1]
+        self.ids = tuple(label(rows[first].astype(np.intp) * grid.shape[1] + cols[first]))
 
     def relabel(self, labels: list) -> list:
         """The grid as lists of rows, id g shown as ``labels[g]`` and a star
@@ -167,15 +181,11 @@ class Pda:
         return _frozen(self.grid < 0)
 
     @cached_property
-    def csr(self) -> tuple:
-        """``(rows, cols, ptr)``: the non-star cells grouped by id (see
-        :func:`id_cells`)."""
-        return tuple(map(_frozen, id_cells(self.grid)))
-
-    @cached_property
     def packed(self) -> np.ndarray:
-        """The non-star cells of each row as a bitset (see :func:`pack_rows`)."""
-        return _frozen(pack_rows(~self.stars))
+        """The non-star cells of each row as a bitset (see :func:`pack_rows`):
+        the packed stars with the K column bits flipped, so no F x K mask is
+        made."""
+        return _frozen(pack_rows(self.stars) ^ pack_rows(np.ones((1, self.num_cols), dtype=bool)))
 
     @cached_property
     def c3_flags(self) -> np.ndarray:
@@ -237,18 +247,54 @@ def _narrow(keys) -> np.ndarray:
     return keys.astype(np.min_scalar_type(keys.max(initial=0)), copy=False)
 
 
-def id_cells(grid) -> tuple:
-    """The non-star cells of a delivery grid grouped by id, as a CSR:
-    ``(rows, cols, ptr)`` with the cells of id s at ``ptr[s]:ptr[s + 1]``,
-    row-major within each id."""
-    flat = grid.ravel()
-    cells = np.flatnonzero(flat >= 0)
-    ids = flat[cells]
-    rows, cols = np.divmod(cells[np.argsort(_narrow(ids), kind="stable")], grid.shape[1])
-    counts = np.bincount(ids, minlength=int(grid.max()) + 1)
+def id_cells(missed, keys) -> tuple:
+    """The non-star cells of a delivery array grouped by id, as a CSR:
+    ``(rows, cols, ptr)``, rows and cols int32, with the cells of id s at
+    ``ptr[s]:ptr[s + 1]``, row-major within each id.  ``missed`` is the
+    F x K boolean grid of the non-star cells and ``keys`` their keys in
+    row-major order; cells with equal keys share an id, numbered in order
+    of its first cell.  One stable sort of the keys groups the cells by key,
+    row-major within each group, and the groups are laid out in order of
+    their first cells."""
+    keys = _narrow(keys)
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    sorted_keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(new)
+    del sorted_keys, new
+    by_first = np.argsort(order[starts])  # id -> its group among the sorted keys
+    counts = np.diff(starts, append=len(order))[by_first]
     ptr = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=ptr[1:])
-    return rows, cols, ptr
+    # The sorted place of each CSR cell, as a running sum of steps: 1 within
+    # an id, and a jump to its group's start at the first cell of each id.
+    at = np.ones(len(order), dtype=np.int32)
+    begin = starts[by_first]
+    at[ptr[:-1]] = begin - np.concatenate([[0], begin[:-1] + counts[:-1] - 1])
+    np.cumsum(at, out=at)
+    at = order[at]  # the row-major place of each CSR cell
+    del order
+    # Each cell's column and row, gathered from the cells in row-major order
+    # in the narrowest type, the rows into the places they replace: no intp
+    # array per cell, and at most one int32 array more than the CSR.
+    f, k = missed.shape
+    cols = np.broadcast_to(np.arange(k, dtype=np.min_scalar_type(k - 1)), missed.shape)[missed][at]
+    rows = at
+    rows[...] = np.repeat(np.arange(f, dtype=np.min_scalar_type(f - 1)),
+                          np.count_nonzero(missed, axis=1))[at]
+    return rows, cols.astype(np.int32), ptr
+
+
+def _id_runs(ptr, step: int):
+    """Runs of whole ids of a CSR with offsets ``ptr``, about ``step`` cells
+    each (at least one id): yield the run's ids as a slice, and the id of
+    each of its cells, so no array holds an id per cell."""
+    i = 0
+    while i < len(ptr) - 1:
+        j = max(int(np.searchsorted(ptr, ptr[i] + step, side="right")) - 1, i + 1)
+        yield slice(i, j), np.repeat(np.arange(i, j, dtype=np.int32), np.diff(ptr[i:j + 1]))
+        i = j
 
 
 def row_keys(rows) -> np.ndarray:
@@ -336,6 +382,9 @@ _PAIR_CHUNK = 1 << 18
 # Bytes of packed row words that ``flag_c3`` and ``Pda.known`` gather per
 # step; bounds their scratch memory.
 _SCREEN_BYTES = 1 << 20
+# Cells per step of the grid write of ``Pda.from_keys``; bounds its index
+# arrays.
+_STEP_CELLS = 1 << 16
 
 
 def pack_rows(mask) -> np.ndarray:
@@ -353,22 +402,21 @@ def flag_c3(pda: Pda) -> np.ndarray:
     the only non-star cell of row r within its columns is c: a second one
     would lie in the row or, at a crossing, in the column of another of its
     cells.  The per-cell count comes from the packed rows and the id's
-    column set packed the same way, a step of cells at a time (at most
-    _SCREEN_BYTES of row bits)."""
+    column set packed the same way, a run of whole ids at a time (at most
+    about _SCREEN_BYTES of row bits)."""
     rows, cols, ptr = pda.csr
     packed = pda.packed
-    counts = np.diff(ptr)
-    ids = np.repeat(np.arange(len(counts)), counts)
-    bits = np.zeros((len(counts), packed.shape[1] * 8), dtype=np.uint8)
-    np.bitwise_or.at(bits, (ids, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
-    bits = bits.view(np.uint64)
-    crossing = np.empty(len(rows), dtype=np.intp)
+    flagged = np.empty(len(ptr) - 1, dtype=bool)
     step = max(_SCREEN_BYTES // packed.itemsize // packed.shape[1], 1)
-    for start in range(0, len(rows), step):
-        cells = slice(start, start + step)
-        crossing[cells] = np.bitwise_count(packed[rows[cells]] & bits[ids[cells]]).sum(axis=1)
-    flagged = np.bitwise_count(bits).sum(axis=1) != counts
-    flagged[np.searchsorted(ptr, np.flatnonzero(crossing != 1), side="right") - 1] = True
+    for run, ids in _id_runs(ptr, step):
+        cells = slice(ptr[run.start], ptr[run.stop])
+        local, c = ids - run.start, cols[cells]
+        bits = np.zeros((run.stop - run.start, packed.shape[1] * 8), dtype=np.uint8)
+        np.bitwise_or.at(bits, (local, c >> 3), (0x80 >> (c & 7)).astype(np.uint8))
+        bits = bits.view(np.uint64)
+        crossing = np.bitwise_count(packed[rows[cells]] & bits[local]).sum(axis=1)
+        flagged[run] = np.bitwise_count(bits).sum(axis=1) != np.diff(ptr[run.start:run.stop + 1])
+        flagged[ids[crossing != 1]] = True
     return flagged
 
 
@@ -492,4 +540,4 @@ def mn_pda(num_users: int, cached_fraction: int) -> Pda:
     keys[rows, cols] = subset_ranks(
         np.sort(np.column_stack([subsets[rows], users[cols]]), axis=1), k_users,
     )
-    return Pda.from_keys(keys, lambda first: (keys[keys >= 0][first] + 1).tolist())
+    return Pda.from_keys(keys, lambda first: (keys.ravel()[first] + 1).tolist())

@@ -90,7 +90,7 @@ def design_from_obj(obj: dict) -> Design:
 
 def gdd_to_obj(gdd: GroupDivisibleDesign) -> dict:
     obj = {"type": "gdd", "m": gdd.num_groups, "q": gdd.group_size,
-           "blocks": [[list(p) for p in b] for b in gdd.blocks]}
+           "blocks": _point_grid(gdd.blocks, gdd.num_groups, gdd.group_size)}
     if gdd.strength is not None:
         obj["t"] = gdd.strength
     if gdd.index is not None:
@@ -125,8 +125,10 @@ def oa_from_obj(obj: dict) -> OrthogonalArray:
 class CodeGrid:
     """A JSON list of rows held as codes: cell (j, k) is the JSON text
     ``texts[codes[j, k]]``, a negative code counting from the end of
-    ``texts``.  ``dump_json`` writes it without a Python object per cell;
-    ``codes`` is a 2-d integer array with at least one row and column."""
+    ``texts``, written as ``json.dumps(indent=2)`` nests it (each line
+    break of a text followed by the cell's indent).  ``dump_json`` writes
+    it without a Python object per cell; ``codes`` is a 2-d integer array
+    with at least one row and column."""
 
     codes: np.ndarray
     texts: tuple
@@ -140,6 +142,18 @@ def _symbol_grid(rows: tuple, count: int):
         return [list(r) for r in rows]
     return CodeGrid(np.array(rows, dtype=np.min_scalar_type(count)) - 1,
                     tuple(map(str, range(1, count + 1))))
+
+
+def _point_grid(blocks: tuple, m: int, q: int):
+    """GDD blocks (of one size) as a CodeGrid of their points, point (u, v)
+    held as code (u - 1) q + v - 1 and written as the list [u, v]; as in
+    ``_symbol_grid``, blocks with fewer points than the frame stay lists."""
+    if len(blocks) * len(blocks[0]) < m * q:
+        return [[list(p) for p in b] for b in blocks]
+    points = np.array(blocks, dtype=np.int64)
+    codes = (points[..., 0] - 1) * q + points[..., 1] - 1
+    texts = tuple(json.dumps([u, v], indent=2) for u in range(1, m + 1) for v in range(1, q + 1))
+    return CodeGrid(codes.astype(np.min_scalar_type(m * q - 1)), texts)
 
 
 def placement_to_obj(placement: np.ndarray) -> CodeGrid:
@@ -276,7 +290,8 @@ def _encode_grid(grid: CodeGrid, indent: str):
     table; a block of rows is one gather from it plus a closing piece per
     row, and the padding is dropped on the way to the text."""
     inner = indent + "  "
-    pieces = [",\n" + inner + "  " + text for text in grid.texts]
+    pieces = [",\n" + inner + "  " + text.replace("\n", "\n" + inner + "  ")
+              for text in grid.texts]
     pieces += ["\n" + inner + "],\n" + inner, "\n" + inner + "]"]  # row ends: inner, last
     width = max(map(len, pieces))
     table = np.frombuffer(
@@ -333,9 +348,14 @@ def dump_json(obj, path=None) -> str:
             return marker
 
         pieces = json.dumps(obj, indent=2, default=park).split(json.dumps(marker))
-        if len(pieces) == len(grids) + 1:
+        # json's indenting encoder is a reference cycle that keeps ``park``
+        # until the next collection: take the grids out of its list, so
+        # that they go when the caller drops them.
+        parked = grids.copy()
+        grids.clear()
+        if len(pieces) == len(parked) + 1:
             break
-    chunks = _chunks(pieces, grids)
+    chunks = _chunks(pieces, parked)
     if path is None:
         return b"".join(chunks).decode("ascii")
     with open(path, "wb") as fh:

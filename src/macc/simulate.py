@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -66,7 +66,10 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
 def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
     """F x users boolean grid: user k reaches row j when one of its nodes
     ``user_nodes[k]`` (0-based columns of ``placement``) caches j."""
-    return placement[:, user_nodes].any(axis=2)
+    reached = np.zeros((len(placement), len(user_nodes)), dtype=bool)
+    for nodes in np.asarray(user_nodes).T:  # one access position at a time
+        reached |= placement[:, nodes]
+    return reached
 
 
 def _digit_bits(q: int) -> int:
@@ -78,6 +81,9 @@ def _digit_bits(q: int) -> int:
 # Digits that ``coordinate_arrays`` unpacks per step when it labels the ids,
 # which bounds its scratch arrays to a few of this many int64 words.
 _LABEL_DIGITS = 1 << 16
+# Cells whose id words ``coordinate_arrays`` computes per step, which bounds
+# its scratch arrays to a few of this many words.
+_KEY_CELLS = 1 << 16
 
 
 def coordinate_arrays(base, q: int, node_values, users, strength: int,
@@ -123,25 +129,35 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
     keep, values = ~pack(fields), pack(values)
     base = pack(np.pad(base, ((0, 0), (0, slots - m))))
 
-    stars = reach(placement, user_nodes)
-    missed = ~stars
-    keys = row_keys(((base[None, :, None] & keep[:, None]) | values[:, None])
-                    .reshape(-1, width)).reshape(stars.shape)
-    keys[stars] = -1
+    # The words of the missed cells in row-major order, a step of rows at a
+    # time: each word holds at most 63 // b digits, so its dtype is known.
+    missed = reach(placement, user_nodes)
+    np.logical_not(missed, out=missed)
+    words = np.empty((np.count_nonzero(missed), width),
+                     dtype=np.min_scalar_type((1 << b * min(m, len(shifts))) - 1))
+    step, at = max(1, _KEY_CELLS // k), 0
+    for t in range(len(tiles)):
+        for j in range(0, rows, step):
+            chunk = ((base[j:j + step, None] & keep[t]) | values[t])[
+                missed[t * rows + j:t * rows + min(j + step, rows)]]
+            words[at:at + len(chunk)] = chunk
+            at += len(chunk)
+    keys = words[:, 0] if width == 1 else row_keys(words)
+    del words
     copy = None
     if copies_by is not None:
-        by = np.arange(len(keys))[:, None] % rows if copies_by == "base" else np.arange(k)
-        # The transposed grids list the missed cells column by column.
-        by_column = missed.T
-        copy = np.zeros((k, len(keys)), dtype=np.int64)
-        copy[by_column] = occurrences(row_keys(np.column_stack(
-            [keys.T[by_column], np.broadcast_to(by, keys.shape).T[by_column]])))
-        copy = copy.T
-        keys[missed] = row_keys(np.column_stack([keys[missed], copy[missed]]))
+        cells = np.flatnonzero(missed)
+        r, c = np.divmod(cells, k)
+        by = r % rows if copies_by == "base" else c
+        by_column = np.argsort(c, kind="stable")  # the missed cells column by column
+        copy = np.empty(len(cells), dtype=np.int64)
+        copy[by_column] = occurrences(row_keys(np.column_stack([keys[by_column],
+                                                                by[by_column]])))
+        keys = row_keys(np.column_stack([keys, copy]))
 
     def label(first):
         # the m digits of each id's first cell, a step of ids at a time
-        r, col = np.divmod(np.flatnonzero(missed)[first], k)
+        r, col = np.divmod(first, k)
         word, shift = np.divmod(np.arange(m), len(shifts))
         digits = np.empty((len(first), m), dtype=np.min_scalar_type(q))
         step = max(1, _LABEL_DIGITS // m)
@@ -149,19 +165,21 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
             j, t, c = r[a:a + step] % rows, r[a:a + step] // rows, col[a:a + step]
             words = (base[j] & keep[t, c]) | values[t, c]
             digits[a:a + step] = (words[:, word] >> b * shift) & ((1 << b) - 1)
-        return ids(digits, None if copy is None else copy[r, col])
+        return ids(digits, None if copy is None else copy[np.searchsorted(cells, first)])
 
-    return placement, user_nodes, Pda.from_keys(keys, label)
+    return placement, user_nodes, Pda.from_keys((missed, keys), label)
 
 
 def require_room(f: int, k: int, digits: int, q: int) -> None:
     """Refuse, before any array is made, a scheme whose ``f`` x ``k`` cells
     would pass MAX_COUNT_BYTES.  Its ids are vectors of ``digits`` digits in
     0..q-1, packed as in ``coordinate_arrays``.  ``macc scheme --out`` peaks
-    at about 35 bytes per cell above the interpreter when an id fits one
-    int64 word, so 128 are budgeted, and at about 190 when it takes two or
-    more (``complete:Γ,2`` from Γ = 64), so 256 are."""
-    if f * k * (128 if digits <= 63 // _digit_bits(q) else 256) > MAX_COUNT_BYTES:
+    at about 16 bytes per cell, interpreter included, when an id fits one
+    int64 word (182 MB for the 11.3 M cells of ``complete:19,3`` μ=5), so
+    64 are budgeted, and at up to about 195 when it takes two or more, most
+    of them the id objects (198 MB for the 1.0 M cells of ``complete:127,2``
+    μ=1), so 256 are."""
+    if f * k * (64 if digits <= 63 // _digit_bits(q) else 256) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")
 
@@ -285,6 +303,18 @@ class NodeCaches:
 
     library: Library
     grid: np.ndarray  # F x nodes bool, read-only
+    _screen: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def screen(self, scheme) -> np.ndarray:
+        """Per user of ``scheme``, whether one test clears it, kept for the
+        last scheme asked.  On a grid that keeps C3 every row a user reads is
+        a starred row, so a user whose starred rows are all cached needs no
+        per-user check."""
+        if self._screen is None or self._screen[0] is not scheme:
+            q = scheme.user_delivery
+            missing = q.stars & ~reach(self.grid, scheme.user_nodes)
+            self._screen = (scheme, (not q.c3_flags.any()) & ~missing.any(axis=0))
+        return self._screen[1]
 
 
 def place(library: Library, scheme) -> NodeCaches:
@@ -483,11 +513,9 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     ptr, rows, places, msgs = q.by_user
     packets = _gather(q, data, demands)
     payloads = _xor_segments(packets, q.csr[2])
-    reached = reach(caches.grid, scheme.user_nodes[sel])
-    # On a grid that keeps C3 every row a user reads is a starred row, so one
-    # F x users test clears each user whose starred rows are cached; only the
-    # rest, and every user of a grid that breaks C3, take the per-user check.
-    checked = (not q.c3_flags.any()) & ~(q.stars[:, sel] & ~reached).any(axis=0)
+    # Only the users that the screen does not clear, and every user of a grid
+    # that breaks C3, take the per-user check.
+    checked = caches.screen(scheme)[sel]
     f, words = data.shape[1:]
     step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
     for a in range(0, len(users), step):
@@ -496,12 +524,12 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
         failure = None
         # per-user work: the coded plan's solves, and the users not cleared
         for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
+            cached = reach(caches.grid, scheme.user_nodes[block[i:i + 1]])[:, 0]
             try:
                 if coeff is not None:
-                    recovered.append(_user_messages(q, plan, coeff, payloads, block[i],
-                                                    reached[:, a + i]))
+                    recovered.append(_user_messages(q, plan, coeff, payloads, block[i], cached))
                 if not checked[a + i]:
-                    _require_user(q, block[i], reached[:, a + i])
+                    _require_user(q, block[i], cached)
             except DecodeFailureError as exc:  # raised after the users before it
                 failure, block = exc, block[:i]
                 break

@@ -12,7 +12,7 @@ import csv
 import math
 from fractions import Fraction
 
-from .designs import int_text
+from .designs import check_divisibility, int_text
 from .errors import InvalidParametersError
 from .scheme_design import DesignSchemeParams, shared_link_tradeoff
 from .scheme_gdd import GddSchemeParams, gdd_tradeoff
@@ -48,13 +48,13 @@ def sci2(n: int) -> str:
     return f"{mantissa}e{exponent}"
 
 
-def _row(scheme: str, params: str, k: int, memory: Fraction, load: Fraction, f: int) -> dict:
-    """A CSV row with no note."""
+def _row(scheme: str, params: str, k: int, memory: Fraction, load: Fraction, f: int,
+         note: str = "") -> dict:
     return {
         "scheme": scheme, "params": params, "K": str(k),
         "M_over_N": sig3(memory), "M_over_N_exact": fraction_str(memory),
         "R": sig3(load), "R_exact": fraction_str(load), "F": int_text(f), "F_sci": sci2(f),
-        "note": "",
+        "note": note,
     }
 
 
@@ -97,15 +97,19 @@ def mn_load(num_users: int, cached: int) -> Fraction:
 
 def design_comparison_rows(num_nodes: int = 15, access_degree: int = 3, strength: int = 2):
     """Shared-link tradeoff curve of the design scheme next to the
-    single-cache baseline at the same user count."""
+    single-cache baseline at the same user count.  The design rows of a
+    t-(nodes, L, 1) design that the divisibility conditions rule out are
+    flagged in their note; the baseline rows are not."""
     g, l, t = num_nodes, access_degree, strength
     k = DesignSchemeParams(g, l, t, 1, 0, num_files=1).num_users
+    note = "" if check_divisibility(t, l, 1, g) else (
+        f"flagged: no {t}-({g},{l},1) design exists (divisibility conditions fail)")
     out = []
     for mu in range(0, g - l + 1):
         params = DesignSchemeParams(g, l, t, 1, mu, num_files=1)
         memory, load = shared_link_tradeoff(params)
         out.append(_row("design", f"nodes={g},L={l},t={t},cached={mu}", k, memory, load,
-                        params.subpacketization))
+                        params.subpacketization, note))
     f = 1  # C(k, i), each from the one before
     for i in range(0, k + 1):
         out.append(_row("mn", f"K={k},cached={i}", k, Fraction(i, k), mn_load(k, i), f))

@@ -659,7 +659,7 @@ class TestOversizedInputs:
          "the 12^6 values on 6 of 12 groups need over 1073741824 bytes"),
         (("oa", "--linear", "4,1009,3"), (designs, "itertools"),
          "the 1009^3 rows over 4 columns need over 1073741824 bytes"),
-        # ids of two or more int64 words peak at about 190 bytes per cell
+        # ids of two or more int64 words peak at up to about 195 bytes per cell
         (("scheme", "--design", "complete:250,2", "--mu-gamma", "1"), (scheme_design, "_arrays"),
          "F x K = 250 x 31125 cells need over 1073741824 bytes"),
     ], ids=["design-complete-40-20", "pda-mn-30-15", "scheme-complete-40-2-mu10",

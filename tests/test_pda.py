@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from macc import pda as pda_module
 from macc.designs import catalog_oa, complete_design, linear_oa, transversal_gdd
@@ -231,7 +231,7 @@ def all_pairs(grid) -> tuple:
     """Every cell pair of every id, in id order, then in combination order
     over the id's row-major cells: the pair's id and (r1, c1, r2, c2), and
     whether it breaks C3a and whether it breaks C3b."""
-    rows, cols, ptr = id_cells(grid)
+    rows, cols, ptr = id_cells_unnarrowed(grid)
     later = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(len(rows)) - 1
     i = np.repeat(np.arange(len(rows)), later)
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
@@ -391,19 +391,20 @@ class TestSubsetRank:
 # -- narrowed sort keys ----------------------------------------------------
 
 def number_unnarrowed(keys) -> tuple:
-    """``Pda._number`` on the int64 keys as given: the grid, and the first
-    cell (among the non-star cells, row-major) of each id."""
+    """The numbering by ``np.unique`` on the keys as given: the grid, and
+    the row-major flat index of the first cell of each id."""
     flat = keys.ravel()
     cells = np.flatnonzero(flat >= 0)
     _, first, inverse = np.unique(flat[cells], return_index=True, return_inverse=True)
     order = np.argsort(first)
     grid = np.full(keys.shape, -1, dtype=np.int32)
     grid.ravel()[cells] = np.argsort(order)[inverse]
-    return grid, first[order]
+    return grid, cells[first[order]]
 
 
 def id_cells_unnarrowed(grid) -> tuple:
-    """``id_cells`` with the ids sorted at their own width."""
+    """The CSR of a canonical grid by a stable sort of its ids at their own
+    width, rows and cols as ``intp``."""
     flat = grid.ravel()
     cells = np.flatnonzero(flat >= 0)
     ids = flat[cells]
@@ -457,14 +458,36 @@ class TestNarrowedKeys:
     @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1 << 8, 1 << 16, 1 << 17]),
            st.data())
     def test_id_cells_equal_the_unnarrowed_code(self, f, k, top, data):
-        # ids are sparse here, up to 2^17, so that they sort as uint8,
+        # keys are sparse here, up to 2^17, so that they sort as uint8,
         # uint16 and uint32
-        grid = np.array(data.draw(st.lists(st.integers(-1, top - 1), min_size=f * k,
+        keys = np.array(data.draw(st.lists(st.integers(-1, top - 1), min_size=f * k,
                                            max_size=f * k)), dtype=np.int32).reshape(f, k)
-        grid[data.draw(st.integers(0, f - 1)), data.draw(st.integers(0, k - 1))] = top - 1
-        assert _narrow(grid[grid >= 0]).dtype == np.min_scalar_type(top - 1)
-        for got, want in zip(id_cells(grid), id_cells_unnarrowed(grid)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        keys[data.draw(st.integers(0, f - 1)), data.draw(st.integers(0, k - 1))] = top - 1
+        assert _narrow(keys[keys >= 0]).dtype == np.min_scalar_type(top - 1)
+        got = id_cells(keys >= 0, keys[keys >= 0])
+        want = id_cells_unnarrowed(number_unnarrowed(keys)[0])
+        assert [a.dtype for a in got[:2]] == [np.int32, np.int32]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+           st.sampled_from([1, 3, 100, 1 << 15, 1 << 40]), st.booleans(), st.data())
+    def test_from_keys_matches_the_unique_oracle(self, f, k, dtype, keys_below, paired, data):
+        # random key grids of each signed width (-1 a star), keys below the
+        # drawn bound where the width holds it; given as the grid or as the
+        # (missed, values) pair
+        top = min(keys_below, int(np.iinfo(dtype).max))
+        keys = np.array(data.draw(st.lists(st.integers(-1, top - 1) | st.just(-1),
+                                           min_size=f * k, max_size=f * k)),
+                        dtype=dtype).reshape(f, k)
+        missed = keys >= 0
+        p = Pda.from_keys((missed, keys[missed]) if paired else keys, np.ndarray.tolist)
+        grid, first = number_unnarrowed(keys.astype(np.int64))
+        assert p.grid.dtype == np.int32 and np.array_equal(p.grid, grid)
+        assert p.ids == tuple(first.tolist())
+        assert [a.dtype for a in p.csr[:2]] == [np.int32, np.int32]
+        assert all(np.array_equal(a, b) for a, b in zip(p.csr, id_cells_unnarrowed(grid)))
 
     @pytest.mark.parametrize("build", [
         lambda: build_scheme(complete_design(13, 3), 4),
@@ -478,6 +501,6 @@ class TestNarrowedKeys:
         wide = build()
         assert narrowed.user_delivery.grid.tobytes() == wide.user_delivery.grid.tobytes()
         assert narrowed.user_delivery.ids == wide.user_delivery.ids
-        for got, want in zip(id_cells(narrowed.user_delivery.grid),
+        for got, want in zip(narrowed.user_delivery.csr,
                              id_cells_unnarrowed(wide.user_delivery.grid)):
             assert np.array_equal(got, want)

@@ -332,6 +332,26 @@ def test_id_labels_peak_within_a_bound_per_cell(monkeypatch):
     assert peaks[0] / cells < 100
 
 
+def test_build_and_verify_peak_below_four_grids():
+    # complete:16,3 mu=4, 1820 x 560 cells.  Numbering the keys of the
+    # non-star cells makes no F x K key grid, and the CSR that the numbering
+    # makes leaves verify no sort, so each step peaks below four int32 grids
+    # (13.5 MB here); an F x K int64 key grid alone would take two.
+    design = complete_design(16, 3)
+    tracemalloc.start()
+    try:
+        scheme = build_scheme(design, 4)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert verify_pda(scheme.user_delivery).ok
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = scheme.user_delivery.grid.nbytes
+    assert grid == 1820 * 560 * 4
+    assert max(build_peak, verify_peak) < 4 * grid
+
+
 def reference_labels(params):
     """(D, T) row labels, T-major then D lexicographic."""
     subsets = list(itertools.combinations(range(1, params.num_nodes + 1), params.cached_nodes))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from macc.designs import (
-    Design, OrthogonalArray, catalog_design, catalog_gdd, complete_design, linear_oa,
+    Design, GroupDivisibleDesign, OrthogonalArray, catalog_design, catalog_gdd, complete_design,
+    linear_oa, transversal_gdd,
 )
 from macc import serialize
 from macc.errors import InvalidInputError
@@ -208,8 +209,18 @@ class TestLoaderValidation:
         (oa_to_obj, OrthogonalArray(2, 0, 1, ((),)), "rows"),
         # more points than cells: written as lists, with no table of 10^30 texts
         (design_to_obj, Design(10**30, ((1, 10**30),)), "blocks"),
-    ], ids=["design", "oa", "oa-no-columns", "design-sparse-points"])
+        # GDD points are [group, slot] lists, each written across lines
+        (gdd_to_obj, transversal_gdd(3, 3, 2), "blocks"),
+        (gdd_to_obj, GroupDivisibleDesign(12, 10, (((1, 1), (2, 10)),)), "blocks"),
+    ], ids=["design", "oa", "oa-no-columns", "design-sparse-points", "gdd",
+            "gdd-sparse-points"])
     def test_rows_write_as_json_dumps_of_lists(self, to_obj, value, key):
         obj = to_obj(value)
         lists = [list(r) for r in getattr(value, key)]
         assert dump_json(obj) == json.dumps({**obj, key: lists}, indent=2)
+
+    def test_gdd_points_are_held_as_codes(self):
+        # one code per point, and one text per point of the 3 x 3 frame
+        grid = gdd_to_obj(transversal_gdd(3, 3, 2))["blocks"]
+        assert isinstance(grid, CodeGrid) and grid.codes.dtype == np.uint8
+        assert len(grid.texts) == 9 and grid.texts[5] == "[\n  2,\n  3\n]"

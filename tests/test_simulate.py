@@ -127,10 +127,10 @@ class TestLibrary:
 
 
 class TestRequireRoom:
-    """The cell budget on a scheme's F and K alone: 128 bytes per F x K cell
+    """The cell budget on a scheme's F and K alone: 64 bytes per F x K cell
     when an id fits one int64 word, 256 when it takes two or more."""
 
-    # complete:16,3 mu=6, 8008 x 560 = 4,484,480 cells: 574 MB at 128 bytes
+    # complete:16,3 mu=6, 8008 x 560 = 4,484,480 cells: 287 MB at 64 bytes
     # a cell, 1.15 GB at 256
     F, K = 8008, 560
 
@@ -152,6 +152,18 @@ class TestRequireRoom:
         with mock.patch.object(scheme_design, "_arrays", side_effect=StopIteration):
             with pytest.raises(StopIteration):
                 build_scheme(complete_design(16, 3), 6)
+
+    def test_complete_19_3_mu_5_reaches_the_array_build(self):
+        # 11,628 x 969 = 11,267,532 cells: 721 MB at 64 bytes a cell
+        with mock.patch.object(scheme_design, "_arrays", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                build_scheme(complete_design(19, 3), 5)
+
+    def test_complete_20_3_mu_5_is_refused(self):
+        # 15,504 x 1,140 = 17,674,560 cells: 1.13 GB at 64 bytes a cell
+        with pytest.raises(UnsupportedParametersError, match=re.escape(
+                "F x K = 15504 x 1140 cells need over 1073741824 bytes")):
+            build_scheme(complete_design(20, 3), 5)
 
     def test_a_design_is_budgeted_for_its_own_blocks(self):
         # fano mu=2: F = C(7, 2) * C(3, 2) = 63 rows, K = its 7 blocks
@@ -188,10 +200,11 @@ def by_user_oracle(q) -> tuple:
 
 class TestPdaViews:
     def test_verify_and_decode_build_the_csr_and_the_c3_flags_once(self):
-        scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
-        lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
+        # the numbering builds the CSR, so the build is counted too
         with mock.patch.object(pda_module, "id_cells", wraps=pda_module.id_cells) as csr, \
                 mock.patch.object(pda_module, "flag_c3", wraps=pda_module.flag_c3) as c3:
+            scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
+            lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
             assert verify_pda(scheme.user_delivery).ok
             for mode in ("plain", "mds"):
                 assert measure_worst_case(scheme, lib, mode).all_ok
@@ -1129,7 +1142,7 @@ def cover_oracle(grid) -> tuple:
     the message's cells in rows that the user's column does not star: 0 for
     a known message.  The grid keeps C3 exactly when that count is 1 (the
     user's own cell) at every message every user needs."""
-    rows, _, ptr = id_cells(grid)
+    rows, _, ptr = id_cells(grid >= 0, grid[grid >= 0])
     known = np.zeros((grid.shape[1], len(ptr) - 1), dtype=bool)
     keeps_c3 = True
     for k, column in enumerate((grid >= 0).T):
@@ -1186,6 +1199,23 @@ class TestCacheTest:
         assert np.array_equal(cols[places], np.repeat(np.arange(fano.num_users), np.diff(ptr)))
         assert np.array_equal(fano.user_delivery.grid[by_rows, cols[places]], ids)
         assert sorted(places.tolist()) == list(range(len(rows)))
+
+    def test_the_caches_screen_a_scheme_once(self):
+        scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
+        lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
+        plan = deliver_plain(scheme, lib, distinct_demands(scheme, lib))
+        caches = place(lib, scheme)
+        with mock.patch.object(simulate, "reach", wraps=simulate.reach) as reach:
+            for users in (None, [0], [3, 1]):
+                assert all(out.tobytes() == file_bytes(lib, plan.demands[k])
+                           for k, out in decode_all(scheme, plan, caches, users))
+            assert reach.call_count == 1
+            # another scheme over the same arrays, and edited caches, are screened afresh
+            other = dataclasses.replace(scheme)
+            assert decode(other, 0, plan, caches) == file_bytes(lib, plan.demands[0])
+            assert decode(scheme, 0, plan, dataclasses.replace(caches)) == file_bytes(
+                lib, plan.demands[0])
+            assert reach.call_count == 3
 
     def test_c3b_break_fails_or_decodes_as_the_caches_allow(self):
         scheme = _CACHE_TEST_SCHEMES["no-c3b"]()

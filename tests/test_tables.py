@@ -83,6 +83,15 @@ class TestDesignComparisonRows:
         assert int(rows["nodes=15,L=3,t=2,cached=1"]["F"]) == 45
         assert int(rows["K=35,cached=15"]["F"]) == 3247943160
 
+    @pytest.mark.parametrize("nodes, admissible", [(4, False), (15, True), (16, False),
+                                                   (31, True)])
+    def test_design_rows_of_no_design_are_flagged(self, nodes, admissible):
+        # a 2-(v, 3, 1) design needs v = 1 or 3 mod 6; the baseline needs none
+        notes = {scheme: {r["note"] for r in design_comparison_rows(nodes)
+                          if r["scheme"] == scheme} for scheme in ("design", "mn")}
+        flag = f"flagged: no 2-({nodes},3,1) design exists (divisibility conditions fail)"
+        assert notes == {"design": {"" if admissible else flag}, "mn": {""}}
+
     @pytest.mark.parametrize("nodes", [4, 15, 31, 61])
     def test_mn_subpacketizations_are_the_binomials(self, nodes):
         rows = [r for r in design_comparison_rows(nodes) if r["scheme"] == "mn"]
