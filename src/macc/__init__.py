@@ -30,14 +30,8 @@ from .designs import (
     verify_t_design,
 )
 from .pda import Pda, STAR, mn_pda, pda_stats, verify_pda
-from .scheme_design import (
-    DesignSchemeParams,
-    achievable_load,
-    build_scheme,
-    redundancy_count,
-    shared_link_tradeoff,
-)
-from .scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_tradeoff
+from .scheme_design import DesignSchemeParams, build_scheme, redundancy_count
+from .scheme_gdd import GddSchemeParams, build_gdd_scheme
 from .simulate import (
     ArrayScheme,
     Library,

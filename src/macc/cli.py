@@ -256,7 +256,7 @@ def _cmd_simulate(args) -> int:
         if not _writes_as(bundle.get(key), value):
             raise MaccError(f"bundle {key} differs from the scheme rebuilt from its parameters")
     library = simulate.make_library(
-        args.files if args.files is not None else max(scheme.num_users, scheme.params.num_files),
+        args.files if args.files is not None else max(scheme.num_users, scheme.claims.num_files),
         scheme.subpacketization, args.packet_bytes, args.seed,
     )
     if args.demands == "distinct":

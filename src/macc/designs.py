@@ -334,9 +334,11 @@ def transversal_gdd(num_groups: int, group_size: int, strength: int) -> GroupDiv
     m, q, t = num_groups, group_size, strength
     if not 1 <= t <= m or q < 1:
         raise InvalidParametersError(f"need 1 <= t <= m and q >= 1, got {(m, q, t)}")
-    # `macc gdd --transversal --out` peaks at about 400 + 430 t bytes per block
-    # above the interpreter (10,10,3: 222 MB), so 600 + 650 t are budgeted.
-    if math.comb(m, t) * q**t * (600 + 650 * t) > MAX_COUNT_BYTES:
+    # `macc gdd --transversal --out` peaks at about 480 bytes per block above
+    # the interpreter at t = 1, then 380, 475, 565 and 660 at t = 2 to 5
+    # (150,1000,1: 101 MB; 10,10,3: 86 MB; 8,7,4: 122 MB), so 600 + 150 t,
+    # at least 1.5 times that, are budgeted.
+    if math.comb(m, t) * q**t * (600 + 150 * t) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"the {q}^{t} values on {t} of {m} groups need over {MAX_COUNT_BYTES} bytes")
     blocks = []

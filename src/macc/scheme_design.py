@@ -25,11 +25,11 @@ import numpy as np
 from .designs import Design, require_match, verify_t_design
 from .errors import InvalidInputError, InvalidParametersError
 from .pda import CountedSubsetId, Pda, SubsetId
-from .simulate import ArrayScheme, coordinate_arrays, require_room, tiled_labels
+from .simulate import ArrayScheme, Claims, coordinate_arrays, require_room, tiled_labels
 
 
 @dataclass(frozen=True)
-class DesignSchemeParams:
+class DesignSchemeParams(Claims):
     num_nodes: int        # node count
     access_degree: int    # L, nodes per user
     strength: int         # t
@@ -67,6 +67,23 @@ class DesignSchemeParams:
         return math.comb(self.num_nodes, self.cached_nodes) * math.comb(
             self.access_degree, self.strength
         )
+
+    @property
+    def coverage_ratio(self) -> Fraction:
+        """Fraction of the library a user can retrieve across its L nodes."""
+        g, l, mu = self.num_nodes, self.access_degree, self.cached_nodes
+        return 1 - Fraction(math.comb(g - l, mu), math.comb(g, mu))
+
+    @property
+    def message_bound(self) -> int:
+        g, l, t, mu = self.num_nodes, self.access_degree, self.strength, self.cached_nodes
+        if mu == 0:  # pure unicast: one message per (t-subset, copy) pair, exactly
+            return self.index * math.comb(g, t)
+        return self.index * math.comb(g, t + mu) - self.num_users * math.comb(l, t + mu)
+
+    @property
+    def guaranteed_known(self) -> int:
+        return self.index * redundancy_count(self)
 
     @classmethod
     def from_design(cls, design: Design, cached_nodes: int, num_files: Optional[int] = None):
@@ -124,20 +141,14 @@ def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = N
     g, l, t, mu = params.num_nodes, params.access_degree, params.strength, cached_nodes
     require_room(params.subpacketization, design.num_blocks, g, 2)
     placement, user_nodes, delivery = _arrays(params, design.blocks)
-    if mu == 0:  # pure unicast: one message per (t-subset, copy) pair, exactly
-        bound = params.index * math.comb(g, t)
-    else:
-        bound = params.index * math.comb(g, t + mu) - params.num_users * math.comb(l, t + mu)
     return ArrayScheme(
-        params=params,
         topology={"design": design},
         row_labels=tiled_labels(list(itertools.combinations(range(1, g + 1), mu)), l, t),
         user_blocks=design.blocks,
         node_placement=placement,
         user_nodes=user_nodes,
         user_delivery=delivery,
-        message_bound=bound,
-        guaranteed_known=params.index * redundancy_count(params),
+        claims=params,
     )
 
 
@@ -154,31 +165,3 @@ def redundancy_count(params: DesignSchemeParams) -> int:
         math.comb(l, t + i) * math.comb(g - l, mu - i) for i in range(1, mu)
     )
 
-
-def achievable_load(params: DesignSchemeParams) -> Fraction:
-    """Worst-case delivery load after replacing the multicast batch with an
-    erasure-coded batch that skips the per-user reconstructible messages.
-
-    With no caching the closed form degenerates; the scheme then unicasts
-    every packet and the load equals the user count.
-    """
-    g, l, t, lam, mu = (
-        params.num_nodes, params.access_degree, params.strength,
-        params.index, params.cached_nodes,
-    )
-    if mu == 0:
-        return Fraction(params.num_users)
-    numerator = (
-        lam * math.comb(g, t + mu)
-        - lam * redundancy_count(params)
-        - params.num_users * math.comb(l, t + mu)
-    )
-    return Fraction(numerator, math.comb(g, mu) * math.comb(l, t))
-
-
-def shared_link_tradeoff(params: DesignSchemeParams):
-    """(memory ratio, load) of the scheme re-read as a single shared-link
-    system where each user's cache is its retrievable content."""
-    g, l, mu = params.num_nodes, params.access_degree, params.cached_nodes
-    memory = 1 - Fraction(math.comb(g - l, mu), math.comb(g, mu))
-    return memory, achievable_load(params)

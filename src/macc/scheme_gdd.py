@@ -23,11 +23,11 @@ from .designs import (
 )
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from .pda import CountedVectorId
-from .simulate import ArrayScheme, coordinate_arrays, require_room, tiled_labels
+from .simulate import ArrayScheme, Claims, coordinate_arrays, require_room, tiled_labels
 
 
 @dataclass(frozen=True)
-class GddSchemeParams:
+class GddSchemeParams(Claims):
     num_groups: int         # m
     group_size: int         # q
     access_degree: int      # L
@@ -73,6 +73,14 @@ class GddSchemeParams:
         q, l = self.group_size, self.access_degree
         return 1 - Fraction((q - 1) ** l, q**l)
 
+    @property
+    def message_bound(self) -> int:
+        return (self.group_size - 1) ** self.strength * self.group_size**self.num_groups
+
+    # The reconstructible-message reduction is specific to the subset
+    # placement; under OA placement no such guarantee is claimed.
+    guaranteed_known = 0
+
     @classmethod
     def from_components(cls, gdd: GroupDivisibleDesign, oa: OrthogonalArray,
                         num_files: Optional[int] = None):
@@ -116,32 +124,12 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
         np.array(oa.rows) - 1, q, np.arange(q), np.array(gdd.blocks) - 1, gdd.strength,
         ids, "column")
     return ArrayScheme(
-        params=params,
         topology={"gdd": gdd, "oa": oa},
         row_labels=tiled_labels(range(1, oa.num_rows + 1), gdd.block_size, params.strength),
         user_blocks=gdd.blocks,
         node_placement=placement,
         user_nodes=user_nodes,
         user_delivery=delivery,
-        message_bound=(q - 1) ** params.strength * q**params.num_groups,
-        # The reconstructible-message reduction is specific to the subset
-        # placement; under OA placement no such guarantee is claimed.
-        guaranteed_known=0,
+        claims=params,
     )
 
-
-@dataclass
-class GddTradeoff:
-    coverage_ratio: Fraction
-    load: Fraction
-
-
-def gdd_tradeoff(params: GddSchemeParams) -> GddTradeoff:
-    """Formula-level tradeoff: user coverage 1 - (q-1)^L/q^L and the load
-    bound (q-1)^t q^(m-s) / C(L,t)."""
-    m, q, l, t, s = (
-        params.num_groups, params.group_size, params.access_degree,
-        params.strength, params.placement_strength,
-    )
-    load = Fraction((q - 1) ** t * q ** (m - s), math.comb(l, t))
-    return GddTradeoff(params.coverage_ratio, load)

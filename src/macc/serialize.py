@@ -17,8 +17,6 @@ import numpy as np
 from .designs import Design, GroupDivisibleDesign, OrthogonalArray, int_text
 from .errors import InvalidInputError
 from .pda import Pda, STAR, pda_stats
-from .scheme_design import achievable_load
-from .scheme_gdd import gdd_tradeoff
 
 
 def fraction_str(x: Fraction) -> str:
@@ -193,18 +191,19 @@ _TOPOLOGY_WRITERS = {"design": design_to_obj, "gdd": gdd_to_obj, "oa": oa_to_obj
 def scheme_to_obj(scheme) -> dict:
     """The scheme bundle.  K, F, Z, S, the plain load and the memory ratios
     are read off the arrays C and Q; S_bound, guaranteed_known and the
-    reduced load or load bound are the paper's closed forms."""
-    p, stats = scheme.params, pda_stats(scheme.user_delivery)
+    reduced load or load bound are the paper's closed forms, read off the
+    scheme's claims, which are also the parameters the bundle records."""
+    p, stats = scheme.claims, pda_stats(scheme.user_delivery)
     f, z, s = stats.subpacketization, stats.stars_per_column, stats.num_messages
     summary = {
         "K": stats.num_users, "F": f, "Z": z,
-        "S_counted": s, "S_bound": scheme.message_bound,
-        "S_below_bound": s < scheme.message_bound,
-        "guaranteed_known": scheme.guaranteed_known,
+        "S_counted": s, "S_bound": p.message_bound,
+        "S_below_bound": s < p.message_bound,
+        "guaranteed_known": p.guaranteed_known,
         "load_plain": fraction_str(stats.load),
     }
     if "design" in scheme.topology:
-        summary["load_reduced"] = fraction_str(achievable_load(p))
+        summary["load_reduced"] = fraction_str(p.load)
         summary["shared_link_memory"] = fraction_str(Fraction(z, f))
         params = {
             "kind": "design", "nodes": p.num_nodes, "L": p.access_degree,
@@ -215,7 +214,7 @@ def scheme_to_obj(scheme) -> dict:
         node_stars = int(np.count_nonzero(scheme.node_placement[:, 0]))
         summary["node_memory_ratio"] = fraction_str(Fraction(node_stars, f))
         summary["coverage_ratio"] = fraction_str(Fraction(z, f))
-        summary["load_bound"] = fraction_str(gdd_tradeoff(p).load)
+        summary["load_bound"] = fraction_str(p.load)
         params = {
             "kind": "gdd", "m": p.num_groups, "q": p.group_size, "L": p.access_degree,
             "t": p.strength, "s": p.placement_strength, "files": p.num_files,

@@ -191,20 +191,34 @@ def tiled_labels(bases, access_degree: int, strength: int) -> tuple:
     return tuple((base, tt) for tt in tiles for base in bases)
 
 
+class Claims:
+    """The paper's closed forms for a scheme, read off its parameters: a
+    subclass gives the message bound S_bound, the reduction r (the messages
+    every user is claimed to rebuild from cache) and the subpacketization F."""
+
+    @property
+    def load(self) -> Fraction:
+        """The coded load, S_bound - r symbols of one packet each over F."""
+        return Fraction(self.message_bound - self.guaranteed_known, self.subpacketization)
+
+
 @dataclass(eq=False)
 class ArrayScheme:
     """A multiaccess scheme over either topology, held as its arrays, with
-    the closed forms its builder computed from the parameters."""
+    the closed forms of the parameters it was built from as its claims."""
 
-    params: object
     topology: dict  # {"design": d} or {"gdd": g, "oa": a}, keyed as the bundle writes them
     row_labels: tuple
     user_blocks: tuple
     node_placement: np.ndarray  # C, F x nodes
     user_nodes: np.ndarray  # K x L, the node columns each user accesses
     user_delivery: Pda  # Q
-    message_bound: int
-    guaranteed_known: int  # the messages every user is claimed to rebuild from cache
+    claims: Claims | None = None
+
+    @property
+    def guaranteed_known(self) -> int:
+        """The claims' r, or 0, the trivially sound claim, with no claims."""
+        return 0 if self.claims is None else self.claims.guaranteed_known
 
     @property
     def user_retrieve(self) -> np.ndarray:

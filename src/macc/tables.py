@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .designs import check_divisibility, int_text
 from .errors import InvalidParametersError
-from .scheme_design import DesignSchemeParams, shared_link_tradeoff
-from .scheme_gdd import GddSchemeParams, gdd_tradeoff
+from .scheme_design import DesignSchemeParams
+from .scheme_gdd import GddSchemeParams
 from .serialize import fraction_str
 
 CSV_COLUMNS = (
@@ -83,8 +83,7 @@ def gdd_comparison_rows(rows=GDD_TABLE_ROWS, access_degree: int = 3, strength: i
                 "note": f"flagged: inconsistent parameters ({exc})",
             })
             continue
-        trade = gdd_tradeoff(params)
-        out.append(_row("gdd", label, params.num_users, trade.coverage_ratio, trade.load,
+        out.append(_row("gdd", label, params.num_users, params.coverage_ratio, params.load,
                         params.subpacketization))
     return out
 
@@ -107,9 +106,8 @@ def design_comparison_rows(num_nodes: int = 15, access_degree: int = 3, strength
     out = []
     for mu in range(0, g - l + 1):
         params = DesignSchemeParams(g, l, t, 1, mu, num_files=1)
-        memory, load = shared_link_tradeoff(params)
-        out.append(_row("design", f"nodes={g},L={l},t={t},cached={mu}", k, memory, load,
-                        params.subpacketization, note))
+        out.append(_row("design", f"nodes={g},L={l},t={t},cached={mu}", k,
+                        params.coverage_ratio, params.load, params.subpacketization, note))
     f = 1  # C(k, i), each from the one before
     for i in range(0, k + 1):
         out.append(_row("mn", f"K={k},cached={i}", k, Fraction(i, k), mn_load(k, i), f))

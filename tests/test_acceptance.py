@@ -29,12 +29,7 @@ from macc.designs import (
 )
 from macc.pda import mn_pda, pda_stats, STAR, verify_pda
 from macc.render import render_scheme_delivery
-from macc.scheme_design import (
-    achievable_load,
-    build_scheme,
-    redundancy_count,
-    shared_link_tradeoff,
-)
+from macc.scheme_design import build_scheme, redundancy_count
 from macc.scheme_gdd import build_gdd_scheme
 from macc.serialize import scheme_to_obj
 from macc.simulate import (
@@ -110,7 +105,7 @@ def test_criterion_2_fano_scheme():
                 rep.num_messages) == (7, 21, 9, 28)
         rendered = render_scheme_delivery(scheme) + "\n"
         assert rendered == (GOLDEN / "fano_user_delivery.txt").read_text()
-        assert achievable_load(scheme.params) == Fraction(4, 3)
+        assert scheme.claims.load == Fraction(4, 3)
         lib = make_library(7, 21, 16, seed=2)
         for mode in ("plain", "mds"):
             report = measure_worst_case(scheme, lib, mode)
@@ -140,8 +135,8 @@ def test_criterion_4_index_two_scheme():
         assert rep.ok
         assert (rep.num_users, rep.subpacketization, rep.stars_per_column,
                 rep.num_messages) == (7, 42, 24, 42)
-        memory, load = shared_link_tradeoff(scheme.params)
-        assert (memory, load) == (Fraction(4, 7), Fraction(1))
+        claims = scheme.claims
+        assert (claims.coverage_ratio, claims.load) == (Fraction(4, 7), Fraction(1))
         lib = make_library(7, 42, 16, seed=4)
         report = measure_worst_case(scheme, lib, "mds")
         assert report.all_ok
@@ -243,7 +238,7 @@ def test_criterion_6_property_grid():
         for label, scheme in instances:
             rep = verify_pda(scheme.user_delivery)
             assert rep.ok, f"{label}: {rep.first_violation}"
-            assert scheme.counted_messages <= scheme.message_bound, label
+            assert scheme.counted_messages <= scheme.claims.message_bound, label
             # delivery stars coincide with the retrieve pattern; placement
             # rows carry exactly the per-packet replication
             stars = np.array(
@@ -255,12 +250,12 @@ def test_criterion_6_property_grid():
                 held = scheme.node_placement[:, scheme.user_nodes[k]].any(axis=1)
                 assert np.array_equal(scheme.user_retrieve[:, k], held), (label, k)
             per_row = (
-                scheme.params.cached_nodes
+                scheme.claims.cached_nodes
                 if "design" in scheme.topology
-                else scheme.params.num_groups
+                else scheme.claims.num_groups
             )
             assert (scheme.node_placement.sum(axis=1) == per_row).all(), label
-            assert rep.stars_per_column == stars_per_user(scheme.params), label
+            assert rep.stars_per_column == stars_per_user(scheme.claims), label
             # the bundle summary states the arrays' own K, F, Z, S, plain
             # load and memory ratios
             summary = scheme_to_obj(scheme)["summary"]
@@ -274,7 +269,7 @@ def test_criterion_6_property_grid():
             else:
                 # each node holds 1/q of the library
                 node_stars = set(scheme.node_placement.sum(axis=0).tolist())
-                assert node_stars == {f // scheme.params.group_size}, label
+                assert node_stars == {f // scheme.claims.group_size}, label
                 memory = {"node_memory_ratio": Fraction(node_stars.pop(), f),
                           "coverage_ratio": Fraction(z, f)}
             assert {key: Fraction(summary[key]) for key in memory} == memory, label
@@ -354,7 +349,7 @@ def test_criterion_8_reduction_oracle():
     with _Budget("8 coded-reduction oracle", 5.0):
         design = catalog_design("affine-9-3-1")
         scheme = build_scheme(design, 2)
-        params = scheme.params
+        params = scheme.claims
         # closed form vs brute-force enumeration against a fixed block
         assert redundancy_count(params) == 6
         for block in design.blocks:

@@ -225,17 +225,22 @@ class TestTransversalGdd:
         for m, q, t in [(3, 2, 2), (4, 3, 2), (5, 2, 3), (4, 2, 1)]:
             assert verify_gdd(transversal_gdd(m, q, t), t, 1).ok
 
-    def test_budget_is_600_plus_650_bytes_per_block_point(self):
-        # 3,2,2 is charged 12 x (600 + 650 x 2) = 22,800 bytes
-        with mock.patch.object(designs, "MAX_COUNT_BYTES", 22_800):
+    def test_budget_is_600_plus_150_bytes_per_block_point(self):
+        # 3,2,2 is charged 12 x (600 + 150 x 2) = 10,800 bytes
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 10_800):
             assert transversal_gdd(3, 2, 2).num_blocks == 12
-        with mock.patch.object(designs, "MAX_COUNT_BYTES", 22_799):
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 10_799):
             with pytest.raises(UnsupportedParametersError, match=re.escape(
-                    "the 2^2 values on 2 of 3 groups need over 22799 bytes")):
+                    "the 2^2 values on 2 of 3 groups need over 10799 bytes")):
                 transversal_gdd(3, 2, 2)
 
+    def test_builds_what_the_list_per_point_charge_refused(self):
+        # 600 + 650 x 2 bytes a block charged 3,2,2 22,800 bytes
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 22_799):
+            assert verify_gdd(transversal_gdd(3, 2, 2), 2, 1).ok
+
     def test_10_10_3_reaches_the_enumeration(self):
-        # 120,000 blocks x 2,550 bytes = 306,000,000, under 2^30
+        # 120,000 blocks x 1,050 bytes = 126,000,000, under 2^30
         with mock.patch("macc.designs.itertools.combinations", side_effect=StopIteration):
             with pytest.raises(StopIteration):
                 transversal_gdd(10, 10, 3)

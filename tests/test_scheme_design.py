@@ -18,13 +18,11 @@ from macc import scheme_design
 from macc.render import render_scheme_delivery
 from macc.scheme_design import (
     DesignSchemeParams,
-    achievable_load,
     build_node_placement,
     build_scheme,
     build_user_delivery,
     build_user_retrieve,
     redundancy_count,
-    shared_link_tradeoff,
 )
 from macc.simulate import _user_index, reach, tiled_labels
 
@@ -170,7 +168,7 @@ class TestUserDelivery:
         # distinct split into (selected t-subset, cached remainder)
         for name, mu in [("fano-7-3-1", 1), ("affine-9-3-1", 2), ("biplane-7-4-2", 1)]:
             scheme = build_scheme(catalog_design(name), mu)
-            p = scheme.params
+            p = scheme.claims
             bound = math.comb(p.strength + p.cached_nodes, p.strength)
             for cells in scheme.user_delivery.id_positions.values():
                 assert len(cells) <= bound
@@ -178,32 +176,30 @@ class TestUserDelivery:
 
 class TestLoads:
     def test_fano_load(self):
-        assert achievable_load(DesignSchemeParams(7, 3, 2, 1, 1, 7)) == Fraction(4, 3)
+        assert DesignSchemeParams(7, 3, 2, 1, 1, 7).load == Fraction(4, 3)
 
     def test_biplane_load_is_one(self):
-        assert achievable_load(DesignSchemeParams(7, 4, 2, 2, 1, 7)) == 1
+        assert DesignSchemeParams(7, 4, 2, 2, 1, 7).load == 1
 
     def test_zero_cache_full_demand(self):
         p = DesignSchemeParams(7, 3, 2, 1, 0, 7)
-        assert achievable_load(p) == p.num_users
+        assert p.load == p.num_users
 
     def test_affine_reduced_load(self):
         p = DesignSchemeParams(9, 3, 2, 1, 2, 12)
-        assert achievable_load(p) == Fraction(126 - 6, 108)
+        assert p.load == Fraction(126 - 6, 108)
 
     def test_shared_link_fano(self):
-        assert shared_link_tradeoff(DesignSchemeParams(7, 3, 2, 1, 1, 7)) == (
-            Fraction(3, 7), Fraction(4, 3),
-        )
+        p = DesignSchemeParams(7, 3, 2, 1, 1, 7)
+        assert (p.coverage_ratio, p.load) == (Fraction(3, 7), Fraction(4, 3))
 
     def test_shared_link_biplane(self):
-        assert shared_link_tradeoff(DesignSchemeParams(7, 4, 2, 2, 1, 7)) == (
-            Fraction(4, 7), Fraction(1),
-        )
+        p = DesignSchemeParams(7, 4, 2, 2, 1, 7)
+        assert (p.coverage_ratio, p.load) == (Fraction(4, 7), Fraction(1))
 
     def test_shared_link_zero_cache(self):
-        memory, load = shared_link_tradeoff(DesignSchemeParams(7, 3, 2, 1, 0, 7))
-        assert memory == 0 and load == 7
+        p = DesignSchemeParams(7, 3, 2, 1, 0, 7)
+        assert p.coverage_ratio == 0 and p.load == 7
 
 
 class TestRedundancy:
@@ -294,7 +290,7 @@ class TestLowStrengthIndexTwo:
         scheme = build_scheme(catalog_design("gdd-dual-example"), 1)
         rep = verify_pda(scheme.user_delivery)
         assert rep.ok
-        assert scheme.counted_messages <= scheme.message_bound
+        assert scheme.counted_messages <= scheme.claims.message_bound
 
 
 def test_complete_design_scheme_matches_subset_pda_shape():

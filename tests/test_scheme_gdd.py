@@ -21,7 +21,7 @@ from macc.designs import (
 from macc.errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
 from macc.pda import CountedVectorId, Pda, STAR, verify_pda
 from macc.render import render_scheme_delivery
-from macc.scheme_gdd import GddSchemeParams, build_gdd_scheme, gdd_tradeoff
+from macc.scheme_gdd import GddSchemeParams, build_gdd_scheme
 from macc.serialize import scheme_to_obj
 from macc.simulate import reach, tiled_labels
 
@@ -240,15 +240,14 @@ class TestUserDelivery:
 
     def test_bound_respected(self):
         scheme = build_gdd_scheme(transversal_gdd(4, 2, 2), trivial_oa(4, 2))
-        assert scheme.counted_messages <= scheme.message_bound == 16
+        assert scheme.counted_messages <= scheme.claims.message_bound == 16
 
 
 class TestLoads:
     def test_tradeoff_large_rows(self):
-        t = gdd_tradeoff(GddSchemeParams(15, 5, 3, 2, 15, 875))
-        assert t.coverage_ratio == Fraction(61, 125)
-        assert t.load == Fraction(16, 3)
         p = GddSchemeParams(15, 5, 3, 2, 15, 875)
+        assert p.coverage_ratio == Fraction(61, 125)
+        assert p.load == Fraction(16, 3)
         assert p.num_users == 875
         assert p.subpacketization == 3 * 5**15
 
@@ -256,11 +255,11 @@ class TestLoads:
         p = GddSchemeParams(16, 4, 3, 2, 16, 640)
         assert p.num_users == 640
         assert p.coverage_ratio == Fraction(37, 64)
-        assert gdd_tradeoff(p).load == 3
+        assert p.load == 3
 
     def test_binary_full_strength(self):
         p = GddSchemeParams(4, 2, 2, 2, 4, 4)
-        assert gdd_tradeoff(p).load == Fraction(1, 1)
+        assert p.load == Fraction(1, 1)
 
     def test_shared_link_case_one(self):
         point = shared_link_gdd_tradeoff(GddSchemeParams(3, 3, 2, 2, 2, 9))
@@ -288,11 +287,11 @@ class TestLoads:
     def test_shared_link_cases_match_counted(self):
         # closed forms agree with the arrays they describe
         s1 = build_gdd_scheme(transversal_gdd(3, 3, 2), linear_oa(3, 3, 2))
-        assert shared_link_gdd_tradeoff(s1.params).num_messages == s1.counted_messages
+        assert shared_link_gdd_tradeoff(s1.claims).num_messages == s1.counted_messages
         s2 = build_gdd_scheme(transversal_gdd(3, 3, 1), linear_oa(3, 3, 2))
-        assert shared_link_gdd_tradeoff(s2.params).num_messages == s2.counted_messages
+        assert shared_link_gdd_tradeoff(s2.claims).num_messages == s2.counted_messages
         s3 = build_gdd_scheme(transversal_gdd(5, 5, 2), linear_oa(5, 5, 3))
-        assert shared_link_gdd_tradeoff(s3.params).num_messages == s3.counted_messages == 3000
+        assert shared_link_gdd_tradeoff(s3.claims).num_messages == s3.counted_messages == 3000
 
 
 # An OA of strength 1 and index 2: F = 4 rows, twice the q^s = 2 that the

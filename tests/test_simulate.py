@@ -4,6 +4,7 @@ import re
 import struct
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -817,7 +818,8 @@ class TestDecodeAll:
         # user 1's column holds message 1 at rows 0 and 1 (C3a fails), and
         # each user rebuilds one message from cache, so one symbol is saved
         scheme = dataclasses.replace(shared_link_scheme(Pda(
-            ((STAR, 1), (STAR, 1), (2, STAR), (3, STAR)))), guaranteed_known=1)
+            ((STAR, 1), (STAR, 1), (2, STAR), (3, STAR)))),
+            claims=SimpleNamespace(guaranteed_known=1))
         lib = make_library(2, 4, 8, seed=4)
         plan = deliver_mds(scheme, lib, (2, 1))
         assert plan.symbols_sent == 2
