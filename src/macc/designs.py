@@ -167,10 +167,13 @@ def complete_design(num_points: int, block_size: int) -> Design:
         raise InvalidParametersError(
             f"block size must satisfy 1 <= L <= {num_points}, got {block_size}"
         )
-    # `macc design --complete` peaks at about 200 + 36 L bytes per block
-    # above the interpreter (20,10: 131 MB; 22,10: 372 MB; 30,6: 268 MB), so
-    # 300 + 60 L, at least 1.5 times that, are budgeted.
-    if math.comb(num_points, block_size) * (300 + 60 * block_size) > MAX_COUNT_BYTES:
+    # `macc design --complete --out` peaks at about 114 + 16 L bytes per
+    # block above the interpreter, and about 150 more per point (20,10: 80
+    # MB; 22,10: 201 MB; 30,6: 151 MB; 23,15: 190 MB; 600000,1: 191 MB), so
+    # 200 + 24 L per block and 240 per point, at least 1.5 times that, are
+    # budgeted.
+    if (math.comb(num_points, block_size) * (200 + 24 * block_size)
+            + 240 * num_points > MAX_COUNT_BYTES):
         raise UnsupportedParametersError(
             f"the {block_size}-subsets of {num_points} points need over {MAX_COUNT_BYTES} bytes")
     blocks = tuple(itertools.combinations(range(1, num_points + 1), block_size))

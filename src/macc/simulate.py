@@ -416,7 +416,8 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
                 "undecodable, use plain delivery"
             )
     num_out = s - reduced
-    if s + num_out > gf16.FIELD_SIZE - 1:
+    # the uncoded batch (r = 0) sends the payloads themselves: no field
+    if num_out < s and s + num_out > gf16.FIELD_SIZE - 1:
         raise ConfigurationError(
             f"coded delivery needs a field with at least "
             f"{s + num_out + 1} elements; GF(2^16) is too small"
@@ -499,22 +500,31 @@ def decode_all(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
     its message with the side packets there, which XOR to the message's
     payload XOR the user's own packet; yield ``(k, file)`` for each
     user k (all users by default; an index or a block each), ``file`` the
-    F x words array.  The plan must fit the scheme and the library.  See
-    :func:`_decode_blocks`."""
-    for block, files in _decode_blocks(scheme, plan, caches, users):
+    F x words array.  The plan must fit the scheme and the library.  This is
+    the one place that assembles files: the starred rows are the cached
+    packets of the demanded file, and the rest are the rows that
+    :func:`_decode_blocks` decodes."""
+    data = caches.library.data
+    f, words = data.shape[1:]
+    demands = np.asarray(plan.demands, dtype=np.intp)
+    for block, seg, rows, decoded in _decode_blocks(scheme, plan, caches, users):
+        files = np.take(data, demands[block] - 1, axis=0)
+        need = np.repeat(np.arange(0, len(block) * f, f), np.diff(seg)) + rows
+        _wide(files.reshape(-1, words))[need] = _wide(decoded)
         yield from zip(block, files)
 
 
 def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=None):
-    """:func:`decode_all` a block of users at a time: yield ``(block,
-    files)``, the users' files as one len(block) x F x words array.  The
-    scheme's delivery array says which rows to read from cache; every row read
-    is checked against the placed caches, and a failing user ends the run
-    after the block of the users before it.  The demanded packets are
-    gathered once, at every cell of every message, and XORed into the
-    message payloads that every user peels with.  The gather is the
-    decoder's own, not the delivery's, so a wrong symbol or a wrong gather
-    shows as a wrong row."""
+    """The rows that :func:`decode_all` decodes, a block of users at a time:
+    yield ``(block, seg, rows, decoded)``, the block's non-star cells in
+    ``by_user`` order, user i's at ``seg[i]:seg[i + 1]``, with the row of
+    each and the packet decoded there.  The scheme's delivery array says
+    which rows to read from cache; every row read is checked against the
+    placed caches, and a failing user ends the run after the block of the
+    users before it.  The demanded packets are gathered once, at every cell
+    of every message, and XORed into the message payloads that every user
+    peels with.  The gather is the decoder's own, not the delivery's, so a
+    wrong symbol or a wrong gather shows as a wrong row."""
     data = caches.library.data
     demands = _check_plan(scheme, caches.library, plan)
     # With no reduction the coded batch is the identity code: the symbols
@@ -530,8 +540,7 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     # Only the users that the screen does not clear, and every user of a grid
     # that breaks C3, take the per-user check.
     checked = caches.screen(scheme)[sel]
-    f, words = data.shape[1:]
-    step = max(1, _BLOCK_ROWS // f)  # users whose files are assembled at once
+    step = max(1, _BLOCK_ROWS // data.shape[1])  # users whose files are assembled at once
     for a in range(0, len(users), step):
         block = users[a:a + step]
         recovered = []  # the coded plan's payloads at each user's cells
@@ -548,22 +557,34 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
                 failure, block = exc, block[:i]
                 break
         if block:
-            # the block's cells, user after user: rows of its files, and ids
-            cells, lens = _segments(ptr, sel[a:a + len(block)])
-            need = np.repeat(np.arange(0, len(block) * f, f), np.diff(lens)) + rows[cells]
-            # The demanded files hold the cached packets at the starred rows;
-            # each other row is its message (plain: the symbol; mds: the
-            # user's recovered payload) XOR the message's payload XOR the
-            # user's own packet there.
-            files = np.take(data, demands[block] - 1, axis=0)
-            sent = (np.take(plan.symbols, msgs[cells], axis=0) if coeff is None
-                    else np.concatenate(recovered[:len(block)]))
-            _wide(files.reshape(-1, words))[need] = (
-                _wide(sent) ^ _wide(np.take(payloads, msgs[cells], axis=0))
-                ^ _wide(np.take(packets, places[cells], axis=0)))
-            yield block, files
+            # Each row a user does not star is its message (plain: the
+            # symbol; mds: the user's recovered payload) XOR the message's
+            # payload XOR the user's own packet there.
+            cells, seg = _segments(ptr, sel[a:a + len(block)])
+            decoded = (np.take(plan.symbols, msgs[cells], axis=0) if coeff is None
+                       else np.concatenate(recovered[:len(block)]))
+            wide = _wide(decoded)
+            wide ^= _wide(np.take(payloads, msgs[cells], axis=0))
+            wide ^= _wide(np.take(packets, places[cells], axis=0))
+            yield block, seg, rows[cells], decoded
         if failure is not None:
             raise failure
+
+
+def _checked_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches):
+    """:func:`_decode_blocks` at every user, each block's decoded rows
+    compared with one gather of the library at the same (demand, row) cells:
+    yield ``(block, seg, rows, same)``, ``same`` cells x wide words.  That a
+    file's starred rows are cached is the decoder's own check, and their
+    packets are the library's, so only the decoded rows are compared."""
+    data = caches.library.data
+    f, words = data.shape[1:]
+    demands = np.asarray(plan.demands, dtype=np.intp)
+    for block, seg, rows, decoded in _decode_blocks(scheme, plan, caches):
+        at = np.repeat((demands[block] - 1) * f, np.diff(seg)) + rows
+        # the library rows are a temporary, so a block holds no copy of them
+        yield block, seg, rows, _wide(decoded) == _wide(
+            np.take(data.reshape(-1, words), at, axis=0))
 
 
 def decode(scheme, user, plan: TransmissionPlan, caches: NodeCaches) -> bytes:
@@ -603,9 +624,12 @@ def _simulate(scheme, library: Library, demands, mode: str) -> tuple:
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
     verdicts = []
-    for block, files in _decode_blocks(scheme, plan, caches):
-        truth = np.take(library.data, np.asarray(plan.demands)[block] - 1, axis=0)
-        verdicts += (_wide(files) == _wide(truth)).reshape(len(block), -1).all(axis=1).tolist()
+    for block, seg, _, same in _checked_blocks(scheme, plan, caches):
+        # A user with no decoded row rebuilds its file from cache alone; the
+        # words reduce flat, since a reduction per cell is slow on so short an axis.
+        ok, full = np.ones(len(block), dtype=bool), seg[:-1] < seg[1:]
+        ok[full] = np.logical_and.reduceat(same.ravel(), seg[:-1][full] * same.shape[1])
+        verdicts += ok.tolist()
     max_unknown = plan.num_messages - int(scheme.user_delivery.known.sum(axis=1).min())
     f = scheme.subpacketization
     s = scheme.counted_messages
@@ -632,8 +656,8 @@ def measure_worst_case(scheme, library: Library, mode: str = "plain") -> Simulat
 
 def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) -> int:
     """Plain-delivery decode check over seeded random demand vectors: each
-    trial gathers the multicast payloads once, and :func:`decode_all` decodes
-    it at every user, each block of users checked with one comparison.
+    trial gathers the multicast payloads once, and the decoder decodes it at
+    every user, each block's decoded rows checked with one comparison.
     Returns the number of trials run; the first mismatch (first user, then
     first row) raises DecodeFailureError naming the user, message and row.
     """
@@ -649,12 +673,10 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
         demands = random_demands(scheme, library, rng)
         plan = TransmissionPlan("plain", demands, scheme.counted_messages,
                                 _payloads(q, data, demands))
-        for block, decoded in _decode_blocks(scheme, plan, caches):
-            truth = np.take(data, np.asarray(demands)[block] - 1, axis=0)
-            if not np.array_equal(_wide(decoded), _wide(truth)):
-                wrong = (_wide(decoded) != _wide(truth)).any(axis=2)  # block x F
-                i, j = np.argwhere(wrong)[0].tolist()
-                k = block[i]
+        for block, seg, rows, same in _checked_blocks(scheme, plan, caches):
+            if not same.all():  # cells run user by user, each user's in row order
+                p = int(np.argmin(same.all(axis=1)))
+                k, j = block[np.searchsorted(seg, p, side="right") - 1], int(rows[p])
                 raise DecodeFailureError(k, int(q.grid[j, k]) + 1,
                                          f"row {j} payload mismatch")
     return num_trials

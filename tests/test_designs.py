@@ -76,17 +76,26 @@ class TestCompleteDesign:
         with pytest.raises(InvalidParametersError):
             complete_design(3, 4)
 
-    def test_budget_is_300_plus_60_bytes_per_block_point(self):
-        # complete:7,3 is charged 35 x (300 + 60 x 3) = 16,800 bytes
-        with mock.patch.object(designs, "MAX_COUNT_BYTES", 16_800):
+    def test_budget_is_200_plus_24_bytes_per_block_point_and_240_per_point(self):
+        # complete:7,3 is charged 35 x (200 + 24 x 3) + 7 x 240 = 11,200 bytes
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 11_200):
             assert complete_design(7, 3).num_blocks == 35
-        with mock.patch.object(designs, "MAX_COUNT_BYTES", 16_799):
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 11_199):
             with pytest.raises(UnsupportedParametersError, match=re.escape(
-                    "the 3-subsets of 7 points need over 16799 bytes")):
+                    "the 3-subsets of 7 points need over 11199 bytes")):
                 complete_design(7, 3)
 
+    def test_builds_what_the_older_charge_refused(self):
+        # 300 + 60 x 6 bytes a block charged complete:12,6 924 x 660 =
+        # 609,840 bytes; the measured charge is 924 x 344 + 12 x 240
+        with mock.patch.object(designs, "MAX_COUNT_BYTES", 400_000):
+            d = complete_design(12, 6)
+            with pytest.raises(UnsupportedParametersError):
+                complete_design(13, 6)  # 1,716 blocks, 593,424 bytes
+        assert d.num_blocks == 924 and verify_t_design(d, 6, 1).ok
+
     def test_complete_23_10_reaches_the_enumeration(self):
-        # 1,144,066 blocks x 900 bytes = 1,029,659,400, under 2^30
+        # 1,144,066 blocks x 440 bytes + 23 x 240 = 503,394,560, under 2^30
         with mock.patch("macc.designs.itertools.combinations", side_effect=StopIteration):
             with pytest.raises(StopIteration):
                 complete_design(23, 10)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import re
 import struct
+import tracemalloc
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -472,14 +473,30 @@ class TestMdsDelivery:
         rep = measure_worst_case(scheme, lib, "mds")
         assert rep.max_unknown <= scheme.counted_messages - scheme.guaranteed_known
 
-    def test_field_size_guard(self):
-        from macc.pda import Pda
-
+    def test_uncoded_batch_past_the_field_sends_its_payloads(self):
+        # r = 0: the S = 40,000 payloads go out as they are, with no Cauchy
+        # matrix, so 2S past the field's 65,536 elements refuses nothing
         wide = shared_link_scheme(Pda([list(range(1, 40001))]))
         lib = make_library(40000, 1, 2)
-        with pytest.raises(ConfigurationError) as exc:
-            deliver_mds(wide, lib, tuple(range(1, 40001)))
-        assert "80001" in str(exc.value)
+        demands = tuple(range(1, 40001))
+        plan = deliver_mds(wide, lib, demands)
+        assert (plan.mode, plan.num_messages, plan.reduced_by) == ("mds", 40000, 0)
+        assert plan.symbols.tobytes() == deliver_plain(wide, lib, demands).symbols.tobytes()
+        users = [0, 39999, 17, 20000]
+        got = [(k, out.tobytes()) for k, out in decode_all(wide, plan, place(lib, wide), users)]
+        assert got == [(k, file_bytes(lib, demands[k])) for k in users]
+
+    def test_coded_batch_past_the_field_is_refused(self, monkeypatch):
+        # fano mu=3 codes S = 21 messages into S - r = 15 symbols, for which
+        # deliver_mds asks for a field of 21 + 15 + 1 = 37 elements
+        scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
+        lib = make_library(7, scheme.subpacketization, 8)
+        assert (scheme.counted_messages, scheme.guaranteed_known) == (21, 6)
+        monkeypatch.setattr(gf16, "FIELD_SIZE", 36)
+        with pytest.raises(ConfigurationError, match="at least 37 elements"):
+            deliver_mds(scheme, lib, tuple(range(1, 8)))
+        monkeypatch.setattr(gf16, "FIELD_SIZE", 37)
+        assert deliver_mds(scheme, lib, tuple(range(1, 8))).symbols_sent == 15
 
     def test_unsound_reduction_refused(self):
         # index-2 design with two cached nodes per subfile: some user can
@@ -1271,3 +1288,83 @@ class TestCacheTest:
                 raised = (exc.user, exc.message_id, str(exc))
         assert got == want
         assert raised == (fail and (*fail[:2], str(DecodeFailureError(*fail))))
+
+
+class TestDecodedRowsCheck:
+    """The worst case and the trials compare only the rows the decoder
+    decodes with the library; the starred rows of an assembled file are the
+    library's own packets."""
+
+    def test_trials_peak_below_one_and_a_half_packet_gathers(self):
+        # complete:13,3 mu=4 has 60,060 message cells: the decoder's own
+        # gather of 64-byte packets is 3.8 MB, and taking the demanded files
+        # twice per block for the check peaked at about 8 MB
+        scheme = build_scheme(complete_design(13, 3), 4)
+        lib = make_library(scheme.num_users, scheme.subpacketization, 64, seed=1)
+        assert run_demand_trials(scheme, lib, 1, seed=1) == 1  # the Pda views, cached
+        gather = len(scheme.user_delivery.csr[0]) * 64
+        assert gather == 60_060 * 64
+        tracemalloc.start()
+        try:
+            assert run_demand_trials(scheme, lib, 2, seed=2) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gather
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=st.sampled_from(_PEEL_INSTANCES), mode=st.sampled_from(("plain", "mds")),
+           data=st.data())
+    def test_decode_ok_is_the_full_file_comparison(self, instance, mode, data):
+        # one symbol damaged, or none when no symbol is sent
+        scheme = _peel_scheme(*instance)
+        k = scheme.num_users
+        lib = make_library(k, scheme.subpacketization, 2 * data.draw(st.integers(1, 8)),
+                           seed=data.draw(st.integers(0, 2**16)))
+        demands = data.draw(st.lists(st.integers(1, k), min_size=k, max_size=k))
+        deliver = {"plain": deliver_plain, "mds": deliver_mds}[mode]
+        try:
+            plan = deliver(scheme, lib, demands)
+        except UnsupportedParametersError:
+            assume(False)  # mds refuses an advertised reduction some user cannot meet
+        symbols = plan.symbols.copy()
+        if plan.symbols_sent:
+            s = data.draw(st.integers(0, plan.symbols_sent - 1), label="symbol")
+            word = data.draw(st.integers(0, symbols.shape[1] - 1), label="word")
+            symbols[s, word] ^= 1 << data.draw(st.integers(0, 15), label="bit")
+        plan = dataclasses.replace(plan, symbols=symbols)
+        with mock.patch.object(simulate, f"deliver_{mode}", return_value=plan):
+            report = run_simulation(scheme, lib, demands, mode)
+        users = data.draw(st.lists(st.integers(0, k - 1), min_size=1), label="users")
+        got = [(u, out.tobytes() == file_bytes(lib, demands[u]))
+               for u, out in decode_all(scheme, plan, place(lib, scheme), users)]
+        assert got == [(u, report.decode_ok[u]) for u in users]
+        full = [out.tobytes() == file_bytes(lib, demands[u])
+                for u, out in decode_all(scheme, plan, place(lib, scheme))]
+        assert report.decode_ok == tuple(full)
+        if mode == "plain" and plan.symbols_sent:
+            # a damaged plain symbol is a wrong row of every user that peels it
+            assert not report.all_ok
+
+    @pytest.mark.parametrize("grid, verdicts", [
+        (((1, STAR), (2, STAR)), (False, True)),
+        (((STAR, 1), (STAR, 2)), (True, False)),
+        (((STAR, STAR, 1), (STAR, STAR, 2)), (True, True, False)),
+    ], ids=["no-rows-last", "no-rows-first", "two-without-rows"])
+    def test_a_user_with_no_decoded_row_passes(self, grid, verdicts):
+        # message 1 is damaged; a user whose column is all stars decodes
+        # nothing and rebuilds its file from cache alone
+        scheme = shared_link_scheme(Pda(grid))
+        lib = make_library(len(grid[0]), 2, 8, seed=3)
+        gather = simulate._payloads
+
+        def damaged(q, data, demands):
+            out = gather(q, data, demands)
+            out[0, 0] ^= 1
+            return out
+
+        with mock.patch.object(simulate, "_payloads", damaged):
+            assert run_simulation(scheme, lib, range(1, len(grid[0]) + 1)).decode_ok == verdicts
+            with pytest.raises(DecodeFailureError, match="row 0 payload mismatch") as exc:
+                run_demand_trials(scheme, lib, 1)
+        assert (exc.value.user, exc.value.message_id) == (verdicts.index(False), 1)
