@@ -178,7 +178,7 @@ def _cmd_scheme(args) -> int:
         design = _load_design_spec(args.design)
         if args.mu_gamma is None:
             raise InvalidParametersError("design schemes need --mu-gamma")
-        scheme = build_scheme(design, args.mu_gamma, args.files)
+        scheme = build_scheme(design, args.mu_gamma)
     elif args.gdd_transversal or args.gdd_file:
         if args.gdd_file:
             gdd = serialize.load_object(args.gdd_file)
@@ -194,7 +194,7 @@ def _cmd_scheme(args) -> int:
         else:
             s = args.s if args.s is not None else gdd.num_groups
             oa = _resolve_oa(args.oa, gdd.num_groups, gdd.group_size, s)
-        scheme = build_gdd_scheme(gdd, oa, args.files)
+        scheme = build_gdd_scheme(gdd, oa)
     else:
         raise InvalidParametersError(
             "pass --design NAME|complete:G,L|@file or --gdd-transversal m,q,t/--gdd-file"
@@ -213,16 +213,16 @@ def _cmd_scheme(args) -> int:
 def _rebuild_scheme(bundle: dict):
     serialize._require(bundle, "scheme bundle", params=dict)
     params = bundle["params"]
-    serialize._require(params, "scheme bundle params", kind=str, files=int)
+    serialize._require(params, "scheme bundle params", kind=str)
     try:
         if params["kind"] == "design":
             serialize._require(params, "scheme bundle params", cached_nodes=int)
             design = serialize.design_from_obj(bundle["design"])
-            return build_scheme(design, params["cached_nodes"], params["files"])
+            return build_scheme(design, params["cached_nodes"])
         if params["kind"] == "gdd":
             gdd = serialize.gdd_from_obj(bundle["gdd"])
             oa = serialize.oa_from_obj(bundle["oa"])
-            return build_gdd_scheme(gdd, oa, params["files"])
+            return build_gdd_scheme(gdd, oa)
     except KeyError as exc:
         raise InvalidInputError(f"scheme bundle has no {exc} field") from None
     raise InvalidInputError(f"unknown scheme kind {params['kind']!r}")
@@ -256,7 +256,7 @@ def _cmd_simulate(args) -> int:
         if not _writes_as(bundle.get(key), value):
             raise MaccError(f"bundle {key} differs from the scheme rebuilt from its parameters")
     library = simulate.make_library(
-        args.files if args.files is not None else max(scheme.num_users, scheme.claims.num_files),
+        args.files if args.files is not None else scheme.num_users,
         scheme.subpacketization, args.packet_bytes, args.seed,
     )
     if args.demands == "distinct":
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "built-in array for the strength given by --s")
     p.add_argument("--oa-file")
     p.add_argument("--s", type=int, help="placement array strength (default m)")
-    p.add_argument("--files", type=int, help="library size (default: user count)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="write the JSON scheme bundle here")
     p.set_defaults(func=_cmd_scheme)
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("plain", "mds"), default="plain")
     p.add_argument("--demands", default="distinct",
                    help='"distinct", "random", or comma-separated file ids')
-    p.add_argument("--files", type=int)
+    p.add_argument("--files", type=int, help="library size (default: user count)")
     p.add_argument("--packet-bytes", type=int, default=64, dest="packet_bytes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transcript", help="write the binary transcript here")

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class DesignSchemeParams(Claims):
     strength: int         # t
     index: int            # design index lambda
     cached_nodes: int     # subset size defining one subfile
-    num_files: int
 
     def __post_init__(self):
         g, l, t, lam, mu = (
@@ -53,8 +51,6 @@ class DesignSchemeParams(Claims):
             raise InvalidParametersError(
                 f"user count lambda*C({g},{t})/C({l},{t}) is not an integer"
             )
-        if self.num_files < 1:
-            raise InvalidParametersError("need at least one file")
 
     @property
     def num_users(self) -> int:
@@ -86,18 +82,16 @@ class DesignSchemeParams(Claims):
         return self.index * redundancy_count(self)
 
     @classmethod
-    def from_design(cls, design: Design, cached_nodes: int, num_files: Optional[int] = None):
+    def from_design(cls, design: Design, cached_nodes: int):
         if design.strength is None or design.index is None:
             raise InvalidInputError("design carries no (strength, index) tag")
-        params = cls(
+        return cls(
             num_nodes=design.num_points,
             access_degree=design.block_size,
             strength=design.strength,
             index=design.index,
             cached_nodes=cached_nodes,
-            num_files=num_files if num_files is not None else 1,
         )
-        return params if num_files is not None else replace(params, num_files=params.num_users)
 
 
 def _arrays(params: DesignSchemeParams, blocks) -> tuple:
@@ -135,8 +129,8 @@ def build_user_delivery(design: Design, cached_nodes: int) -> Pda:
     return build_scheme(design, cached_nodes).user_delivery
 
 
-def build_scheme(design: Design, cached_nodes: int, num_files: Optional[int] = None) -> ArrayScheme:
-    params = DesignSchemeParams.from_design(design, cached_nodes, num_files)
+def build_scheme(design: Design, cached_nodes: int) -> ArrayScheme:
+    params = DesignSchemeParams.from_design(design, cached_nodes)
     require_match(verify_t_design(design, params.strength, params.index), "design")
     g, l, t, mu = params.num_nodes, params.access_degree, params.strength, cached_nodes
     require_room(params.subpacketization, design.num_blocks, g, 2)

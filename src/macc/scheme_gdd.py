@@ -12,9 +12,8 @@ copy counter ranking its repeats down the column (``coordinate_arrays``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ class GddSchemeParams(Claims):
     access_degree: int      # L
     strength: int           # t
     placement_strength: int  # OA strength s
-    num_files: int
 
     def __post_init__(self):
         m, q, l, t, s = (
@@ -50,8 +48,6 @@ class GddSchemeParams(Claims):
             raise InvalidParametersError(
                 f"user count C({m},{t})*{q}^{t}/C({l},{t}) is not an integer"
             )
-        if self.num_files < 1:
-            raise InvalidParametersError("need at least one file")
 
     @property
     def num_users(self) -> int:
@@ -82,8 +78,7 @@ class GddSchemeParams(Claims):
     guaranteed_known = 0
 
     @classmethod
-    def from_components(cls, gdd: GroupDivisibleDesign, oa: OrthogonalArray,
-                        num_files: Optional[int] = None):
+    def from_components(cls, gdd: GroupDivisibleDesign, oa: OrthogonalArray):
         if gdd.strength is None:
             raise InvalidInputError("GDD carries no strength tag")
         if gdd.num_groups != oa.num_columns or gdd.group_size != oa.num_symbols:
@@ -91,22 +86,19 @@ class GddSchemeParams(Claims):
                 f"frame mismatch: GDD is ({gdd.num_groups},{gdd.group_size}), "
                 f"OA is ({oa.num_columns},{oa.num_symbols})"
             )
-        params = cls(
+        return cls(
             num_groups=gdd.num_groups,
             group_size=gdd.group_size,
             access_degree=gdd.block_size,
             strength=gdd.strength,
             placement_strength=oa.strength,
-            num_files=num_files if num_files is not None else 1,
         )
-        return params if num_files is not None else replace(params, num_files=params.num_users)
 
 
-def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray,
-                     num_files: Optional[int] = None) -> ArrayScheme:
+def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> ArrayScheme:
     """The scheme of an index-1 GDD topology under OA placement: base row j
     is OA row j, and nodes and block points are (group, value) pairs."""
-    params = GddSchemeParams.from_components(gdd, oa, num_files)
+    params = GddSchemeParams.from_components(gdd, oa)
     # An untagged GDD is checked as index 1, the only index the delivery
     # array is built for.
     require_match(verify_gdd(gdd, params.strength, 1 if gdd.index is None else gdd.index), "GDD")

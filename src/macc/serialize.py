@@ -208,7 +208,6 @@ def scheme_to_obj(scheme) -> dict:
         params = {
             "kind": "design", "nodes": p.num_nodes, "L": p.access_degree,
             "t": p.strength, "lambda": p.index, "cached_nodes": p.cached_nodes,
-            "files": p.num_files,
         }
     else:
         node_stars = int(np.count_nonzero(scheme.node_placement[:, 0]))
@@ -217,7 +216,7 @@ def scheme_to_obj(scheme) -> dict:
         summary["load_bound"] = fraction_str(p.load)
         params = {
             "kind": "gdd", "m": p.num_groups, "q": p.group_size, "L": p.access_degree,
-            "t": p.strength, "s": p.placement_strength, "files": p.num_files,
+            "t": p.strength, "s": p.placement_strength,
         }
     return {
         "type": "scheme", "params": params, "summary": summary,

@@ -343,8 +343,17 @@ def place(library: Library, scheme) -> NodeCaches:
     return NodeCaches(library, grid)
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, ``bool`` aside."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def validate_demands(scheme, library: Library, demands) -> tuple:
-    demands = tuple(int(d) for d in demands)
+    demands = tuple(demands)
+    for i, d in enumerate(demands):
+        if not _is_int(d):
+            raise InvalidParametersError(f"demands[{i}] is {d!r}, not a file index")
+    demands = tuple(map(int, demands))
     if len(demands) != scheme.num_users:
         raise InvalidParametersError(
             f"demand vector length {len(demands)} != user count {scheme.num_users}"
@@ -416,22 +425,19 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
                 "undecodable, use plain delivery"
             )
     num_out = s - reduced
-    # the uncoded batch (r = 0) sends the payloads themselves: no field
-    if num_out < s and s + num_out > gf16.FIELD_SIZE - 1:
-        raise ConfigurationError(
-            f"coded delivery needs a field with at least "
-            f"{s + num_out + 1} elements; GF(2^16) is too small"
-        )
+    # the uncoded batch (r = 0) sends the payloads themselves: no field; a
+    # coded one is refused by cauchy_matrix before the gather
+    matrix = gf16.cauchy_matrix(num_out, s) if num_out < s else None
     symbols = _payloads(scheme.user_delivery, library.data, demands)
-    if num_out < s:
-        symbols = gf16.matvec(gf16.cauchy_matrix(num_out, s), symbols)
+    if matrix is not None:
+        symbols = gf16.matvec(matrix, symbols)
     return TransmissionPlan("mds", demands, s, symbols)
 
 
 def _user_index(scheme, user) -> int:
     """A 0-based user index, checked against the user count, or the index
     of the user whose block is ``user``."""
-    if isinstance(user, (int, np.integer)) and not isinstance(user, bool):
+    if _is_int(user):
         if 0 <= user < scheme.num_users:
             return int(user)
     elif isinstance(user, (tuple, list, set, frozenset)):

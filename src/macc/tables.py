@@ -74,7 +74,7 @@ def gdd_comparison_rows(rows=GDD_TABLE_ROWS, access_degree: int = 3, strength: i
         try:
             params = GddSchemeParams(
                 num_groups=m, group_size=q, access_degree=access_degree,
-                strength=strength, placement_strength=m, num_files=1,
+                strength=strength, placement_strength=m,
             )
         except InvalidParametersError as exc:
             out.append({
@@ -100,12 +100,12 @@ def design_comparison_rows(num_nodes: int = 15, access_degree: int = 3, strength
     t-(nodes, L, 1) design that the divisibility conditions rule out are
     flagged in their note; the baseline rows are not."""
     g, l, t = num_nodes, access_degree, strength
-    k = DesignSchemeParams(g, l, t, 1, 0, num_files=1).num_users
+    k = DesignSchemeParams(g, l, t, 1, 0).num_users
     note = "" if check_divisibility(t, l, 1, g) else (
         f"flagged: no {t}-({g},{l},1) design exists (divisibility conditions fail)")
     out = []
     for mu in range(0, g - l + 1):
-        params = DesignSchemeParams(g, l, t, 1, mu, num_files=1)
+        params = DesignSchemeParams(g, l, t, 1, mu)
         out.append(_row("design", f"nodes={g},L={l},t={t},cached={mu}", k,
                         params.coverage_ratio, params.load, params.subpacketization, note))
     f = 1  # C(k, i), each from the one before

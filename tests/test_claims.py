@@ -37,12 +37,12 @@ def claims_grid():
     for g, lam in itertools.product(range(1, 14), range(1, 4)):
         for l in range(1, g + 1):
             for t, mu in itertools.product(range(1, l + 1), range(g - l + 1)):
-                out += _valid(DesignSchemeParams, g, l, t, lam, mu, 1)
+                out += _valid(DesignSchemeParams, g, l, t, lam, mu)
     for m, q in itertools.product(range(1, 9), range(1, 6)):
         for s in range(1, m + 1):
             for l in range(1, s + 1):
                 for t in range(1, l + 1):
-                    out += _valid(GddSchemeParams, m, q, l, t, s, 1)
+                    out += _valid(GddSchemeParams, m, q, l, t, s)
     return out
 
 

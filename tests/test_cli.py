@@ -110,20 +110,20 @@ class TestSchemeCommand:
 
     @pytest.mark.parametrize("argv, digest", [
         (("--design", "fano-7-3-1", "--mu-gamma", "1"),
-         "5e43b33d368488f15d9be1cb4e94be0b5bc5f6bb5d16b1526d84ed884a733d91"),
+         "96a6a33a9db369729af98331875e11660247efbb3bf6b6395f4262b4e05cf57d"),
         (("--design", "affine-9-3-1", "--mu-gamma", "2"),
-         "2445ef80ae1a194e4363fcf18ed1022f2e9c211cc38827e066cf5a2ed8612865"),
+         "b3bb1acd99e72e4f7c7f895d4f8c46768981429330325dfe4c3a5dc1c535525e"),
         (("--design", "biplane-7-4-2", "--mu-gamma", "2"),
-         "51b7bdc544a38d77f6403abe6409d5396fecbff171377408d480a7159f098d6f"),
+         "16c9a5e67ccc3e2eec52d2d707d87001a098c0d69d6ae8c288a9aff31ee0eeb4"),
         (("--gdd-transversal", "3,2,2", "--oa", "catalog:oa-3-2-2"),
-         "85d3dabc2d79b69ce7d1382c071659c7ac7490f93be3d92979e8ed6c47f39644"),
+         "94cb87d71d9e5a23bc64c3e1170b0e07ba17e8a7d0bf3053bf135f25caf21d01"),
         (("--design", "complete:13,3", "--mu-gamma", "4"),
-         "88ada3fb12adbae8418ce2c653609fd90fcc12684d558176787bcc70ddf2f6be"),
+         "e79c5054f7e03479ae04d836b71e0a1df91a9c05360c2af51e75f0e6c31580d0"),
         (("--design", "complete:16,3", "--mu-gamma", "5"),
-         "97a81d310b73af26c374a0854dc9073f93198789ac0619375f392eaf6207edfe"),
+         "f09dce438c54d19a0de0829aa8b45f565b51b57f83370e44838812fb96303994"),
         # q = 3: the GDD id vectors take 2-bit fields, not the 1-bit design ones
         (("--gdd-transversal", "3,3,2", "--oa", "linear", "--s", "2"),
-         "ebb73ea2a6c0bf74bca683e9a1877a5daf0782616c03364b29967f7a56bbdbc7"),
+         "10b37b295065e36dd96b7d5d02d8d19b560a0f467aeca816a042fb6aee682671"),
     ], ids=["fano-mu1", "affine-mu2", "biplane-mu2", "gdd-3-2-2", "complete-13-3-mu4",
             "complete-16-3-mu5", "gdd-3-3-2-linear"])
     def test_bundle_bytes_pinned(self, capsys, tmp_path, argv, digest):
@@ -131,7 +131,10 @@ class TestSchemeCommand:
         # before that change (the first five recorded with the object-cell
         # builders, complete-16-3-mu5 with json.dumps(indent=2) as the
         # writer) with its "U" key popped and the rest re-dumped through
-        # dump_json, so nothing but U may change, byte for byte.
+        # dump_json, so nothing but U may change, byte for byte.  Bundles
+        # then lost the library size too: each digest is of the bundle
+        # written before that with its params' "files" key popped and the
+        # rest re-dumped the same way.
         path = tmp_path / "s.json"
         code, _, _ = run(capsys, "scheme", *argv, "--out", str(path))
         assert code == 0
@@ -520,6 +523,40 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["plain", "mds"])
+    def test_bundle_with_a_library_size_simulates_as_one_without(self, capsys, tmp_path, mode):
+        # bundles once recorded a library size in params["files"]; one that
+        # does still loads, and the default library is K files either way
+        bundle, old = tmp_path / "s.json", tmp_path / "old.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        assert "files" not in obj["params"]
+        obj["params"]["files"] = obj["summary"]["K"] + 3
+        old.write_text(json.dumps(obj))
+        reports = [run(capsys, "simulate", "--scheme", str(path), "--mode", mode)
+                   for path in (old, bundle)]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0 and json.loads(reports[0][1])["demands"] == list(range(1, 8))
+
+    def test_scheme_takes_no_library_size(self, capsys):
+        code, out, err = run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+                             "--files", "9")
+        assert (code, out) == (2, "")
+        assert "--files" in err
+
+    def test_random_demands_draw_from_the_files_given(self, capsys, tmp_path):
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
+            "--out", str(bundle))
+        drawn = set()
+        for seed in range(4):
+            code, out, _ = run(capsys, "simulate", "--scheme", str(bundle), "--files", "14",
+                               "--demands", "random", "--seed", str(seed))
+            assert code == 0
+            drawn.update(json.loads(out)["demands"])
+        assert drawn <= set(range(1, 15)) and max(drawn) > 7
+
 
 class TestUnreadableInput:
     """Every command that reads a JSON file exits 3 and names the file
@@ -786,7 +823,6 @@ def fano_files(tmp_path_factory):
 _READ_FIELDS = [
     ("bundle", ("params", "kind"), str),
     ("bundle", ("params", "cached_nodes"), int),
-    ("bundle", ("params", "files"), int),
     ("bundle", ("design", "t"), int),
     ("bundle", ("design", "lambda"), int),
     ("design", ("t",), int),

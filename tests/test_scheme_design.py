@@ -38,19 +38,19 @@ def fano_scheme():
 
 class TestParams:
     def test_derived_counts(self):
-        p = DesignSchemeParams(7, 3, 2, 1, 1, 7)
+        p = DesignSchemeParams(7, 3, 2, 1, 1)
         assert (p.num_users, p.subpacketization, stars_per_user(p)) == (7, 21, 9)
 
     def test_cached_nodes_bound(self):
         with pytest.raises(InvalidParametersError):
-            DesignSchemeParams(7, 3, 2, 1, 5, 7)
+            DesignSchemeParams(7, 3, 2, 1, 5)
 
     def test_user_count_must_divide(self):
         with pytest.raises(InvalidParametersError):
-            DesignSchemeParams(8, 3, 2, 1, 1, 8)
+            DesignSchemeParams(8, 3, 2, 1, 1)
 
     def test_row_label_order_is_t_major(self):
-        # the D-subsets of DesignSchemeParams(4, 3, 2, 1, 1, 4), which has no design
+        # the D-subsets of DesignSchemeParams(4, 3, 2, 1, 1), which has no design
         labels = tiled_labels([(1,), (2,), (3,), (4,)], 3, 2)
         assert labels[0] == ((1,), (1, 2))
         assert labels[4] == ((1,), (1, 3))
@@ -176,39 +176,39 @@ class TestUserDelivery:
 
 class TestLoads:
     def test_fano_load(self):
-        assert DesignSchemeParams(7, 3, 2, 1, 1, 7).load == Fraction(4, 3)
+        assert DesignSchemeParams(7, 3, 2, 1, 1).load == Fraction(4, 3)
 
     def test_biplane_load_is_one(self):
-        assert DesignSchemeParams(7, 4, 2, 2, 1, 7).load == 1
+        assert DesignSchemeParams(7, 4, 2, 2, 1).load == 1
 
     def test_zero_cache_full_demand(self):
-        p = DesignSchemeParams(7, 3, 2, 1, 0, 7)
+        p = DesignSchemeParams(7, 3, 2, 1, 0)
         assert p.load == p.num_users
 
     def test_affine_reduced_load(self):
-        p = DesignSchemeParams(9, 3, 2, 1, 2, 12)
+        p = DesignSchemeParams(9, 3, 2, 1, 2)
         assert p.load == Fraction(126 - 6, 108)
 
     def test_shared_link_fano(self):
-        p = DesignSchemeParams(7, 3, 2, 1, 1, 7)
+        p = DesignSchemeParams(7, 3, 2, 1, 1)
         assert (p.coverage_ratio, p.load) == (Fraction(3, 7), Fraction(4, 3))
 
     def test_shared_link_biplane(self):
-        p = DesignSchemeParams(7, 4, 2, 2, 1, 7)
+        p = DesignSchemeParams(7, 4, 2, 2, 1)
         assert (p.coverage_ratio, p.load) == (Fraction(4, 7), Fraction(1))
 
     def test_shared_link_zero_cache(self):
-        p = DesignSchemeParams(7, 3, 2, 1, 0, 7)
+        p = DesignSchemeParams(7, 3, 2, 1, 0)
         assert p.coverage_ratio == 0 and p.load == 7
 
 
 class TestRedundancy:
     def test_single_cached_node_is_zero(self):
-        assert redundancy_count(DesignSchemeParams(7, 3, 2, 1, 1, 7)) == 0
-        assert redundancy_count(DesignSchemeParams(7, 4, 2, 2, 1, 7)) == 0
+        assert redundancy_count(DesignSchemeParams(7, 3, 2, 1, 1)) == 0
+        assert redundancy_count(DesignSchemeParams(7, 4, 2, 2, 1)) == 0
 
     def test_affine_closed_form(self):
-        assert redundancy_count(DesignSchemeParams(9, 3, 2, 1, 2, 12)) == 6
+        assert redundancy_count(DesignSchemeParams(9, 3, 2, 1, 2)) == 6
 
     def test_matches_brute_force_enumeration(self):
         # fix one block; count (t+mu)-subsets overlapping it in t+1..t+mu-1 points
@@ -224,7 +224,7 @@ class TestRedundancy:
 
     def test_brute_force_other_cached_sizes(self):
         for mu in (1, 2, 3):
-            p = DesignSchemeParams(9, 3, 2, 1, mu, 12)
+            p = DesignSchemeParams(9, 3, 2, 1, mu)
             block = set(catalog_design("affine-9-3-1").blocks[4])
             brute = sum(
                 1

@@ -97,17 +97,17 @@ def crs_comparison(num_groups: int, group_size: int, strength: int) -> CrsCompar
 
 class TestParams:
     def test_derived_counts(self):
-        p = GddSchemeParams(3, 2, 2, 2, 2, 12)
+        p = GddSchemeParams(3, 2, 2, 2, 2)
         assert (p.num_users, p.subpacketization, stars_per_user(p)) == (12, 4, 3)
         assert p.coverage_ratio == Fraction(3, 4)
 
     def test_ordering_guard(self):
         with pytest.raises(InvalidParametersError):
-            GddSchemeParams(3, 2, 2, 2, 4, 12)  # s > m
+            GddSchemeParams(3, 2, 2, 2, 4)  # s > m
 
     def test_divisibility_guard(self):
         with pytest.raises(InvalidParametersError):
-            GddSchemeParams(5, 2, 4, 2, 5, 8)  # C(4,2) does not divide C(5,2)*4
+            GddSchemeParams(5, 2, 4, 2, 5)  # C(4,2) does not divide C(5,2)*4
 
 
 class TestNodePlacement:
@@ -245,42 +245,42 @@ class TestUserDelivery:
 
 class TestLoads:
     def test_tradeoff_large_rows(self):
-        p = GddSchemeParams(15, 5, 3, 2, 15, 875)
+        p = GddSchemeParams(15, 5, 3, 2, 15)
         assert p.coverage_ratio == Fraction(61, 125)
         assert p.load == Fraction(16, 3)
         assert p.num_users == 875
         assert p.subpacketization == 3 * 5**15
 
     def test_tradeoff_m16_q4(self):
-        p = GddSchemeParams(16, 4, 3, 2, 16, 640)
+        p = GddSchemeParams(16, 4, 3, 2, 16)
         assert p.num_users == 640
         assert p.coverage_ratio == Fraction(37, 64)
         assert p.load == 3
 
     def test_binary_full_strength(self):
-        p = GddSchemeParams(4, 2, 2, 2, 4, 4)
+        p = GddSchemeParams(4, 2, 2, 2, 4)
         assert p.load == Fraction(1, 1)
 
     def test_shared_link_case_one(self):
-        point = shared_link_gdd_tradeoff(GddSchemeParams(3, 3, 2, 2, 2, 9))
+        point = shared_link_gdd_tradeoff(GddSchemeParams(3, 3, 2, 2, 2))
         assert point.case == "L=t, s=m-1"
         assert point.messages_exact and point.num_messages == 36
         assert point.load == Fraction(36, 9) == 4
 
     def test_shared_link_case_overlap_at_t_one(self):
         # s = m-1 and s+t = m coincide at t = 1 and give the same count
-        point = shared_link_gdd_tradeoff(GddSchemeParams(3, 3, 1, 1, 2, 9))
+        point = shared_link_gdd_tradeoff(GddSchemeParams(3, 3, 1, 1, 2))
         assert point.messages_exact and point.num_messages == 18
         assert point.load == 2
 
     def test_shared_link_case_two(self):
-        point = shared_link_gdd_tradeoff(GddSchemeParams(5, 5, 2, 2, 3, 250))
+        point = shared_link_gdd_tradeoff(GddSchemeParams(5, 5, 2, 2, 3))
         assert point.case == "L=t, s+t=m, s>t"
         assert point.num_messages == (5**2 - 1) * 5**3
         assert point.load == 5**2 - 1
 
     def test_shared_link_full_strength_is_bound(self):
-        point = shared_link_gdd_tradeoff(GddSchemeParams(4, 2, 2, 2, 4, 4))
+        point = shared_link_gdd_tradeoff(GddSchemeParams(4, 2, 2, 2, 4))
         assert point.load_is_bound
         assert point.load == Fraction((2 - 1) ** 2 * 2**4, 2**4)
 

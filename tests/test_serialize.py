@@ -86,7 +86,7 @@ class TestDumpJson:
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size == 2_823_279
+        assert size == 2_823_261
         assert peak < size / 2
 
 

@@ -335,6 +335,22 @@ class TestPlainDelivery:
         with pytest.raises(InvalidParametersError):
             deliver_plain(fano, lib, (0,) * 7)
 
+    @pytest.mark.parametrize("deliver", [deliver_plain, deliver_mds], ids=["plain", "mds"])
+    @pytest.mark.parametrize("entry", [1.9, 1.0, True, np.True_, "1", "x", None, (1,)],
+                             ids=repr)
+    def test_demands_take_integers_only(self, fano, deliver, entry):
+        lib = make_library(7, 21, 8)
+        demands = (1, 2, entry, 4, entry, 6, 7)
+        with pytest.raises(InvalidParametersError, match=re.escape(f"demands[2] is {entry!r}")):
+            deliver(fano, lib, demands)
+
+    @pytest.mark.parametrize("deliver", [deliver_plain, deliver_mds], ids=["plain", "mds"])
+    def test_demands_take_numpy_integers(self, fano, deliver):
+        lib = make_library(7, 21, 8)
+        demands = (1, np.int64(2), np.uint8(3), np.int32(4), 5, 6, 7)
+        assert deliver(fano, lib, demands).demands == tuple(range(1, 8))
+        assert deliver(fano, lib, np.arange(1, 8)).demands == tuple(range(1, 8))
+
 
 class TestDecode:
     def test_mn_all_users(self, mn_scheme):
@@ -487,15 +503,18 @@ class TestMdsDelivery:
         assert got == [(k, file_bytes(lib, demands[k])) for k in users]
 
     def test_coded_batch_past_the_field_is_refused(self, monkeypatch):
-        # fano mu=3 codes S = 21 messages into S - r = 15 symbols, for which
-        # deliver_mds asks for a field of 21 + 15 + 1 = 37 elements
+        # fano mu=3 codes S = 21 messages into S - r = 15 symbols, whose
+        # 15 x 21 Cauchy matrix takes 21 + 15 = 36 distinct field elements;
+        # the refusal comes before the payloads are gathered
         scheme = build_scheme(catalog_design("fano-7-3-1"), 3)
         lib = make_library(7, scheme.subpacketization, 8)
         assert (scheme.counted_messages, scheme.guaranteed_known) == (21, 6)
+        monkeypatch.setattr(gf16, "FIELD_SIZE", 35)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_payloads", None)
+            with pytest.raises(ConfigurationError, match="needs 36 distinct field elements"):
+                deliver_mds(scheme, lib, tuple(range(1, 8)))
         monkeypatch.setattr(gf16, "FIELD_SIZE", 36)
-        with pytest.raises(ConfigurationError, match="at least 37 elements"):
-            deliver_mds(scheme, lib, tuple(range(1, 8)))
-        monkeypatch.setattr(gf16, "FIELD_SIZE", 37)
         assert deliver_mds(scheme, lib, tuple(range(1, 8))).symbols_sent == 15
 
     def test_unsound_reduction_refused(self):
