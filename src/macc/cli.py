@@ -228,13 +228,21 @@ def _rebuild_scheme(bundle: dict):
     raise InvalidInputError(f"unknown scheme kind {params['kind']!r}")
 
 
-def _writes_as(value, obj) -> bool:
-    """Whether the parsed JSON ``value`` is written as ``obj`` is, dict key
-    order aside; unlike ``==``, ``true`` and ``1.0`` differ from ``1``."""
-    if isinstance(obj, dict):
-        return (isinstance(value, dict) and value.keys() == obj.keys()
-                and all(_writes_as(value[key], item) for key, item in obj.items()))
-    return json.dumps(value) == json.dumps(json.loads(serialize.dump_json(obj)))
+def _first_difference(value, want, path: str = ""):
+    """The path of the first field of the JSON value ``want`` that the
+    parsed JSON ``value`` does not write as ``want`` does, or None.  Key
+    order and keys that ``want`` lacks aside; unlike ``==``, ``true`` and
+    ``1.0`` differ from ``1``."""
+    if not isinstance(want, dict):
+        return None if json.dumps(value) == json.dumps(want) else path
+    if not isinstance(value, dict):
+        return path
+    for key, item in want.items():
+        where = f"{path}.{key}" if path else key
+        found = where if key not in value else _first_difference(value[key], item, where)
+        if found is not None:
+            return found
+    return None
 
 
 def _cmd_simulate(args) -> int:
@@ -242,19 +250,10 @@ def _cmd_simulate(args) -> int:
     if not isinstance(bundle, dict) or bundle.get("type") != "scheme":
         raise InvalidInputError(f"{args.scheme} is not a scheme bundle")
     scheme = _rebuild_scheme(bundle)
-    summary = bundle.get("summary")
-    if not isinstance(summary, dict):
-        raise InvalidInputError(f"{args.scheme} has no summary object")
-    rebuilt = {"K": scheme.num_users, "F": scheme.subpacketization,
-               "S_counted": scheme.counted_messages}
-    for field, value in rebuilt.items():
-        if summary.get(field) != value:
-            raise MaccError(f"bundle summary {field} is {summary.get(field)!r}, "
-                            f"but the scheme rebuilt from its parameters has {value}")
-    for key, value in (("C", serialize.placement_to_obj(scheme.node_placement)),
-                       ("Q", serialize.pda_to_obj(scheme.user_delivery))):
-        if not _writes_as(bundle.get(key), value):
-            raise MaccError(f"bundle {key} differs from the scheme rebuilt from its parameters")
+    field = _first_difference(
+        bundle, json.loads(serialize.dump_json(serialize.scheme_to_obj(scheme))))
+    if field is not None:
+        raise MaccError(f"bundle {field} differs from the scheme rebuilt from its parameters")
     library = simulate.make_library(
         args.files if args.files is not None else scheme.num_users,
         scheme.subpacketization, args.packet_bytes, args.seed,

@@ -44,6 +44,11 @@ def int_text(x) -> str:
         return f"<{x.bit_length()}-bit integer>"
 
 
+def is_int(value) -> bool:
+    """A Python or numpy integer, ``bool`` aside."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_match(report, what: str) -> None:
     """Raise InconsistentDesignError naming the first violation of a failed
     verification of ``what`` against its own tag."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import Design, GroupDivisibleDesign, OrthogonalArray, int_text
+from .designs import Design, GroupDivisibleDesign, OrthogonalArray, int_text, is_int
 from .errors import InvalidInputError
 from .pda import Pda, STAR, pda_stats
 
@@ -32,10 +32,6 @@ def design_to_obj(design: Design) -> dict:
     if design.index is not None:
         obj["lambda"] = design.index
     return obj
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require(obj, kind: str, /, **fields) -> None:
@@ -70,7 +66,7 @@ def _int_tuples(value, kind: str, path: str, depth: int, width=None) -> tuple:
         return tuple(_int_tuples(v, kind, f"{path}[{i}]", depth - 1, width)
                      for i, v in enumerate(value))
     for i, x in enumerate(value):
-        if not _is_int(x):
+        if not is_int(x):
             raise InvalidInputError(f"{kind} {path}[{i}] is {x!r}, not an integer")
     if width is not None and len(value) != width:
         raise InvalidInputError(f"{kind} {path} has {len(value)} entries, not {width}")
@@ -112,9 +108,9 @@ def oa_to_obj(oa: OrthogonalArray) -> dict:
 
 def oa_from_obj(obj: dict) -> OrthogonalArray:
     _require(obj, "oa", q=int, s=int, rows=list)
-    tags = _tags(obj, "oa", "lambda", "index")
+    tags = _tags(obj, "oa", "lambda")
     return OrthogonalArray(
-        obj["q"], obj["s"], tags.get("lambda", tags.get("index", 1)),
+        obj["q"], obj["s"], tags.get("lambda", 1),
         _int_tuples(obj["rows"], "oa", "rows", 2),
     )
 
@@ -173,7 +169,7 @@ def pda_from_obj(obj: dict) -> Pda:
         if not isinstance(row, list) or len(row) != obj["K"]:
             raise InvalidInputError(f"pda cells[{j - 1}] is not a list of {obj['K']} entries")
         for k, c in enumerate(row, start=1):
-            if c != "*" and not _is_int(c):
+            if c != "*" and not is_int(c):
                 raise InvalidInputError(
                     f"PDA cell ({j}, {k}) is {c!r}, not '*' or an integer"
                 )

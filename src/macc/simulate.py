@@ -20,7 +20,7 @@ from random import Random
 import numpy as np
 
 from . import gf16
-from .designs import int_text
+from .designs import int_text, is_int
 from .errors import (
     ConfigurationError,
     DecodeFailureError,
@@ -343,15 +343,10 @@ def place(library: Library, scheme) -> NodeCaches:
     return NodeCaches(library, grid)
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer, ``bool`` aside."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def validate_demands(scheme, library: Library, demands) -> tuple:
     demands = tuple(demands)
     for i, d in enumerate(demands):
-        if not _is_int(d):
+        if not is_int(d):
             raise InvalidParametersError(f"demands[{i}] is {d!r}, not a file index")
     demands = tuple(map(int, demands))
     if len(demands) != scheme.num_users:
@@ -437,7 +432,7 @@ def deliver_mds(scheme, library: Library, demands) -> TransmissionPlan:
 def _user_index(scheme, user) -> int:
     """A 0-based user index, checked against the user count, or the index
     of the user whose block is ``user``."""
-    if _is_int(user):
+    if is_int(user):
         if 0 <= user < scheme.num_users:
             return int(user)
     elif isinstance(user, (tuple, list, set, frozenset)):
@@ -673,12 +668,10 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
         )
     caches = place(library, scheme)
     q = scheme.user_delivery
-    data = library.data
     rng = Random(seed)
     for _ in range(num_trials):
         demands = random_demands(scheme, library, rng)
-        plan = TransmissionPlan("plain", demands, scheme.counted_messages,
-                                _payloads(q, data, demands))
+        plan = deliver_plain(scheme, library, demands)
         for block, seg, rows, same in _checked_blocks(scheme, plan, caches):
             if not same.all():  # cells run user by user, each user's in row order
                 p = int(np.argmin(same.all(axis=1)))

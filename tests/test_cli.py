@@ -292,6 +292,16 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    def test_oa_index_is_read_from_lambda_only(self, capsys, tmp_path):
+        # four rows make an index-2 OA, but "index" is no tag: the array is
+        # read as index 1, whose q^s = 2 rows it does not have
+        path = tmp_path / "oa.json"
+        path.write_text(json.dumps({"type": "oa", "q": 2, "s": 1, "index": 2,
+                                    "rows": [[1, 1], [2, 2], [1, 2], [2, 1]]}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error:") and "row count 4 != index*q^strength = 2" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -376,6 +386,26 @@ class TestVerifyCommand:
         assert err.startswith("parse error:") and f"'{key}'" in err
 
 
+# The scheme arguments of a design and a GDD bundle, and every params and
+# summary field of each but the two a scheme is rebuilt from, kind and
+# cached_nodes, which build another scheme when changed.
+_BUNDLE_ARGS = {
+    "design": ("--design", "fano-7-3-1", "--mu-gamma", "1"),
+    "gdd": ("--gdd-transversal", "3,2,2", "--oa", "catalog:oa-3-2-2"),
+}
+_STATED_FIELDS = [
+    (kind, f"{section}.{field}")
+    for kind, scheme in [
+        ("design", scheme_design.build_scheme(designs.catalog_design("fano-7-3-1"), 1)),
+        ("gdd", scheme_gdd.build_gdd_scheme(designs.transversal_gdd(3, 2, 2),
+                                            designs.catalog_oa("oa-3-2-2"))),
+    ]
+    for section in ("params", "summary")
+    for field in serialize.scheme_to_obj(scheme)[section]
+    if field not in ("kind", "cached_nodes")
+]
+
+
 class TestSimulateCommand:
     def test_end_to_end(self, capsys, tmp_path):
         bundle = tmp_path / "scheme.json"
@@ -424,20 +454,24 @@ class TestSimulateCommand:
         assert code == 3
         assert err.startswith("parse error:") and "design" in err
 
-    @pytest.mark.parametrize("field", ["K", "F", "S_counted"])
-    def test_stale_bundle_summary_fails(self, capsys, tmp_path, field):
+    @pytest.mark.parametrize("kind, field", _STATED_FIELDS,
+                             ids=[f"{kind}-{field}" for kind, field in _STATED_FIELDS])
+    def test_stale_bundle_summary_fails(self, capsys, tmp_path, kind, field):
         bundle = tmp_path / "s.json"
-        run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
-            "--out", str(bundle))
+        run(capsys, "scheme", *_BUNDLE_ARGS[kind], "--out", str(bundle))
         obj = json.loads(bundle.read_text())
-        obj["summary"][field] += 1
+        section, name = field.split(".")
+        value = obj[section][name]
+        obj[section][name] = (not value if isinstance(value, bool)
+                              else value + 1 if isinstance(value, int) else value + "0")
         bundle.write_text(json.dumps(obj))
         code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 1
-        assert out == "" and field in err and err.startswith("error:")
+        assert out == "" and err == (
+            f"error: bundle {field} differs from the scheme rebuilt from its parameters\n")
 
-    @pytest.mark.parametrize("key", ["C", "Q"])
-    def test_changed_bundle_array_fails(self, capsys, tmp_path, key):
+    @pytest.mark.parametrize("key, field", [("C", "C"), ("Q", "Q.cells")], ids=["C", "Q"])
+    def test_changed_bundle_array_fails(self, capsys, tmp_path, key, field):
         bundle = tmp_path / "s.json"
         run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",
             "--out", str(bundle))
@@ -447,7 +481,7 @@ class TestSimulateCommand:
         bundle.write_text(json.dumps(obj))
         code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 1
-        assert out == "" and err.startswith(f"error: bundle {key} differs")
+        assert out == "" and err.startswith(f"error: bundle {field} differs")
 
     @pytest.mark.parametrize("id_value", [True, 1.0], ids=["true", "float"])
     def test_bundle_q_id_of_another_type_fails(self, capsys, tmp_path, id_value):
@@ -462,7 +496,7 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
         assert code == 1
         assert out == "" and err == (
-            "error: bundle Q differs from the scheme rebuilt from its parameters\n")
+            "error: bundle Q.cells differs from the scheme rebuilt from its parameters\n")
 
     def test_reordered_bundle_q_simulates(self, capsys, tmp_path):
         bundle = tmp_path / "s.json"
@@ -818,8 +852,9 @@ def fano_files(tmp_path_factory):
     return work, json.loads(bundle.read_text()), json.loads(design.read_text())
 
 
-# The fields `simulate` reads from a bundle and `verify` from a design file,
-# each with its JSON type; and a value strategy for every JSON type.
+# The fields `simulate` rebuilds a bundle's scheme from and `verify` reads
+# from a design file, each with its JSON type; and a value strategy for
+# every JSON type.
 _READ_FIELDS = [
     ("bundle", ("params", "kind"), str),
     ("bundle", ("params", "cached_nodes"), int),
@@ -895,9 +930,9 @@ def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
     leaves the same JSON value (the final newline cut) is the same input.  A
     design, GDD or OA file that keeps its keys but changes a value no longer
     matches its tag, or is malformed, so it exits 1, 2 or 3; so does a
-    bundle that keeps its keys but changes C or Q, which no longer match the
-    scheme rebuilt from it.  A renamed or dropped key, other damage to a
-    bundle, and damage to a PDA may still leave a valid input."""
+    bundle whose value changes in any way, since every key it holds is one
+    the scheme rebuilt from it writes.  A renamed or dropped key of another
+    file, and damage to a PDA, may still leave a valid input."""
     kind, argv = reader
     whole = (json_inputs / f"{kind}.json").read_bytes()
     if data.draw(st.booleans(), label="truncate"):
@@ -915,9 +950,8 @@ def test_damaged_json_input_exits_with_a_code(json_inputs, reader, data):
         allowed = {3}
     else:
         same_keys = isinstance(parsed, dict) and parsed.keys() == original.keys()
-        value_changed = same_keys and (
-            parsed != original if kind in ("design", "gdd", "oa")
-            else kind == "bundle" and any(parsed[k] != original[k] for k in "CQ"))
+        value_changed = parsed != original and (
+            kind == "bundle" or same_keys and kind in ("design", "gdd", "oa"))
         allowed = {1, 2, 3} if value_changed else {0, 1, 2, 3}
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
