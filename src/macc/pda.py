@@ -9,25 +9,25 @@ message.  The defining conditions:
   C3a  an id never repeats within a row or a column;
   C3b  for two cells sharing an id, both crossing cells are stars.
 
-Ids are opaque hashable objects.  Constructions use structured ids (subsets,
-symbol vectors with copy counters); the array stores them as dense integers
-in row-major first-occurrence order, and serialization writes those as
-1..S.  The scheme builders compute an integer key per non-star cell with
-array arithmetic (``row_keys`` folds a tuple of coordinates into one key,
-``occurrences`` numbers repeat copies) and ``Pda.from_keys`` numbers those
-keys, making an id object only for each of the S distinct keys; ``Pda(cells)``
-maps hashable cells to a key grid and numbers it the same way.  The
-numbering is one stable sort of the non-star keys in ``id_cells``: it groups
-the cells by key, and laying the groups out in order of their first cells
-gives both the canonical ids and the id CSR that the verifier, the delivery
-and the decoder read, so no F x K key grid and no second sort is needed.
-The keys are cast to the narrowest unsigned type that holds them
-(``_narrow``): numpy's stable sort of uint8 or uint16 keys is a radix sort,
-and the keys of the larger schemes are below 2^16.
+The ids of an array are the integers 0..S-1, in row-major first-occurrence
+order, and serialization writes them as 1..S.  The scheme builders compute
+an integer key per non-star cell with array arithmetic (``row_keys`` folds
+a tuple of coordinates into one key, ``occurrences`` numbers repeat copies)
+and ``Pda.from_keys`` numbers those keys; ``Pda(cells)`` maps hashable
+cells to a key grid and numbers it the same way.  The numbering is one
+stable sort of the non-star keys in ``id_cells``: it groups the cells by
+key, and laying the groups out in order of their first cells gives both the
+canonical ids and the id CSR that the verifier, the delivery and the
+decoder read, so no F x K key grid and no second sort is needed.  The keys
+are cast to the narrowest unsigned type that holds them (``_narrow``):
+numpy's stable sort of uint8 or uint16 keys is a radix sort, and the keys
+of the larger schemes are below 2^16.  An id's label, the text that shows
+it, is made only where it is shown (``Pda.labels``).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,56 +61,21 @@ class _Star:
 STAR = _Star()
 
 
-@dataclass(frozen=True)
-class SubsetId:
-    """Message id naming a point subset (index-1 design deliveries)."""
-
-    elements: tuple
-
-    def __str__(self):
-        if all(x <= 9 for x in self.elements):
-            return "".join(str(x) for x in self.elements)
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
-
-
-@dataclass(frozen=True)
-class CountedSubsetId:
-    """Point subset plus a copy counter (index > 1 design deliveries)."""
-
-    elements: tuple
-    copy: int
-
-    def __str__(self):
-        return f"{SubsetId(self.elements)},{self.copy}"
-
-
-@dataclass(frozen=True)
-class CountedVectorId:
-    """Symbol vector plus a per-column copy counter (GDD deliveries)."""
-
-    symbols: tuple
-    copy: int
-
-    def display(self, show_copy: bool) -> str:
-        body = "".join(str(x) for x in self.symbols) if all(
-            x <= 9 for x in self.symbols
-        ) else "(" + ",".join(str(x) for x in self.symbols) + ")"
-        return f"{body},{self.copy}" if show_copy else body
-
-    def __str__(self):
-        return self.display(self.copy > 1)
-
-
 class Pda:
     """Immutable star/message-id array.
 
     ``grid`` is one int32 F x K array: -1 is a star and 0..S-1 is the
-    canonical id, numbered in row-major first-occurrence order.  ``ids``
-    holds the id objects in that order and labels the grid.  ``csr``, the
+    canonical id, numbered in row-major first-occurrence order.  ``csr``, the
     non-star cells grouped by id, comes with the numbering.  The other views
     are derived from these, each cached read-only at first use, so the
-    verifier, the delivery and the decoder share one copy of each.
+    verifier, the delivery and the decoder share one copy of each.  An id's
+    label is made only when ``labels`` is called: a ``Pda(cells)`` keeps its
+    cells as ``cell_labels``, a ``labelled`` array asks its labeller, and
+    any other shows id g as g + 1, as the JSON writes it.
     """
+
+    cell_labels = None
+    _label = None
 
     def __init__(self, cells):
         rows = list(cells)
@@ -120,21 +85,20 @@ class Pda:
         # is already canonical id g.
         index = {STAR: -1}
         keys = np.array([[index.setdefault(c, len(index) - 1) for c in row] for row in rows])
-        self._number(keys, lambda first: tuple(index)[1:])
+        self._number(keys)
+        self.cell_labels = tuple(index)[1:]
 
     @classmethod
-    def from_keys(cls, keys, label) -> "Pda":
+    def from_keys(cls, keys) -> "Pda":
         """The PDA of an F x K integer key grid, -1 a star, where cells with
         equal non-negative keys share an id.  ``keys`` is the grid, or the
         pair ``(missed, values)`` of its F x K boolean grid of non-star cells
-        and their keys in row-major order, which needs no key grid.
-        ``label(first)`` gets, for each distinct key in canonical order, the
-        row-major flat index of its first cell, and returns the id objects."""
+        and their keys in row-major order, which needs no key grid."""
         pda = cls.__new__(cls)
-        pda._number(keys, label)
+        pda._number(keys)
         return pda
 
-    def _number(self, keys, label) -> None:
+    def _number(self, keys) -> None:
         if isinstance(keys, tuple):
             missed, values = keys
         else:
@@ -151,8 +115,21 @@ class Pda:
         self.grid = _frozen(grid)
         # (rows, cols, ptr): the non-star cells grouped by id (see id_cells)
         self.csr = tuple(map(_frozen, (rows, cols, ptr)))
-        first = ptr[:-1]
-        self.ids = tuple(label(rows[first].astype(np.intp) * grid.shape[1] + cols[first]))
+
+    def labelled(self, label) -> "Pda":
+        """This array, sharing its views, with ``label(ids)`` making the
+        labels of an int array of ids."""
+        pda = copy.copy(self)
+        pda._label = label
+        return pda
+
+    def labels(self, ids=None) -> list:
+        """The labels of ``ids``, an int array (every id by default), made
+        anew on each call."""
+        ids = np.arange(self.num_ids) if ids is None else np.asarray(ids)
+        if self.cell_labels is not None:
+            return [self.cell_labels[g] for g in ids.tolist()]
+        return (ids + 1).tolist() if self._label is None else self._label(ids)
 
     def relabel(self, labels: list) -> list:
         """The grid as lists of rows, id g shown as ``labels[g]`` and a star
@@ -169,11 +146,11 @@ class Pda:
 
     def cell(self, row: int, col: int):
         g = int(self.grid[row, col])
-        return STAR if g < 0 else self.ids[g]
+        return STAR if g < 0 else self.labels([g])[0]
 
     @property
     def num_ids(self) -> int:
-        return len(self.ids)
+        return len(self.csr[2]) - 1
 
     @cached_property
     def stars(self) -> np.ndarray:
@@ -226,7 +203,14 @@ class Pda:
         return _frozen(known)
 
     @cached_property
+    def ids(self) -> tuple:
+        """Every id's label, made at first read (the benchmark tracer reads
+        them with ``id_positions``)."""
+        return tuple(self.labels())
+
+    @cached_property
     def id_positions(self) -> dict:
+        """Each id's label mapped to its cells, row-major."""
         rows, cols, ptr = self.csr
         cells = list(zip(rows.tolist(), cols.tolist()))
         return MappingProxyType({i: tuple(cells[a:b]) for i, a, b in zip(self.ids, ptr[:-1], ptr[1:])})
@@ -482,10 +466,10 @@ def verify_pda(pda: Pda) -> PdaVerification:
         violations.append(f"C1: column star counts {pda.column_star_counts}")
     z = pda.column_star_counts[0] if c1 else None
 
-    # C2 is only informative when ids are the integers 1..S: a gap means some
-    # advertised message is never sent.
+    # C2 is only informative when the given cells are integers: a gap means
+    # some advertised message is never sent.
     c2 = True
-    ids = pda.ids
+    ids = pda.cell_labels
     if ids and all(isinstance(i, int) for i in ids):
         missing = _missing_ids(ids)
         if missing:
@@ -525,7 +509,8 @@ def verify_pda(pda: Pda) -> PdaVerification:
 def mn_pda(num_users: int, cached_fraction: int) -> Pda:
     """The classical single-cache PDA: rows are the t-subsets of users in
     lexicographic order, and cell (D, k) for k outside D is the rank of
-    D + {k} among (t+1)-subsets."""
+    D + {k} among (t+1)-subsets, which is also its canonical id, so the
+    ids show as those ranks + 1."""
     k_users, t = num_users, cached_fraction
     if not 0 <= t <= k_users:
         raise InvalidParametersError(f"need 0 <= t <= K, got t={t}, K={k_users}")
@@ -540,4 +525,4 @@ def mn_pda(num_users: int, cached_fraction: int) -> Pda:
     keys[rows, cols] = subset_ranks(
         np.sort(np.column_stack([subsets[rows], users[cols]]), axis=1), k_users,
     )
-    return Pda.from_keys(keys, lambda first: (keys.ravel()[first] + 1).tolist())
+    return Pda.from_keys(keys)

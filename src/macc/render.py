@@ -8,17 +8,23 @@ U_124 (point blocks) or U_11,21 (group blocks), rows read {3},{1,2} for
 
 from __future__ import annotations
 
-from .pda import CountedVectorId, Pda
+from .pda import Pda
 
 
 def subset_str(elements) -> str:
     return "{" + ",".join(str(x) for x in elements) + "}"
 
 
+def compact_str(values, brackets: str = "{}") -> str:
+    """The values run together when each is one digit, else listed in
+    ``brackets``: "123", "{1,10}"."""
+    if all(x <= 9 for x in values):
+        return "".join(map(str, values))
+    return brackets[0] + ",".join(map(str, values)) + brackets[1]
+
+
 def point_block_label(block) -> str:
-    if all(x <= 9 for x in block):
-        return "U_" + "".join(str(x) for x in block)
-    return "U_" + subset_str(block)
+    return "U_" + compact_str(block)
 
 
 def group_block_label(block) -> str:
@@ -46,18 +52,8 @@ def render_table(col_labels, row_labels, cell_strs, corner: str = "") -> str:
     return "\n".join(lines)
 
 
-def pda_cell_strings(pda: Pda) -> list:
-    show_copy = any(
-        isinstance(i, CountedVectorId) and i.copy > 1 for i in pda.ids
-    )
-    return pda.relabel([
-        *(i.display(show_copy) if isinstance(i, CountedVectorId) else str(i) for i in pda.ids),
-        "*",
-    ])
-
-
 def render_pda(pda: Pda, row_labels=None, col_labels=None, corner: str = "") -> str:
-    cells = pda_cell_strings(pda)
+    cells = pda.relabel([*map(str, pda.labels()), "*"])
     if row_labels is None:
         row_labels = [str(j) for j in range(1, pda.num_rows + 1)]
     if col_labels is None:

@@ -5,7 +5,8 @@ subfile per size-``cached_nodes`` subset D of the nodes, each subfile into one
 packet per t-subset T of the access positions, and node ``g`` stores the
 packets with ``g in D``.  A user attached to block B retrieves everything its
 L nodes hold, and the delivery array assigns the remaining cells the message
-id D + B(T) (plus a copy counter when the design index exceeds 1).  The
+id D + B(T) (plus a copy counter when the design index exceeds 1), shown
+as its points, "123", with ",2" for a second copy.  The
 arrays come from ``simulate.coordinate_arrays`` over the D-subset indicators.
 
 Row order everywhere is T-major: all D's in lexicographic order under the
@@ -23,7 +24,8 @@ import numpy as np
 
 from .designs import Design, require_match, verify_t_design
 from .errors import InvalidInputError, InvalidParametersError
-from .pda import CountedSubsetId, Pda, SubsetId
+from .pda import Pda
+from .render import compact_str
 from .simulate import ArrayScheme, Claims, coordinate_arrays, require_room, tiled_labels
 
 
@@ -105,11 +107,10 @@ def _arrays(params: DesignSchemeParams, blocks) -> tuple:
     blocks = np.asarray(blocks, dtype=np.int64).reshape(-1, params.access_degree) - 1
     users = np.stack([blocks, np.ones_like(blocks)], axis=2)
 
-    def ids(digits, copy):
-        points = map(tuple, (np.nonzero(digits)[1].reshape(-1, mu + t) + 1).tolist())
-        return map(SubsetId, points) if copy is None else map(CountedSubsetId, points, copy.tolist())
+    def text(digits):  # the points of D + B(T): "123", or "{1,10}" past 9
+        return list(map(compact_str, (np.nonzero(digits)[1].reshape(-1, mu + t) + 1).tolist()))
 
-    return coordinate_arrays(base, 2, [1], users, t, ids, "base" if params.index > 1 else None)
+    return coordinate_arrays(base, 2, [1], users, t, text, "base" if params.index > 1 else None)
 
 
 # Kept only because the benchmark tracer wraps the next three by name.

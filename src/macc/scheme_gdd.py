@@ -11,6 +11,7 @@ copy counter ranking its repeats down the column (``coordinate_arrays``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .designs import (
     GroupDivisibleDesign, OrthogonalArray, require_match, verify_gdd, verify_oa,
 )
 from .errors import InvalidInputError, InvalidParametersError, UnsupportedParametersError
-from .pda import CountedVectorId
+from .render import compact_str
 from .simulate import ArrayScheme, Claims, coordinate_arrays, require_room, tiled_labels
 
 
@@ -100,21 +101,24 @@ def build_gdd_scheme(gdd: GroupDivisibleDesign, oa: OrthogonalArray) -> ArraySch
     is OA row j, and nodes and block points are (group, value) pairs."""
     params = GddSchemeParams.from_components(gdd, oa)
     # An untagged GDD is checked as index 1, the only index the delivery
-    # array is built for.
-    require_match(verify_gdd(gdd, params.strength, 1 if gdd.index is None else gdd.index), "GDD")
+    # array is built for, and the scheme records that index, so its bundle
+    # always writes gdd.lambda.
+    if gdd.index is None:
+        gdd = dataclasses.replace(gdd, index=1)
+    require_match(verify_gdd(gdd, params.strength, gdd.index), "GDD")
     require_match(verify_oa(oa, oa.strength, oa.index), "OA")
-    if gdd.index not in (None, 1):
+    if gdd.index != 1:
         raise UnsupportedParametersError("delivery construction requires a GDD of index 1")
     q = oa.num_symbols
     require_room(oa.num_rows * math.comb(gdd.block_size, gdd.strength), gdd.num_blocks,
                  gdd.num_groups, q)
 
-    def ids(digits, copy):
-        return map(CountedVectorId, map(tuple, (digits + 1).tolist()), copy.tolist())
+    def text(digits):  # the symbol vector: "221", or "(1,10,2)" past 9
+        return [compact_str(v, "()") for v in (digits + 1).tolist()]
 
     placement, user_nodes, delivery = coordinate_arrays(
         np.array(oa.rows) - 1, q, np.arange(q), np.array(gdd.blocks) - 1, gdd.strength,
-        ids, "column")
+        text, "column")
     return ArrayScheme(
         topology={"gdd": gdd, "oa": oa},
         row_labels=tiled_labels(range(1, oa.num_rows + 1), gdd.block_size, params.strength),

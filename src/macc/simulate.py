@@ -78,8 +78,8 @@ def _digit_bits(q: int) -> int:
     return max(1, (q - 1).bit_length())
 
 
-# Digits that ``coordinate_arrays`` unpacks per step when it labels the ids,
-# which bounds its scratch arrays to a few of this many int64 words.
+# Digits that a ``coordinate_arrays`` labeller unpacks per step, which bounds
+# its scratch arrays to a few of this many int64 words.
 _LABEL_DIGITS = 1 << 16
 # Cells whose id words ``coordinate_arrays`` computes per step, which bounds
 # its scratch arrays to a few of this many words.
@@ -87,7 +87,7 @@ _KEY_CELLS = 1 << 16
 
 
 def coordinate_arrays(base, q: int, node_values, users, strength: int,
-                      ids, copies_by=None) -> tuple:
+                      text, copies_by=None) -> tuple:
     """C, user nodes and Q of a scheme whose cache nodes are (coordinate,
     value) pairs over ``base``, R x m digits in 0..q-1, a row per subfile.
 
@@ -102,8 +102,11 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
 
     Q tells the cells apart by vector and, if ``copies_by`` is "base" (copies
     with the same base row) or "column" (in the same column), by a copy
-    counter, counted column by column, top to bottom.  ``ids(digits, copy)``
-    makes the id objects of the ids' first cells (copy None without a rule).
+    counter, counted column by column, top to bottom.  Q is labelled (see
+    ``Pda.labelled``) by ``text(digits)``, the texts of the id vectors given
+    as a row of m digits per id, read at its first cell, with ",copy" after
+    each: always for copies by base row, and for copies by column only when
+    some id has a second copy.
     """
     base = np.asarray(base, dtype=np.int64)
     users = np.asarray(users, dtype=np.int64)
@@ -155,31 +158,40 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
                                                                 by[by_column]])))
         keys = row_keys(np.column_stack([keys, copy]))
 
-    def label(first):
+    delivery = Pda.from_keys((missed, keys))
+    csr_rows, csr_cols, ptr = delivery.csr
+    if copy is not None:  # each id's copy, at its first cell
+        first = csr_rows[ptr[:-1]].astype(np.intp) * k + csr_cols[ptr[:-1]]
+        copy = copy[np.searchsorted(cells, first)]
+        top = int(copy.max(initial=1))
+        copy = None if copies_by == "column" and top == 1 else copy.astype(np.min_scalar_type(top))
+
+    def label(ids):
         # the m digits of each id's first cell, a step of ids at a time
-        r, col = np.divmod(first, k)
+        r, col = csr_rows[ptr[ids]].astype(np.intp), csr_cols[ptr[ids]]
         word, shift = np.divmod(np.arange(m), len(shifts))
-        digits = np.empty((len(first), m), dtype=np.min_scalar_type(q))
+        digits = np.empty((len(ids), m), dtype=np.min_scalar_type(q))
         step = max(1, _LABEL_DIGITS // m)
-        for a in range(0, len(first), step):
+        for a in range(0, len(ids), step):
             j, t, c = r[a:a + step] % rows, r[a:a + step] // rows, col[a:a + step]
             words = (base[j] & keep[t, c]) | values[t, c]
             digits[a:a + step] = (words[:, word] >> b * shift) & ((1 << b) - 1)
-        return ids(digits, None if copy is None else copy[np.searchsorted(cells, first)])
+        texts = text(digits)
+        return texts if copy is None else [f"{x},{n}" for x, n in zip(texts, copy[ids].tolist())]
 
-    return placement, user_nodes, Pda.from_keys((missed, keys), label)
+    return placement, user_nodes, delivery.labelled(label)
 
 
 def require_room(f: int, k: int, digits: int, q: int) -> None:
     """Refuse, before any array is made, a scheme whose ``f`` x ``k`` cells
     would pass MAX_COUNT_BYTES.  Its ids are vectors of ``digits`` digits in
     0..q-1, packed as in ``coordinate_arrays``.  ``macc scheme --out`` peaks
-    at about 16 bytes per cell, interpreter included, when an id fits one
-    int64 word (182 MB for the 11.3 M cells of ``complete:19,3`` μ=5), so
-    64 are budgeted, and at up to about 195 when it takes two or more, most
-    of them the id objects (198 MB for the 1.0 M cells of ``complete:127,2``
-    μ=1), so 256 are."""
-    if f * k * (64 if digits <= 63 // _digit_bits(q) else 256) > MAX_COUNT_BYTES:
+    at about 15 bytes per cell, interpreter included, when an id fits one
+    int64 word (159 MB for the 11.3 M cells of ``complete:19,3`` μ=5), so
+    64 are budgeted, and at up to about 150 when it takes two or more, most
+    of them the id words that ``row_keys`` folds (144 MB for the 1.0 M
+    cells of ``complete:127,2`` μ=1), so 192 are."""
+    if f * k * (64 if digits <= 63 // _digit_bits(q) else 192) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")
 

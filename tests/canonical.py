@@ -1,6 +1,6 @@
 """Topology objects in an order-free form, for tests that compare two
 constructions up to the order of their blocks or classes, and delivery
-arrays as rows of id objects."""
+arrays as rows of id labels."""
 
 from dataclasses import replace
 
@@ -17,5 +17,5 @@ def canonical(obj):
 
 
 def pda_cells(pda) -> tuple:
-    """The rows of a delivery array, each cell its id object or STAR."""
+    """The rows of a delivery array, each cell its id label or STAR."""
     return tuple(map(tuple, pda.relabel([*pda.ids, STAR])))

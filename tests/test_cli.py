@@ -498,6 +498,36 @@ class TestSimulateCommand:
         assert out == "" and err == (
             "error: bundle Q.cells differs from the scheme rebuilt from its parameters\n")
 
+    @pytest.mark.parametrize("rename", [None, "index"], ids=["deleted", "renamed"])
+    def test_bundle_without_gdd_lambda_fails(self, capsys, tmp_path, rename):
+        # An untagged GDD is built as index 1 and its bundle says so, so a
+        # bundle that loses the tag no longer matches its rebuilt scheme.
+        bundle = tmp_path / "s.json"
+        run(capsys, "scheme", "--gdd-transversal", "3,2,2", "--oa", "catalog:oa-3-2-2",
+            "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        index = obj["gdd"].pop("lambda")
+        if rename:
+            obj["gdd"][rename] = index
+        bundle.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 1
+        assert out == "" and err == (
+            "error: bundle gdd.lambda differs from the scheme rebuilt from its parameters\n")
+
+    def test_untagged_gdd_file_bundle_writes_index_one(self, capsys, tmp_path):
+        gdd_path, bundle = tmp_path / "g.json", tmp_path / "s.json"
+        run(capsys, "gdd", "--transversal", "3,2,2", "--out", str(gdd_path))
+        obj = json.loads(gdd_path.read_text())
+        del obj["lambda"]
+        gdd_path.write_text(json.dumps(obj))
+        code, _, _ = run(capsys, "scheme", "--gdd-file", str(gdd_path), "--oa",
+                         "catalog:oa-3-2-2", "--out", str(bundle))
+        assert code == 0
+        assert json.loads(bundle.read_text())["gdd"]["lambda"] == 1
+        code, out, _ = run(capsys, "simulate", "--scheme", str(bundle))
+        assert code == 0 and json.loads(out)["all_ok"] is True
+
     def test_reordered_bundle_q_simulates(self, capsys, tmp_path):
         bundle = tmp_path / "s.json"
         run(capsys, "scheme", "--design", "fano-7-3-1", "--mu-gamma", "1",

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macc import pda as pda_module
-from macc.designs import catalog_oa, complete_design, linear_oa, transversal_gdd
+from macc.designs import (
+    catalog_design, catalog_oa, complete_design, linear_oa, transversal_gdd, trivial_oa,
+)
 from macc.errors import InvalidParametersError, NotAPdaError
 from macc.pda import (
-    CountedSubsetId,
-    CountedVectorId,
     Pda,
     PdaVerification,
     STAR,
-    SubsetId,
     _first_c3_violations,
     flag_c3,
     _narrow,
@@ -29,6 +28,7 @@ from macc.pda import (
     subset_ranks,
     verify_pda,
 )
+from macc.render import render_scheme_delivery
 from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 
@@ -75,6 +75,17 @@ class TestMnPda:
     def test_out_of_range(self):
         with pytest.raises(InvalidParametersError):
             mn_pda(4, 5)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_ids_show_as_lexicographic_ranks(self, k):
+        # cell (D, u) shows the 1-based rank of D + {u} among the
+        # (t+1)-subsets, which is the canonical id + 1 with no labeller
+        users = range(1, k + 1)
+        for t in range(k + 1):
+            rank = {s: n for n, s in enumerate(itertools.combinations(users, t + 1), start=1)}
+            want = tuple(tuple(S if u in d else rank[tuple(sorted(d + (u,)))] for u in users)
+                         for d in itertools.combinations(users, t))
+            assert pda_cells(mn_pda(k, t)) == want
 
     @given(st.integers(2, 10), st.data())
     def test_parameters_and_validity(self, k, data):
@@ -185,7 +196,7 @@ def reference_verify(cells) -> PdaVerification:
 @st.composite
 def small_arrays(draw):
     """Raw cells: a shuffled, relabelled MN array (valid) or random cells
-    (mostly violating), with ids as ints or as SubsetIds."""
+    (mostly violating), with ids as ints or as 1-tuples."""
     if draw(st.booleans()):
         k = draw(st.integers(1, 5))
         base = mn_pda(k, draw(st.integers(0, k)))
@@ -200,7 +211,7 @@ def small_arrays(draw):
         cell = st.one_of(st.just(S), st.integers(1, draw(st.integers(1, 6))))
         cells = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=5))
     if draw(st.booleans()):
-        cells = [[c if c is S else SubsetId((c,)) for c in row] for row in cells]
+        cells = [[c if c is S else (c,) for c in row] for row in cells]
     return cells
 
 
@@ -290,7 +301,7 @@ def damaged_pdas(draw, width: int):
         else:
             # an id present in the grid, or one no cell has
             keys[j, k] = draw(st.integers(0, int(keys.max()) + 1))
-    return Pda.from_keys(keys, lambda first: list(range(1, len(first) + 1)))
+    return Pda.from_keys(keys)
 
 
 class TestC3Screen:
@@ -326,13 +337,21 @@ class TestC3Screen:
         assert verify_pda(pda).ok
         keys = pda.grid.astype(np.int64)
         keys[0, 0] = keys[0, -1]
-        damaged = Pda.from_keys(keys, lambda first: list(range(1, len(first) + 1)))
+        damaged = Pda.from_keys(keys)
         assert _first_c3_violations(damaged) == full_pair_scan(damaged.grid)
         assert verify_pda(damaged).c3a_distinct_rows_cols == (width == 1)
 
     @pytest.mark.parametrize("name", SCHEME_GRIDS)
     def test_a_valid_array_flags_no_id(self, name):
         assert not flag_c3(scheme_pda(name)).any()
+
+    @pytest.mark.parametrize("name", ["mn-6-2", *SCHEME_GRIDS])
+    def test_verifying_a_valid_array_makes_no_label(self, monkeypatch, name):
+        # C2 reads only the cells of a Pda(cells), and a valid array has no
+        # violation to name
+        pda = mn_pda(6, 2) if name == "mn-6-2" else scheme_pda(name)
+        monkeypatch.setattr(Pda, "labels", lambda self, ids=None: pytest.fail("a label was made"))
+        assert verify_pda(pda).ok
 
 
 class TestStats:
@@ -358,16 +377,33 @@ class TestStats:
 
 class TestCanonicalIds:
     def test_first_occurrence_order(self):
-        p = Pda(((SubsetId((2, 3)), S), (S, SubsetId((1, 2)))))
-        assert canonical_index(p) == {SubsetId((2, 3)): 1, SubsetId((1, 2)): 2}
+        p = Pda((((2, 3), S), (S, (1, 2))))
+        assert canonical_index(p) == {(2, 3): 1, (1, 2): 2}
         assert pda_cells(to_canonical(p)) == ((1, S), (S, 2))
 
-    def test_structured_id_display(self):
-        assert str(SubsetId((1, 2, 3))) == "123"
-        assert str(SubsetId((1, 10))) == "{1,10}"
-        assert str(CountedSubsetId((1, 2, 6), 2)) == "126,2"
-        assert CountedVectorId((2, 2, 1), 1).display(False) == "221"
-        assert CountedVectorId((2, 2, 1), 2).display(True) == "221,2"
+    @pytest.mark.parametrize("build, cell, label", [
+        # a point past 9 lists the points in braces
+        (lambda: build_scheme(complete_design(11, 2), 1), (1, 1), "123"),
+        (lambda: build_scheme(complete_design(11, 2), 1), (1, 8), "{1,2,10}"),
+        (lambda: build_scheme(catalog_design("fano-7-3-1"), 1), (0, 1), "123"),
+        # index 2: every id shows its copy
+        (lambda: build_scheme(catalog_design("biplane-7-4-2"), 1), (0, 1), "123,1"),
+        (lambda: build_scheme(catalog_design("biplane-7-4-2"), 1), (0, 2), "134,2"),
+        # GDD ids show their copies only when some id has a second
+        (lambda: build_gdd_scheme(transversal_gdd(3, 2, 2), catalog_oa("oa-3-2-2")),
+         (0, 5), "221"),
+        (lambda: build_gdd_scheme(transversal_gdd(3, 3, 2), trivial_oa(3, 3)),
+         (5, 9), "221,2"),
+        (lambda: build_gdd_scheme(transversal_gdd(3, 3, 2), trivial_oa(3, 3)),
+         (0, 7), "221,1"),
+    ], ids=["complete-11-2-small", "complete-11-2-ten", "fano", "biplane-1", "biplane-2",
+            "gdd-3-2-2", "gdd-3-3-2-copy-2", "gdd-3-3-2-copy-1"])
+    def test_built_labels_as_rendered(self, build, cell, label):
+        scheme = build()
+        j, k = cell
+        assert scheme.user_delivery.cell(j, k) == label
+        table = render_scheme_delivery(scheme).splitlines()
+        assert table[j + 1].split()[k + 1] == label
 
     def test_mn_canonical_is_identity(self):
         p = mn_pda(5, 2)
@@ -400,6 +436,12 @@ def number_unnarrowed(keys) -> tuple:
     grid = np.full(keys.shape, -1, dtype=np.int32)
     grid.ravel()[cells] = np.argsort(order)[inverse]
     return grid, cells[first[order]]
+
+
+def first_cells(pda) -> np.ndarray:
+    """The row-major flat index of the first cell of each id, from the CSR."""
+    rows, cols, ptr = pda.csr
+    return rows[ptr[:-1]].astype(np.intp) * pda.num_cols + cols[ptr[:-1]]
 
 
 def id_cells_unnarrowed(grid) -> tuple:
@@ -449,11 +491,11 @@ class TestNarrowedKeys:
     def test_numbering_equals_the_unnarrowed_code(self, drawn):
         keys, dtype = drawn
         assert _narrow(keys[keys >= 0]).dtype == dtype
-        p = Pda.from_keys(keys, lambda first: first.tolist())
+        p = Pda.from_keys(keys)
         grid, first = number_unnarrowed(keys)
         assert p.grid.dtype == np.int32
         assert p.grid.tobytes() == grid.tobytes()
-        assert p.ids == tuple(first.tolist())
+        assert np.array_equal(first_cells(p), first)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1 << 8, 1 << 16, 1 << 17]),
            st.data())
@@ -482,10 +524,10 @@ class TestNarrowedKeys:
                                            min_size=f * k, max_size=f * k)),
                         dtype=dtype).reshape(f, k)
         missed = keys >= 0
-        p = Pda.from_keys((missed, keys[missed]) if paired else keys, np.ndarray.tolist)
+        p = Pda.from_keys((missed, keys[missed]) if paired else keys)
         grid, first = number_unnarrowed(keys.astype(np.int64))
         assert p.grid.dtype == np.int32 and np.array_equal(p.grid, grid)
-        assert p.ids == tuple(first.tolist())
+        assert np.array_equal(first_cells(p), first)
         assert [a.dtype for a in p.csr[:2]] == [np.int32, np.int32]
         assert all(np.array_equal(a, b) for a, b in zip(p.csr, id_cells_unnarrowed(grid)))
 
@@ -500,7 +542,7 @@ class TestNarrowedKeys:
         monkeypatch.setattr(pda_module, "_narrow", lambda keys: keys)
         wide = build()
         assert narrowed.user_delivery.grid.tobytes() == wide.user_delivery.grid.tobytes()
-        assert narrowed.user_delivery.ids == wide.user_delivery.ids
+        assert narrowed.user_delivery.labels() == wide.user_delivery.labels()
         for got, want in zip(narrowed.user_delivery.csr,
                              id_cells_unnarrowed(wide.user_delivery.grid)):
             assert np.array_equal(got, want)

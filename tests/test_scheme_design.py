@@ -13,7 +13,7 @@ from macc.designs import (
     Design, catalog_design, catalog_design_names, complete_design, verify_t_design,
 )
 from macc.errors import InconsistentDesignError, InvalidParametersError
-from macc.pda import STAR, CountedSubsetId, Pda, SubsetId, verify_pda
+from macc.pda import STAR, Pda, verify_pda
 from macc import scheme_design
 from macc.render import render_scheme_delivery
 from macc.scheme_design import (
@@ -259,7 +259,7 @@ class TestKnownMessages:
 
     def test_all_ids_for_fully_starred_column(self):
         # a user whose column is entirely starred knows every message
-        pda = Pda(((STAR, SubsetId((1,))), (STAR, SubsetId((2,)))))
+        pda = Pda(((STAR, "1"), (STAR, "2")))
         scheme = build_scheme(catalog_design("fano-7-3-1"), 1)
         fake = dataclasses.replace(scheme, row_labels=scheme.row_labels[:2],
                                    node_placement=scheme.node_placement[:2], user_delivery=pda)
@@ -302,30 +302,48 @@ def test_complete_design_scheme_matches_subset_pda_shape():
     assert rep.num_messages == math.comb(5, 3) - math.comb(5, 2) * math.comb(2, 3)
 
 
-def test_id_labels_peak_within_a_bound_per_cell(monkeypatch):
-    # complete:70,2 ids span two int64 words; labelling them once unpacked
-    # 63 digits per word for every id, about 370 bytes per F x K cell
-    from_keys = Pda.from_keys.__func__
-    peaks = []
-
-    def traced(cls, keys, label):
-        def measured(first):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = label(first)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return out
-        return from_keys(cls, keys, measured)
-
-    monkeypatch.setattr(Pda, "from_keys", classmethod(traced))
+def test_build_holds_the_grid_and_csr_and_few_bytes_per_id():
+    # complete:30,2 mu=2 (S = 27,405): the build makes no label, so what it
+    # leaves held is Q's grid and CSR plus a few bytes per id (C, the row
+    # labels and the labeller's words); one id object each held 163 more
+    design = complete_design(30, 2)
     tracemalloc.start()
     try:
-        scheme = build_scheme(complete_design(70, 2), 1)
+        before = tracemalloc.get_traced_memory()[0]
+        scheme = build_scheme(design, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    q = scheme.user_delivery
+    assert q.num_ids == 27_405
+    assert held <= q.grid.nbytes + sum(a.nbytes for a in q.csr) + 16 * q.num_ids
+
+
+def test_labels_made_only_when_asked_and_within_a_bound_per_cell(monkeypatch):
+    # complete:70,2 ids span two int64 words.  The build makes no label;
+    # labelling every id unpacks the m digits of a step of ids at a time
+    # (63 digits per word for every id peaked at about 370 bytes per F x K
+    # cell)
+    made = []
+    compact_str = scheme_design.compact_str
+
+    def counted(values):
+        made.append(values)
+        return compact_str(values)
+
+    monkeypatch.setattr(scheme_design, "compact_str", counted)
+    scheme = build_scheme(complete_design(70, 2), 1)
+    assert not made
     cells = scheme.num_users * scheme.subpacketization
-    assert cells == 169_050 and len(peaks) == 1
-    assert peaks[0] / cells < 100
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        labels = scheme.user_delivery.labels()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cells == 169_050 and len(made) == len(labels) == scheme.user_delivery.num_ids
+    assert peak / cells < 100
 
 
 def test_build_and_verify_peak_below_four_grids():
@@ -368,7 +386,8 @@ def reference_user_retrieve(design, cached_nodes):
 
 
 def reference_user_delivery(design, cached_nodes):
-    """Q with one id object per cell, numbered by ``Pda(cells)``."""
+    """Q with one label per cell, numbered by ``Pda(cells)``: the points of
+    D + B(T), "123" or "{1,10}" past 9, and ",copy" after them for index > 1."""
     params = DesignSchemeParams.from_design(design, cached_nodes)
     labels = reference_labels(params)
     cells = [[STAR] * design.num_blocks for _ in range(len(labels))]
@@ -379,11 +398,13 @@ def reference_user_delivery(design, cached_nodes):
             if not points.isdisjoint(d):
                 continue
             union = tuple(sorted(d + tuple(block[i - 1] for i in tt)))
+            text = ("".join(map(str, union)) if union[-1] <= 9
+                    else "{" + ",".join(map(str, union)) + "}")
             if params.index == 1:
-                cells[r][k] = SubsetId(union)
+                cells[r][k] = text
             else:
                 copies[union, d] = n = copies.get((union, d), 0) + 1
-                cells[r][k] = CountedSubsetId(union, n)
+                cells[r][k] = f"{text},{n}"
     return Pda(cells)
 
 
@@ -391,7 +412,7 @@ def assert_matches_reference(design, mu):
     scheme = build_scheme(design, mu)
     ref = reference_user_delivery(design, mu)
     assert np.array_equal(scheme.user_delivery.grid, ref.grid)
-    assert scheme.user_delivery.ids == ref.ids
+    assert scheme.user_delivery.labels() == ref.labels()
     assert np.array_equal(scheme.user_retrieve, reference_user_retrieve(design, mu))
 
 
@@ -433,6 +454,6 @@ class TestReferenceEquivalence:
         # not t-designs, so the arrays come from the unverified builder
         placement, user_nodes, got = scheme_design._arrays(
             DesignSchemeParams.from_design(design, mu), design.blocks)
-        assert np.array_equal(got.grid, ref.grid) and got.ids == ref.ids
+        assert np.array_equal(got.grid, ref.grid) and got.labels() == ref.labels()
         assert np.array_equal(reach(placement, user_nodes),
                               reference_user_retrieve(design, mu))

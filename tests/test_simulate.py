@@ -130,25 +130,36 @@ class TestLibrary:
 
 class TestRequireRoom:
     """The cell budget on a scheme's F and K alone: 64 bytes per F x K cell
-    when an id fits one int64 word, 256 when it takes two or more."""
+    when an id fits one int64 word, 192 when it takes two or more."""
 
     # complete:16,3 mu=6, 8008 x 560 = 4,484,480 cells: 287 MB at 64 bytes
-    # a cell, 1.15 GB at 256
+    # a cell, 861 MB at 192
     F, K = 8008, 560
+    # complete:19,3 mu=5, 11,628 x 969 = 11,267,532 cells: 721 MB at 64
+    # bytes a cell, 2.16 GB at 192
+    BIG_F, BIG_K = 11628, 969
 
     def test_one_word_ids_are_accepted(self):
         require_room(self.F, self.K, 16, 2)
 
     @pytest.mark.parametrize("digits, q", [(64, 2), (32, 3), (22, 5)],
                              ids=["64-bits", "32-pairs", "22-triples"])
+    def test_ids_past_one_word_of_4_5_m_cells_are_accepted(self, digits, q):
+        require_room(self.F, self.K, digits, q)
+
+    def test_one_word_ids_of_11_m_cells_are_accepted(self):
+        require_room(self.BIG_F, self.BIG_K, 19, 2)
+
+    @pytest.mark.parametrize("digits, q", [(64, 2), (32, 3), (22, 5)],
+                             ids=["64-bits", "32-pairs", "22-triples"])
     def test_ids_past_one_word_are_refused(self, digits, q):
         with pytest.raises(UnsupportedParametersError, match=re.escape(
-                "F x K = 8008 x 560 cells need over 1073741824 bytes")):
-            require_room(self.F, self.K, digits, q)
+                "F x K = 11628 x 969 cells need over 1073741824 bytes")):
+            require_room(self.BIG_F, self.BIG_K, digits, q)
 
     @pytest.mark.parametrize("digits, q", [(63, 2), (31, 3), (21, 5)])
     def test_a_full_word_is_one_word(self, digits, q):
-        require_room(self.F, self.K, digits, q)
+        require_room(self.BIG_F, self.BIG_K, digits, q)
 
     def test_complete_16_3_mu_6_reaches_the_array_build(self):
         with mock.patch.object(scheme_design, "_arrays", side_effect=StopIteration):
@@ -235,7 +246,7 @@ class TestPdaViews:
            seed=st.integers(0, 2**32 - 1))
     def test_by_user_matches_the_oracle_on_any_grid(self, shape, ids, seed):
         keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
-        q = Pda.from_keys(keys, lambda first: range(len(first)))
+        q = Pda.from_keys(keys)
         assert tuple(map(np.ndarray.tolist, q.by_user)) == by_user_oracle(q)
 
     def test_verify_and_the_bundle_write_leave_by_user_unbuilt(self):
@@ -1215,7 +1226,7 @@ class TestCover:
         # random cells (key 0 a star) break C3 in every way, ids repeat
         # within rows and columns, and more than 64 users span two words
         keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
-        q = Pda.from_keys(keys, lambda first: range(len(first)))
+        q = Pda.from_keys(keys)
         with mock.patch.object(pda_module, "_SCREEN_BYTES", screen_bytes):
             known, keeps_c3 = q.known, not q.c3_flags.any()
         want_known, want_c3 = cover_oracle(q.grid)

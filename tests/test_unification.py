@@ -25,8 +25,9 @@ def test_complete_one_design_is_mn_pda(gamma):
         scheme = build_scheme(complete_design(gamma, 1), mu)
         mn = mn_pda(gamma, mu)
         assert np.array_equal(scheme.user_delivery.grid, mn.grid)
-        elements = np.array([i.elements for i in scheme.user_delivery.ids])
-        assert (subset_ranks(elements, gamma) + 1).tolist() == list(mn.ids)
+        # each id shows its subset's points, one digit each (gamma < 10)
+        elements = np.array([list(map(int, label)) for label in scheme.user_delivery.labels()])
+        assert (subset_ranks(elements, gamma) + 1).tolist() == mn.labels()
 
 
 @pytest.mark.parametrize("gamma, l", [(6, 2), (7, 3), (8, 2), (9, 3)])
