@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Build the three flagship schemes, simulate delivery, and print a summary.
 
-Covers a design topology at index 1 (Fano plane), one at index 2 with the
-coded further-reduction active (affine plane, two cached nodes per subfile),
-and the small group-divisible topology with orthogonal-array placement.
+Covers two design topologies at index 1: the Fano plane 2-(7,3,1), and the
+affine plane 2-(9,3,1) with two cached nodes per subfile, where the coded
+further reduction is active (r = 6, so mds sends 120 of the 126 multicasts).
+Then one at index 2, the biplane 2-(7,4,2), and the small group-divisible
+topology with orthogonal-array placement.
 Each scheme also decodes eight seeded random demand vectors; a failed decode
 raises, so the script exits non-zero.
 """

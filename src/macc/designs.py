@@ -510,23 +510,22 @@ def verify_resolvable(rd: ResolvableDesign, strength: int, cross_number: int) ->
     return ResolvableVerification(violation is None, t, lam, violation)
 
 
-def _cross_rows(rd: ResolvableDesign, strength, cross_number) -> tuple:
+def _cross_rows(rd: ResolvableDesign) -> tuple:
     """The cross tag and point-to-block rows of a t-cross resolvable design."""
-    t = strength if strength is not None else rd.strength
-    lam = cross_number if cross_number is not None else rd.cross_number
+    t, lam = rd.strength, rd.cross_number
     if t is None or lam is None:
-        raise InvalidInputError("resolvable design carries no cross tag; pass strength/cross_number")
+        raise InvalidInputError("resolvable design carries no cross tag")
     report = verify_resolvable(rd, t, lam)
     if not report.ok:
         raise InvalidInputError(f"input is not {t}-cross resolvable: {report.first_violation}")
     return t, lam, _point_blocks(rd)[1]
 
 
-def dual_of_resolvable(rd: ResolvableDesign, strength=None, cross_number=None) -> GroupDivisibleDesign:
+def dual_of_resolvable(rd: ResolvableDesign) -> GroupDivisibleDesign:
     """Swap points and blocks: class u becomes group u, and point j becomes
     the block {(u, v) : j in class-u block v}.  A t-cross design with
     intersection number lam dualizes to a t-(m, q, m, lam) GDD."""
-    t, lam, rows = _cross_rows(rd, strength, cross_number)
+    t, lam, rows = _cross_rows(rd)
     groups = np.broadcast_to(np.arange(1, rd.num_classes + 1), rows.shape)
     blocks = np.stack([groups, rows + 1], axis=2).tolist()
     return GroupDivisibleDesign(rd.num_classes, rd.blocks_per_class, blocks,
@@ -704,10 +703,10 @@ def catalog_oa(name: str) -> OrthogonalArray:
     return OrthogonalArray(q, s, lam, rows)
 
 
-def resolvable_to_oa(rd: ResolvableDesign, strength=None, cross_number=None) -> OrthogonalArray:
+def resolvable_to_oa(rd: ResolvableDesign) -> OrthogonalArray:
     """Encode a t-cross resolvable design as an OA: row j, column u holds the
     class-u block containing point j."""
-    t, lam, rows = _cross_rows(rd, strength, cross_number)
+    t, lam, rows = _cross_rows(rd)
     return OrthogonalArray(rd.blocks_per_class, t, lam, tuple(map(tuple, (rows + 1).tolist())))
 
 

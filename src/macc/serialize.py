@@ -226,7 +226,7 @@ def report_to_obj(report) -> dict:
     for key, val in vars(report).items():
         if isinstance(val, Fraction):
             out[key] = fraction_str(val)
-        elif isinstance(val, (tuple, frozenset)):
+        elif isinstance(val, tuple):
             out[key] = list(val)
         elif isinstance(val, dict):
             out[key] = {

@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -33,14 +33,18 @@ from .pda import MAX_COUNT_BYTES, Pda, occurrences, row_keys
 
 @dataclass
 class Library:
-    """num_files files, each num_packets packets of packet_bytes pseudo-random
-    bytes, reproducible from the seed."""
+    """Files of pseudo-random packets, held as one array: every size is read
+    off its shape."""
 
-    num_files: int
-    num_packets: int
-    packet_bytes: int
-    seed: int
     data: np.ndarray  # (files, packets, words) uint16
+
+    @property
+    def num_files(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def packet_bytes(self) -> int:
+        return 2 * self.data.shape[2]
 
 
 def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
@@ -60,7 +64,7 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
             f"cannot allocate {num_files} files of {num_packets} packets of "
             f"{packet_bytes} bytes: {exc}"
         ) from None
-    return Library(num_files, num_packets, packet_bytes, seed, data)
+    return Library(data)
 
 
 def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
@@ -329,25 +333,13 @@ class NodeCaches:
 
     library: Library
     grid: np.ndarray  # F x nodes bool, read-only
-    _screen: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def screen(self, scheme) -> np.ndarray:
-        """Per user of ``scheme``, whether one test clears it, kept for the
-        last scheme asked.  On a grid that keeps C3 every row a user reads is
-        a starred row, so a user whose starred rows are all cached needs no
-        per-user check."""
-        if self._screen is None or self._screen[0] is not scheme:
-            q = scheme.user_delivery
-            missing = q.stars & ~reach(self.grid, scheme.user_nodes)
-            self._screen = (scheme, (not q.c3_flags.any()) & ~missing.any(axis=0))
-        return self._screen[1]
 
 
 def place(library: Library, scheme) -> NodeCaches:
     """Fill each node with the packet rows starred in its placement column."""
-    if library.num_packets != scheme.subpacketization:
+    if library.data.shape[1] != scheme.subpacketization:
         raise InvalidInputError(
-            f"library has {library.num_packets} packets per file, "
+            f"library has {library.data.shape[1]} packets per file, "
             f"scheme needs {scheme.subpacketization}"
         )
     grid = np.array(scheme.node_placement, dtype=bool)
@@ -365,8 +357,9 @@ def validate_demands(scheme, library: Library, demands) -> tuple:
         raise InvalidParametersError(
             f"demand vector length {len(demands)} != user count {scheme.num_users}"
         )
-    if any(not 1 <= d <= library.num_files for d in demands):
-        raise InvalidParametersError("demanded file index outside the library")
+    for i, d in enumerate(demands):
+        if not 1 <= d <= library.num_files:
+            raise InvalidParametersError(f"demands[{i}] is {d}, outside 1..{library.num_files}")
     return demands
 
 
@@ -550,9 +543,12 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
     ptr, rows, places, msgs = q.by_user
     packets = _gather(q, data, demands)
     payloads = _xor_segments(packets, q.csr[2])
-    # Only the users that the screen does not clear, and every user of a grid
-    # that breaks C3, take the per-user check.
-    checked = caches.screen(scheme)[sel]
+    # What the listed users reach, taken once per call.  On a grid that keeps
+    # C3 every row a user reads is a starred row, so a user whose starred rows
+    # are all cached needs no per-user check; every user of a grid that breaks
+    # C3 takes it.
+    cached = reach(caches.grid, scheme.user_nodes[sel])
+    checked = (not q.c3_flags.any()) & ~(q.stars[:, sel] & ~cached).any(axis=0)
     step = max(1, _BLOCK_ROWS // data.shape[1])  # users whose files are assembled at once
     for a in range(0, len(users), step):
         block = users[a:a + step]
@@ -560,12 +556,12 @@ def _decode_blocks(scheme, plan: TransmissionPlan, caches: NodeCaches, users=Non
         failure = None
         # per-user work: the coded plan's solves, and the users not cleared
         for i in range(len(block)) if coeff is not None else np.flatnonzero(~checked[a:a + step]):
-            cached = reach(caches.grid, scheme.user_nodes[block[i:i + 1]])[:, 0]
             try:
                 if coeff is not None:
-                    recovered.append(_user_messages(q, plan, coeff, payloads, block[i], cached))
+                    recovered.append(_user_messages(q, plan, coeff, payloads, block[i],
+                                                    cached[:, a + i]))
                 if not checked[a + i]:
-                    _require_user(q, block[i], cached)
+                    _require_user(q, block[i], cached[:, a + i])
             except DecodeFailureError as exc:  # raised after the users before it
                 failure, block = exc, block[:i]
                 break

@@ -67,9 +67,9 @@ GDD_TABLE_ROWS = (
 )
 
 
-def gdd_comparison_rows(rows=GDD_TABLE_ROWS, access_degree: int = 3, strength: int = 2):
+def gdd_comparison_rows(access_degree: int = 3, strength: int = 2):
     out = []
-    for m, q in rows:
+    for m, q in GDD_TABLE_ROWS:
         label = f"m={m},q={q},L={access_degree},t={strength},s={m}"
         try:
             params = GddSchemeParams(

@@ -403,7 +403,7 @@ class TestDuality:
 
     def test_untagged_needs_strength(self):
         rd = ResolvableDesign(4, (((1, 2), (3, 4)),))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="carries no cross tag$"):
             resolvable_to_oa(rd)
 
 

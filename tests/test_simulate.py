@@ -114,6 +114,11 @@ class TestLibrary:
         b = make_library(3, 4, 16, seed=6)
         assert not np.array_equal(a.data, b.data)
 
+    def test_sizes_are_read_off_the_data(self):
+        lib = make_library(3, 4, 16, seed=5)
+        assert [f.name for f in dataclasses.fields(lib)] == ["data"]
+        assert (lib.num_files, lib.packet_bytes) == (3, 16)
+
     def test_odd_packet_length_rejected(self):
         with pytest.raises(ConfigurationError):
             make_library(2, 2, 7)
@@ -305,8 +310,12 @@ class TestPlacement:
             assert held == mu * 7 * per_file
 
     def test_size_mismatch(self, fano):
-        with pytest.raises(InvalidInputError):
-            place(make_library(7, 20, 8), fano)
+        lib = make_library(7, 21, 8)
+        # a library cut to 20 packets is refused as one made with 20
+        for short in (make_library(7, 20, 8), dataclasses.replace(lib, data=lib.data[:, :20])):
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    "library has 20 packets per file, scheme needs 21")):
+                place(short, fano)
 
 
 class TestPlainDelivery:
@@ -354,6 +363,17 @@ class TestPlainDelivery:
         demands = (1, 2, entry, 4, entry, 6, 7)
         with pytest.raises(InvalidParametersError, match=re.escape(f"demands[2] is {entry!r}")):
             deliver(fano, lib, demands)
+
+    @pytest.mark.parametrize("deliver", [deliver_plain, deliver_mds], ids=["plain", "mds"])
+    @pytest.mark.parametrize("entry", [0, 8, 9, -1])
+    def test_demands_name_the_first_file_outside_the_library(self, fano, deliver, entry):
+        lib = make_library(7, 21, 8)
+        with pytest.raises(InvalidParametersError,
+                           match=re.escape(f"demands[6] is {entry}, outside 1..7")):
+            deliver(fano, lib, (1, 2, 3, 4, 5, 6, entry))
+        with pytest.raises(InvalidParametersError,
+                           match=re.escape(f"demands[1] is {entry}, outside 1..7")):
+            deliver(fano, lib, (1, entry, 3, 4, 5, 6, entry))
 
     @pytest.mark.parametrize("deliver", [deliver_plain, deliver_mds], ids=["plain", "mds"])
     def test_demands_take_numpy_integers(self, fano, deliver):
@@ -1249,22 +1269,33 @@ class TestCacheTest:
         assert np.array_equal(fano.user_delivery.grid[by_rows, cols[places]], ids)
         assert sorted(places.tolist()) == list(range(len(rows)))
 
-    def test_the_caches_screen_a_scheme_once(self):
+    @pytest.mark.parametrize("mode", ["plain", "mds"])
+    @pytest.mark.parametrize("users", [None, [0], [3, 1], [2, 2, 0]], ids=repr)
+    def test_a_decode_reaches_the_caches_once_per_call(self, mode, users):
         scheme = build_scheme(catalog_design("affine-9-3-1"), 2)
         lib = make_library(scheme.num_users, scheme.subpacketization, 8, seed=1)
-        plan = deliver_plain(scheme, lib, distinct_demands(scheme, lib))
+        deliver = {"plain": deliver_plain, "mds": deliver_mds}[mode]
+        plan = deliver(scheme, lib, distinct_demands(scheme, lib))
         caches = place(lib, scheme)
         with mock.patch.object(simulate, "reach", wraps=simulate.reach) as reach:
-            for users in (None, [0], [3, 1]):
-                assert all(out.tobytes() == file_bytes(lib, plan.demands[k])
-                           for k, out in decode_all(scheme, plan, caches, users))
-            assert reach.call_count == 1
-            # another scheme over the same arrays, and edited caches, are screened afresh
-            other = dataclasses.replace(scheme)
-            assert decode(other, 0, plan, caches) == file_bytes(lib, plan.demands[0])
-            assert decode(scheme, 0, plan, dataclasses.replace(caches)) == file_bytes(
-                lib, plan.demands[0])
-            assert reach.call_count == 3
+            for calls in (1, 2):
+                got = list(decode_all(scheme, plan, caches, users))
+                assert reach.call_count == calls
+        assert [k for k, _ in got] == (list(range(scheme.num_users)) if users is None else users)
+        assert all(out.tobytes() == file_bytes(lib, plan.demands[k]) for k, out in got)
+
+    @pytest.mark.parametrize("edit", ["empty grid", "other nodes"])
+    def test_a_decode_reads_the_caches_as_they_are_now(self, fano, edit):
+        lib = make_library(7, 21, 8, seed=1)
+        plan = deliver_plain(fano, lib, distinct_demands(fano, lib))
+        caches = place(lib, fano)
+        assert len(list(decode_all(fano, plan, caches))) == 7
+        if edit == "empty grid":
+            caches.grid = np.zeros_like(caches.grid)
+        else:  # each user reaches the nodes of the user after it, which lack its rows
+            fano.user_nodes = np.roll(fano.user_nodes, -1, axis=0)
+        with pytest.raises(DecodeFailureError, match="^user 0 failed"):
+            list(decode_all(fano, plan, caches))
 
     def test_c3b_break_fails_or_decodes_as_the_caches_allow(self):
         scheme = _CACHE_TEST_SCHEMES["no-c3b"]()
