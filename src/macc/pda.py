@@ -11,18 +11,19 @@ message.  The defining conditions:
 
 The ids of an array are the integers 0..S-1, in row-major first-occurrence
 order, and serialization writes them as 1..S.  The scheme builders compute
-an integer key per non-star cell with array arithmetic (``row_keys`` folds
-a tuple of coordinates into one key, ``occurrences`` numbers repeat copies)
-and ``Pda.from_keys`` numbers those keys; ``Pda(cells)`` maps hashable
-cells to a key grid and numbers it the same way.  The numbering is one
-stable sort of the non-star keys in ``id_cells``: it groups the cells by
-key, and laying the groups out in order of their first cells gives both the
-canonical ids and the id CSR that the verifier, the delivery and the
-decoder read, so no F x K key grid and no second sort is needed.  The keys
-are cast to the narrowest unsigned type that holds them (``_narrow``):
-numpy's stable sort of uint8 or uint16 keys is a radix sort, and the keys
-of the larger schemes are below 2^16.  An id's label, the text that shows
-it, is made only where it is shown (``Pda.labels``).
+the key of each non-star cell with array arithmetic, one column of integers
+or several (the words of a coordinate vector, and a copy counter that
+``occurrences`` numbers), and ``Pda.from_keys`` numbers those keys;
+``Pda(cells)`` maps hashable cells to integer keys and numbers them the
+same way.  One grouping sort (``_groups``) orders the cells by key, a stable
+sort per key column, last column first, and ``id_cells`` lays the groups
+out in order of their first cells, which gives both the canonical ids and
+the id CSR that the verifier, the delivery and the decoder read, so no
+F x K key grid and no second sort is needed.  Each column is cast to the
+narrowest unsigned type that holds it (``_narrow``): numpy's stable sort of
+uint8 or uint16 keys is a radix sort, and the keys of the larger schemes
+are below 2^16.  An id's label, the text that shows it, is made only where
+it is shown (``Pda.labels``).
 """
 
 from __future__ import annotations
@@ -85,29 +86,23 @@ class Pda:
         # is already canonical id g.
         index = {STAR: -1}
         keys = np.array([[index.setdefault(c, len(index) - 1) for c in row] for row in rows])
-        self._number(keys)
+        self._number(keys >= 0, keys[keys >= 0])
         self.cell_labels = tuple(index)[1:]
 
     @classmethod
-    def from_keys(cls, keys) -> "Pda":
-        """The PDA of an F x K integer key grid, -1 a star, where cells with
-        equal non-negative keys share an id.  ``keys`` is the grid, or the
-        pair ``(missed, values)`` of its F x K boolean grid of non-star cells
-        and their keys in row-major order, which needs no key grid."""
+    def from_keys(cls, missed, keys) -> "Pda":
+        """The PDA whose non-star cells are the True cells of ``missed``, an
+        F x K boolean grid, where cells with equal keys share an id.  ``keys``
+        gives the cells' keys in row-major order, as one array of
+        non-negative integers or as key columns (see :func:`_groups`)."""
         pda = cls.__new__(cls)
-        pda._number(keys)
+        pda._number(missed, keys)
         return pda
 
-    def _number(self, keys) -> None:
-        if isinstance(keys, tuple):
-            missed, values = keys
-        else:
-            keys = np.asarray(keys)
-            missed = keys >= 0
-            values = keys[missed]
+    def _number(self, missed, keys) -> None:
         if missed.ndim != 2 or 0 in missed.shape:
             raise InvalidParametersError("PDA needs at least one row and one column")
-        rows, cols, ptr = id_cells(missed, values)
+        rows, cols, ptr = id_cells(missed, keys)
         grid = np.full(missed.shape, -1, dtype=np.int32)
         for run, ids in _id_runs(ptr, _STEP_CELLS):
             cells = slice(ptr[run.start], ptr[run.stop])
@@ -231,22 +226,38 @@ def _narrow(keys) -> np.ndarray:
     return keys.astype(np.min_scalar_type(keys.max(initial=0)), copy=False)
 
 
+def _groups(keys) -> tuple:
+    """The cells grouped by key: ``(order, starts)``, ``order`` (int32) the
+    cells sorted stably by key and ``starts`` the sorted place where each
+    group of equal keys begins.  ``keys`` is one array of n non-negative
+    integers, or w columns of n each (a w x n array or a list of arrays of
+    any integer types), compared first column first.  One stable sort per
+    column, last column first, each column narrowed (see :func:`_narrow`),
+    so one column is one radix sort where it fits uint16."""
+    columns = [keys] if getattr(keys, "ndim", 2) == 1 else [*keys]
+    columns = [_narrow(col) for col in columns]
+    order = None
+    for col in reversed(columns):
+        step = np.argsort(col if order is None else col[order], kind="stable").astype(np.int32)
+        order = step if order is None else order[step]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in columns:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    return order, np.flatnonzero(new)
+
+
 def id_cells(missed, keys) -> tuple:
     """The non-star cells of a delivery array grouped by id, as a CSR:
     ``(rows, cols, ptr)``, rows and cols int32, with the cells of id s at
     ``ptr[s]:ptr[s + 1]``, row-major within each id.  ``missed`` is the
     F x K boolean grid of the non-star cells and ``keys`` their keys in
-    row-major order; cells with equal keys share an id, numbered in order
-    of its first cell.  One stable sort of the keys groups the cells by key,
-    row-major within each group, and the groups are laid out in order of
-    their first cells."""
-    keys = _narrow(keys)
-    order = np.argsort(keys, kind="stable").astype(np.int32)
-    sorted_keys = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(new)
-    del sorted_keys, new
+    row-major order (see :func:`_groups`); cells with equal keys share an
+    id, numbered in order of its first cell.  The grouping sort keeps each
+    group row-major, and the groups are laid out in order of their first
+    cells."""
+    order, starts = _groups(keys)
     by_first = np.argsort(order[starts])  # id -> its group among the sorted keys
     counts = np.diff(starts, append=len(order))[by_first]
     ptr = np.zeros(len(counts) + 1, dtype=np.intp)
@@ -281,19 +292,6 @@ def _id_runs(ptr, step: int):
         i = j
 
 
-def row_keys(rows) -> np.ndarray:
-    """One int64 key per row of an N x W array of non-negative integers, equal
-    exactly when the rows are equal.  Columns fold in one at a time through
-    ``np.unique`` inverses, so no step exceeds N * N; one column is its key."""
-    rows = np.asarray(rows, dtype=np.int64)
-    key = rows[:, 0]
-    for col in rows.T[1:]:
-        key = np.unique(key, return_inverse=True)[1]
-        values, col = np.unique(col, return_inverse=True)
-        key = key * len(values) + col
-    return key
-
-
 def subset_ranks(subsets, universe: int) -> np.ndarray:
     """0-based lexicographic rank of each row of an N x t array of sorted
     t-subsets of [universe]: C(v, t) - 1 - sum_i C(v - x_i, t - i), i from 0.
@@ -315,11 +313,11 @@ def subset_ranks(subsets, universe: int) -> np.ndarray:
 
 def occurrences(keys) -> np.ndarray:
     """1-based copy counter: entry i counts the entries up to i (in array
-    order) whose key equals ``keys[i]``."""
-    order = np.argsort(keys, kind="stable")
-    _, start, size = np.unique(keys[order], return_index=True, return_counts=True)
-    counts = np.empty(len(keys), dtype=np.int64)
-    counts[order] = np.arange(len(keys)) - np.repeat(start, size) + 1
+    order) whose key equals key i; ``keys`` as :func:`_groups` takes them."""
+    order, starts = _groups(keys)
+    counts = np.empty(len(order), dtype=np.int64)
+    sizes = np.diff(starts, append=len(order))
+    counts[order] = np.arange(1, len(order) + 1) - np.repeat(starts, sizes)
     return counts
 
 
@@ -520,9 +518,8 @@ def mn_pda(num_users: int, cached_fraction: int) -> Pda:
             f"the MN PDA with K={k_users}, t={t} needs over {MAX_COUNT_BYTES} bytes")
     subsets = np.array(list(itertools.combinations(range(1, k_users + 1), t)), dtype=np.int64)
     users = np.arange(1, k_users + 1)
-    rows, cols = np.nonzero((subsets[:, :, None] != users).all(axis=1))
-    keys = np.full((len(subsets), k_users), -1, dtype=np.int64)
-    keys[rows, cols] = subset_ranks(
+    missed = (subsets[:, :, None] != users).all(axis=1)
+    rows, cols = np.nonzero(missed)
+    return Pda.from_keys(missed, subset_ranks(
         np.sort(np.column_stack([subsets[rows], users[cols]]), axis=1), k_users,
-    )
-    return Pda.from_keys(keys)
+    ))

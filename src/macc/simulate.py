@@ -28,7 +28,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedParametersError,
 )
-from .pda import MAX_COUNT_BYTES, Pda, occurrences, row_keys
+from .pda import MAX_COUNT_BYTES, Pda, occurrences
 
 
 @dataclass
@@ -70,8 +70,9 @@ def make_library(num_files: int, num_packets: int, packet_bytes: int = 64,
 def reach(placement: np.ndarray, user_nodes: np.ndarray) -> np.ndarray:
     """F x users boolean grid: user k reaches row j when one of its nodes
     ``user_nodes[k]`` (0-based columns of ``placement``) caches j."""
-    reached = np.zeros((len(placement), len(user_nodes)), dtype=bool)
-    for nodes in np.asarray(user_nodes).T:  # one access position at a time
+    user_nodes = np.asarray(user_nodes)
+    reached = placement[:, user_nodes[:, 0]]
+    for nodes in user_nodes.T[1:]:  # one access position at a time
         reached |= placement[:, nodes]
     return reached
 
@@ -138,31 +139,31 @@ def coordinate_arrays(base, q: int, node_values, users, strength: int,
 
     # The words of the missed cells in row-major order, a step of rows at a
     # time: each word holds at most 63 // b digits, so its dtype is known.
+    # Each word, a row of ``words``, is a key column that the numbering groups.
     missed = reach(placement, user_nodes)
     np.logical_not(missed, out=missed)
-    words = np.empty((np.count_nonzero(missed), width),
+    words = np.empty((width, np.count_nonzero(missed)),
                      dtype=np.min_scalar_type((1 << b * min(m, len(shifts))) - 1))
     step, at = max(1, _KEY_CELLS // k), 0
     for t in range(len(tiles)):
         for j in range(0, rows, step):
             chunk = ((base[j:j + step, None] & keep[t]) | values[t])[
                 missed[t * rows + j:t * rows + min(j + step, rows)]]
-            words[at:at + len(chunk)] = chunk
+            words[:, at:at + len(chunk)] = chunk.T
             at += len(chunk)
-    keys = words[:, 0] if width == 1 else row_keys(words)
-    del words
-    copy = None
+    keys, copy = words, None
     if copies_by is not None:
         cells = np.flatnonzero(missed)
         r, c = np.divmod(cells, k)
         by = r % rows if copies_by == "base" else c
-        by_column = np.argsort(c, kind="stable")  # the missed cells column by column
+        # Copies are counted column by column, top to bottom: copies in one
+        # column already run so in row-major order.
+        at = slice(None) if copies_by == "column" else np.argsort(c, kind="stable")
         copy = np.empty(len(cells), dtype=np.int64)
-        copy[by_column] = occurrences(row_keys(np.column_stack([keys[by_column],
-                                                                by[by_column]])))
-        keys = row_keys(np.column_stack([keys, copy]))
+        copy[at] = occurrences([*words[:, at], by[at]])
+        keys = [*words, copy]
 
-    delivery = Pda.from_keys((missed, keys))
+    delivery = Pda.from_keys(missed, keys)
     csr_rows, csr_cols, ptr = delivery.csr
     if copy is not None:  # each id's copy, at its first cell
         first = csr_rows[ptr[:-1]].astype(np.intp) * k + csr_cols[ptr[:-1]]
@@ -192,9 +193,9 @@ def require_room(f: int, k: int, digits: int, q: int) -> None:
     0..q-1, packed as in ``coordinate_arrays``.  ``macc scheme --out`` peaks
     at about 15 bytes per cell, interpreter included, when an id fits one
     int64 word (159 MB for the 11.3 M cells of ``complete:19,3`` μ=5), so
-    64 are budgeted, and at up to about 150 when it takes two or more, most
-    of them the id words that ``row_keys`` folds (144 MB for the 1.0 M
-    cells of ``complete:127,2`` μ=1), so 192 are."""
+    64 are budgeted, and at up to about 120 when it takes two or more (121
+    MB for the 1.0 M cells of ``complete:127,2`` μ=1, 423 MB for the 4.0 M
+    of ``complete:200,2`` μ=1), so 192 are."""
     if f * k * (64 if digits <= 63 // _digit_bits(q) else 192) > MAX_COUNT_BYTES:
         raise UnsupportedParametersError(
             f"F x K = {int_text(f)} x {k} cells need over {MAX_COUNT_BYTES} bytes")
@@ -670,7 +671,7 @@ def run_demand_trials(scheme, library: Library, num_trials: int, seed: int = 0) 
     Returns the number of trials run; the first mismatch (first user, then
     first row) raises DecodeFailureError naming the user, message and row.
     """
-    if not isinstance(num_trials, int) or isinstance(num_trials, bool) or num_trials < 0:
+    if not is_int(num_trials) or num_trials < 0:
         raise InvalidParametersError(
             f"trial count must be a non-negative integer, got {num_trials!r}"
         )

@@ -19,12 +19,13 @@ from macc.pda import (
     PdaVerification,
     STAR,
     _first_c3_violations,
+    _groups,
     flag_c3,
     _narrow,
     id_cells,
     mn_pda,
+    occurrences,
     pda_stats,
-    row_keys,
     subset_ranks,
     verify_pda,
 )
@@ -32,7 +33,7 @@ from macc.render import render_scheme_delivery
 from macc.scheme_design import build_scheme
 from macc.scheme_gdd import build_gdd_scheme
 
-from canonical import pda_cells
+from canonical import grid_pda, pda_cells
 
 S = STAR
 REFERENCE_6x4 = (
@@ -301,7 +302,7 @@ def damaged_pdas(draw, width: int):
         else:
             # an id present in the grid, or one no cell has
             keys[j, k] = draw(st.integers(0, int(keys.max()) + 1))
-    return Pda.from_keys(keys)
+    return grid_pda(keys)
 
 
 class TestC3Screen:
@@ -337,7 +338,7 @@ class TestC3Screen:
         assert verify_pda(pda).ok
         keys = pda.grid.astype(np.int64)
         keys[0, 0] = keys[0, -1]
-        damaged = Pda.from_keys(keys)
+        damaged = grid_pda(keys)
         assert _first_c3_violations(damaged) == full_pair_scan(damaged.grid)
         assert verify_pda(damaged).c3a_distinct_rows_cols == (width == 1)
 
@@ -465,7 +466,7 @@ _WIDTHS = [(np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.uint32, 1 << 32),
 def key_grids(draw):
     """An F x K int64 key grid, -1 a star, whose largest key needs the
     drawn unsigned width; the keys are single words or, as the GDD schemes
-    make them, multi-word rows folded by ``row_keys``."""
+    make them, vectors of m digits below 4, folded here into one key base 4."""
     width, (dtype, top) = draw(st.sampled_from(list(enumerate(_WIDTHS))))
     f, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     if draw(st.booleans()) or width == 3:
@@ -473,10 +474,10 @@ def key_grids(draw):
         keys = np.array(pool, dtype=np.int64)[draw(st.lists(
             st.integers(0, len(pool) - 1), min_size=f * k, max_size=f * k))]
         largest = draw(st.integers(_WIDTHS[width - 1][1] if width else 0, top - 1))
-    else:  # words of (f*k) x m digits; row_keys stays below (f*k)^2
+    else:  # (f*k) x m digits, each vector one key below 4^m
         m = draw(st.integers(2, 4))
         digits = draw(st.lists(st.integers(0, 3), min_size=f * k * m, max_size=f * k * m))
-        keys = row_keys(np.array(digits).reshape(-1, m))
+        keys = np.array(digits).reshape(-1, m) @ 4 ** np.arange(m)
         largest = int(keys.max())
         dtype = np.min_scalar_type(largest)
     keys = keys.reshape(f, k)
@@ -491,7 +492,7 @@ class TestNarrowedKeys:
     def test_numbering_equals_the_unnarrowed_code(self, drawn):
         keys, dtype = drawn
         assert _narrow(keys[keys >= 0]).dtype == dtype
-        p = Pda.from_keys(keys)
+        p = grid_pda(keys)
         grid, first = number_unnarrowed(keys)
         assert p.grid.dtype == np.int32
         assert p.grid.tobytes() == grid.tobytes()
@@ -514,17 +515,15 @@ class TestNarrowedKeys:
     @settings(max_examples=200)
     @given(st.integers(1, 9), st.integers(1, 9),
            st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
-           st.sampled_from([1, 3, 100, 1 << 15, 1 << 40]), st.booleans(), st.data())
-    def test_from_keys_matches_the_unique_oracle(self, f, k, dtype, keys_below, paired, data):
+           st.sampled_from([1, 3, 100, 1 << 15, 1 << 40]), st.data())
+    def test_from_keys_matches_the_unique_oracle(self, f, k, dtype, keys_below, data):
         # random key grids of each signed width (-1 a star), keys below the
-        # drawn bound where the width holds it; given as the grid or as the
-        # (missed, values) pair
+        # drawn bound where the width holds it
         top = min(keys_below, int(np.iinfo(dtype).max))
         keys = np.array(data.draw(st.lists(st.integers(-1, top - 1) | st.just(-1),
                                            min_size=f * k, max_size=f * k)),
                         dtype=dtype).reshape(f, k)
-        missed = keys >= 0
-        p = Pda.from_keys((missed, keys[missed]) if paired else keys)
+        p = grid_pda(keys)
         grid, first = number_unnarrowed(keys.astype(np.int64))
         assert p.grid.dtype == np.int32 and np.array_equal(p.grid, grid)
         assert np.array_equal(first_cells(p), first)
@@ -546,3 +545,74 @@ class TestNarrowedKeys:
         for got, want in zip(narrowed.user_delivery.csr,
                              id_cells_unnarrowed(wide.user_delivery.grid)):
             assert np.array_equal(got, want)
+
+
+# -- key columns -----------------------------------------------------------
+
+# Pools of column values by type; the uint64 values sit above 2^53, where
+# neighbours are one float64 apart or less, so a column cast to float64 with
+# an int64 one (as np.column_stack casts them) would merge them.
+_COLUMN_POOLS = {
+    np.uint8: [0, 1, 2, 255],
+    np.int64: [0, 1, 3, (1 << 62) + 1],
+    np.uint64: [1 << 53, (1 << 53) + 1, (1 << 64) - 2, (1 << 64) - 1],
+}
+
+
+@st.composite
+def key_columns(draw):
+    """An F x K mask of missed cells and w key columns of its n missed
+    cells, each of its own type, with a uint64 column beside an int64 one
+    in each draw of two or more columns."""
+    f, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    missed = np.array(draw(st.lists(st.booleans(), min_size=f * k, max_size=f * k))).reshape(f, k)
+    missed[draw(st.integers(0, f - 1)), draw(st.integers(0, k - 1))] = True
+    n = int(missed.sum())
+    types = draw(st.lists(st.sampled_from(list(_COLUMN_POOLS)), min_size=1, max_size=4))
+    if len(types) > 1:
+        types[:2] = draw(st.permutations([np.uint64, np.int64]))
+    columns = [np.array(draw(st.lists(st.sampled_from(_COLUMN_POOLS[t]), min_size=n, max_size=n)),
+                        dtype=t) for t in types]
+    return missed, columns
+
+
+def unique_rows(columns) -> np.ndarray:
+    """The rank of each row of the key columns among the distinct rows in
+    lexicographic order, by ``np.unique`` on the columns held exactly as
+    uint64."""
+    rows = np.column_stack([c.astype(np.uint64) for c in columns])
+    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+
+
+class TestKeyColumns:
+    @settings(max_examples=200)
+    @given(key_columns())
+    def test_groups_match_the_unique_oracle(self, drawn):
+        _, columns = drawn
+        inverse = unique_rows(columns)
+        order, starts = _groups(columns)
+        assert order.dtype == np.int32
+        assert np.array_equal(order, np.argsort(inverse, kind="stable"))
+        assert np.array_equal(starts, np.flatnonzero(np.diff(inverse[order], prepend=-1)))
+        if len(columns) == 1:  # one column given bare is the same grouping
+            assert all(np.array_equal(a, b) for a, b in zip(_groups(columns[0]), (order, starts)))
+
+    @settings(max_examples=200)
+    @given(key_columns())
+    def test_id_cells_match_the_unique_oracle(self, drawn):
+        missed, columns = drawn
+        keys = np.full(missed.shape, -1, dtype=np.int64)
+        keys[missed] = unique_rows(columns)
+        want = id_cells_unnarrowed(number_unnarrowed(keys)[0])
+        assert all(np.array_equal(a, b) for a, b in zip(id_cells(missed, columns), want))
+        assert all(np.array_equal(a, b) for a, b in zip(Pda.from_keys(missed, columns).csr, want))
+
+    @settings(max_examples=200)
+    @given(key_columns())
+    def test_occurrences_match_the_unique_oracle(self, drawn):
+        _, columns = drawn
+        seen, want = {}, []
+        for g in unique_rows(columns).tolist():
+            seen[g] = seen.get(g, 0) + 1
+            want.append(seen[g])
+        assert occurrences(columns).tolist() == want

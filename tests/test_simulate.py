@@ -51,6 +51,7 @@ from macc.simulate import (
     write_transcript,
 )
 
+from canonical import grid_pda
 from shared_link import shared_link_scheme
 
 
@@ -251,7 +252,7 @@ class TestPdaViews:
            seed=st.integers(0, 2**32 - 1))
     def test_by_user_matches_the_oracle_on_any_grid(self, shape, ids, seed):
         keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
-        q = Pda.from_keys(keys)
+        q = grid_pda(keys)
         assert tuple(map(np.ndarray.tolist, q.by_user)) == by_user_oracle(q)
 
     def test_verify_and_the_bundle_write_leave_by_user_unbuilt(self):
@@ -578,10 +579,16 @@ class TestRandomTrials:
         assert len(demands) == 7
         assert all(1 <= d <= 7 for d in demands)
 
-    @pytest.mark.parametrize("count", [-3, -1, 2.5, 4.0, True, False, None, "4", np.int64(4)])
+    @pytest.mark.parametrize("count", [-3, -1, 2.5, 4.0, True, False, None, "4", np.int64(-1),
+                                       np.bool_(True)])
     def test_count_that_is_not_a_non_negative_int_is_refused(self, fano, count):
         with pytest.raises(InvalidParametersError, match="trial count"):
             run_demand_trials(fano, make_library(7, 21, 8), count)
+
+    @pytest.mark.parametrize("count", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_count_is_run(self, fano, count):
+        # counted as the demands are: any Python or numpy integer
+        assert run_demand_trials(fano, make_library(7, 21, 8), count, seed=1) == 2
 
     def test_zero_trials_run_none(self, fano, monkeypatch):
         monkeypatch.setattr(simulate, "random_demands", mock.Mock(side_effect=AssertionError))
@@ -1246,7 +1253,7 @@ class TestCover:
         # random cells (key 0 a star) break C3 in every way, ids repeat
         # within rows and columns, and more than 64 users span two words
         keys = np.random.default_rng(seed).integers(0, ids + 1, shape) - 1
-        q = Pda.from_keys(keys)
+        q = grid_pda(keys)
         with mock.patch.object(pda_module, "_SCREEN_BYTES", screen_bytes):
             known, keeps_c3 = q.known, not q.c3_flags.any()
         want_known, want_c3 = cover_oracle(q.grid)
